@@ -164,15 +164,6 @@ def build_apex_circuits(n: int) -> tuple[Circuit, Circuit]:
     return t_x, t_y
 
 
-def _transition_position(c: Circuit, t: Transition) -> int | None:
-    s = c.seq
-    k = len(s)
-    for p in range(k):
-        if s[p] == t.mid and s[p - 1] == t.a and s[(p + 1) % k] == t.b:
-            return p
-    return None
-
-
 def _splice_tokens(c: Circuit, position: int, tokens: tuple[int, ...], new_n: int) -> Circuit:
     seq = c.seq[: position + 1] + tokens + c.seq[position + 1 :]
     return Circuit(c.excluded, new_n, c.m, seq)
@@ -211,7 +202,7 @@ def _expand(s: EmbeddingSet, choice: TransitionChoice | None, rng: Random | None
             return [
                 t
                 for t in transitions_through(c_i, i + 1)
-                if _transition_position(c_j, Transition(t.b, i, t.a)) is not None
+                if _occurrences(c_j, Transition(t.b, i, t.a))
             ]
 
         cands = candidates()
@@ -233,9 +224,9 @@ def _expand(s: EmbeddingSet, choice: TransitionChoice | None, rng: Random | None
             idx = 0
         t = cands[idx % len(cands)]
 
-        p = _transition_position(c_i, t)
+        p = _occurrences(c_i, t)[0]
         circuits[i - 1] = _splice_tokens(c_i, p, build_insertion(i, n).tokens, n + 2)
-        q = _transition_position(c_j, Transition(t.b, i, t.a))
+        q = _occurrences(c_j, Transition(t.b, i, t.a))[0]
         circuits[i] = _splice_tokens(c_j, q, build_insertion(i + 1, n).tokens, n + 2)
 
     t_x, t_y = build_apex_circuits(n)
@@ -281,6 +272,7 @@ def build_even(
 
 
 def _occurrences(c: Circuit, t: Transition) -> list[int]:
+    """Positions p, in order, where c passes t.a, t.mid, t.b at p-1, p, p+1."""
     s = c.seq
     k = len(s)
     return [
@@ -315,7 +307,7 @@ def _splice_layer(
             shared = [
                 t
                 for t in transitions_through(c_i, i + 1)
-                if _transition_position(cand_f_i, t) is not None
+                if _occurrences(cand_f_i, t)
             ]
             if shared:
                 picked = (cand_f_i, shared)
@@ -353,9 +345,9 @@ def _splice_layer(
             raise NoCommonTransition(
                 f"pair ({i},{i + 1}): no label-matched transition through {i}"
             )
-        if _transition_position(f_j, form) is None:
+        if not _occurrences(f_j, form):
             f_j = f_j.reversed_()
-            if _transition_position(f_j, form) is None:
+            if not _occurrences(f_j, form):
                 raise NoCommonTransition(
                     f"layer circuit {i + 1} lacks the transition "
                     f"({form.a},{form.mid},{form.b}) in either direction"

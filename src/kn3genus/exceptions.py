@@ -34,7 +34,11 @@ class Disconnected(Kn3Error):
 
 
 class GraphMismatch(Kn3Error):
-    """Two schemes are defined on different labelled graphs."""
+    """A scheme does not fit a labelled graph.
+
+    Two schemes are defined on different labelled graphs, or a rotation
+    misses, repeats or adds an edge of its scheme's graph.
+    """
 
 
 class BoundExceeded(Kn3Error):

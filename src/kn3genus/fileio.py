@@ -146,7 +146,10 @@ def parse_scheme(text: str) -> EmbeddingScheme:
             continue
         if line.startswith("rot "):
             head, _, body = line[4:].partition(":")
-            rot_tokens[head.strip()] = (head.strip(), body.split(), lineno)
+            head = head.strip()
+            if head in rot_tokens:
+                raise FormatError(f"second rot line for {head!r}", lineno)
+            rot_tokens[head] = (head, body.split(), lineno)
         elif line.startswith("sig "):
             head, _, body = line[4:].partition(":")
             parts = head.split()
@@ -172,27 +175,29 @@ def parse_scheme(text: str) -> EmbeddingScheme:
     m_mult = max(copies) + 1 if copies else 1
     graph = build_levi(HypergraphSpec(n, m_mult))
 
+    # Each rotation must list exactly the incident edges of its vertex, once.
+    vertices = set(graph.x_vertices) | set(graph.y_vertices)
+    x_degree = graph.x_degree()
     rotation: dict = {}
-    for name, (head, tokens, lineno) in rot_tokens.items():
+    for head, tokens, lineno in rot_tokens.values():
         v = _parse_vertex(head, m_mult, lineno)
+        if v not in vertices or v in rotation:
+            raise FormatError(f"rot line for {head!r}: not a Levi vertex, or given twice", lineno)
         if isinstance(v, int):
-            rot = tuple((v, _parse_vertex(t, m_mult, lineno)) for t in tokens)
-            for _, y in rot:
-                if not isinstance(y, tuple):
-                    raise FormatError("rotation at a vertex must list edge names", lineno)
+            ys = [_parse_vertex(t, m_mult, lineno) for t in tokens]
+            if len(ys) != x_degree or len(set(ys)) != x_degree or not all(
+                isinstance(y, tuple) and v in y[0] and y in vertices for y in ys
+            ):
+                raise FormatError(
+                    f"rotation at {v} must list its {x_degree} edges once each", lineno
+                )
+            rotation[v] = tuple((v, y) for y in ys)
         else:
-            rot = tuple((int(t), v) for t in tokens)
-        rotation[v] = rot
-
-    expected = set(graph.x_vertices) | set(graph.y_vertices)
-    if set(rotation) != expected:
+            if sorted(tokens) != sorted(map(str, v[0])):
+                raise FormatError(f"rotation at {head} must list its 3 vertices once each", lineno)
+            rotation[v] = tuple((int(t), v) for t in tokens)
+    if len(rotation) != len(vertices):
         raise FormatError("rot lines do not match the Levi graph of the inferred (n, m)")
-    for x, y in graph.edges():
-        if (x, y) not in rotation[x] or (x, y) not in rotation[y]:
-            raise FormatError(f"edge {x}-{_y_name(y, m_mult)} missing from a rotation")
-    for v, rot in rotation.items():
-        if len(set(rot)) != len(rot):
-            raise FormatError(f"rotation at {v} repeats an edge")
 
     signature: dict = {}
     for x_tok, y_tok, val, lineno in sig_tokens:

@@ -3,7 +3,10 @@
 An embedding scheme is a rotation system (a cyclic order of incident edges
 at every vertex) plus a signature assigning +1 or -1 to every edge.  Up to
 switching equivalence this determines a 2-cell surface embedding, whose
-faces are traced combinatorially.
+faces are traced combinatorially.  One pass over the flags of the embedding
+(edge-ends with a side) yields the faces, connectivity and orientability;
+switching equivalence of two schemes is decided in linear time by forcing
+the switch state of every vertex along the edges.
 
 The central conversions realize the bijection between quadrilateral
 embeddings of the Levi graph and pairwise-compatible circuit families:
@@ -12,14 +15,13 @@ from traversal directions, `scheme_to_set` recovers the circuits from the
 rotations around the vertex side.
 """
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, product
 
 from .circuits import (
     Circuit,
     EmbeddingSet,
-    canonical_set_key,
     is_embedding_set,
     is_strongly_compatible,
 )
@@ -30,7 +32,6 @@ from .exceptions import (
     NotAnEmbeddingSet,
     NotQuadrilateral,
     OddOrder,
-    UnsupportedCase,
 )
 from .levi import HypergraphSpec, LeviGraph, YVertex, build_levi
 
@@ -66,127 +67,112 @@ def _vertices(sch: EmbeddingScheme):
     yield from sch.graph.y_vertices
 
 
-def _check_connected(sch: EmbeddingScheme) -> None:
-    start = next(iter(_vertices(sch)))
-    seen = {start}
-    queue = deque([start])
-    adjacency: dict[Vertex, list[Vertex]] = {}
-    for x, y in sch.graph.edges():
-        adjacency.setdefault(x, []).append(y)
-        adjacency.setdefault(y, []).append(x)
-    while queue:
-        v = queue.popleft()
-        for w in adjacency.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if len(seen) != sch.graph.vertex_count:
-        raise Disconnected(
-            f"scheme graph has {sch.graph.vertex_count} vertices "
-            f"but only {len(seen)} reachable"
-        )
-
-
 def trace_faces(sch: EmbeddingScheme) -> FaceReport:
-    """Trace all faces by walking edge sides.
+    """Trace the faces and decide connectivity and orientability in one flag pass.
 
-    Every edge contributes four flags (two ends, two sides); faces are the
-    orbits under the corner pairing (consecutive edge-ends around a vertex)
-    and the band pairing (sides matched across an edge, crossed when the
-    signature is negative).  A face of length L is an orbit of 2L flags.
+    Every edge contributes four flags (two ends, two sides).  Three
+    pairings act on them: the corner pairing (consecutive edge-ends around a
+    vertex), the band pairing (sides matched across an edge, crossed when
+    the signature is negative) and the side swap at an edge-end.  Faces are
+    the orbits under corner and band; a face of length L is an orbit of 2L
+    flags.  One 2-colouring pass over all three pairings decides the rest:
+    the graph is connected iff every flag is reached from flag 0, and the
+    embedding is orientable iff the flag graph is bipartite.
+
+    Raises Disconnected for an unreachable part of the graph, including a
+    vertex without edges (it has no flags), and GraphMismatch when a
+    rotation misses, repeats or adds an edge of the graph.
     """
-    _check_connected(sch)
-
-    base: dict[Vertex, int] = {}
-    order: list[tuple[Vertex, int]] = []
-    total = 0
-    for v in _vertices(sch):
-        deg = len(sch.rotation[v])
-        base[v] = total
-        order.append((v, deg))
-        total += 2 * deg
-
-    # Flag id: base[v] + 2*p + s for the side s of the edge at position p
-    # in the rotation at v.  Side 1 touches the corner toward position p+1.
-    partner_corner = [0] * total
-    partner_band = [0] * total
+    # Flag id: b + 2*p + s for the side s of the edge at position p in the
+    # rotation at a vertex whose flags start at b.  Side 1 touches the
+    # corner toward position p+1, and b is even, so the side swap is f ^ 1.
+    partner_corner: list[int] = []
     position: dict[tuple[Vertex, Edge], int] = {}
-    for v, deg in order:
-        rot = sch.rotation[v]
+    for v in _vertices(sch):
+        rot = sch.rotation.get(v)
+        if rot is None:
+            raise GraphMismatch(f"no rotation at vertex {v}")
+        if not rot:
+            raise Disconnected(f"vertex {v} has no incident edges")
+        b, deg = len(partner_corner), len(rot)
         for p, e in enumerate(rot):
-            position[(v, e)] = p
-        for p in range(deg):
-            a = base[v] + 2 * p + 1
-            b = base[v] + 2 * ((p + 1) % deg)
-            partner_corner[a] = b
-            partner_corner[b] = a
+            position[(v, e)] = b + 2 * p
+            partner_corner += (b + 2 * ((p - 1) % deg) + 1, b + 2 * ((p + 1) % deg))
+    total = len(partner_corner)
+    if len(position) != total // 2:
+        raise GraphMismatch("a rotation repeats an edge")
 
+    partner_band = [0] * total
     for x, y in sch.graph.edges():
         e = (x, y)
-        px, py = position[(x, e)], position[(y, e)]
-        fx0, fx1 = base[x] + 2 * px, base[x] + 2 * px + 1
-        fy0, fy1 = base[y] + 2 * py, base[y] + 2 * py + 1
+        fx, fy = position.get((x, e)), position.get((y, e))
+        if fx is None or fy is None:
+            raise GraphMismatch(f"edge {e} is missing from a rotation at its ends")
         if sch.signature[e] == 1:
-            partner_band[fx1], partner_band[fy0] = fy0, fx1
-            partner_band[fx0], partner_band[fy1] = fy1, fx0
+            partner_band[fx + 1], partner_band[fy] = fy, fx + 1
+            partner_band[fx], partner_band[fy + 1] = fy + 1, fx
         else:
-            partner_band[fx1], partner_band[fy1] = fy1, fx1
-            partner_band[fx0], partner_band[fy0] = fy0, fx0
+            partner_band[fx + 1], partner_band[fy + 1] = fy + 1, fx + 1
+            partner_band[fx], partner_band[fy] = fy, fx
+    if total != 4 * sch.graph.edge_count:
+        raise GraphMismatch("a rotation names an edge that is not in the graph")
 
+    colour = bytearray(total)
+    colour[0] = 1
+    reached = 1
+    orientable = True
+    stack = [0]
+    while stack:
+        f = stack.pop()
+        other = 3 - colour[f]
+        for g in (partner_corner[f], partner_band[f], f ^ 1):
+            if not colour[g]:
+                colour[g] = other
+                reached += 1
+                stack.append(g)
+            elif colour[g] != other:
+                orientable = False
+    if reached != total:
+        raise Disconnected(
+            f"only {reached} of {total} flags are reachable from the first vertex"
+        )
+
+    # Corner and band are fixed-point-free involutions, so each orbit is a
+    # cycle that alternates them.
     lengths = []
     seen = bytearray(total)
     for start in range(total):
         if seen[start]:
             continue
         size = 0
-        stack = [start]
-        seen[start] = 1
-        while stack:
-            f = stack.pop()
+        f = start
+        while True:
+            g = partner_corner[f]
+            seen[f] = seen[g] = 1
             size += 1
-            for g in (partner_corner[f], partner_band[f]):
-                if not seen[g]:
-                    seen[g] = 1
-                    stack.append(g)
-        assert size % 2 == 0
-        lengths.append(size // 2)
+            f = partner_band[g]
+            if f == start:
+                break
+        lengths.append(size)
 
     v_count = sch.graph.vertex_count
     e_count = sch.graph.edge_count
     f_count = len(lengths)
-    assert sum(lengths) == 2 * e_count
     genus = 2 - (v_count - e_count + f_count)
     return FaceReport(
         face_count=f_count,
         face_lengths=tuple(sorted(lengths)),
         euler_genus=genus,
-        orientable=is_orientable(sch),
+        orientable=orientable,
     )
 
 
 def is_orientable(sch: EmbeddingScheme) -> bool:
     """True iff the signature is switching-equivalent to all-positive.
 
-    Switch a spanning tree to all-positive by propagating vertex signs,
-    then check that every non-tree edge comes out positive.
+    Decided by the flag pass of `trace_faces` (the flag graph is bipartite).
     """
-    _check_connected(sch)
-    adjacency: dict[Vertex, list[tuple[Vertex, Edge]]] = {}
-    for x, y in sch.graph.edges():
-        adjacency.setdefault(x, []).append((y, (x, y)))
-        adjacency.setdefault(y, []).append((x, (x, y)))
-    start = next(iter(_vertices(sch)))
-    sign = {start: 1}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w, e in adjacency[v]:
-            if w not in sign:
-                sign[w] = sign[v] * sch.signature[e]
-                queue.append(w)
-    return all(
-        sch.signature[(x, y)] == sign[x] * sign[y] for x, y in sch.graph.edges()
-    )
+    return trace_faces(sch).orientable
 
 
 # ---------------------------------------------------------------------------
@@ -409,56 +395,61 @@ def scheme_to_set(sch: EmbeddingScheme) -> EmbeddingSet:
 # switching equivalence
 
 
-def _cyclic_variants(rot: tuple[Edge, ...]):
-    k = len(rot)
-    for off in range(k):
-        yield rot[off:] + rot[:off]
+def _switch_states(ra: tuple[Edge, ...], rb: tuple[Edge, ...]) -> int:
+    """Switch states carrying rotation ra onto rb up to rotation, as bits.
+
+    Bit 1: ra itself (kept); bit 2: ra reversed.  Rotations list each edge
+    once, so the offset is fixed by where rb[0] sits in ra.
+    """
+    if len(ra) != len(rb):
+        return 0
+    try:
+        i = ra.index(rb[0])
+    except ValueError:
+        return 0
+    kept = ra[i:] + ra[:i] == rb
+    reversed_ = ra[i::-1] + ra[:i:-1] == rb
+    return kept | reversed_ << 1
 
 
-def _cyclically_equal(a: tuple[Edge, ...], b: tuple[Edge, ...]) -> bool:
-    return len(a) == len(b) and any(v == b for v in _cyclic_variants(a))
-
-
-def _switched_equal(a: EmbeddingScheme, b: EmbeddingScheme, flipped) -> bool:
-    for v in _vertices(a):
-        rot = a.rotation[v]
-        if v in flipped:
-            rot = rot[::-1]
-        if not _cyclically_equal(rot, b.rotation[v]):
-            return False
-    for x, y in a.graph.edges():
-        lam = a.signature[(x, y)]
-        if (x in flipped) != (y in flipped):
-            lam = -lam
-        if lam != b.signature[(x, y)]:
-            return False
-    return True
+# Switch-state bits seen from the other state of the component's root.
+_SWAPPED = (0, 2, 1, 3)
 
 
 def schemes_equivalent(a: EmbeddingScheme, b: EmbeddingScheme) -> bool:
     """Switching equivalence of two schemes on the same labelled graph.
 
-    Quadrilateral schemes are compared through their circuit families
-    (the bijection turns switching classes into rotation/reversal classes);
-    anything else falls back to brute force over switching sets, which is
-    only tolerable for the smallest graphs.
+    Switching a set U of vertices reverses their rotations and negates the
+    signature of every edge with one end in U.  Whether v is switched is
+    then forced along every edge xy: x and y differ in state iff a and b
+    differ in signature on xy.  So one search per connected component fixes
+    every state relative to the component's first vertex, checks every edge
+    on the way, and keeps the root states under which each rotation of a
+    becomes that of b up to rotation.  The cost is linear in the graph.
     """
     if a.graph != b.graph:
         raise GraphMismatch("schemes are defined on different labelled graphs")
-    try:
-        fam_a = scheme_to_set(a)
-        fam_b = scheme_to_set(b)
-    except (NotQuadrilateral, OddOrder):
-        nv = a.graph.vertex_count
-        if nv > 16:
-            raise UnsupportedCase(
-                "switching search over 2^|V| is only supported for |V| <= 16 "
-                "on non-quadrilateral schemes"
-            ) from None
-        verts = list(_vertices(a))
-        for mask in range(1 << nv):
-            flipped = {verts[t] for t in range(nv) if mask >> t & 1}
-            if _switched_equal(a, b, flipped):
-                return True
-        return False
-    return canonical_set_key(fam_a) == canonical_set_key(fam_b)
+    parity: dict[Vertex, int] = {}
+    for root in _vertices(a):
+        if root in parity:
+            continue
+        parity[root] = 0
+        fits = 3  # bit 1 << s: the root may take state s
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            p = parity[v]
+            states = _switch_states(a.rotation[v], b.rotation[v])
+            fits &= _SWAPPED[states] if p else states
+            if not fits:
+                return False
+            other = 1 if isinstance(v, int) else 0
+            for e in a.rotation[v]:
+                w = e[other]
+                q = p ^ (a.signature[e] != b.signature[e])
+                if w not in parity:
+                    parity[w] = q
+                    stack.append(w)
+                elif parity[w] != q:
+                    return False
+    return True

@@ -9,6 +9,9 @@ walking direction), so the orbit census gives face count and lengths.
 Orientability is decided through the signed double cover: the scheme is
 orientable iff the cover (two signed copies of every vertex, edges joining
 equal signs on +1 edges and opposite signs on -1 edges) is disconnected.
+
+Switching equivalence is decided by brute force over every set of switched
+vertices, so it only suits the smallest graphs.
 """
 
 from collections import Counter
@@ -89,3 +92,26 @@ def _double_cover_orientable(sch):
             union((x, -1), (y, 1))
     some = next(iter(sch.graph.x_vertices))
     return find((some, 1)) != find((some, -1))
+
+
+def brute_force_equivalent(a, b):
+    """True iff switching some vertex set of a gives b, rotations taken cyclically."""
+    vertices = list(a.rotation)
+
+    def cyclic_forms(rot):
+        return {rot[i:] + rot[:i] for i in range(len(rot))}
+
+    kept = {v: cyclic_forms(a.rotation[v]) for v in vertices}
+    flipped = {v: cyclic_forms(a.rotation[v][::-1]) for v in vertices}
+    for mask in range(1 << len(vertices)):
+        switched = {v for t, v in enumerate(vertices) if mask >> t & 1}
+        if all(
+            b.rotation[v] in (flipped[v] if v in switched else kept[v])
+            for v in vertices
+        ) and all(
+            sign * (-1 if (x in switched) != (y in switched) else 1)
+            == b.signature[(x, y)]
+            for (x, y), sign in a.signature.items()
+        ):
+            return True
+    return False

@@ -176,3 +176,23 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["build", "--frobnicate"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("rot e{1,2,3}: 1 2 3", "rot e{1,2,3}: x 2 3"),  # not a vertex label
+        ("rot 1: ", "rot 1: e{2,3,4} "),  # an edge that does not meet vertex 1
+    ],
+    ids=["bad-label", "extra-edge"],
+)
+def test_genus_rejects_rotation_off_graph(tmp_path, capsys, old, new):
+    from kn3genus import set_to_scheme
+
+    text = fileio.format_scheme(set_to_scheme(fixture_set("strong_6")))
+    assert old in text
+    path = tmp_path / "bad.kn3scheme"
+    path.write_text(text.replace(old, new, 1))
+    code, _, err = run(capsys, "genus", str(path))
+    assert code == 2
+    assert "line" in err

@@ -94,6 +94,15 @@ def test_parse_scheme_rejects_bad_rotation(strong6):
         parse_scheme("\n".join(lines))
 
 
+def test_parse_scheme_rejects_second_rot_line(strong6):
+    text = format_scheme(set_to_scheme(strong6))
+    rot1 = next(l for l in text.splitlines() if l.startswith("rot 1:"))
+    head, _, body = rot1.partition(": ")
+    with pytest.raises(FormatError) as err:
+        parse_scheme(text + f"{head}: {' '.join(reversed(body.split()))}\n")
+    assert "second rot line" in str(err.value)
+
+
 def test_census_round_trip():
     families = [build_even(6, True, seed=s) for s in (1, 2, 3)]
     text = format_census(families)

@@ -23,7 +23,7 @@ from kn3genus import (
 )
 from kn3genus.circuits import EmbeddingSet, canonical_set_key
 
-from oracle import naive_face_trace
+from oracle import brute_force_equivalent, naive_face_trace
 
 
 def switch(sch, subset):
@@ -52,6 +52,24 @@ def perturb(sch, rng):
         p, q = rng.sample(range(len(rot)), 2)
         rot[p], rot[q] = rot[q], rot[p]
         rotation[v] = tuple(rot)
+    return EmbeddingScheme(sch.graph, rotation, signature)
+
+
+def swap_copies(sch, triple):
+    """The same scheme with copies 0 and 1 of `triple` exchanged."""
+
+    def rename_y(y):
+        t, c = y
+        return (t, 1 - c) if t == triple and c < 2 else y
+
+    def rename(e):
+        return (e[0], rename_y(e[1]))
+
+    rotation = {
+        v if isinstance(v, int) else rename_y(v): tuple(map(rename, rot))
+        for v, rot in sch.rotation.items()
+    }
+    signature = {rename(e): sign for e, sign in sch.signature.items()}
     return EmbeddingScheme(sch.graph, rotation, signature)
 
 
@@ -276,13 +294,76 @@ def test_multi_scheme_has_expected_size():
 
 
 def test_oracle_agrees_on_fixtures(planar4, strong6, nonorientable6, klein4x2):
+    rng = random.Random(8)
     for s in (planar4, strong6, nonorientable6, klein4x2):
-        sch = set_to_scheme(s)
-        report = trace_faces(sch)
-        faces, lengths, genus, orientable = naive_face_trace(sch)
-        assert (faces, lengths, genus, orientable) == (
-            report.face_count,
-            report.face_lengths,
-            report.euler_genus,
-            report.orientable,
-        )
+        base = set_to_scheme(s)
+        schemes = [base]
+        for _ in range(6):
+            sch = perturb(schemes[-1], rng)
+            schemes += [sch, switch(sch, {v for v in sch.rotation if rng.random() < 0.4})]
+        for sch in schemes:
+            report = trace_faces(sch)
+            faces, lengths, genus, orientable = naive_face_trace(sch)
+            assert (faces, lengths, genus, orientable) == (
+                report.face_count,
+                report.face_lengths,
+                report.euler_genus,
+                report.orientable,
+            )
+
+
+def test_trace_rejects_rotation_off_graph(strong6):
+    sch = set_to_scheme(strong6)
+    rot = sch.rotation[1]
+    for bad in (
+        rot + ((1, ((4, 5, 6), 0)),),  # an edge that is not in the graph
+        rot[1:],  # a missing edge
+        (rot[1],) + rot[1:],  # a repeated edge in place of another
+    ):
+        broken = EmbeddingScheme(sch.graph, {**sch.rotation, 1: bad}, sch.signature)
+        with pytest.raises(GraphMismatch):
+            trace_faces(broken)
+
+
+def test_schemes_equivalent_agrees_with_brute_force(planar4):
+    base = set_to_scheme(planar4)
+    rng = random.Random(12)
+    outcomes = []
+    for _ in range(60):
+        a = base
+        for _ in range(rng.randrange(3)):
+            a = perturb(a, rng)
+        b = switch(a, {v for v in a.rotation if rng.random() < 0.5})
+        if rng.random() < 0.5:
+            b = perturb(b, rng)
+        expected = brute_force_equivalent(a, b)
+        assert schemes_equivalent(a, b) is expected
+        outcomes.append(expected)
+    assert True in outcomes and False in outcomes
+
+
+def test_schemes_equivalent_decides_large_non_quadrilateral(strong6):
+    sch = set_to_scheme(strong6)
+    rng = random.Random(6)
+    while trace_faces(sch).all_quadrilateral:
+        sch = perturb(sch, rng)
+    assert sch.graph.vertex_count == 26
+    switched = switch(sch, {v for v in sch.rotation if rng.random() < 0.5})
+    assert schemes_equivalent(sch, switched)
+    e = next(iter(sch.signature))
+    one_sign_off = EmbeddingScheme(
+        switched.graph, switched.rotation, {**switched.signature, e: -switched.signature[e]}
+    )
+    assert not schemes_equivalent(sch, one_sign_off)
+
+
+@pytest.mark.parametrize("n,m", [(4, 2), (6, 2), (6, 3)])
+def test_schemes_equivalent_tells_copies_apart(n, m):
+    # Exchanging the copies of a triple is a graph automorphism, not a
+    # switching: both schemes are quadrilateral with the same family up to
+    # copy labels, yet they differ on the labelled graph.
+    sch = set_to_scheme(build_multi(n, m, orientable=True, seed=3))
+    swapped = swap_copies(sch, (1, 2, 3))
+    assert trace_faces(swapped).all_quadrilateral
+    assert canonical_set_key(scheme_to_set(swapped)) == canonical_set_key(scheme_to_set(sch))
+    assert not schemes_equivalent(sch, swapped)
