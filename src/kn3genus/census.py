@@ -18,11 +18,12 @@ from .circuits import (
     EmbeddingSet,
     canonical_set_key,
     is_embedding_set,
+    least_rotation,
     relabel,
 )
 from .exceptions import BoundExceeded, OddOrder
 from .levi import HypergraphSpec, euler_genus_lower_bound
-from .scheme import set_to_scheme, trace_faces
+from .scheme import _scheme_of_valid_set, trace_faces
 
 
 @dataclass(frozen=True)
@@ -41,24 +42,18 @@ def canonicalize(s: EmbeddingSet) -> CanonicalSet:
 def canonical_rewrite(s: EmbeddingSet) -> EmbeddingSet:
     """Equivalent, deterministically written form of a family.
 
-    Every circuit takes its lexicographically least rotation, and the whole
-    family is written either all-forward or all-reversed, whichever sorts
-    first.  Reversal is applied globally rather than per circuit because
-    reversing circuits one at a time destroys the strong-compatibility
-    presentation of orientable families (only rotations and simultaneous
-    reversal preserve it); copy labels ride along.
+    Every circuit takes its lexicographically least rotation (`least_rotation`,
+    the smallest offset on ties), and the whole family is written either
+    all-forward or all-reversed, whichever sorts first.  Reversal is applied
+    globally rather than per circuit because reversing circuits one at a
+    time destroys the strong-compatibility presentation of orientable
+    families (only rotations and simultaneous reversal preserve it); copy
+    labels ride along.
     """
-
-    def least_rotation(c: Circuit) -> Circuit:
-        best = c
-        for off in range(1, len(c.seq)):
-            cand = c.rotated(off)
-            if cand.seq < best.seq:
-                best = cand
-        return best
-
-    forward = tuple(least_rotation(c) for c in s.circuits)
-    backward = tuple(least_rotation(c.reversed_()) for c in s.circuits)
+    forward = tuple(c.rotated(least_rotation(c.seq)) for c in s.circuits)
+    backward = tuple(
+        r.rotated(least_rotation(r.seq)) for r in map(Circuit.reversed_, s.circuits)
+    )
     circuits = min(forward, backward, key=lambda cs: tuple(c.seq for c in cs))
     return EmbeddingSet(s.n, s.m, circuits, s.strong)
 
@@ -118,7 +113,7 @@ def enumerate_variants(
 ) -> EnumerationResult:
     """Up to `count` pairwise-inequivalent minimum-genus families.
 
-    Runs the seeded builder repeatedly, verifying each candidate (valid
+    Runs the seeded builder repeatedly, verifying each candidate once (valid
     family, all faces quadrilateral, Euler genus equal to the lower bound,
     requested orientability) and deduping by canonical form.  Stops early
     with `budget_exhausted` set once budget_factor * count attempts have
@@ -137,7 +132,7 @@ def enumerate_variants(
             continue
         if not is_embedding_set(s, require_strong=orientable):
             continue
-        report = trace_faces(set_to_scheme(s))
+        report = trace_faces(_scheme_of_valid_set(s))
         if not (
             report.all_quadrilateral
             and report.euler_genus == target

@@ -13,10 +13,19 @@ strongly compatible when the match is always the reversed form (b, i, a).
 A family {T_1..T_n} that is pairwise compatible encodes a quadrilateral
 surface embedding of the Levi graph (see `scheme`), with strong families
 corresponding to the orientable embeddings.
+
+Every pair of a family is checked from one transition index: a single scan
+of all circuits counts each ordered transition (a, j, b) of T_i under the
+key (i, j, a, b).  T_i and T_j are strongly compatible iff every key's
+count equals that of (j, i, b, a), and compatible iff the same holds once
+outer pairs are sorted: (i, j, a, b) and (i, j, b, a) together count as
+often as (j, i, a, b) and (j, i, b, a).  Rotation-invariant forms of
+circuits all come from one routine, `least_rotation`.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import comb
 
 from .exceptions import MismatchedAmbient, VertexAbsent
@@ -32,6 +41,26 @@ class Transition:
     def outer(self) -> tuple[int, int]:
         """Outer endpoints as a sorted pair."""
         return (self.a, self.b) if self.a <= self.b else (self.b, self.a)
+
+
+def least_rotation(seq: tuple[int, ...]) -> int:
+    """Offset of the lexicographically least rotation of seq, the smallest on ties.
+
+    The least rotation starts at an occurrence of min(seq), so only those
+    offsets are compared; a circuit has m(n-2)/2 of them out of m*C(n-1,2).
+    """
+    if not seq:
+        return 0
+    low = min(seq)
+    return min(
+        (off for off, v in enumerate(seq) if v == low),
+        key=lambda off: seq[off:] + seq[:off],
+    )
+
+
+def _least_written(seq: tuple[int, ...]) -> tuple[int, ...]:
+    off = least_rotation(seq)
+    return seq[off:] + seq[:off]
 
 
 @dataclass(frozen=True)
@@ -83,22 +112,17 @@ class Circuit:
         return Circuit(self.excluded, self.n, self.m, seq, labels)
 
     def canonical_seq(self) -> tuple[int, ...]:
-        """Lexicographically least writing over all rotations of seq and its reverse."""
-        best = None
-        for s in (self.seq, self.seq[::-1]):
-            k = len(s)
-            for off in range(k):
-                cand = s[off:] + s[:off]
-                if best is None or cand < best:
-                    best = cand
-        return best
+        """Lexicographically least writing over all rotations of seq and its reverse.
+
+        The lesser of the `least_rotation` of seq and of its reverse.
+        """
+        return min(_least_written(self.seq), _least_written(self.seq[::-1]))
 
     def cyclically_equal(self, other: "Circuit") -> bool:
         """Equality up to rotation only (reversal is a distinct trail)."""
-        if len(self.seq) != len(other.seq):
-            return False
-        k = len(self.seq)
-        return any(self.seq[off:] + self.seq[:off] == other.seq for off in range(k))
+        return len(self.seq) == len(other.seq) and (
+            _least_written(self.seq) == _least_written(other.seq)
+        )
 
     def equivalent(self, other: "Circuit") -> bool:
         """Equality up to rotation and reversal."""
@@ -137,34 +161,38 @@ class ValidationReport:
 def validate_eulerian(c: Circuit) -> ValidationReport:
     """Check the Eulerian-multiset invariant, reporting the first violation."""
     failures: list[str] = []
+    seq = c.seq
+    steps = list(zip(seq, seq[1:] + seq[:1]))
     ground = [v for v in range(1, c.n + 1) if v != c.excluded]
-    if len(c.seq) != c.expected_length:
+    if len(seq) != c.expected_length:
         failures.append(
-            f"length {len(c.seq)} != expected {c.expected_length} "
+            f"length {len(seq)} != expected {c.expected_length} "
             f"(m*C(n-1,2) with n={c.n}, m={c.m})"
         )
-    for v in c.seq:
+    for v in seq:
         if v == c.excluded:
             failures.append(f"excluded vertex {v} occurs in the sequence")
             break
         if not 1 <= v <= c.n:
             failures.append(f"vertex {v} outside 1..{c.n}")
             break
-    for u, v in c.steps():
-        if u == v:
-            failures.append(f"immediate repetition at vertex {u}")
-            break
+    repeated = next((u for u, v in steps if u == v), None)
+    if repeated is not None:
+        failures.append(f"immediate repetition at vertex {repeated}")
     if not failures:
-        counts = Counter()
-        for u, v in c.steps():
-            pair = (u, v) if u <= v else (v, u)
-            counts[pair] += 1
-            if counts[pair] > c.m:
-                failures.append(
-                    f"pair {{{pair[0]},{pair[1]}}} count {counts[pair]} expected {c.m}"
-                )
-                break
-        if not failures:
+        pairs = [(u, v) if u < v else (v, u) for u, v in steps]
+        counts = Counter(pairs)
+        if max(counts.values(), default=0) > c.m:
+            # Name the pair whose count first exceeds m in scan order.
+            running = Counter()
+            for pair in pairs:
+                running[pair] += 1
+                if running[pair] > c.m:
+                    failures.append(
+                        f"pair {{{pair[0]},{pair[1]}}} count {running[pair]} expected {c.m}"
+                    )
+                    break
+        elif len(counts) != comb(len(ground), 2) or min(counts.values(), default=c.m) < c.m:
             for i, u in enumerate(ground):
                 for v in ground[i + 1:]:
                     got = counts.get((u, v), 0)
@@ -237,17 +265,11 @@ def _strong_failure(t_i: Circuit, t_j: Circuit) -> Transition | None:
     return None
 
 
-def is_embedding_set(s: EmbeddingSet, require_strong: bool | None = None) -> ValidationReport:
-    """Validate every circuit Eulerian and every pair (strongly) compatible.
-
-    `require_strong=None` uses the set's own flag.
-    """
-    if require_strong is None:
-        require_strong = s.strong
-    failures: list[str] = []
+def _circuit_failures(s: EmbeddingSet) -> list[str]:
+    """Circuits out of place, of another ambient, or not Eulerian."""
     if len(s.circuits) != s.n:
-        failures.append(f"{len(s.circuits)} circuits for order {s.n}")
-        return ValidationReport(False, failures)
+        return [f"{len(s.circuits)} circuits for order {s.n}"]
+    failures: list[str] = []
     for i in range(1, s.n + 1):
         c = s.circuit(i)
         if c.excluded != i:
@@ -258,20 +280,78 @@ def is_embedding_set(s: EmbeddingSet, require_strong: bool | None = None) -> Val
             rep = validate_eulerian(c)
             if not rep:
                 failures.append(f"circuit {i} not Eulerian: {rep.first()}")
+    return failures
+
+
+def _transition_index(circuits) -> Counter:
+    """Counts of every transition (a, j, b) of every T_i, keyed (i, j, a, b)."""
+    index: Counter = Counter()
+    for c in circuits:
+        s = c.seq
+        index.update(zip(repeat(c.excluded), s, s[-1:] + s[:-1], s[1:] + s[:1]))
+    return index
+
+
+def _pair_failure(s: EmbeddingSet, index: Counter, strong: bool) -> str:
+    """The failure of the lexicographically first (strongly) incompatible pair, or ""."""
+    get = index.get
+    if strong:
+        bad = [
+            (i, j) if i < j else (j, i)
+            for (i, j, a, b), count in index.items()
+            if get((j, i, b, a), 0) != count
+        ]
+    else:
+        bad = [
+            (i, j) if i < j else (j, i)
+            for (i, j, a, b), count in index.items()
+            if count + get((i, j, b, a), 0) != get((j, i, a, b), 0) + get((j, i, b, a), 0)
+        ]
+    if not bad:
+        return ""
+    i, j = min(bad)
+    t_i, t_j = s.circuit(i), s.circuit(j)
+    if not strong or not is_compatible(t_i, t_j):
+        return f"pair ({i},{j}) not compatible"
+    t = _strong_failure(t_i, t_j)
+    where = f" at transition ({t.a},{t.mid},{t.b})" if t else ""
+    return f"pair ({i},{j}) not strongly compatible{where}"
+
+
+def _report(failure: str) -> ValidationReport:
+    return ValidationReport(not failure, [failure] if failure else [])
+
+
+def is_embedding_set(s: EmbeddingSet, require_strong: bool | None = None) -> ValidationReport:
+    """Validate every circuit Eulerian and every pair (strongly) compatible.
+
+    All pairs are read off one transition index (see the module docstring);
+    the report names the lexicographically first failing pair, and for a
+    pair that is compatible but not strongly so, a transition of T_i whose
+    reversed form T_j lacks.  `require_strong=None` uses the set's own flag.
+    """
+    if require_strong is None:
+        require_strong = s.strong
+    failures = _circuit_failures(s)
     if failures:
         return ValidationReport(False, failures)
-    for i in range(1, s.n + 1):
-        for j in range(i + 1, s.n + 1):
-            t_i, t_j = s.circuit(i), s.circuit(j)
-            if not is_compatible(t_i, t_j):
-                failures.append(f"pair ({i},{j}) not compatible")
-                return ValidationReport(False, failures)
-            if require_strong and not is_strongly_compatible(t_i, t_j):
-                t = _strong_failure(t_i, t_j)
-                where = f" at transition ({t.a},{t.mid},{t.b})" if t else ""
-                failures.append(f"pair ({i},{j}) not strongly compatible{where}")
-                return ValidationReport(False, failures)
-    return ValidationReport(True, failures)
+    return _report(_pair_failure(s, _transition_index(s.circuits), require_strong))
+
+
+def compatibility_reports(
+    s: EmbeddingSet,
+) -> tuple[ValidationReport, ValidationReport | None]:
+    """`is_embedding_set(s, False)` and `is_embedding_set(s, True)` of a family
+    whose circuits are in place and Eulerian, from one transition index.
+
+    The circuits are not checked again.  The strong report is None when
+    the family is not compatible.
+    """
+    index = _transition_index(s.circuits)
+    compatible = _report(_pair_failure(s, index, strong=False))
+    if not compatible:
+        return compatible, None
+    return compatible, _report(_pair_failure(s, index, strong=True))
 
 
 def relabel(s: EmbeddingSet, perm: dict[int, int]) -> EmbeddingSet:

@@ -17,10 +17,10 @@ from .census import (
     count_upper_bound,
     enumerate_variants,
 )
-from .circuits import is_embedding_set, validate_eulerian
+from .circuits import compatibility_reports, is_embedding_set, validate_eulerian
 from .exceptions import FormatError, Kn3Error
 from .levi import HypergraphSpec, euler_genus_lower_bound, genus_formula
-from .scheme import set_to_scheme, trace_faces
+from .scheme import _scheme_of_valid_set, trace_faces
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -49,13 +49,13 @@ def _genus_words(euler_genus: int, orientable: bool) -> str:
 
 def cmd_build(args) -> int:
     s = build_multi(args.n, args.multiplicity, orientable=args.orientable, seed=args.seed)
-    sch = set_to_scheme(s)
-    report = trace_faces(sch)
-    spec = HypergraphSpec(args.n, args.multiplicity)
-    expected = euler_genus_lower_bound(spec)
-    if not (report.all_quadrilateral and report.euler_genus == expected
-            and report.orientable == args.orientable
-            and is_embedding_set(s, require_strong=args.orientable)):
+    report = None
+    if is_embedding_set(s, require_strong=args.orientable):
+        sch = _scheme_of_valid_set(s)
+        report = trace_faces(sch)
+    expected = euler_genus_lower_bound(HypergraphSpec(args.n, args.multiplicity))
+    if not (report and report.all_quadrilateral and report.euler_genus == expected
+            and report.orientable == args.orientable):
         print("error: built family failed self-verification", file=sys.stderr)
         return 1
     text = fileio.format_set(s)
@@ -104,10 +104,10 @@ def cmd_verify(args) -> int:
             break
     rows.append(("eulerian", eulerian_ok, detail))
 
-    compat = is_embedding_set(s, require_strong=False) if eulerian_ok else None
+    # parse_set puts every circuit in place, so only the pairs remain.
+    compat, strong = compatibility_reports(s) if eulerian_ok else (None, None)
     rows.append(("compatible", bool(compat), compat.first() if compat else "skipped"))
 
-    strong = is_embedding_set(s, require_strong=True) if compat else None
     strong_ok = bool(strong)
     strong_detail = "" if strong_ok else (strong.first() if strong is not None else "skipped")
     rows.append(("strong", strong_ok, strong_detail))
@@ -117,7 +117,7 @@ def cmd_verify(args) -> int:
     euler = None
     orientable = None
     if compat:
-        sch = set_to_scheme(s)
+        sch = _scheme_of_valid_set(s)
         report = trace_faces(sch)
         euler, orientable = report.euler_genus, report.orientable
         quad_ok = report.all_quadrilateral

@@ -65,6 +65,8 @@ def parse_set(text: str) -> EmbeddingSet:
     n = _meta_int(fields, "n", 2)
     m = _meta_int(fields, "m", 2)
     orientable = _meta_int(fields, "orientable", 2)
+    if n < 4 or m < 1:
+        raise FormatError(f"need n >= 4 and m >= 1, got n={n} m={m}", 2)
 
     seqs: dict[int, tuple[int, ...]] = {}
     labels: dict[int, tuple[int, ...]] = {}
@@ -205,12 +207,16 @@ def parse_scheme(text: str) -> EmbeddingScheme:
         y = _parse_vertex(y_tok, m_mult, lineno)
         if not isinstance(x, int) or isinstance(y, int):
             raise FormatError("sig line must name a vertex then an edge name", lineno)
+        if y not in vertices or x not in y[0]:
+            raise FormatError(f"sig line for {x_tok} {y_tok}: not a Levi edge", lineno)
+        if (x, y) in signature:
+            raise FormatError(f"second sig line for {x_tok} {y_tok}", lineno)
         if val not in ("+1", "-1"):
             raise FormatError(f"bad signature value {val!r}", lineno)
         signature[(x, y)] = 1 if val == "+1" else -1
-    missing = [e for e in graph.edges() if e not in signature]
-    if missing:
-        raise FormatError(f"{len(missing)} edges missing a sig line")
+    # Every sig line names a distinct edge, so counting them suffices.
+    if len(signature) != graph.edge_count:
+        raise FormatError(f"{graph.edge_count - len(signature)} edges missing a sig line")
     return EmbeddingScheme(graph=graph, rotation=rotation, signature=signature)
 
 

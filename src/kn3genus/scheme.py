@@ -22,8 +22,8 @@ from itertools import permutations, product
 from .circuits import (
     Circuit,
     EmbeddingSet,
+    compatibility_reports,
     is_embedding_set,
-    is_strongly_compatible,
 )
 from .exceptions import (
     CopyResolutionError,
@@ -81,7 +81,8 @@ def trace_faces(sch: EmbeddingScheme) -> FaceReport:
 
     Raises Disconnected for an unreachable part of the graph, including a
     vertex without edges (it has no flags), and GraphMismatch when a
-    rotation misses, repeats or adds an edge of the graph.
+    rotation misses, repeats or adds an edge of the graph or an edge has no
+    signature.
     """
     # Flag id: b + 2*p + s for the side s of the edge at position p in the
     # rotation at a vertex whose flags start at b.  Side 1 touches the
@@ -108,7 +109,10 @@ def trace_faces(sch: EmbeddingScheme) -> FaceReport:
         fx, fy = position.get((x, e)), position.get((y, e))
         if fx is None or fy is None:
             raise GraphMismatch(f"edge {e} is missing from a rotation at its ends")
-        if sch.signature[e] == 1:
+        sign = sch.signature.get(e)
+        if sign is None:
+            raise GraphMismatch(f"edge {e} has no signature")
+        if sign == 1:
             partner_band[fx + 1], partner_band[fy] = fy, fx + 1
             partner_band[fx], partner_band[fy + 1] = fy + 1, fx
         else:
@@ -303,10 +307,18 @@ def set_to_scheme(s: EmbeddingSet, search_budget: int = 50000) -> EmbeddingSchem
     For m > 1 the parallel copies are told apart by the circuits' copy
     labels when present, otherwise by a bounded search validated through
     face tracing.
+
+    The family is checked once with `is_embedding_set`; callers that have
+    just checked it themselves build through `_scheme_of_valid_set`.
     """
     report = is_embedding_set(s, require_strong=False)
     if not report:
         raise NotAnEmbeddingSet(report.first())
+    return _scheme_of_valid_set(s, search_budget)
+
+
+def _scheme_of_valid_set(s: EmbeddingSet, search_budget: int = 50000) -> EmbeddingScheme:
+    """`set_to_scheme` of a family that already passed `is_embedding_set`."""
     if s.m == 1:
         labelled = [(0,) * len(c.seq) for c in s.circuits]
     elif all(c.copy_labels is not None for c in s.circuits):
@@ -369,7 +381,8 @@ def scheme_to_set(sch: EmbeddingScheme) -> EmbeddingSet:
 
     Raises NotQuadrilateral when some face has length != 4, and OddOrder for
     odd n (the vertex-deleted complete graph has odd degrees then, so no
-    quadrilateral embedding exists).
+    quadrilateral embedding exists).  Validity and the `strong` flag come
+    from one transition index (`compatibility_reports`).
     """
     if sch.graph.n % 2 != 0:
         raise OddOrder(f"no quadrilateral embedding for odd order {sch.graph.n}")
@@ -377,18 +390,16 @@ def scheme_to_set(sch: EmbeddingScheme) -> EmbeddingSet:
     if not report.all_quadrilateral:
         bad = next(length for length in report.face_lengths if length != 4)
         raise NotQuadrilateral(f"face of length {bad} traced")
-    circuits = tuple(_read_circuit(sch, i) for i in range(1, sch.graph.n + 1))
-    n = sch.graph.n
-    strong = all(
-        is_strongly_compatible(circuits[i], circuits[j])
-        for i in range(n)
-        for j in range(i + 1, n)
+    n, m = sch.graph.n, sch.graph.m
+    # Each circuit is in place and Eulerian by construction: its steps are
+    # the edges at i, each listed once by a rotation trace_faces accepted.
+    circuits = tuple(_read_circuit(sch, i) for i in range(1, n + 1))
+    compatible, strong = compatibility_reports(
+        EmbeddingSet(n=n, m=m, circuits=circuits, strong=False)
     )
-    s = EmbeddingSet(n=n, m=sch.graph.m, circuits=circuits, strong=strong)
-    rep = is_embedding_set(s, require_strong=False)
-    if not rep:
-        raise NotQuadrilateral(f"recovered family invalid: {rep.first()}")
-    return s
+    if not compatible:
+        raise NotQuadrilateral(f"recovered family invalid: {compatible.first()}")
+    return EmbeddingSet(n=n, m=m, circuits=circuits, strong=strong.ok)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +437,9 @@ def schemes_equivalent(a: EmbeddingScheme, b: EmbeddingScheme) -> bool:
     every state relative to the component's first vertex, checks every edge
     on the way, and keeps the root states under which each rotation of a
     becomes that of b up to rotation.  The cost is linear in the graph.
+
+    Raises GraphMismatch when the graphs differ, or when a vertex the search
+    reaches has no rotation or an edge it crosses has no signature.
     """
     if a.graph != b.graph:
         raise GraphMismatch("schemes are defined on different labelled graphs")
@@ -439,14 +453,20 @@ def schemes_equivalent(a: EmbeddingScheme, b: EmbeddingScheme) -> bool:
         while stack:
             v = stack.pop()
             p = parity[v]
-            states = _switch_states(a.rotation[v], b.rotation[v])
+            ra, rb = a.rotation.get(v), b.rotation.get(v)
+            if ra is None or rb is None:
+                raise GraphMismatch(f"no rotation at vertex {v}")
+            states = _switch_states(ra, rb)
             fits &= _SWAPPED[states] if p else states
             if not fits:
                 return False
             other = 1 if isinstance(v, int) else 0
-            for e in a.rotation[v]:
+            for e in ra:
                 w = e[other]
-                q = p ^ (a.signature[e] != b.signature[e])
+                sa, sb = a.signature.get(e), b.signature.get(e)
+                if sa is None or sb is None:
+                    raise GraphMismatch(f"edge {e} has no signature")
+                q = p ^ (sa != sb)
                 if w not in parity:
                     parity[w] = q
                     stack.append(w)

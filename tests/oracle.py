@@ -12,6 +12,9 @@ equal signs on +1 edges and opposite signs on -1 edges) is disconnected.
 
 Switching equivalence is decided by brute force over every set of switched
 vertices, so it only suits the smallest graphs.
+
+Least rotations are found by trying every offset, and family compatibility
+by scanning each pair of circuits on its own.
 """
 
 from collections import Counter
@@ -115,3 +118,51 @@ def brute_force_equivalent(a, b):
         ):
             return True
     return False
+
+
+def brute_least_rotation(seq):
+    """Offset of the least rotation of seq, the smallest on ties, trying every offset."""
+    rotations = [seq[i:] + seq[:i] for i in range(len(seq))]
+    return min(range(len(seq)), key=rotations.__getitem__)
+
+
+def brute_canonical_seq(seq):
+    """Least writing of seq over all rotations of it and of its reverse."""
+    return min(s[i:] + s[:i] for s in (seq, seq[::-1]) for i in range(len(s)))
+
+
+def brute_cyclically_equal(a, b):
+    return len(a) == len(b) and any(a[i:] + a[:i] == b for i in range(len(a)))
+
+
+def pairwise_first_failure(circuits, require_strong):
+    """First failing pair of a family of Eulerian circuits, checked pair by pair.
+
+    `circuits` lists (excluded vertex, sequence) for the excluded vertices
+    1..n in order.  Returns "" when every pair passes, else the message of
+    the lexicographically first pair (i, j) that is not compatible or, with
+    `require_strong`, not strongly compatible; the latter names the first
+    transition (a, j, b) of T_i, in scan order, whose reversed outer pair
+    occurs a different number of times through i in T_j.
+    """
+    seqs = dict(circuits)
+
+    def through(i, j):
+        s = seqs[i]
+        k = len(s)
+        return [(s[p - 1], s[(p + 1) % k]) for p in range(k) if s[p] == j]
+
+    n = len(seqs)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            mine, theirs = through(i, j), through(j, i)
+            if Counter(map(frozenset, mine)) != Counter(map(frozenset, theirs)):
+                return f"pair ({i},{j}) not compatible"
+            if not require_strong:
+                continue
+            fwd, back = Counter(mine), Counter((b, a) for a, b in theirs)
+            if fwd != back:
+                t = next(((a, b) for a, b in mine if fwd[(a, b)] != back[(a, b)]), None)
+                where = f" at transition ({t[0]},{j},{t[1]})" if t else ""
+                return f"pair ({i},{j}) not strongly compatible{where}"
+    return ""

@@ -8,14 +8,25 @@ from kn3genus import (
     MismatchedAmbient,
     VertexAbsent,
     build_even,
+    build_multi,
+    fixture_set,
     is_compatible,
     is_embedding_set,
     is_strongly_compatible,
     relabel,
+    scheme_to_set,
+    set_to_scheme,
     transitions_through,
     validate_eulerian,
 )
-from kn3genus.circuits import canonical_set_key
+from kn3genus.circuits import canonical_set_key, least_rotation
+
+from oracle import (
+    brute_canonical_seq,
+    brute_cyclically_equal,
+    brute_least_rotation,
+    pairwise_first_failure,
+)
 
 
 def test_validate_eulerian_accepts_fixture_circuit(strong6):
@@ -198,3 +209,80 @@ def test_cyclic_equality_is_rotation_only():
     assert c.cyclically_equal(c.rotated(4))
     assert not c.cyclically_equal(c.reversed_())
     assert c.equivalent(c.reversed_())
+
+
+periodic = st.tuples(
+    st.lists(st.integers(0, 2), min_size=1, max_size=4), st.integers(2, 4)
+).map(lambda t: t[0] * t[1])
+sequences = st.one_of(st.lists(st.integers(0, 3), min_size=1, max_size=12), periodic).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seq=sequences, other=sequences, shift=st.integers(0, 50))
+def test_least_rotation_matches_brute_force(seq, other, shift):
+    assert least_rotation(seq) == brute_least_rotation(seq)
+    c = Circuit(1, 4, 1, seq)
+    assert c.canonical_seq() == brute_canonical_seq(seq)
+    assert c.cyclically_equal(c.rotated(shift))
+    for o in (other, seq[::-1], other * 2):
+        assert c.cyclically_equal(Circuit(1, 4, 1, o)) == brute_cyclically_equal(seq, o)
+
+
+def mutants(s):
+    """s with its middle circuit reversed, with two adjacent entries of it
+    swapped (where that keeps it Eulerian, if anywhere), and relabelled."""
+    at = s.n // 2
+    c = s.circuits[at]
+    seq, k = c.seq, len(c.seq)
+    p = next((p for p in range(k) if seq[p - 1] == seq[(p + 2) % k]), 0)
+    swapped = list(seq)
+    swapped[p], swapped[(p + 1) % k] = swapped[(p + 1) % k], swapped[p]
+    a, b = [v for v in range(1, s.n + 1) if v != c.excluded][:2]
+    relabelled = tuple({a: b, b: a}.get(v, v) for v in seq)
+    for new in (
+        c.reversed_(),
+        Circuit(c.excluded, c.n, c.m, tuple(swapped)),
+        Circuit(c.excluded, c.n, c.m, relabelled),
+    ):
+        yield EmbeddingSet(s.n, s.m, s.circuits[:at] + (new,) + s.circuits[at + 1:], s.strong)
+
+
+def family_cases():
+    bases = [fixture_set(name) for name in ("planar_4", "strong_6", "nonorientable_6", "klein_4x2")]
+    bases += [
+        build_multi(n, m, orientable, seed=seed)
+        for n, m in ((8, 1), (6, 3))
+        for orientable in (True, False)
+        for seed in (1, 2)
+    ]
+    return [t for s in bases for t in [s, *mutants(s)]]
+
+
+def pairwise(s, require_strong):
+    return pairwise_first_failure([(c.excluded, c.seq) for c in s.circuits], require_strong)
+
+
+def test_is_embedding_set_matches_pairwise_check():
+    seen = set()
+    for s in family_cases():
+        eulerian = all(validate_eulerian(c) for c in s.circuits)
+        for require_strong in (False, True):
+            report = is_embedding_set(s, require_strong=require_strong)
+            if not eulerian:
+                assert not report.ok and "not Eulerian" in report.first()
+                continue
+            expected = pairwise(s, require_strong)
+            assert (report.ok, report.first()) == (not expected, expected)
+            seen.add(expected.partition(") ")[2].partition(" at ")[0])
+    assert seen == {"", "not compatible", "not strongly compatible"}
+
+
+def test_scheme_to_set_strong_matches_pairwise_check():
+    strengths = set()
+    for s in family_cases():
+        if s.n == 4 and s.m == 1 or not is_embedding_set(s, require_strong=False):
+            continue  # planar_4 has triangular faces; invalid mutants have no scheme
+        back = scheme_to_set(set_to_scheme(s))
+        assert back.strong == (pairwise(back, True) == "")
+        strengths.add(back.strong)
+    assert strengths == {True, False}

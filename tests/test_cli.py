@@ -196,3 +196,30 @@ def test_genus_rejects_rotation_off_graph(tmp_path, capsys, old, new):
     code, _, err = run(capsys, "genus", str(path))
     assert code == 2
     assert "line" in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    ["sig 1 e{2,3,4}: -1", "sig 1 e{1,2,3}: -1"],
+    ids=["not-a-levi-edge", "second-sig-line"],
+)
+def test_genus_rejects_bad_sig_line(tmp_path, capsys, extra):
+    from kn3genus import set_to_scheme
+
+    text = fileio.format_scheme(set_to_scheme(fixture_set("strong_6")))
+    path = tmp_path / "bad.kn3scheme"
+    path.write_text(text + extra + "\n")
+    code, _, err = run(capsys, "genus", str(path))
+    assert code == 2
+    assert f"line {len(text.splitlines()) + 1}" in err
+
+
+@pytest.mark.parametrize("meta", ["n=6 m=0 orientable=1", "n=2 m=1 orientable=1"])
+def test_verify_rejects_degenerate_order_or_multiplicity(tmp_path, capsys, meta):
+    lines = fileio.format_set(fixture_set("strong_6")).splitlines()
+    lines[1] = meta
+    path = tmp_path / "bad.kn3set"
+    path.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert "line 2" in err

@@ -367,3 +367,26 @@ def test_schemes_equivalent_tells_copies_apart(n, m):
     assert trace_faces(swapped).all_quadrilateral
     assert canonical_set_key(scheme_to_set(swapped)) == canonical_set_key(scheme_to_set(sch))
     assert not schemes_equivalent(sch, swapped)
+
+
+def test_trace_rejects_missing_signature(strong6):
+    sch = set_to_scheme(strong6)
+    signature = dict(sch.signature)
+    del signature[(1, ((1, 2, 3), 0))]
+    with pytest.raises(GraphMismatch):
+        trace_faces(EmbeddingScheme(sch.graph, sch.rotation, signature))
+
+
+def test_schemes_equivalent_rejects_missing_signature_or_rotation(strong6):
+    sch = set_to_scheme(strong6)
+    signature = dict(sch.signature)
+    del signature[(1, ((1, 2, 3), 0))]
+    rotation = dict(sch.rotation)
+    del rotation[((1, 2, 3), 0)]
+    for broken in (
+        EmbeddingScheme(sch.graph, sch.rotation, signature),
+        EmbeddingScheme(sch.graph, rotation, sch.signature),
+    ):
+        for a, b in ((broken, sch), (sch, broken)):
+            with pytest.raises(GraphMismatch):
+                schemes_equivalent(a, b)
