@@ -45,7 +45,6 @@ from .circuits import (
     validate_eulerian,
 )
 from .exceptions import (
-    BoundExceeded,
     CopyResolutionError,
     Disconnected,
     FormatError,

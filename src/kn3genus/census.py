@@ -21,9 +21,8 @@ from .circuits import (
     least_rotation,
     relabel,
 )
-from .exceptions import BoundExceeded, OddOrder
-from .levi import HypergraphSpec, euler_genus_lower_bound
-from .scheme import _scheme_of_valid_set, trace_faces
+from .exceptions import OddOrder
+from .scheme import verify_family
 
 
 @dataclass(frozen=True)
@@ -58,9 +57,7 @@ def canonical_rewrite(s: EmbeddingSet) -> EmbeddingSet:
     return EmbeddingSet(s.n, s.m, circuits, s.strong)
 
 
-def sets_isomorphic(
-    a: EmbeddingSet, b: EmbeddingSet, max_order: int = 10
-) -> dict[int, int] | None:
+def sets_isomorphic(a: EmbeddingSet, b: EmbeddingSet) -> dict[int, int] | None:
     """A vertex relabelling carrying family a onto family b, or None.
 
     Any isomorphism must align the circuit missing vertex 1 of `a` with
@@ -70,10 +67,6 @@ def sets_isomorphic(
     """
     if a.n != b.n or a.m != b.m:
         raise ValueError("families must share n and m to be compared")
-    if a.n > max_order:
-        raise BoundExceeded(
-            f"isomorphism search limited to order {max_order}, got {a.n}"
-        )
     key_b = canonical_set_key(b)
     t1 = a.circuit(1)
     length = len(t1.seq)
@@ -82,15 +75,11 @@ def sets_isomorphic(
             for off in range(length):
                 aligned = direction.seq[off:] + direction.seq[:off]
                 sigma = {1: j}
-                ok = True
-                for p, v in enumerate(t1.seq):
-                    w = aligned[p]
-                    if sigma.setdefault(v, w) != w:
-                        ok = False
-                        break
-                if not ok or len(set(sigma.values())) != a.n:
-                    continue
-                if canonical_set_key(relabel(a, sigma)) == key_b:
+                if (
+                    all(sigma.setdefault(v, w) == w for v, w in zip(t1.seq, aligned))
+                    and len(set(sigma.values())) == a.n
+                    and canonical_set_key(relabel(a, sigma)) == key_b
+                ):
                     return sigma
     return None
 
@@ -104,40 +93,30 @@ class EnumerationResult:
         return len(self.families)
 
 
+# Attempts `enumerate_variants` may spend per requested family.
+ATTEMPTS_PER_FAMILY = 50
+
+
 def enumerate_variants(
-    n: int,
-    orientable: bool,
-    count: int,
-    seed: int | None = None,
-    budget_factor: int = 50,
+    n: int, orientable: bool, count: int, seed: int | None = None
 ) -> EnumerationResult:
     """Up to `count` pairwise-inequivalent minimum-genus families.
 
-    Runs the seeded builder repeatedly, verifying each candidate once (valid
-    family, all faces quadrilateral, Euler genus equal to the lower bound,
-    requested orientability) and deduping by canonical form.  Stops early
-    with `budget_exhausted` set once budget_factor * count attempts have
-    been spent.
+    Runs the seeded builder repeatedly, deduping by canonical form and
+    verifying each new candidate once (`verify_family`: valid family, all
+    faces quadrilateral, Euler genus equal to the lower bound, requested
+    orientability).  Stops early with `budget_exhausted` set once
+    ATTEMPTS_PER_FAMILY * count attempts have been spent.
     """
     rng = Random(seed)
-    target = euler_genus_lower_bound(HypergraphSpec(n, 1))
     found: dict[CanonicalSet, EmbeddingSet] = {}
-    budget = budget_factor * count
+    budget = ATTEMPTS_PER_FAMILY * count
     attempts = 0
     while len(found) < count and attempts < budget:
         attempts += 1
         s = build_even(n, orientable, seed=rng.randrange(2**63))
         key = canonicalize(s)
-        if key in found:
-            continue
-        if not is_embedding_set(s, require_strong=orientable):
-            continue
-        report = trace_faces(_scheme_of_valid_set(s))
-        if not (
-            report.all_quadrilateral
-            and report.euler_genus == target
-            and report.orientable == orientable
-        ):
+        if key in found or not verify_family(s).is_minimum(orientable):
             continue
         found[key] = s
     return EnumerationResult(

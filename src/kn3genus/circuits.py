@@ -265,8 +265,9 @@ def _strong_failure(t_i: Circuit, t_j: Circuit) -> Transition | None:
     return None
 
 
-def _circuit_failures(s: EmbeddingSet) -> list[str]:
-    """Circuits out of place, of another ambient, or not Eulerian."""
+def _circuit_failures(s: EmbeddingSet, not_eulerian: str) -> list[str]:
+    """Circuits out of place, of another ambient, or not Eulerian (the last
+    read "circuit <i><not_eulerian><first violation>")."""
     if len(s.circuits) != s.n:
         return [f"{len(s.circuits)} circuits for order {s.n}"]
     failures: list[str] = []
@@ -279,7 +280,7 @@ def _circuit_failures(s: EmbeddingSet) -> list[str]:
         else:
             rep = validate_eulerian(c)
             if not rep:
-                failures.append(f"circuit {i} not Eulerian: {rep.first()}")
+                failures.append(f"circuit {i}{not_eulerian}{rep.first()}")
     return failures
 
 
@@ -292,30 +293,37 @@ def _transition_index(circuits) -> Counter:
     return index
 
 
-def _pair_failure(s: EmbeddingSet, index: Counter, strong: bool) -> str:
-    """The failure of the lexicographically first (strongly) incompatible pair, or ""."""
+def _pair_failures(s: EmbeddingSet) -> tuple[str, str]:
+    """Failures of the first incompatible and the first not strongly
+    compatible pair ("" for none), from one transition index.
+
+    An incompatible pair also fails the strong test on the keys that break
+    it, so only those keys need the compatibility test, and the first pair
+    failing the strong test is incompatible iff it is also the first
+    incompatible pair.
+    """
+    index = _transition_index(s.circuits)
     get = index.get
-    if strong:
-        bad = [
-            (i, j) if i < j else (j, i)
-            for (i, j, a, b), count in index.items()
-            if get((j, i, b, a), 0) != count
-        ]
-    else:
-        bad = [
-            (i, j) if i < j else (j, i)
-            for (i, j, a, b), count in index.items()
-            if count + get((i, j, b, a), 0) != get((j, i, a, b), 0) + get((j, i, b, a), 0)
-        ]
-    if not bad:
-        return ""
-    i, j = min(bad)
-    t_i, t_j = s.circuit(i), s.circuit(j)
-    if not strong or not is_compatible(t_i, t_j):
-        return f"pair ({i},{j}) not compatible"
-    t = _strong_failure(t_i, t_j)
+    mismatched = [
+        ((i, j) if i < j else (j, i), i, j, a, b, count)
+        for (i, j, a, b), count in index.items()
+        if get((j, i, b, a), 0) != count
+    ]
+    if not mismatched:
+        return "", ""
+    incompatible = [
+        pair
+        for pair, i, j, a, b, count in mismatched
+        if count + get((i, j, b, a), 0) != get((j, i, a, b), 0) + get((j, i, b, a), 0)
+    ]
+    first = min(incompatible, default=None)
+    weak_failure = f"pair ({first[0]},{first[1]}) not compatible" if first else ""
+    i, j = min(mismatched)[0]
+    if (i, j) == first:
+        return weak_failure, weak_failure
+    t = _strong_failure(s.circuit(i), s.circuit(j))
     where = f" at transition ({t.a},{t.mid},{t.b})" if t else ""
-    return f"pair ({i},{j}) not strongly compatible{where}"
+    return weak_failure, f"pair ({i},{j}) not strongly compatible{where}"
 
 
 def _report(failure: str) -> ValidationReport:
@@ -332,26 +340,29 @@ def is_embedding_set(s: EmbeddingSet, require_strong: bool | None = None) -> Val
     """
     if require_strong is None:
         require_strong = s.strong
-    failures = _circuit_failures(s)
+    failures = _circuit_failures(s, " not Eulerian: ")
     if failures:
         return ValidationReport(False, failures)
-    return _report(_pair_failure(s, _transition_index(s.circuits), require_strong))
+    weak_failure, strong_failure = _pair_failures(s)
+    return _report(strong_failure if require_strong else weak_failure)
 
 
-def compatibility_reports(
+def check_family(
     s: EmbeddingSet,
-) -> tuple[ValidationReport, ValidationReport | None]:
-    """`is_embedding_set(s, False)` and `is_embedding_set(s, True)` of a family
-    whose circuits are in place and Eulerian, from one transition index.
+) -> tuple[ValidationReport, ValidationReport | None, ValidationReport | None]:
+    """Eulerian, compatible and strong reports of a family, from one pass.
 
-    The circuits are not checked again.  The strong report is None when
-    the family is not compatible.
+    The Eulerian report names every circuit out of place, of another
+    ambient, or not Eulerian ("circuit i: <first violation>").  The pair
+    reports are those of `is_embedding_set`; compatible is None when the
+    Eulerian report fails, and strong is None when compatible fails.
     """
-    index = _transition_index(s.circuits)
-    compatible = _report(_pair_failure(s, index, strong=False))
-    if not compatible:
-        return compatible, None
-    return compatible, _report(_pair_failure(s, index, strong=True))
+    failures = _circuit_failures(s, ": ")
+    if failures:
+        return ValidationReport(False, failures), None, None
+    weak_failure, strong_failure = _pair_failures(s)
+    strong = None if weak_failure else _report(strong_failure)
+    return ValidationReport(True, []), _report(weak_failure), strong
 
 
 def relabel(s: EmbeddingSet, perm: dict[int, int]) -> EmbeddingSet:

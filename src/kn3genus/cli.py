@@ -17,10 +17,9 @@ from .census import (
     count_upper_bound,
     enumerate_variants,
 )
-from .circuits import compatibility_reports, is_embedding_set, validate_eulerian
 from .exceptions import FormatError, Kn3Error
 from .levi import HypergraphSpec, euler_genus_lower_bound, genus_formula
-from .scheme import _scheme_of_valid_set, trace_faces
+from .scheme import trace_faces, verify_family
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -49,20 +48,16 @@ def _genus_words(euler_genus: int, orientable: bool) -> str:
 
 def cmd_build(args) -> int:
     s = build_multi(args.n, args.multiplicity, orientable=args.orientable, seed=args.seed)
-    report = None
-    if is_embedding_set(s, require_strong=args.orientable):
-        sch = _scheme_of_valid_set(s)
-        report = trace_faces(sch)
-    expected = euler_genus_lower_bound(HypergraphSpec(args.n, args.multiplicity))
-    if not (report and report.all_quadrilateral and report.euler_genus == expected
-            and report.orientable == args.orientable):
+    verified = verify_family(s)
+    if not verified.is_minimum(args.orientable):
         print("error: built family failed self-verification", file=sys.stderr)
         return 1
+    report = verified.faces
     text = fileio.format_set(s)
     if args.out:
         Path(args.out).write_text(text)
     if args.scheme_out:
-        Path(args.scheme_out).write_text(fileio.format_scheme(sch))
+        Path(args.scheme_out).write_text(fileio.format_scheme(verified.scheme))
     payload = {
         "n": s.n,
         "m": s.m,
@@ -81,63 +76,42 @@ def cmd_build(args) -> int:
         lines.append(f"wrote {args.out}")
     if args.scheme_out:
         lines.append(f"wrote {args.scheme_out}")
-    if not args.out and not args.scheme_out:
-        _emit(args, payload, lines)
-        if not args.json:
-            sys.stdout.write(text)
-        return 0
     _emit(args, payload, lines)
+    if not args.out and not args.scheme_out and not args.json:
+        sys.stdout.write(text)
     return 0
 
 
 def cmd_verify(args) -> int:
-    s = fileio.parse_set(Path(args.path).read_text())
-    rows: list[tuple[str, bool, str]] = []
-
-    eulerian_ok = True
-    detail = ""
-    for c in s.circuits:
-        rep = validate_eulerian(c)
-        if not rep:
-            eulerian_ok = False
-            detail = f"circuit {c.excluded}: {rep.first()}"
-            break
-    rows.append(("eulerian", eulerian_ok, detail))
-
-    # parse_set puts every circuit in place, so only the pairs remain.
-    compat, strong = compatibility_reports(s) if eulerian_ok else (None, None)
-    rows.append(("compatible", bool(compat), compat.first() if compat else "skipped"))
-
-    strong_ok = bool(strong)
-    strong_detail = "" if strong_ok else (strong.first() if strong is not None else "skipped")
-    rows.append(("strong", strong_ok, strong_detail))
-
-    quad_ok = genus_ok = False
-    genus_detail = quad_detail = "skipped"
-    euler = None
-    orientable = None
-    if compat:
-        sch = _scheme_of_valid_set(s)
-        report = trace_faces(sch)
-        euler, orientable = report.euler_genus, report.orientable
-        quad_ok = report.all_quadrilateral
-        hist = dict(sorted(report.length_histogram().items()))
-        quad_detail = f"{report.face_count} faces, lengths {hist}"
-        expected = euler_genus_lower_bound(HypergraphSpec(s.n, s.m))
-        genus_ok = report.euler_genus == expected
-        genus_detail = (
-            f"euler genus {report.euler_genus}, lower bound {expected}, "
-            + ("orientable" if orientable else "non-orientable")
-        )
-    rows.append(("quadrilateral", quad_ok, quad_detail))
-    rows.append(("genus", genus_ok, genus_detail))
+    verified = verify_family(fileio.parse_set(Path(args.path).read_text()))
+    eulerian, compat, strong = verified.eulerian, verified.compatible, verified.strong
+    faces, expected = verified.faces, verified.expected_genus
+    rows: list[tuple[str, bool, str]] = [
+        ("eulerian", eulerian.ok, eulerian.first()),
+        ("compatible", bool(compat), compat.first() if compat is not None else "skipped"),
+        ("strong", bool(strong), strong.first() if strong is not None else "skipped"),
+        ("quadrilateral", False, "skipped"),
+        ("genus", False, "skipped"),
+    ]
+    if faces is not None:
+        hist = dict(sorted(faces.length_histogram().items()))
+        rows[3:] = [
+            ("quadrilateral", faces.all_quadrilateral, f"{faces.face_count} faces, lengths {hist}"),
+            ("genus", faces.euler_genus == expected,
+             f"euler genus {faces.euler_genus}, lower bound {expected}, "
+             + ("orientable" if faces.orientable else "non-orientable")),
+        ]
 
     required = ["eulerian", "compatible", "quadrilateral", "genus"]
     if args.strict_strong:
         required.append("strong")
     ok = all(passed for name, passed, _ in rows if name in required)
     payload = {name: passed for name, passed, _ in rows}
-    payload.update({"euler_genus": euler, "orientable": orientable, "pass": ok})
+    payload.update({
+        "euler_genus": faces.euler_genus if faces else None,
+        "orientable": faces.orientable if faces else None,
+        "pass": ok,
+    })
     lines = [
         f"{name}: {'PASS' if passed else 'FAIL'}" + (f" ({detail})" if detail else "")
         for name, passed, detail in rows

@@ -41,10 +41,6 @@ class GraphMismatch(Kn3Error):
     """
 
 
-class BoundExceeded(Kn3Error):
-    """An exhaustive search was requested beyond its configured bound."""
-
-
 class NoCommonTransition(Kn3Error):
     """The multi-edge splice found no shared transition (indicates a bug)."""
 

@@ -12,7 +12,8 @@ The central conversions realize the bijection between quadrilateral
 embeddings of the Levi graph and pairwise-compatible circuit families:
 `set_to_scheme` reads rotations off the circuits and derives the signature
 from traversal directions, `scheme_to_set` recovers the circuits from the
-rotations around the vertex side.
+rotations around the vertex side.  `verify_family` checks a family once and
+certifies it, through its scheme, as a minimum-genus embedding or not.
 """
 
 from collections import Counter
@@ -22,7 +23,8 @@ from itertools import permutations, product
 from .circuits import (
     Circuit,
     EmbeddingSet,
-    compatibility_reports,
+    ValidationReport,
+    check_family,
     is_embedding_set,
 )
 from .exceptions import (
@@ -33,7 +35,7 @@ from .exceptions import (
     NotQuadrilateral,
     OddOrder,
 )
-from .levi import HypergraphSpec, LeviGraph, YVertex, build_levi
+from .levi import HypergraphSpec, LeviGraph, YVertex, build_levi, euler_genus_lower_bound
 
 XVertex = int
 Vertex = XVertex | YVertex
@@ -221,21 +223,21 @@ def _build_scheme(s: EmbeddingSet, labelled: list[tuple[int, ...]]) -> Embedding
         labels = labelled[i - 1]
         rot = []
         for p, (u, v) in enumerate(c.steps()):
-            triple = tuple(sorted((i, u, v)))
-            y: YVertex = (triple, labels[p])
-            e: Edge = (i, y)
+            e: Edge = (i, (tuple(sorted((i, u, v))), labels[p]))
             rot.append(e)
             # Positive signature iff the traversal runs u -> v where (u, v)
-            # follows i cyclically in the sorted triple (i,j,k) -> jk, etc.
-            j, k = [w for w in triple if w != i]
-            if triple.index(i) == 1:
-                j, k = k, j
-            signature[e] = 1 if (u, v) == (j, k) else -1
+            # follows i cyclically in the sorted triple, i.e. iff exactly one
+            # of i > u, u > v, v > i holds.
+            signature[e] = 1 if (i > u) + (u > v) + (v > i) == 1 else -1
         rotation[i] = tuple(rot)
     return EmbeddingScheme(graph=graph, rotation=rotation, signature=signature)
 
 
-def _resolve_labels_by_search(s: EmbeddingSet, budget: int) -> list[tuple[int, ...]]:
+# Copy labellings the search for missing labels may try.
+LABEL_SEARCH_BUDGET = 50_000
+
+
+def _resolve_labels_by_search(s: EmbeddingSet) -> list[tuple[int, ...]]:
     """Find copy labels yielding a quadrilateral scheme by bounded search.
 
     The circuit of the smallest element of each triple keeps scan-order
@@ -252,11 +254,11 @@ def _resolve_labels_by_search(s: EmbeddingSet, budget: int) -> list[tuple[int, .
                 slots.append((i, positions))
     perms = list(permutations(range(s.m)))
     space = len(perms) ** len(slots)
-    if space > budget:
+    if space > LABEL_SEARCH_BUDGET:
         raise CopyResolutionError(
             f"no copy labels given and the search space ({space} candidates) "
-            f"exceeds the budget ({budget}); rebuild the family with the "
-            "builders, which record copy labels"
+            f"exceeds the budget ({LABEL_SEARCH_BUDGET}); rebuild the family "
+            "with the builders, which record copy labels"
         )
     for assignment in product(perms, repeat=len(slots)):
         labelled = [list(lab) for lab in scan]
@@ -272,30 +274,50 @@ def _resolve_labels_by_search(s: EmbeddingSet, budget: int) -> list[tuple[int, .
     )
 
 
-def with_copy_labels(s: EmbeddingSet, search_budget: int = 50000) -> EmbeddingSet:
+def _copy_labels(s: EmbeddingSet) -> list[tuple[int, ...]]:
+    """Copy labels of every circuit of a valid family.
+
+    All zeros for m = 1; otherwise the circuits' own labels, checked, when
+    every circuit has them, and else the labels found by the bounded search.
+    """
+    if s.m == 1:
+        return [(0,) * len(c.seq) for c in s.circuits]
+    if all(c.copy_labels is not None for c in s.circuits):
+        for c in s.circuits:
+            if not _labels_consistent(c, c.copy_labels):
+                raise CopyResolutionError(
+                    f"circuit {c.excluded}: copy labels are not a permutation "
+                    "of 0..m-1 on some parallel pair"
+                )
+        return [c.copy_labels for c in s.circuits]
+    return _resolve_labels_by_search(s)
+
+
+def _require_valid(s: EmbeddingSet) -> None:
+    report = is_embedding_set(s, require_strong=False)
+    if not report:
+        raise NotAnEmbeddingSet(report.first())
+
+
+def with_copy_labels(s: EmbeddingSet) -> EmbeddingSet:
     """The same family with parallel-copy labels attached to every circuit.
 
-    No-op when labels are already present or m = 1 (labels trivial); for
+    No-op when labels are already present; all zeros for m = 1; for
     label-less multi-edge families the assignment is found by the bounded
     search and is face-consistent by construction.
     """
     if all(c.copy_labels is not None for c in s.circuits):
         return s
-    if s.m == 1:
-        labelled = [(0,) * len(c.seq) for c in s.circuits]
-    else:
-        report = is_embedding_set(s, require_strong=False)
-        if not report:
-            raise NotAnEmbeddingSet(report.first())
-        labelled = _resolve_labels_by_search(s, budget=search_budget)
+    if s.m > 1:
+        _require_valid(s)
     circuits = tuple(
         Circuit(c.excluded, c.n, c.m, c.seq, lab)
-        for c, lab in zip(s.circuits, labelled)
+        for c, lab in zip(s.circuits, _copy_labels(s))
     )
     return EmbeddingSet(s.n, s.m, circuits, s.strong)
 
 
-def set_to_scheme(s: EmbeddingSet, search_budget: int = 50000) -> EmbeddingScheme:
+def set_to_scheme(s: EmbeddingSet) -> EmbeddingScheme:
     """Rotation and signature of the quadrilateral embedding encoded by a family.
 
     The rotation around vertex i lists the triples read off consecutive
@@ -305,33 +327,52 @@ def set_to_scheme(s: EmbeddingSet, search_budget: int = 50000) -> EmbeddingSchem
     of the sorted triple.
 
     For m > 1 the parallel copies are told apart by the circuits' copy
-    labels when present, otherwise by a bounded search validated through
-    face tracing.
-
-    The family is checked once with `is_embedding_set`; callers that have
-    just checked it themselves build through `_scheme_of_valid_set`.
+    labels when present, otherwise by a search of at most
+    `LABEL_SEARCH_BUDGET` labellings, validated through face tracing.
     """
-    report = is_embedding_set(s, require_strong=False)
-    if not report:
-        raise NotAnEmbeddingSet(report.first())
-    return _scheme_of_valid_set(s, search_budget)
+    _require_valid(s)
+    return _build_scheme(s, _copy_labels(s))
 
 
-def _scheme_of_valid_set(s: EmbeddingSet, search_budget: int = 50000) -> EmbeddingScheme:
-    """`set_to_scheme` of a family that already passed `is_embedding_set`."""
-    if s.m == 1:
-        labelled = [(0,) * len(c.seq) for c in s.circuits]
-    elif all(c.copy_labels is not None for c in s.circuits):
-        for c in s.circuits:
-            if not _labels_consistent(c, c.copy_labels):
-                raise CopyResolutionError(
-                    f"circuit {c.excluded}: copy labels are not a permutation "
-                    "of 0..m-1 on some parallel pair"
-                )
-        labelled = [c.copy_labels for c in s.circuits]
-    else:
-        labelled = _resolve_labels_by_search(s, budget=search_budget)
-    return _build_scheme(s, labelled)
+@dataclass(frozen=True)
+class FamilyReport:
+    """Everything that certifies a family as a minimum-genus embedding.
+
+    `compatible` is None when `eulerian` fails and `strong` is None when
+    `compatible` fails; the scheme, its faces and the Euler genus they must
+    reach (the lower bound) are present exactly when the family is compatible.
+    """
+
+    eulerian: ValidationReport
+    compatible: ValidationReport | None
+    strong: ValidationReport | None
+    scheme: EmbeddingScheme | None
+    faces: FaceReport | None
+    expected_genus: int | None
+
+    def is_minimum(self, orientable: bool) -> bool:
+        """A minimum-genus embedding of the requested orientability: compatible
+        (strongly, if orientable), all faces quadrilateral, Euler genus at the
+        lower bound, and traced orientability as requested."""
+        faces = self.faces
+        return bool(
+            self.compatible
+            and (self.strong or not orientable)
+            and faces.all_quadrilateral
+            and faces.euler_genus == self.expected_genus
+            and faces.orientable == orientable
+        )
+
+
+def verify_family(s: EmbeddingSet) -> FamilyReport:
+    """Check a family once and, when it is compatible, build and trace its scheme."""
+    eulerian, compatible, strong = check_family(s)
+    scheme = faces = expected_genus = None
+    if compatible:
+        scheme = _build_scheme(s, _copy_labels(s))
+        faces = trace_faces(scheme)
+        expected_genus = euler_genus_lower_bound(HypergraphSpec(s.n, s.m))
+    return FamilyReport(eulerian, compatible, strong, scheme, faces, expected_genus)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +423,7 @@ def scheme_to_set(sch: EmbeddingScheme) -> EmbeddingSet:
     Raises NotQuadrilateral when some face has length != 4, and OddOrder for
     odd n (the vertex-deleted complete graph has odd degrees then, so no
     quadrilateral embedding exists).  Validity and the `strong` flag come
-    from one transition index (`compatibility_reports`).
+    from one transition index (`check_family`).
     """
     if sch.graph.n % 2 != 0:
         raise OddOrder(f"no quadrilateral embedding for odd order {sch.graph.n}")
@@ -391,14 +432,13 @@ def scheme_to_set(sch: EmbeddingScheme) -> EmbeddingSet:
         bad = next(length for length in report.face_lengths if length != 4)
         raise NotQuadrilateral(f"face of length {bad} traced")
     n, m = sch.graph.n, sch.graph.m
-    # Each circuit is in place and Eulerian by construction: its steps are
-    # the edges at i, each listed once by a rotation trace_faces accepted.
     circuits = tuple(_read_circuit(sch, i) for i in range(1, n + 1))
-    compatible, strong = compatibility_reports(
+    eulerian, compatible, strong = check_family(
         EmbeddingSet(n=n, m=m, circuits=circuits, strong=False)
     )
     if not compatible:
-        raise NotQuadrilateral(f"recovered family invalid: {compatible.first()}")
+        failed = compatible if compatible is not None else eulerian
+        raise NotQuadrilateral(f"recovered family invalid: {failed.first()}")
     return EmbeddingSet(n=n, m=m, circuits=circuits, strong=strong.ok)
 
 

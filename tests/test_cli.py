@@ -100,6 +100,23 @@ def test_verify_incompatible_family_fails(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_verify_names_the_incompatible_pair(tmp_path, capsys):
+    lines = fileio.format_set(fixture_set("strong_6")).splitlines()
+    # swap the values 2 and 4 in T_1: still Eulerian, no longer compatible
+    label, values = lines[2].split(": ")
+    swap = {"2": "4", "4": "2"}
+    lines[2] = label + ": " + " ".join(swap.get(v, v) for v in values.split())
+    path = tmp_path / "swapped.kn3set"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    assert out.splitlines()[:3] == [
+        "eulerian: PASS",
+        "compatible: FAIL (pair (1,2) not compatible)",
+        "strong: FAIL (skipped)",
+    ]
+
+
 def test_verify_corrupted_file(tmp_path, capsys):
     path = tmp_path / "bad.kn3set"
     path.write_text("# kn3-embedding-set v1\nn=4 m=1 orientable=1\nT 1: 2 zz 4\n")

@@ -1,0 +1,58 @@
+"""Package modules share only public names.
+
+A module of `kn3genus` that needs another module's underscore name should
+get a public entry point instead; this keeps private helpers private to the
+module that defines them.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kn3genus"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _private_uses(tree: ast.Module) -> list[str]:
+    """Underscore names imported from, or read off, another package module."""
+    found = []
+    modules = set()  # local names bound to package modules
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and not (node.module or "").startswith("kn3genus"):
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                found.append(f"line {node.lineno}: imports {alias.name}")
+            elif node.module is None or node.module == "kn3genus":
+                modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ):
+            found.append(f"line {node.lineno}: reads {node.value.id}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_names_across_modules(path):
+    assert _private_uses(ast.parse(path.read_text())) == []
+
+
+def test_private_uses_are_detected():
+    tree = ast.parse(
+        "from .scheme import _build, trace\n"
+        "from . import fileio\n"
+        "fileio._helper(1)\n"
+        "from kn3genus.circuits import _index\n"
+    )
+    assert _private_uses(tree) == [
+        "line 1: imports _build",
+        "line 4: imports _index",
+        "line 3: reads fileio._helper",
+    ]

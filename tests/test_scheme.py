@@ -21,7 +21,8 @@ from kn3genus import (
     trace_faces,
     with_copy_labels,
 )
-from kn3genus.circuits import EmbeddingSet, canonical_set_key
+from kn3genus.circuits import Circuit, EmbeddingSet, canonical_set_key
+from kn3genus.scheme import verify_family
 
 from oracle import brute_force_equivalent, naive_face_trace
 
@@ -282,6 +283,42 @@ def test_with_copy_labels_resolves_klein(klein4x2):
     assert all(c.copy_labels is not None for c in labelled.circuits)
     report = trace_faces(set_to_scheme(labelled))
     assert report.all_quadrilateral and report.euler_genus == 2
+
+
+def test_verify_family_certifies_fixtures(planar4, strong6, nonorientable6, klein4x2):
+    for s, orientable in (
+        (planar4, True), (strong6, True), (nonorientable6, False), (klein4x2, False),
+    ):
+        report = verify_family(s)
+        assert report.is_minimum(orientable) and not report.is_minimum(not orientable)
+        assert report.compatible == is_embedding_set(s, require_strong=False)
+        assert report.strong == is_embedding_set(s, require_strong=True)
+        assert report.faces == trace_faces(report.scheme) == trace_faces(set_to_scheme(s))
+        assert report.expected_genus == euler_genus_lower_bound(HypergraphSpec(s.n, s.m))
+
+
+def test_verify_family_stops_at_the_first_failed_check(strong6):
+    swap = {2: 4, 4: 2}
+    t1 = strong6.circuit(1)
+    incompatible = EmbeddingSet(6, 1, (
+        Circuit(1, 6, 1, tuple(swap.get(v, v) for v in t1.seq)),
+    ) + strong6.circuits[1:], True)
+    report = verify_family(incompatible)
+    assert report.eulerian.ok
+    assert report.compatible.failures == ["pair (1,2) not compatible"]
+    assert report.strong is report.scheme is report.faces is None
+    assert not report.is_minimum(True) and not report.is_minimum(False)
+
+    repeated = EmbeddingSet(6, 1, (
+        Circuit(1, 6, 1, (t1.seq[0],) + t1.seq[:-1]),
+    ) + strong6.circuits[1:], True)
+    report = verify_family(repeated)
+    assert report.eulerian.first().startswith("circuit 1: ")
+    assert report.compatible is report.strong is report.scheme is None
+
+    report = verify_family(EmbeddingSet(3, 1, (), False))
+    assert report.eulerian.failures == ["0 circuits for order 3"]
+    assert report.expected_genus is None and not report.is_minimum(True)
 
 
 def test_multi_scheme_has_expected_size():
