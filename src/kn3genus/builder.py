@@ -199,11 +199,9 @@ def _expand(s: EmbeddingSet, choice: TransitionChoice | None, rng: Random | None
         c_i, c_j = circuits[i - 1], circuits[i]
 
         def candidates():
-            return [
-                t
-                for t in transitions_through(c_i, i + 1)
-                if _occurrences(c_j, Transition(t.b, i, t.a))
-            ]
+            # (a, i+1, b) in T_i is admissible iff T_{i+1} passes b, i, a.
+            mates = {(t.b, t.a) for t in transitions_through(c_j, i)}
+            return [t for t in transitions_through(c_i, i + 1) if (t.a, t.b) in mates]
 
         cands = candidates()
         if not cands:

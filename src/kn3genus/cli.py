@@ -40,6 +40,23 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _count(value: str) -> int:
+    try:
+        count = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {count}")
+    return count
+
+
 def _genus_words(euler_genus: int, orientable: bool) -> str:
     if orientable:
         return f"orientable genus {euler_genus // 2} (euler genus {euler_genus})"
@@ -83,7 +100,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    verified = verify_family(fileio.parse_set(Path(args.path).read_text()))
+    verified = verify_family(fileio.parse_set(_read(args.path)))
     eulerian, compat, strong = verified.eulerian, verified.compatible, verified.strong
     faces, expected = verified.faces, verified.expected_genus
     rows: list[tuple[str, bool, str]] = [
@@ -122,7 +139,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_genus(args) -> int:
-    sch = fileio.parse_scheme(Path(args.path).read_text())
+    sch = fileio.parse_scheme(_read(args.path))
     report = trace_faces(sch)
     hist = dict(sorted(report.length_histogram().items()))
     payload = {
@@ -228,7 +245,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="collect pairwise-inequivalent families")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_count, required=True)
     _add_orientability(p)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="write a census file here")
@@ -249,10 +266,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (Kn3Error, ValueError) as exc:

@@ -8,7 +8,10 @@ without them are still readable (copy assignment falls back to search).
 Schemes: header line, `rot <vertex>: ...` lines giving each cyclic edge
 order, then `sig <x> <y>: +1|-1` lines.  Edge-side vertices are written
 `e{i,j,k}` (plus `#c` when m > 1).  Reading a written scheme reproduces it
-bit-exactly.
+bit-exactly.  Names are written and read through one name table per
+(n, m), built on first use: a token that is not a canonical name (such as
+`e{1,2,3}#0` when m = 1) is parsed on its own, and a bad one is reported
+with its line.
 
 Census: header line, then per record a `record sha256=<hex>` digest line
 followed by the record's family in the format above.
@@ -16,11 +19,13 @@ followed by the record's family in the format above.
 
 import hashlib
 import re
+from dataclasses import dataclass
+from functools import cache
 
 from .circuits import Circuit, EmbeddingSet
 from .exceptions import FormatError
-from .levi import HypergraphSpec, YVertex, build_levi
-from .scheme import EmbeddingScheme
+from .levi import YVertex, levi_edges
+from .scheme import EmbeddingScheme, Vertex
 
 SET_HEADER = "# kn3-embedding-set v1"
 SCHEME_HEADER = "# kn3-scheme v1"
@@ -107,6 +112,29 @@ def _y_name(y: YVertex, m: int) -> str:
     return name if m == 1 else f"{name}#{c}"
 
 
+@dataclass(frozen=True, eq=False)
+class _Names:
+    """Written names of the Levi vertices of one (n, m).
+
+    `y_names[y]` is the name of the Y vertex at index y; `name_of` maps each
+    Y vertex to its name and `vertex_of` each written name, X names
+    included, back to its vertex.
+    """
+
+    y_names: tuple[str, ...]
+    name_of: dict[YVertex, str]
+    vertex_of: dict[str, Vertex]
+
+
+@cache
+def _names(n: int, m: int) -> _Names:
+    ys = levi_edges(n, m).graph.y_vertices
+    y_names = tuple(_y_name(y, m) for y in ys)
+    vertex_of: dict[str, Vertex] = {str(x): x for x in range(1, n + 1)}
+    vertex_of.update(zip(y_names, ys))
+    return _Names(y_names, dict(zip(ys, y_names)), vertex_of)
+
+
 def _parse_vertex(token: str, m: int, lineno: int):
     match = _Y_NAME.match(token)
     if match:
@@ -122,17 +150,19 @@ def _parse_vertex(token: str, m: int, lineno: int):
 
 
 def format_scheme(sch: EmbeddingScheme) -> str:
-    m = sch.graph.m
+    graph = sch.graph
+    table = levi_edges(graph.n, graph.m)
+    names = _names(graph.n, graph.m)
+    name_of, y_names = names.name_of, names.y_names
     lines = [SCHEME_HEADER]
-    for x in sch.graph.x_vertices:
-        names = " ".join(_y_name(e[1], m) for e in sch.rotation[x])
-        lines.append(f"rot {x}: {names}")
-    for y in sch.graph.y_vertices:
-        names = " ".join(str(e[0]) for e in sch.rotation[y])
-        lines.append(f"rot {_y_name(y, m)}: {names}")
-    for x, y in sch.graph.edges():
-        sign = "+1" if sch.signature[(x, y)] == 1 else "-1"
-        lines.append(f"sig {x} {_y_name(y, m)}: {sign}")
+    for x in graph.x_vertices:
+        lines.append(f"rot {x}: " + " ".join([name_of[e[1]] for e in sch.rotation[x]]))
+    for y, name in zip(graph.y_vertices, y_names):
+        lines.append(f"rot {name}: " + " ".join([str(e[0]) for e in sch.rotation[y]]))
+    signature = sch.signature
+    for k, e in enumerate(table.edges):
+        sign = "+1" if signature[e] == 1 else "-1"
+        lines.append(f"sig {e[0]} {y_names[k // 3]}: {sign}")
     return "\n".join(lines) + "\n"
 
 
@@ -175,48 +205,55 @@ def parse_scheme(text: str) -> EmbeddingScheme:
         if (m := _Y_NAME.match(name)) and m.group(2)
     ]
     m_mult = max(copies) + 1 if copies else 1
-    graph = build_levi(HypergraphSpec(n, m_mult))
+    table = levi_edges(n, m_mult)
+    graph, edges, ids = table.graph, table.edges, table.ids
+    vertex_of = _names(n, m_mult).vertex_of
+
+    def vertex(token: str, lineno: int):
+        # Canonical names come from the table; anything else is parsed.
+        v = vertex_of.get(token)
+        return v if v is not None else _parse_vertex(token, m_mult, lineno)
 
     # Each rotation must list exactly the incident edges of its vertex, once.
     vertices = set(graph.x_vertices) | set(graph.y_vertices)
     x_degree = graph.x_degree()
     rotation: dict = {}
     for head, tokens, lineno in rot_tokens.values():
-        v = _parse_vertex(head, m_mult, lineno)
+        v = vertex(head, lineno)
         if v not in vertices or v in rotation:
             raise FormatError(f"rot line for {head!r}: not a Levi vertex, or given twice", lineno)
         if isinstance(v, int):
-            ys = [_parse_vertex(t, m_mult, lineno) for t in tokens]
-            if len(ys) != x_degree or len(set(ys)) != x_degree or not all(
-                isinstance(y, tuple) and v in y[0] and y in vertices for y in ys
-            ):
+            at = [ids.get((v, vertex(t, lineno))) for t in tokens]
+            if len(at) != x_degree or None in at or len(set(at)) != x_degree:
                 raise FormatError(
                     f"rotation at {v} must list its {x_degree} edges once each", lineno
                 )
-            rotation[v] = tuple((v, y) for y in ys)
+            rotation[v] = tuple([edges[k] for k in at])
         else:
             if sorted(tokens) != sorted(map(str, v[0])):
                 raise FormatError(f"rotation at {head} must list its 3 vertices once each", lineno)
-            rotation[v] = tuple((int(t), v) for t in tokens)
+            rotation[v] = tuple([edges[ids[(int(t), v)]] for t in tokens])
     if len(rotation) != len(vertices):
         raise FormatError("rot lines do not match the Levi graph of the inferred (n, m)")
 
-    signature: dict = {}
+    signs: list[int | None] = [None] * len(edges)
     for x_tok, y_tok, val, lineno in sig_tokens:
-        x = _parse_vertex(x_tok, m_mult, lineno)
-        y = _parse_vertex(y_tok, m_mult, lineno)
+        x = vertex(x_tok, lineno)
+        y = vertex(y_tok, lineno)
         if not isinstance(x, int) or isinstance(y, int):
             raise FormatError("sig line must name a vertex then an edge name", lineno)
-        if y not in vertices or x not in y[0]:
+        k = ids.get((x, y))
+        if k is None:
             raise FormatError(f"sig line for {x_tok} {y_tok}: not a Levi edge", lineno)
-        if (x, y) in signature:
+        if signs[k] is not None:
             raise FormatError(f"second sig line for {x_tok} {y_tok}", lineno)
         if val not in ("+1", "-1"):
             raise FormatError(f"bad signature value {val!r}", lineno)
-        signature[(x, y)] = 1 if val == "+1" else -1
-    # Every sig line names a distinct edge, so counting them suffices.
-    if len(signature) != graph.edge_count:
-        raise FormatError(f"{graph.edge_count - len(signature)} edges missing a sig line")
+        signs[k] = 1 if val == "+1" else -1
+    missing = signs.count(None)
+    if missing:
+        raise FormatError(f"{missing} edges missing a sig line")
+    signature = dict(zip(edges, signs))
     return EmbeddingScheme(graph=graph, rotation=rotation, signature=signature)
 
 

@@ -9,6 +9,7 @@ All arithmetic here is exact integer arithmetic.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -37,10 +38,6 @@ class HypergraphSpec:
     @property
     def edge_count(self) -> int:
         return self.m * comb(self.n, 3)
-
-    @property
-    def levi_vertex_count(self) -> int:
-        return self.n + self.edge_count
 
     @property
     def levi_edge_count(self) -> int:
@@ -82,14 +79,52 @@ class LeviGraph:
         return self.m * comb(self.n - 1, 2)
 
 
+@cache
 def build_levi(spec: HypergraphSpec) -> LeviGraph:
-    """Construct the Levi graph with triples sorted and copies indexed."""
+    """Construct the Levi graph with triples sorted and copies indexed.
+
+    Built once per spec; every caller shares the (immutable) result.
+    """
     ys = tuple(
         (triple, c)
         for triple in combinations(range(1, spec.n + 1), 3)
         for c in range(spec.m)
     )
     return LeviGraph(n=spec.n, m=spec.m, y_vertices=ys)
+
+
+@dataclass(frozen=True, eq=False)
+class LeviEdges:
+    """Integer ids for the edges of one Levi graph.
+
+    Edge id 3*y + slot joins the Y vertex at index y of `graph.y_vertices`
+    to the element at position `slot` of its sorted triple, so ids run in
+    the order of `graph.edges()`.  `edges[id]` is the (x, y) pair,
+    `x_end[id]` its X end, and `ids` maps each pair back to its id.
+    `first_ids[triple]` is the id of copy 0 of the triple at its smallest
+    element; copy c at slot s adds 3*c + s.  The table is shared by every
+    caller: read it, never change it.
+    """
+
+    graph: LeviGraph
+    edges: tuple[tuple[int, YVertex], ...]
+    x_end: tuple[int, ...]
+    ids: dict[tuple[int, YVertex], int]
+    first_ids: dict[Triple, int]
+
+
+@cache
+def levi_edges(n: int, m: int) -> LeviEdges:
+    """The edge table of the Levi graph of order n and multiplicity m, built on first use."""
+    graph = build_levi(HypergraphSpec(n, m))
+    edges = tuple(graph.edges())
+    return LeviEdges(
+        graph=graph,
+        edges=edges,
+        x_end=tuple(x for x, _ in edges),
+        ids={e: k for k, e in enumerate(edges)},
+        first_ids={y[0]: 3 * k for k, y in enumerate(graph.y_vertices) if y[1] == 0},
+    )
 
 
 def euler_genus_lower_bound(spec: HypergraphSpec) -> int:

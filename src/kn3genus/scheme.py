@@ -3,10 +3,13 @@
 An embedding scheme is a rotation system (a cyclic order of incident edges
 at every vertex) plus a signature assigning +1 or -1 to every edge.  Up to
 switching equivalence this determines a 2-cell surface embedding, whose
-faces are traced combinatorially.  One pass over the flags of the embedding
-(edge-ends with a side) yields the faces, connectivity and orientability;
-switching equivalence of two schemes is decided in linear time by forcing
-the switch state of every vertex along the edges.
+faces are traced combinatorially.  Tracing maps every edge to its integer
+id in the cached edge table of its (n, m) (`levi.levi_edges`) and walks the
+faces over the flags (edge-ends with a side); one search over the vertices
+forces a parity that switches the signature to all-positive, which decides
+orientability and, by reaching every vertex, connectivity.  Switching
+equivalence of two schemes is decided in linear time by forcing the switch
+state of every vertex along the edges.
 
 The central conversions realize the bijection between quadrilateral
 embeddings of the Levi graph and pairwise-compatible circuit families:
@@ -35,7 +38,14 @@ from .exceptions import (
     NotQuadrilateral,
     OddOrder,
 )
-from .levi import HypergraphSpec, LeviGraph, YVertex, build_levi, euler_genus_lower_bound
+from .levi import (
+    HypergraphSpec,
+    LeviEdges,
+    LeviGraph,
+    YVertex,
+    euler_genus_lower_bound,
+    levi_edges,
+)
 
 XVertex = int
 Vertex = XVertex | YVertex
@@ -69,78 +79,113 @@ def _vertices(sch: EmbeddingScheme):
     yield from sch.graph.y_vertices
 
 
-def trace_faces(sch: EmbeddingScheme) -> FaceReport:
-    """Trace the faces and decide connectivity and orientability in one flag pass.
+def _rotation(sch: EmbeddingScheme, v: Vertex) -> tuple[Edge, ...]:
+    rot = sch.rotation.get(v)
+    if rot is None:
+        raise GraphMismatch(f"no rotation at vertex {v}")
+    if not rot:
+        raise Disconnected(f"vertex {v} has no incident edges")
+    return rot
 
-    Every edge contributes four flags (two ends, two sides).  Three
-    pairings act on them: the corner pairing (consecutive edge-ends around a
-    vertex), the band pairing (sides matched across an edge, crossed when
-    the signature is negative) and the side swap at an edge-end.  Faces are
-    the orbits under corner and band; a face of length L is an orbit of 2L
-    flags.  One 2-colouring pass over all three pairings decides the rest:
-    the graph is connected iff every flag is reached from flag 0, and the
-    embedding is orientable iff the flag graph is bipartite.
+
+def _rotation_ends(sch: EmbeddingScheme, table: LeviEdges):
+    """Per vertex, X side first: the ends of the edges of its rotation, in order.
+
+    The end of edge id k at its X vertex is 2k, at its Y vertex 2k + 1.
+    Raises GraphMismatch for an entry that is not an edge at that vertex.
+    """
+    ids, x_end = table.ids, table.x_end
+    for x in sch.graph.x_vertices:
+        at = [ids.get(e) for e in _rotation(sch, x)]
+        if not all(k is not None and x_end[k] == x for k in at):
+            raise GraphMismatch(f"the rotation at vertex {x} lists an edge not at {x}")
+        yield [2 * k for k in at]
+    for yi, y in enumerate(sch.graph.y_vertices):
+        at = [ids.get(e) for e in _rotation(sch, y)]
+        if not all(k is not None and k // 3 == yi for k in at):
+            raise GraphMismatch(f"the rotation at vertex {y} lists an edge not at {y}")
+        yield [2 * k + 1 for k in at]
+
+
+def trace_faces(sch: EmbeddingScheme) -> FaceReport:
+    """Trace the faces, and decide connectivity and orientability by vertex parity.
+
+    One pass maps every rotation entry to its integer Levi edge id
+    (`levi_edges`) and places it among the flags: every edge contributes
+    four (two ends, two sides).  Two pairings act on them: the corner
+    pairing (consecutive edge-ends around a vertex) and the band pairing
+    (sides matched across an edge, crossed when the signature is negative).
+    Faces are the orbits under corner and band; a face of length L is an
+    orbit of 2L flags.
+
+    The embedding is orientable iff its signature switches to all-positive,
+    i.e. iff some vertex parity has par[x] xor par[y] = [sign < 0] on every
+    edge xy.  One search from the first vertex forces that parity along the
+    edges and finds any edge that breaks it; the graph is connected iff the
+    search reaches every vertex.
 
     Raises Disconnected for an unreachable part of the graph, including a
-    vertex without edges (it has no flags), and GraphMismatch when a
-    rotation misses, repeats or adds an edge of the graph or an edge has no
-    signature.
+    vertex without edges, and GraphMismatch when a rotation misses, repeats
+    or adds an edge of the graph or an edge has no signature.
     """
+    graph = sch.graph
+    table = levi_edges(graph.n, graph.m)
+    count = len(table.edges)
     # Flag id: b + 2*p + s for the side s of the edge at position p in the
     # rotation at a vertex whose flags start at b.  Side 1 touches the
-    # corner toward position p+1, and b is even, so the side swap is f ^ 1.
+    # corner toward position p+1.  ends[2k] and ends[2k+1] hold b + 2*p for
+    # the X and Y end of edge id k.
+    ends = [-1] * (2 * count)
+    adjacent: list[list[int]] = []
     partner_corner: list[int] = []
-    position: dict[tuple[Vertex, Edge], int] = {}
-    for v in _vertices(sch):
-        rot = sch.rotation.get(v)
-        if rot is None:
-            raise GraphMismatch(f"no rotation at vertex {v}")
-        if not rot:
-            raise Disconnected(f"vertex {v} has no incident edges")
-        b, deg = len(partner_corner), len(rot)
-        for p, e in enumerate(rot):
-            position[(v, e)] = b + 2 * p
+    for at in _rotation_ends(sch, table):
+        b, deg = len(partner_corner), len(at)
+        for p, end in enumerate(at):
+            ends[end] = b + 2 * p
             partner_corner += (b + 2 * ((p - 1) % deg) + 1, b + 2 * ((p + 1) % deg))
+        adjacent.append(at)
     total = len(partner_corner)
-    if len(position) != total // 2:
-        raise GraphMismatch("a rotation repeats an edge")
+    if total != 4 * count or -1 in ends:
+        raise GraphMismatch("a rotation misses or repeats an edge of the graph")
 
+    signs = [sch.signature.get(e) for e in table.edges]
+    if None in signs:
+        raise GraphMismatch(f"edge {table.edges[signs.index(None)]} has no signature")
+    negative = bytearray(count)
     partner_band = [0] * total
-    for x, y in sch.graph.edges():
-        e = (x, y)
-        fx, fy = position.get((x, e)), position.get((y, e))
-        if fx is None or fy is None:
-            raise GraphMismatch(f"edge {e} is missing from a rotation at its ends")
-        sign = sch.signature.get(e)
-        if sign is None:
-            raise GraphMismatch(f"edge {e} has no signature")
+    for k, sign in enumerate(signs):
+        fx, fy = ends[2 * k], ends[2 * k + 1]
         if sign == 1:
             partner_band[fx + 1], partner_band[fy] = fy, fx + 1
             partner_band[fx], partner_band[fy + 1] = fy + 1, fx
         else:
+            negative[k] = 1
             partner_band[fx + 1], partner_band[fy + 1] = fy + 1, fx + 1
             partner_band[fx], partner_band[fy] = fy, fx
-    if total != 4 * sch.graph.edge_count:
-        raise GraphMismatch("a rotation names an edge that is not in the graph")
 
-    colour = bytearray(total)
-    colour[0] = 1
+    # Vertex index: x - 1 for an X vertex, n + y for the Y vertex at index y.
+    n, x_end = graph.n, table.x_end
+    parity = bytearray(b"\x02") * len(adjacent)  # 2: not reached yet
+    parity[0] = 0
     reached = 1
     orientable = True
     stack = [0]
     while stack:
-        f = stack.pop()
-        other = 3 - colour[f]
-        for g in (partner_corner[f], partner_band[f], f ^ 1):
-            if not colour[g]:
-                colour[g] = other
+        v = stack.pop()
+        pv = parity[v]
+        for end in adjacent[v]:
+            k = end >> 1
+            w = x_end[k] - 1 if end & 1 else n + k // 3
+            want = pv ^ negative[k]
+            if parity[w] == 2:
+                parity[w] = want
                 reached += 1
-                stack.append(g)
-            elif colour[g] != other:
+                stack.append(w)
+            elif parity[w] != want:
                 orientable = False
-    if reached != total:
+    if reached != len(adjacent):
         raise Disconnected(
-            f"only {reached} of {total} flags are reachable from the first vertex"
+            f"only {reached} of {len(adjacent)} vertices are reachable from the first"
         )
 
     # Corner and band are fixed-point-free involutions, so each orbit is a
@@ -176,7 +221,7 @@ def trace_faces(sch: EmbeddingScheme) -> FaceReport:
 def is_orientable(sch: EmbeddingScheme) -> bool:
     """True iff the signature is switching-equivalent to all-positive.
 
-    Decided by the flag pass of `trace_faces` (the flag graph is bipartite).
+    Decided by the vertex parity search of `trace_faces`.
     """
     return trace_faces(sch).orientable
 
@@ -210,27 +255,28 @@ def _labels_consistent(c: Circuit, labels: tuple[int, ...]) -> bool:
 
 
 def _build_scheme(s: EmbeddingSet, labelled: list[tuple[int, ...]]) -> EmbeddingScheme:
-    graph = build_levi(HypergraphSpec(s.n, s.m))
+    table = levi_edges(s.n, s.m)
+    edges, first_ids = table.edges, table.first_ids
     rotation: dict[Vertex, tuple[Edge, ...]] = {}
     signature: dict[Edge, int] = {}
 
-    for y in graph.y_vertices:
-        triple = y[0]
-        rotation[y] = tuple((x, y) for x in triple)
+    for k, y in enumerate(table.graph.y_vertices):
+        rotation[y] = edges[3 * k : 3 * k + 3]
 
     for i in range(1, s.n + 1):
         c = s.circuit(i)
         labels = labelled[i - 1]
         rot = []
         for p, (u, v) in enumerate(c.steps()):
-            e: Edge = (i, (tuple(sorted((i, u, v))), labels[p]))
+            # i sits at slot (i > u) + (i > v) of the sorted triple.
+            e = edges[first_ids[tuple(sorted((i, u, v)))] + 3 * labels[p] + (i > u) + (i > v)]
             rot.append(e)
             # Positive signature iff the traversal runs u -> v where (u, v)
             # follows i cyclically in the sorted triple, i.e. iff exactly one
             # of i > u, u > v, v > i holds.
             signature[e] = 1 if (i > u) + (u > v) + (v > i) == 1 else -1
         rotation[i] = tuple(rot)
-    return EmbeddingScheme(graph=graph, rotation=rotation, signature=signature)
+    return EmbeddingScheme(graph=table.graph, rotation=rotation, signature=signature)
 
 
 # Copy labellings the search for missing labels may try.

@@ -240,3 +240,28 @@ def test_verify_rejects_degenerate_order_or_multiplicity(tmp_path, capsys, meta)
     code, _, err = run(capsys, "verify", str(path))
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("command", ["genus", "verify"])
+def test_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "binary"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, _, err = run(capsys, command, str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("genus", "{dir}"), ("build", "--n", "6", "--out", "{dir}")], ids=["genus", "build"]
+)
+def test_directory_in_place_of_a_file_exits_2(tmp_path, capsys, argv):
+    code, _, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_enumerate_refuses_a_negative_count(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["enumerate", "--n", "6", "--count", "-1"])
+    assert err.value.code == 2
+    assert "--count" in capsys.readouterr().err

@@ -122,3 +122,24 @@ def test_census_digest_detects_tampering():
 def test_census_rejects_unknown_version():
     with pytest.raises(FormatError):
         parse_census("# kn3-census v9\n")
+
+
+def test_parse_scheme_reads_copy_zero_suffixes_at_m1(strong6):
+    text = format_scheme(set_to_scheme(strong6))
+    suffixed = text.replace("}", "}#0")
+    assert suffixed.count("#0") == 20 + 2 * 60  # rot e{..} lines, rot 1..6 lines, sig lines
+    assert parse_scheme(suffixed) == parse_scheme(text)
+
+
+@pytest.mark.parametrize(
+    "kind,bad",
+    [("rot", "{line} e{{1,2,x}}"), ("sig", "sig 1 e{{1,2,x}}: +1")],
+    ids=["rot-line", "sig-line"],
+)
+def test_parse_scheme_names_the_line_of_an_unknown_token(strong6, kind, bad):
+    lines = format_scheme(set_to_scheme(strong6)).splitlines()
+    at = next(i for i, l in enumerate(lines) if l.startswith(f"{kind} 1"))
+    lines[at] = bad.format(line=lines[at])
+    with pytest.raises(FormatError) as err:
+        parse_scheme("\n".join(lines))
+    assert str(err.value) == f"line {at + 1}: bad vertex token 'e{{1,2,x}}'"

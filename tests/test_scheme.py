@@ -427,3 +427,43 @@ def test_schemes_equivalent_rejects_missing_signature_or_rotation(strong6):
         for a, b in ((broken, sch), (sch, broken)):
             with pytest.raises(GraphMismatch):
                 schemes_equivalent(a, b)
+
+
+@pytest.mark.parametrize("orientable", [True, False], ids=["orientable", "nonorientable"])
+@pytest.mark.parametrize("n,m", [(8, 1), (10, 1), (6, 2), (6, 3)])
+def test_trace_agrees_with_oracle_on_builds(n, m, orientable):
+    rng = random.Random(10 * n + m)
+    schemes = [set_to_scheme(build_multi(n, m, orientable=orientable, seed=1))]
+    for _ in range(4):
+        sch = perturb(schemes[-1], rng)
+        schemes += [sch, switch(sch, {v for v in sch.rotation if rng.random() < 0.4})]
+    for sch in schemes:
+        report = trace_faces(sch)
+        assert naive_face_trace(sch) == (
+            report.face_count,
+            report.face_lengths,
+            report.euler_genus,
+            report.orientable,
+        )
+
+
+def test_trace_rejects_edges_at_the_wrong_vertex(strong6):
+    sch = set_to_scheme(strong6)
+    y, z = ((1, 2, 3), 0), ((1, 2, 4), 0)
+    ry, rz, r1, r2 = (sch.rotation[v] for v in (y, z, 1, 2))
+    assert (1, y) in r1 and (2, y) in r2
+
+    def swap(rot, old, new):
+        return tuple(new if e == old else e for e in rot)
+
+    for changed in (
+        {y: (ry[0], ry[1], ry[1])},  # a Y rotation repeats an edge
+        {y: (ry[0], ry[1], (4, z))},  # a Y rotation lists an edge of another triple
+        {1: swap(r1, (1, y), (2, y))},  # (2, y) at vertex 1
+        # Every edge listed once, but two at the wrong vertex of their side:
+        {1: swap(r1, (1, y), (2, y)), 2: swap(r2, (2, y), (1, y))},
+        {y: swap(ry, (1, y), (1, z)), z: swap(rz, (1, z), (1, y))},
+    ):
+        broken = EmbeddingScheme(sch.graph, {**sch.rotation, **changed}, sch.signature)
+        with pytest.raises(GraphMismatch):
+            trace_faces(broken)
