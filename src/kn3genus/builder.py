@@ -302,11 +302,9 @@ def _splice_layer(
         picked = None
         for flip_i in (False, True):
             cand_f_i = f_i.reversed_() if flip_i else f_i
-            shared = [
-                t
-                for t in transitions_through(c_i, i + 1)
-                if _occurrences(cand_f_i, t)
-            ]
+            # (a, i+1, b) in T_i is shared iff the layer's T_i passes a, i+1, b.
+            passes = {(t.a, t.b) for t in transitions_through(cand_f_i, i + 1)}
+            shared = [t for t in transitions_through(c_i, i + 1) if (t.a, t.b) in passes]
             if shared:
                 picked = (cand_f_i, shared)
                 break

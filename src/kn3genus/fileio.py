@@ -7,11 +7,15 @@ without them are still readable (copy assignment falls back to search).
 
 Schemes: header line, `rot <vertex>: ...` lines giving each cyclic edge
 order, then `sig <x> <y>: +1|-1` lines.  Edge-side vertices are written
-`e{i,j,k}` (plus `#c` when m > 1).  Reading a written scheme reproduces it
-bit-exactly.  Names are written and read through one name table per
-(n, m), built on first use: a token that is not a canonical name (such as
-`e{1,2,3}#0` when m = 1) is parsed on its own, and a bad one is reported
-with its line.
+`e{i,j,k}` (plus `#c` when m > 1).  Schemes are read and written as Levi
+edge ids (`scheme.IdScheme`): `parse_scheme_ids` checks every line against
+the Levi graph and `format_scheme_ids` writes the ids back, so reading a
+written scheme reproduces it bit-exactly.  `parse_scheme` is the dict view
+of what `parse_scheme_ids` reads, and `format_scheme` checks a dict scheme
+through `scheme.scheme_ids` before writing it.  Names are written and read
+through one name table per (n, m), built on first use: a token that is not
+a canonical name (such as `e{1,2,3}#0` when m = 1) is parsed on its own,
+and a bad one is reported with its line.
 
 Census: header line, then per record a `record sha256=<hex>` digest line
 followed by the record's family in the format above.
@@ -25,7 +29,7 @@ from functools import cache
 from .circuits import Circuit, EmbeddingSet
 from .exceptions import FormatError
 from .levi import YVertex, levi_edges
-from .scheme import EmbeddingScheme, Vertex
+from .scheme import EmbeddingScheme, IdScheme, scheme_ids
 
 SET_HEADER = "# kn3-embedding-set v1"
 SCHEME_HEADER = "# kn3-scheme v1"
@@ -116,23 +120,22 @@ def _y_name(y: YVertex, m: int) -> str:
 class _Names:
     """Written names of the Levi vertices of one (n, m).
 
-    `y_names[y]` is the name of the Y vertex at index y; `name_of` maps each
-    Y vertex to its name and `vertex_of` each written name, X names
-    included, back to its vertex.
+    `y_names[y]` is the name of the Y vertex at index y, and `index_of` maps
+    every written name to its vertex index: x - 1 for the X vertex x and
+    n + y for the Y vertex at index y.
     """
 
     y_names: tuple[str, ...]
-    name_of: dict[YVertex, str]
-    vertex_of: dict[str, Vertex]
+    index_of: dict[str, int]
 
 
 @cache
 def _names(n: int, m: int) -> _Names:
     ys = levi_edges(n, m).graph.y_vertices
     y_names = tuple(_y_name(y, m) for y in ys)
-    vertex_of: dict[str, Vertex] = {str(x): x for x in range(1, n + 1)}
-    vertex_of.update(zip(y_names, ys))
-    return _Names(y_names, dict(zip(ys, y_names)), vertex_of)
+    index_of = {str(x): x - 1 for x in range(1, n + 1)}
+    index_of.update(zip(y_names, range(n, n + len(ys))))
+    return _Names(y_names, index_of)
 
 
 def _parse_vertex(token: str, m: int, lineno: int):
@@ -149,24 +152,34 @@ def _parse_vertex(token: str, m: int, lineno: int):
         raise FormatError(f"bad vertex token {token!r}", lineno) from None
 
 
-def format_scheme(sch: EmbeddingScheme) -> str:
-    graph = sch.graph
-    table = levi_edges(graph.n, graph.m)
-    names = _names(graph.n, graph.m)
-    name_of, y_names = names.name_of, names.y_names
+def format_scheme_ids(sch: IdScheme) -> str:
+    """The scheme file of an id scheme."""
+    table = sch.table
+    graph, x_end, negative = table.graph, table.x_end, sch.negative
+    y_names = _names(graph.n, graph.m).y_names
     lines = [SCHEME_HEADER]
-    for x in graph.x_vertices:
-        lines.append(f"rot {x}: " + " ".join([name_of[e[1]] for e in sch.rotation[x]]))
-    for y, name in zip(graph.y_vertices, y_names):
-        lines.append(f"rot {name}: " + " ".join([str(e[0]) for e in sch.rotation[y]]))
-    signature = sch.signature
-    for k, e in enumerate(table.edges):
-        sign = "+1" if signature[e] == 1 else "-1"
-        lines.append(f"sig {e[0]} {y_names[k // 3]}: {sign}")
+    for x, rot in zip(graph.x_vertices, sch.x_rotations):
+        lines.append(f"rot {x}: " + " ".join([y_names[k // 3] for k in rot]))
+    y_rotations = sch.y_rotations
+    if y_rotations is None:
+        y_rotations = [range(k, k + 3) for k in range(0, len(x_end), 3)]
+    for name, rot in zip(y_names, y_rotations):
+        lines.append(f"rot {name}: " + " ".join([str(x_end[k]) for k in rot]))
+    for k, x in enumerate(x_end):
+        lines.append(f"sig {x} {y_names[k // 3]}: {'-1' if negative[k] else '+1'}")
     return "\n".join(lines) + "\n"
 
 
-def parse_scheme(text: str) -> EmbeddingScheme:
+def format_scheme(sch: EmbeddingScheme) -> str:
+    """The scheme file of a dict scheme, checked and mapped to ids first.
+
+    Raises what `scheme_ids` raises for a scheme that does not fit its graph.
+    """
+    return format_scheme_ids(scheme_ids(sch))
+
+
+def _read_scheme(text: str) -> tuple[IdScheme, dict[int, list[int]]]:
+    """The ids of a scheme file, and the rotations by vertex index in file order."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != SCHEME_HEADER:
         raise FormatError(f"expected header {SCHEME_HEADER!r}", 1 if lines else None)
@@ -199,6 +212,8 @@ def parse_scheme(text: str) -> EmbeddingScheme:
     n = len(x_labels)
     if x_labels != list(range(1, n + 1)):
         raise FormatError(f"rot lines must cover vertices 1..n, got {x_labels}")
+    if n < 4:
+        raise FormatError(f"need rot lines for vertices 1..n with n >= 4, got n={n}")
     copies = [
         int(m.group(2))
         for name in rot_tokens
@@ -206,54 +221,98 @@ def parse_scheme(text: str) -> EmbeddingScheme:
     ]
     m_mult = max(copies) + 1 if copies else 1
     table = levi_edges(n, m_mult)
-    graph, edges, ids = table.graph, table.edges, table.ids
-    vertex_of = _names(n, m_mult).vertex_of
+    graph, count = table.graph, len(table.x_end)
+    index_of = _names(n, m_mult).index_of
+    # triples[u] is the triple of the Y vertex with index u, and empty for an
+    # X vertex, which meets no other X vertex.
+    triples = [()] * n + [y[0] for y in graph.y_vertices]
+    labels = [str(x) for x in range(n + 1)]
 
-    def vertex(token: str, lineno: int):
-        # Canonical names come from the table; anything else is parsed.
-        v = vertex_of.get(token)
-        return v if v is not None else _parse_vertex(token, m_mult, lineno)
+    # Written names are looked up; any other token is parsed, and may still
+    # name a Levi vertex (`e{1,2,3}#0` when m = 1), or none, or be malformed.
+    def index(v) -> int | None:
+        """The vertex index of a parsed vertex, None if it is not in the graph."""
+        if isinstance(v, int):
+            return index_of.get(str(v))
+        return index_of.get(_y_name(v, m_mult)) if v[1] < m_mult else None
 
     # Each rotation must list exactly the incident edges of its vertex, once.
-    vertices = set(graph.x_vertices) | set(graph.y_vertices)
     x_degree = graph.x_degree()
-    rotation: dict = {}
+    rotations: dict[int, list[int]] = {}
     for head, tokens, lineno in rot_tokens.values():
-        v = vertex(head, lineno)
-        if v not in vertices or v in rotation:
+        u = index_of.get(head)
+        if u is None:
+            u = index(_parse_vertex(head, m_mult, lineno))
+        if u is None or u in rotations:
             raise FormatError(f"rot line for {head!r}: not a Levi vertex, or given twice", lineno)
-        if isinstance(v, int):
-            at = [ids.get((v, vertex(t, lineno))) for t in tokens]
-            if len(at) != x_degree or None in at or len(set(at)) != x_degree:
+        if u < n:
+            x = u + 1
+            ws = [index_of.get(t) for t in tokens]
+            if None in ws:
+                ws = [index(_parse_vertex(t, m_mult, lineno)) for t in tokens]
+            at = [3 * (w - n) + triples[w].index(x) for w in ws if w is not None and x in triples[w]]
+            if len(at) != len(ws) or len(at) != x_degree or len(set(at)) != x_degree:
                 raise FormatError(
-                    f"rotation at {v} must list its {x_degree} edges once each", lineno
+                    f"rotation at {x} must list its {x_degree} edges once each", lineno
                 )
-            rotation[v] = tuple([edges[k] for k in at])
         else:
-            if sorted(tokens) != sorted(map(str, v[0])):
+            a, b, c = triples[u]
+            members = [labels[a], labels[b], labels[c]]
+            base = 3 * (u - n)
+            if tokens == members:  # the order `format_scheme_ids` writes
+                at = [base, base + 1, base + 2]
+            elif sorted(tokens) == sorted(members):
+                at = [base + members.index(t) for t in tokens]
+            else:
                 raise FormatError(f"rotation at {head} must list its 3 vertices once each", lineno)
-            rotation[v] = tuple([edges[ids[(int(t), v)]] for t in tokens])
-    if len(rotation) != len(vertices):
+        rotations[u] = at
+    if len(rotations) != len(triples):
         raise FormatError("rot lines do not match the Levi graph of the inferred (n, m)")
 
-    signs: list[int | None] = [None] * len(edges)
+    negative = bytearray(count)
+    signed = bytearray(count)
     for x_tok, y_tok, val, lineno in sig_tokens:
-        x = vertex(x_tok, lineno)
-        y = vertex(y_tok, lineno)
-        if not isinstance(x, int) or isinstance(y, int):
-            raise FormatError("sig line must name a vertex then an edge name", lineno)
-        k = ids.get((x, y))
-        if k is None:
+        u, w = index_of.get(x_tok), index_of.get(y_tok)
+        if u is None or w is None or u >= n or w < n:
+            x, y = _parse_vertex(x_tok, m_mult, lineno), _parse_vertex(y_tok, m_mult, lineno)
+            if not isinstance(x, int) or isinstance(y, int):
+                raise FormatError("sig line must name a vertex then an edge name", lineno)
+            u, w = index(x), index(y)
+        if u is None or w is None or u + 1 not in triples[w]:
             raise FormatError(f"sig line for {x_tok} {y_tok}: not a Levi edge", lineno)
-        if signs[k] is not None:
+        k = 3 * (w - n) + triples[w].index(u + 1)
+        if signed[k]:
             raise FormatError(f"second sig line for {x_tok} {y_tok}", lineno)
         if val not in ("+1", "-1"):
             raise FormatError(f"bad signature value {val!r}", lineno)
-        signs[k] = 1 if val == "+1" else -1
-    missing = signs.count(None)
+        signed[k] = 1
+        negative[k] = val == "-1"
+    missing = signed.count(0)
     if missing:
         raise FormatError(f"{missing} edges missing a sig line")
-    signature = dict(zip(edges, signs))
+    ids = IdScheme(
+        table,
+        [rotations[u] for u in range(n)],
+        [rotations[w] for w in range(n, len(triples))],
+        negative,
+    )
+    return ids, rotations
+
+
+def parse_scheme_ids(text: str) -> IdScheme:
+    """The id scheme of a scheme file; raises FormatError for a malformed one."""
+    return _read_scheme(text)[0]
+
+
+def parse_scheme(text: str) -> EmbeddingScheme:
+    """The dict view of a scheme file: rotations in the order of its rot
+    lines, the signature in edge id order."""
+    ids, rotations = _read_scheme(text)
+    table = ids.table
+    edges, graph = table.edges, table.graph
+    vertices = (*graph.x_vertices, *graph.y_vertices)
+    rotation = {vertices[u]: tuple([edges[k] for k in at]) for u, at in rotations.items()}
+    signature = dict(zip(edges, [-1 if b else 1 for b in ids.negative]))
     return EmbeddingScheme(graph=graph, rotation=rotation, signature=signature)
 
 

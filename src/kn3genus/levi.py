@@ -9,7 +9,7 @@ All arithmetic here is exact integer arithmetic.
 """
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 from math import comb
 
@@ -99,31 +99,39 @@ class LeviEdges:
 
     Edge id 3*y + slot joins the Y vertex at index y of `graph.y_vertices`
     to the element at position `slot` of its sorted triple, so ids run in
-    the order of `graph.edges()`.  `edges[id]` is the (x, y) pair,
-    `x_end[id]` its X end, and `ids` maps each pair back to its id.
-    `first_ids[triple]` is the id of copy 0 of the triple at its smallest
-    element; copy c at slot s adds 3*c + s.  The table is shared by every
-    caller: read it, never change it.
+    the order of `graph.edges()`.  `x_end[id]` is the X end of an edge, and
+    `first_ids[1 << a | 1 << b | 1 << c]` the id of copy 0 of the triple
+    {a, b, c} at its smallest element; copy c at slot s adds 3*c + s.  The
+    (x, y) pairs `edges[id]` and the inverse dict `ids` serve only the dict
+    form of a scheme, so each is built when first read.  The table is shared
+    by every caller: read it, never change it.
     """
 
     graph: LeviGraph
-    edges: tuple[tuple[int, YVertex], ...]
     x_end: tuple[int, ...]
-    ids: dict[tuple[int, YVertex], int]
-    first_ids: dict[Triple, int]
+    first_ids: dict[int, int]
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, YVertex], ...]:
+        return tuple(self.graph.edges())
+
+    @cached_property
+    def ids(self) -> dict[tuple[int, YVertex], int]:
+        return {e: k for k, e in enumerate(self.edges)}
 
 
 @cache
 def levi_edges(n: int, m: int) -> LeviEdges:
     """The edge table of the Levi graph of order n and multiplicity m, built on first use."""
     graph = build_levi(HypergraphSpec(n, m))
-    edges = tuple(graph.edges())
     return LeviEdges(
         graph=graph,
-        edges=edges,
-        x_end=tuple(x for x, _ in edges),
-        ids={e: k for k, e in enumerate(edges)},
-        first_ids={y[0]: 3 * k for k, y in enumerate(graph.y_vertices) if y[1] == 0},
+        x_end=tuple(x for triple, _ in graph.y_vertices for x in triple),
+        first_ids={
+            1 << a | 1 << b | 1 << c: 3 * k
+            for k, ((a, b, c), copy) in enumerate(graph.y_vertices)
+            if copy == 0
+        },
     )
 
 

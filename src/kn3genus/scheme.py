@@ -3,13 +3,21 @@
 An embedding scheme is a rotation system (a cyclic order of incident edges
 at every vertex) plus a signature assigning +1 or -1 to every edge.  Up to
 switching equivalence this determines a 2-cell surface embedding, whose
-faces are traced combinatorially.  Tracing maps every edge to its integer
-id in the cached edge table of its (n, m) (`levi.levi_edges`) and walks the
-faces over the flags (edge-ends with a side); one search over the vertices
-forces a parity that switches the signature to all-positive, which decides
-orientability and, by reaching every vertex, connectivity.  Switching
-equivalence of two schemes is decided in linear time by forcing the switch
-state of every vertex along the edges.
+faces are traced combinatorially.
+
+Scheme algorithms run on the integer edge ids of `levi.levi_edges` (id
+3*y + slot).  An `IdScheme` holds the X rotations as lists of ids, the Y
+rotations (or None for the sorted order 3y, 3y+1, 3y+2) and a bytearray
+marking the negative edges.  One core, `trace_ids`, walks the faces over
+flags keyed by edge and reads orientability off a forced vertex parity.
+Two front ends feed it: the family front end turns a family's circuit
+steps into ids and signs (the id formula and the sign rule live there
+alone), and `scheme_ids` checks a dict `EmbeddingScheme` against its graph
+before mapping it to ids.  The dict scheme is the public view, built only
+when a caller asks for it: `set_to_scheme`, or reading
+`FamilyReport.scheme`.  Switching equivalence of two dict schemes is
+decided in linear time by forcing the switch state of every vertex along
+the edges.
 
 The central conversions realize the bijection between quadrilateral
 embeddings of the Levi graph and pairwise-compatible circuit families:
@@ -21,7 +29,9 @@ certifies it, through its scheme, as a minimum-genus embedding or not.
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
+from functools import cached_property
+from itertools import chain, permutations, product
+from operator import xor
 
 from .circuits import (
     Circuit,
@@ -88,128 +98,148 @@ def _rotation(sch: EmbeddingScheme, v: Vertex) -> tuple[Edge, ...]:
     return rot
 
 
-def _rotation_ends(sch: EmbeddingScheme, table: LeviEdges):
-    """Per vertex, X side first: the ends of the edges of its rotation, in order.
+@dataclass(frozen=True, eq=False)
+class IdScheme:
+    """An embedding scheme on the integer edge ids of its Levi graph.
 
-    The end of edge id k at its X vertex is 2k, at its Y vertex 2k + 1.
-    Raises GraphMismatch for an entry that is not an edge at that vertex.
+    `x_rotations[x - 1]` lists the ids of the edges at X vertex x in
+    rotation order and `y_rotations[y]` those at the Y vertex at index y;
+    `y_rotations` is None when every Y rotation is 3y, 3y+1, 3y+2, the order
+    of its sorted triple.  `negative[k]` is 1 when edge k has signature -1.
+    Every front end hands out rotations that list each edge exactly once at
+    each of its ends, on which `trace_ids` relies.
     """
-    ids, x_end = table.ids, table.x_end
-    for x in sch.graph.x_vertices:
-        at = [ids.get(e) for e in _rotation(sch, x)]
-        if not all(k is not None and x_end[k] == x for k in at):
-            raise GraphMismatch(f"the rotation at vertex {x} lists an edge not at {x}")
-        yield [2 * k for k in at]
-    for yi, y in enumerate(sch.graph.y_vertices):
-        at = [ids.get(e) for e in _rotation(sch, y)]
-        if not all(k is not None and k // 3 == yi for k in at):
-            raise GraphMismatch(f"the rotation at vertex {y} lists an edge not at {y}")
-        yield [2 * k + 1 for k in at]
+
+    table: LeviEdges
+    x_rotations: list[list[int]]
+    y_rotations: list[list[int]] | None
+    negative: bytearray
 
 
-def trace_faces(sch: EmbeddingScheme) -> FaceReport:
-    """Trace the faces, and decide connectivity and orientability by vertex parity.
+def scheme_ids(sch: EmbeddingScheme) -> IdScheme:
+    """The dict front end: check a scheme against its Levi graph, map it to ids.
 
-    One pass maps every rotation entry to its integer Levi edge id
-    (`levi_edges`) and places it among the flags: every edge contributes
-    four (two ends, two sides).  Two pairings act on them: the corner
-    pairing (consecutive edge-ends around a vertex) and the band pairing
-    (sides matched across an edge, crossed when the signature is negative).
-    Faces are the orbits under corner and band; a face of length L is an
-    orbit of 2L flags.
-
-    The embedding is orientable iff its signature switches to all-positive,
-    i.e. iff some vertex parity has par[x] xor par[y] = [sign < 0] on every
-    edge xy.  One search from the first vertex forces that parity along the
-    edges and finds any edge that breaks it; the graph is connected iff the
-    search reaches every vertex.
-
-    Raises Disconnected for an unreachable part of the graph, including a
-    vertex without edges, and GraphMismatch when a rotation misses, repeats
-    or adds an edge of the graph or an edge has no signature.
+    Raises GraphMismatch when a vertex has no rotation, a rotation lists an
+    edge that is not at its vertex, some edge is missing from or repeated in
+    the rotations, or an edge has no signature of +1 or -1; Disconnected
+    for a vertex without edges.
     """
     graph = sch.graph
     table = levi_edges(graph.n, graph.m)
-    count = len(table.edges)
-    # Flag id: b + 2*p + s for the side s of the edge at position p in the
-    # rotation at a vertex whose flags start at b.  Side 1 touches the
-    # corner toward position p+1.  ends[2k] and ends[2k+1] hold b + 2*p for
-    # the X and Y end of edge id k.
-    ends = [-1] * (2 * count)
-    adjacent: list[list[int]] = []
-    partner_corner: list[int] = []
-    for at in _rotation_ends(sch, table):
-        b, deg = len(partner_corner), len(at)
-        for p, end in enumerate(at):
-            ends[end] = b + 2 * p
-            partner_corner += (b + 2 * ((p - 1) % deg) + 1, b + 2 * ((p + 1) % deg))
-        adjacent.append(at)
-    total = len(partner_corner)
-    if total != 4 * count or -1 in ends:
-        raise GraphMismatch("a rotation misses or repeats an edge of the graph")
+    ids, x_end, count = table.ids, table.x_end, len(table.x_end)
+    x_rotations = []
+    for x in graph.x_vertices:
+        at = [ids.get(e) for e in _rotation(sch, x)]
+        if None in at or [x_end[k] for k in at].count(x) != len(at):
+            raise GraphMismatch(f"the rotation at vertex {x} lists an edge not at {x}")
+        x_rotations.append(at)
+    y_rotations = []
+    for yi, y in enumerate(graph.y_vertices):
+        at = [ids.get(e) for e in _rotation(sch, y)]
+        if None in at or [k // 3 for k in at].count(yi) != len(at):
+            raise GraphMismatch(f"the rotation at vertex {y} lists an edge not at {y}")
+        y_rotations.append(at)
+    # Every entry is at its own vertex, so the rotations of one side list
+    # each edge once iff they hold `count` entries, all distinct.
+    for side in (x_rotations, y_rotations):
+        if sum(map(len, side)) != count or len(set(chain.from_iterable(side))) != count:
+            raise GraphMismatch("a rotation misses or repeats an edge of the graph")
 
     signs = [sch.signature.get(e) for e in table.edges]
-    if None in signs:
-        raise GraphMismatch(f"edge {table.edges[signs.index(None)]} has no signature")
-    negative = bytearray(count)
-    partner_band = [0] * total
-    for k, sign in enumerate(signs):
-        fx, fy = ends[2 * k], ends[2 * k + 1]
-        if sign == 1:
-            partner_band[fx + 1], partner_band[fy] = fy, fx + 1
-            partner_band[fx], partner_band[fy + 1] = fy + 1, fx
-        else:
-            negative[k] = 1
-            partner_band[fx + 1], partner_band[fy + 1] = fy + 1, fx + 1
-            partner_band[fx], partner_band[fy] = fy, fx
-
-    # Vertex index: x - 1 for an X vertex, n + y for the Y vertex at index y.
-    n, x_end = graph.n, table.x_end
-    parity = bytearray(b"\x02") * len(adjacent)  # 2: not reached yet
-    parity[0] = 0
-    reached = 1
-    orientable = True
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        pv = parity[v]
-        for end in adjacent[v]:
-            k = end >> 1
-            w = x_end[k] - 1 if end & 1 else n + k // 3
-            want = pv ^ negative[k]
-            if parity[w] == 2:
-                parity[w] = want
-                reached += 1
-                stack.append(w)
-            elif parity[w] != want:
-                orientable = False
-    if reached != len(adjacent):
-        raise Disconnected(
-            f"only {reached} of {len(adjacent)} vertices are reachable from the first"
+    if signs.count(1) + signs.count(-1) != count:
+        k = next(k for k, sign in enumerate(signs) if sign != 1 and sign != -1)
+        raise GraphMismatch(
+            f"edge {table.edges[k]} has no signature of +1 or -1 (got {signs[k]!r})"
         )
+    negative = bytearray([sign == -1 for sign in signs])
+    return IdScheme(table, x_rotations, y_rotations, negative)
+
+
+# Band pairing of the flags of edge k, as the xor that takes a flag to its
+# partner, indexed by negative[k]: X side s meets Y side 1 - s on a positive
+# edge (f ^ 3) and Y side s on a negative one (f ^ 2).
+_BAND = bytes.maketrans(b"\x00\x01", b"\x03\x02")
+
+
+def trace_ids(sch: IdScheme) -> FaceReport:
+    """Trace the faces of an id scheme; decide orientability by vertex parity.
+
+    This is the one tracing core; `trace_faces` feeds it a dict scheme and
+    `verify_family` a family.  Every edge k has four flags, 4k + 2*end +
+    side, for its X end (end 0) and its Y end (end 1), each with two sides;
+    side 1 touches the corner toward the next edge of the rotation.  Two
+    pairings act on them: the corner pairing (consecutive edge-ends around
+    a vertex), the only one filled from the rotations, and the band pairing
+    (sides matched across an edge, crossed when the signature is negative),
+    which is f ^ 3 on a positive edge and f ^ 2 on a negative one.  Faces
+    are the orbits under corner and band; a face of length L is an orbit of
+    2L flags.
+
+    The embedding is orientable iff its signature switches to all-positive,
+    i.e. iff some vertex parity has par[x] xor par[y] = [sign < 0] on every
+    edge xy.  The rotations hold every edge of the Levi graph once at each
+    end, so the graph is the (connected) Levi graph itself: fixing X vertex
+    1 forces the parity of every X vertex through the Y vertices {1, 2, x},
+    and then that of every Y vertex through each of its three edges.
+    """
+    table = sch.table
+    graph, x_end, count = table.graph, table.x_end, len(table.x_end)
+    total = 4 * count
+    corner = [0] * total
+    y_rotations = sch.y_rotations
+    if y_rotations is None:
+        # Slot s of the Y vertex y is edge 3y + s, whose Y flags are
+        # 12y + 4s + 2 + side.
+        for s in range(3):
+            after, next_before = 4 * s + 3, 4 * ((s + 1) % 3) + 2
+            corner[after::12] = range(next_before, total, 12)
+            corner[next_before::12] = range(after, total, 12)
+    # Side 1 of each rotation entry meets side 0 of the next, cyclically.
+    for rotations, end in ((sch.x_rotations, 0), (y_rotations or (), 2)):
+        for rot in rotations:
+            prev = 4 * rot[-1] + end + 1
+            for k in rot:
+                f = 4 * k + end
+                corner[prev] = f
+                corner[f] = prev
+                prev = f + 1
+
+    # Switch X vertex 1 to parity 0; the Y vertex {1, 2, x} (copy 0) then
+    # forces the parity of x.  Each edge forces a parity on its Y end, and
+    # the signature switches to all-positive iff the three edges of every Y
+    # vertex force the same one.
+    negative, first_ids = sch.negative, table.first_ids
+    px = [0] * (graph.n + 1)
+    for x in range(2, graph.n + 1):
+        k = first_ids[0b110 | 1 << max(x, 3)]
+        px[x] = negative[k] ^ negative[k + 1 if x == 2 else k + 2]
+    forced = bytes(map(xor, map(px.__getitem__, x_end), negative))
+    orientable = forced[0::3] == forced[1::3] == forced[2::3]
 
     # Corner and band are fixed-point-free involutions, so each orbit is a
-    # cycle that alternates them.
+    # cycle that alternates them.  Its corners alternate between X and Y
+    # vertices, so the walk takes them in pairs and starts only at X flags:
+    # the Y flags count as seen from the outset.
+    band = negative.translate(_BAND)
     lengths = []
-    seen = bytearray(total)
-    for start in range(total):
-        if seen[start]:
-            continue
+    seen = bytearray(b"\0\0\1\1") * count
+    start = seen.find(0)
+    while start != -1:
         size = 0
         f = start
         while True:
-            g = partner_corner[f]
+            g = corner[f]
             seen[f] = seen[g] = 1
-            size += 1
-            f = partner_band[g]
+            f = corner[g ^ band[g >> 2]]
+            f ^= band[f >> 2]
+            size += 2
             if f == start:
                 break
         lengths.append(size)
+        start = seen.find(0, start)
 
-    v_count = sch.graph.vertex_count
-    e_count = sch.graph.edge_count
     f_count = len(lengths)
-    genus = 2 - (v_count - e_count + f_count)
+    genus = 2 - (graph.vertex_count - graph.edge_count + f_count)
     return FaceReport(
         face_count=f_count,
         face_lengths=tuple(sorted(lengths)),
@@ -218,10 +248,22 @@ def trace_faces(sch: EmbeddingScheme) -> FaceReport:
     )
 
 
+def trace_faces(sch: EmbeddingScheme) -> FaceReport:
+    """Trace the faces of a dict scheme and decide its orientability.
+
+    The dict front end `scheme_ids` checks the scheme and maps it to edge
+    ids; the core `trace_ids` walks the faces over edge-keyed flags.  Raises
+    Disconnected for a vertex without edges, and GraphMismatch when a
+    rotation is missing or misses, repeats or adds an edge of the graph, or
+    an edge has no signature of +1 or -1.
+    """
+    return trace_ids(scheme_ids(sch))
+
+
 def is_orientable(sch: EmbeddingScheme) -> bool:
     """True iff the signature is switching-equivalent to all-positive.
 
-    Decided by the vertex parity search of `trace_faces`.
+    Decided by the forced vertex parity of `trace_faces`.
     """
     return trace_faces(sch).orientable
 
@@ -254,29 +296,45 @@ def _labels_consistent(c: Circuit, labels: tuple[int, ...]) -> bool:
     return True
 
 
-def _build_scheme(s: EmbeddingSet, labelled: list[tuple[int, ...]]) -> EmbeddingScheme:
+def _family_ids(s: EmbeddingSet, labelled: list[tuple[int, ...]]) -> IdScheme:
+    """The family front end: the ids of the scheme a valid family encodes.
+
+    Circuit i, with its copy labels, gives the rotation at vertex i; every
+    Y rotation is the sorted order of its triple.
+    """
     table = levi_edges(s.n, s.m)
-    edges, first_ids = table.edges, table.first_ids
-    rotation: dict[Vertex, tuple[Edge, ...]] = {}
-    signature: dict[Edge, int] = {}
-
-    for k, y in enumerate(table.graph.y_vertices):
-        rotation[y] = edges[3 * k : 3 * k + 3]
-
-    for i in range(1, s.n + 1):
-        c = s.circuit(i)
-        labels = labelled[i - 1]
+    first_ids = table.first_ids
+    bit = [1 << v for v in range(s.n + 1)]
+    negative = bytearray(len(table.x_end))
+    x_rotations = []
+    for i, c, labels in zip(range(1, s.n + 1), s.circuits, labelled):
+        seq, bit_i = c.seq, bit[i]
         rot = []
-        for p, (u, v) in enumerate(c.steps()):
+        for u, v, copy in zip(seq, seq[1:] + seq[:1], labels):
             # i sits at slot (i > u) + (i > v) of the sorted triple.
-            e = edges[first_ids[tuple(sorted((i, u, v)))] + 3 * labels[p] + (i > u) + (i > v)]
-            rot.append(e)
+            k = first_ids[bit_i | bit[u] | bit[v]] + 3 * copy + (i > u) + (i > v)
+            rot.append(k)
             # Positive signature iff the traversal runs u -> v where (u, v)
             # follows i cyclically in the sorted triple, i.e. iff exactly one
             # of i > u, u > v, v > i holds.
-            signature[e] = 1 if (i > u) + (u > v) + (v > i) == 1 else -1
-        rotation[i] = tuple(rot)
-    return EmbeddingScheme(graph=table.graph, rotation=rotation, signature=signature)
+            negative[k] = (i > u) + (u > v) + (v > i) != 1
+        x_rotations.append(rot)
+    return IdScheme(table, x_rotations, None, negative)
+
+
+def _family_view(ids: IdScheme) -> EmbeddingScheme:
+    """The dict view of a family's ids: Y rotations, then X rotations, and
+    the signature in the order the circuits traverse the edges."""
+    edges, graph, negative = ids.table.edges, ids.table.graph, ids.negative
+    rotation: dict[Vertex, tuple[Edge, ...]] = {
+        y: edges[3 * k : 3 * k + 3] for k, y in enumerate(graph.y_vertices)
+    }
+    for x, rot in zip(graph.x_vertices, ids.x_rotations):
+        rotation[x] = tuple([edges[k] for k in rot])
+    signature = {
+        edges[k]: -1 if negative[k] else 1 for rot in ids.x_rotations for k in rot
+    }
+    return EmbeddingScheme(graph=graph, rotation=rotation, signature=signature)
 
 
 # Copy labellings the search for missing labels may try.
@@ -312,8 +370,7 @@ def _resolve_labels_by_search(s: EmbeddingSet) -> list[tuple[int, ...]]:
             for r, p in enumerate(positions):
                 labelled[i - 1][p] = perm[r]
         candidate = [tuple(lab) for lab in labelled]
-        sch = _build_scheme(s, candidate)
-        if trace_faces(sch).all_quadrilateral:
+        if trace_ids(_family_ids(s, candidate)).all_quadrilateral:
             return candidate
     raise CopyResolutionError(
         "no copy labelling yields an all-quadrilateral scheme"
@@ -377,7 +434,7 @@ def set_to_scheme(s: EmbeddingSet) -> EmbeddingScheme:
     `LABEL_SEARCH_BUDGET` labellings, validated through face tracing.
     """
     _require_valid(s)
-    return _build_scheme(s, _copy_labels(s))
+    return _family_view(_family_ids(s, _copy_labels(s)))
 
 
 @dataclass(frozen=True)
@@ -385,16 +442,21 @@ class FamilyReport:
     """Everything that certifies a family as a minimum-genus embedding.
 
     `compatible` is None when `eulerian` fails and `strong` is None when
-    `compatible` fails; the scheme, its faces and the Euler genus they must
-    reach (the lower bound) are present exactly when the family is compatible.
+    `compatible` fails; the scheme's ids, its faces and the Euler genus they
+    must reach (the lower bound) are present exactly when the family is
+    compatible.  The dict view `scheme` is built when it is first read.
     """
 
     eulerian: ValidationReport
     compatible: ValidationReport | None
     strong: ValidationReport | None
-    scheme: EmbeddingScheme | None
+    ids: IdScheme | None
     faces: FaceReport | None
     expected_genus: int | None
+
+    @cached_property
+    def scheme(self) -> EmbeddingScheme | None:
+        return None if self.ids is None else _family_view(self.ids)
 
     def is_minimum(self, orientable: bool) -> bool:
         """A minimum-genus embedding of the requested orientability: compatible
@@ -411,14 +473,14 @@ class FamilyReport:
 
 
 def verify_family(s: EmbeddingSet) -> FamilyReport:
-    """Check a family once and, when it is compatible, build and trace its scheme."""
+    """Check a family once and, when it is compatible, trace its scheme's ids."""
     eulerian, compatible, strong = check_family(s)
-    scheme = faces = expected_genus = None
+    ids = faces = expected_genus = None
     if compatible:
-        scheme = _build_scheme(s, _copy_labels(s))
-        faces = trace_faces(scheme)
+        ids = _family_ids(s, _copy_labels(s))
+        faces = trace_ids(ids)
         expected_genus = euler_genus_lower_bound(HypergraphSpec(s.n, s.m))
-    return FamilyReport(eulerian, compatible, strong, scheme, faces, expected_genus)
+    return FamilyReport(eulerian, compatible, strong, ids, faces, expected_genus)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +587,8 @@ def schemes_equivalent(a: EmbeddingScheme, b: EmbeddingScheme) -> bool:
     becomes that of b up to rotation.  The cost is linear in the graph.
 
     Raises GraphMismatch when the graphs differ, or when a vertex the search
-    reaches has no rotation or an edge it crosses has no signature.
+    reaches has no rotation or an edge it crosses has no signature of +1 or
+    -1 in either scheme.
     """
     if a.graph != b.graph:
         raise GraphMismatch("schemes are defined on different labelled graphs")
@@ -550,8 +613,11 @@ def schemes_equivalent(a: EmbeddingScheme, b: EmbeddingScheme) -> bool:
             for e in ra:
                 w = e[other]
                 sa, sb = a.signature.get(e), b.signature.get(e)
-                if sa is None or sb is None:
-                    raise GraphMismatch(f"edge {e} has no signature")
+                if sa not in (1, -1) or sb not in (1, -1):
+                    raise GraphMismatch(
+                        f"edge {e} has no signature of +1 or -1 in both schemes "
+                        f"(got {sa!r} and {sb!r})"
+                    )
                 q = p ^ (sa != sb)
                 if w not in parity:
                     parity[w] = q

@@ -231,6 +231,17 @@ def test_genus_rejects_bad_sig_line(tmp_path, capsys, extra):
     assert f"line {len(text.splitlines()) + 1}" in err
 
 
+def test_genus_refuses_order_below_4(tmp_path, capsys):
+    path = tmp_path / "k3.kn3scheme"
+    path.write_text(
+        "# kn3-scheme v1\nrot 1: e{1,2,3}\nrot 2: e{1,2,3}\nrot 3: e{1,2,3}\n"
+        "rot e{1,2,3}: 1 2 3\nsig 1 e{1,2,3}: +1\nsig 2 e{1,2,3}: +1\nsig 3 e{1,2,3}: +1\n"
+    )
+    code, _, err = run(capsys, "genus", str(path))
+    assert code == 2
+    assert "n >= 4" in err
+
+
 @pytest.mark.parametrize("meta", ["n=6 m=0 orientable=1", "n=2 m=1 orientable=1"])
 def test_verify_rejects_degenerate_order_or_multiplicity(tmp_path, capsys, meta):
     lines = fileio.format_set(fixture_set("strong_6")).splitlines()

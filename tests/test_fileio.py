@@ -1,7 +1,9 @@
 import pytest
 
 from kn3genus import (
+    EmbeddingScheme,
     FormatError,
+    GraphMismatch,
     build_even,
     build_multi,
     format_census,
@@ -101,6 +103,25 @@ def test_parse_scheme_rejects_second_rot_line(strong6):
     with pytest.raises(FormatError) as err:
         parse_scheme(text + f"{head}: {' '.join(reversed(body.split()))}\n")
     assert "second rot line" in str(err.value)
+
+
+def test_format_scheme_refuses_a_scheme_off_its_graph(strong6):
+    sch = set_to_scheme(strong6)
+    rot = sch.rotation[1]
+    rotation = dict(sch.rotation)
+    del rotation[3]
+    signature = dict(sch.signature)
+    del signature[(1, ((1, 2, 3), 0))]
+    for broken in (
+        EmbeddingScheme(sch.graph, rotation, sch.signature),  # no rotation at 3
+        EmbeddingScheme(sch.graph, sch.rotation, signature),  # an edge without a sign
+        # A rotation that misses one edge and repeats another, and one that
+        # repeats an edge and misses none:
+        EmbeddingScheme(sch.graph, {**sch.rotation, 1: (rot[1],) + rot[1:]}, sch.signature),
+        EmbeddingScheme(sch.graph, {**sch.rotation, 1: rot + rot[:1]}, sch.signature),
+    ):
+        with pytest.raises(GraphMismatch):
+            format_scheme(broken)
 
 
 def test_census_round_trip():

@@ -5,6 +5,7 @@ import pytest
 from kn3genus import (
     Disconnected,
     EmbeddingScheme,
+    FormatError,
     GraphMismatch,
     HypergraphSpec,
     NotAnEmbeddingSet,
@@ -13,8 +14,10 @@ from kn3genus import (
     build_levi,
     build_multi,
     euler_genus_lower_bound,
+    format_scheme,
     is_embedding_set,
     is_orientable,
+    parse_scheme,
     scheme_to_set,
     schemes_equivalent,
     set_to_scheme,
@@ -351,15 +354,25 @@ def test_oracle_agrees_on_fixtures(planar4, strong6, nonorientable6, klein4x2):
 
 def test_trace_rejects_rotation_off_graph(strong6):
     sch = set_to_scheme(strong6)
-    rot = sch.rotation[1]
-    for bad in (
-        rot + ((1, ((4, 5, 6), 0)),),  # an edge that is not in the graph
-        rot[1:],  # a missing edge
-        (rot[1],) + rot[1:],  # a repeated edge in place of another
+    y = ((1, 2, 3), 0)
+    rot, ry = sch.rotation[1], sch.rotation[y]
+    for v, bad in (
+        (1, rot + ((1, ((4, 5, 6), 0)),)),  # an edge that is not in the graph
+        (1, rot[1:]),  # a missing edge
+        (1, (rot[1],) + rot[1:]),  # a repeated edge in place of another
+        (1, rot + rot[:1]),  # one edge repeated, none missing
+        (y, ry + ry[:1]),
     ):
-        broken = EmbeddingScheme(sch.graph, {**sch.rotation, 1: bad}, sch.signature)
+        broken = EmbeddingScheme(sch.graph, {**sch.rotation, v: bad}, sch.signature)
         with pytest.raises(GraphMismatch):
             trace_faces(broken)
+    # The same two rotations, one entry too long, in a scheme file.
+    text = format_scheme(sch)
+    for head in ("rot 1:", "rot e{1,2,3}:"):
+        line = next(line for line in text.splitlines() if line.startswith(head))
+        too_long = text.replace(line, f"{line} {line.split()[2]}")
+        with pytest.raises(FormatError):
+            parse_scheme(too_long)
 
 
 def test_schemes_equivalent_agrees_with_brute_force(planar4):
@@ -445,6 +458,56 @@ def test_trace_agrees_with_oracle_on_builds(n, m, orientable):
             report.euler_genus,
             report.orientable,
         )
+
+
+def exchange_copies(s, i):
+    """The family with the copy labels of the first parallel pair of circuit
+    i exchanged: still compatible, but no longer quadrilateral."""
+    c = s.circuit(i)
+    first = {}
+    for p, (u, v) in enumerate(c.steps()):
+        q = first.setdefault(frozenset((u, v)), p)
+        if q != p:
+            labels = list(c.copy_labels)
+            labels[p], labels[q] = labels[q], labels[p]
+            circuits = list(s.circuits)
+            circuits[i - 1] = Circuit(c.excluded, c.n, c.m, c.seq, tuple(labels))
+            return EmbeddingSet(s.n, s.m, tuple(circuits), s.strong)
+    raise ValueError(f"circuit {i} traverses no pair twice")
+
+
+@pytest.mark.parametrize("orientable", [True, False], ids=["orientable", "nonorientable"])
+@pytest.mark.parametrize("n,m", [(8, 1), (10, 1), (6, 2), (6, 3)])
+def test_verify_family_agrees_with_oracle(n, m, orientable):
+    s = build_multi(n, m, orientable=orientable, seed=1)
+    families = [s] if m == 1 else [s, exchange_copies(s, 1)]
+    for family in families:
+        report = verify_family(family)
+        faces = report.faces
+        assert naive_face_trace(set_to_scheme(family)) == (
+            faces.face_count,
+            faces.face_lengths,
+            faces.euler_genus,
+            faces.orientable,
+        )
+        assert report.is_minimum(orientable) is (family is s)
+        assert faces.all_quadrilateral is (family is s)
+
+
+def test_trace_and_equivalence_reject_signs_other_than_one(strong6):
+    sch = set_to_scheme(strong6)
+    e = (1, ((1, 2, 3), 0))
+    for signature in (
+        {f: 0 if sign == -1 else "yes" for f, sign in sch.signature.items()},
+        {**sch.signature, e: 0},
+        {**sch.signature, e: None},
+    ):
+        broken = EmbeddingScheme(sch.graph, sch.rotation, signature)
+        with pytest.raises(GraphMismatch):
+            trace_faces(broken)
+        for a, b in ((broken, broken), (broken, sch), (sch, broken)):
+            with pytest.raises(GraphMismatch):
+                schemes_equivalent(a, b)
 
 
 def test_trace_rejects_edges_at_the_wrong_vertex(strong6):
