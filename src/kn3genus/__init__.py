@@ -81,7 +81,6 @@ from .scheme import (
     schemes_equivalent,
     set_to_scheme,
     trace_faces,
-    with_copy_labels,
 )
 
 __version__ = "0.1.0"

@@ -26,7 +26,6 @@ from .circuits import (
 )
 from .exceptions import NoCommonTransition, OddOrder, UnsupportedCase
 from .fileio import parse_set
-from .scheme import with_copy_labels
 
 _FIXTURES = {
     "planar_4": "planar_4.kn3set",
@@ -396,10 +395,16 @@ def build_multi(
         if m == 1:
             return build_even(n, orientable, seed=seed)
         layer = build_even(n, orientable, seed=seed)
-        current = with_copy_labels(layer)
+        # The one copy of a single-multiplicity family is copy 0.
+        current = EmbeddingSet(
+            n,
+            1,
+            tuple(Circuit(c.excluded, n, 1, c.seq, (0,) * len(c.seq)) for c in layer.circuits),
+            layer.strong,
+        )
     else:
         layer = build_even(4, orientable=True, seed=seed)
-        current = with_copy_labels(base_set("multi_nonorientable_4"))
+        current = base_set("multi_nonorientable_4")
     while current.m < m:
         current = _splice_layer(current, layer, rng)
     return current

@@ -67,10 +67,10 @@ def _least_written(seq: tuple[int, ...]) -> tuple[int, ...]:
 class Circuit:
     """Cyclic closed trail in the m-fold complete graph on [n] minus one vertex.
 
-    `copy_labels`, when present, assigns each traversed edge (position p
-    covers the pair seq[p], seq[p+1]) to one of the m parallel copies; the
-    builders fill it in so that multi-edge schemes can be reconstructed
-    without search.  It is ignored for m=1.
+    `copy_labels` assigns each traversed edge (position p covers the pair
+    seq[p], seq[p+1]) to one of the m parallel copies.  For m > 1 it is data
+    that every circuit must carry: the builders fill it in and family files
+    hold it as `L` lines.  It is ignored for m=1.
     """
 
     excluded: int
@@ -255,16 +255,6 @@ def is_strongly_compatible(t_i: Circuit, t_j: Circuit) -> bool:
     )
 
 
-def _strong_failure(t_i: Circuit, t_j: Circuit) -> Transition | None:
-    """A transition of T_i whose reversed form is under-represented in T_j."""
-    mine = _ordered_outer_counts(t_i, t_j.excluded)
-    theirs = _ordered_outer_counts(t_j, t_i.excluded)
-    for t in transitions_through(t_i, t_j.excluded):
-        if theirs[(t.b, t.a)] != mine[(t.a, t.b)]:
-            return t
-    return None
-
-
 def _circuit_failures(s: EmbeddingSet, not_eulerian: str) -> list[str]:
     """Circuits out of place, of another ambient, or not Eulerian (the last
     read "circuit <i><not_eulerian><first violation>")."""
@@ -321,9 +311,12 @@ def _pair_failures(s: EmbeddingSet) -> tuple[str, str]:
     i, j = min(mismatched)[0]
     if (i, j) == first:
         return weak_failure, weak_failure
-    t = _strong_failure(s.circuit(i), s.circuit(j))
-    where = f" at transition ({t.a},{t.mid},{t.b})" if t else ""
-    return weak_failure, f"pair ({i},{j}) not strongly compatible{where}"
+    # The keys of T_i enter the index in its scan order, so the first
+    # mismatched key (i, j, a, b) is its first transition through j whose
+    # reversed form T_j lacks.  One exists: T_i passes j as often as T_j
+    # passes i, so if every key of T_i matched, so would every key of T_j.
+    a, b = next((a, b) for _, ki, kj, a, b, _ in mismatched if ki == i and kj == j)
+    return weak_failure, f"pair ({i},{j}) not strongly compatible at transition ({a},{j},{b})"
 
 
 def _report(failure: str) -> ValidationReport:

@@ -1,9 +1,10 @@
 """Versioned text formats for circuit families, schemes, and census files.
 
 Families: header line, a metadata line, then one `T <i>: ...` line per
-circuit.  For multiplicity m > 1 the writer adds optional `L <i>: ...`
-lines carrying the parallel-copy label of each traversed edge; files
-without them are still readable (copy assignment falls back to search).
+circuit.  For multiplicity m > 1 one `L <i>: ...` line per circuit follows,
+carrying the parallel-copy label of each traversed edge.  These labels are
+data: the writer refuses a family without them and the reader a file
+without them, since nothing else tells the parallel copies apart.
 
 Schemes: header line, `rot <vertex>: ...` lines giving each cyclic edge
 order, then `sig <x> <y>: +1|-1` lines.  Edge-side vertices are written
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .circuits import Circuit, EmbeddingSet
-from .exceptions import FormatError
+from .exceptions import CopyResolutionError, FormatError
 from .levi import YVertex, levi_edges
 from .scheme import EmbeddingScheme, IdScheme, scheme_ids
 
@@ -39,11 +40,17 @@ _Y_NAME = re.compile(r"^e\{(\d+(?:,\d+)*)\}(?:#(\d+))?$")
 
 
 def format_set(s: EmbeddingSet) -> str:
+    """The family file of a family; for m > 1 every circuit needs copy labels,
+    else CopyResolutionError names the first that has none."""
     lines = [SET_HEADER, f"n={s.n} m={s.m} orientable={1 if s.strong else 0}"]
     for c in s.circuits:
         lines.append(f"T {c.excluded}: " + " ".join(str(v) for v in c.seq))
-    if s.m > 1 and all(c.copy_labels is not None for c in s.circuits):
+    if s.m > 1:
         for c in s.circuits:
+            if c.copy_labels is None:
+                raise CopyResolutionError(
+                    f"circuit {c.excluded}: no copy labels, which m={s.m} requires"
+                )
             lines.append(f"L {c.excluded}: " + " ".join(str(v) for v in c.copy_labels))
     return "\n".join(lines) + "\n"
 
@@ -99,6 +106,8 @@ def parse_set(text: str) -> EmbeddingSet:
 
     if sorted(seqs) != list(range(1, n + 1)):
         raise FormatError(f"expected T lines for 1..{n}, got {sorted(seqs)}")
+    if m > 1 and not labels:
+        raise FormatError(f"m={m} needs L lines, the copy label of every traversed edge", 2)
     if labels and sorted(labels) != list(range(1, n + 1)):
         raise FormatError("L lines must cover all circuits or none")
     circuits = []

@@ -30,7 +30,7 @@ certifies it, through its scheme, as a minimum-genus embedding or not.
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, permutations, product
+from itertools import chain
 from operator import xor
 
 from .circuits import (
@@ -272,28 +272,19 @@ def is_orientable(sch: EmbeddingScheme) -> bool:
 # circuits -> scheme
 
 
-def _traversal_positions(c: Circuit) -> dict[tuple[int, int], list[int]]:
-    """Positions of each unordered traversed pair, in scan order."""
-    out: dict[tuple[int, int], list[int]] = {}
-    for p, (u, v) in enumerate(c.steps()):
-        key = (u, v) if u <= v else (v, u)
-        out.setdefault(key, []).append(p)
-    return out
+def _labels_consistent(c: Circuit) -> bool:
+    """Whether the copy labels of an Eulerian circuit, which traverses every
+    pair m times, give the m traversals of each pair the copies 0..m-1.
 
-
-def _scan_order_labels(c: Circuit) -> tuple[int, ...]:
-    labels = [0] * len(c.seq)
-    for positions in _traversal_positions(c).values():
-        for r, p in enumerate(positions):
-            labels[p] = r
-    return tuple(labels)
-
-
-def _labels_consistent(c: Circuit, labels: tuple[int, ...]) -> bool:
-    for positions in _traversal_positions(c).values():
-        if sorted(labels[p] for p in positions) != list(range(c.m)):
-            return False
-    return True
+    That holds iff there is one label per traversal, every label is a copy,
+    and no pair takes one label twice.
+    """
+    seq, labels = c.seq, c.copy_labels
+    copies = {
+        (u, v, a) if u < v else (v, u, a)
+        for u, v, a in zip(seq, seq[1:] + seq[:1], labels)
+    }
+    return len(labels) == len(copies) == len(seq) and set(labels) <= set(range(c.m))
 
 
 def _family_ids(s: EmbeddingSet, labelled: list[tuple[int, ...]]) -> IdScheme:
@@ -337,87 +328,26 @@ def _family_view(ids: IdScheme) -> EmbeddingScheme:
     return EmbeddingScheme(graph=graph, rotation=rotation, signature=signature)
 
 
-# Copy labellings the search for missing labels may try.
-LABEL_SEARCH_BUDGET = 50_000
-
-
-def _resolve_labels_by_search(s: EmbeddingSet) -> list[tuple[int, ...]]:
-    """Find copy labels yielding a quadrilateral scheme by bounded search.
-
-    The circuit of the smallest element of each triple keeps scan-order
-    labels; the other two circuits try every per-pair relabelling.  Intended
-    for small label-less inputs (files); builder output carries labels.
-    """
-    scan = [_scan_order_labels(c) for c in s.circuits]
-    # Free slots: for each circuit i and pair {u,v} with i not minimal in
-    # the triple {i,u,v}, the m positions may take any permutation of 0..m-1.
-    slots: list[tuple[int, list[int]]] = []
-    for i in range(1, s.n + 1):
-        for (u, v), positions in _traversal_positions(s.circuit(i)).items():
-            if min(u, v) < i:
-                slots.append((i, positions))
-    perms = list(permutations(range(s.m)))
-    space = len(perms) ** len(slots)
-    if space > LABEL_SEARCH_BUDGET:
-        raise CopyResolutionError(
-            f"no copy labels given and the search space ({space} candidates) "
-            f"exceeds the budget ({LABEL_SEARCH_BUDGET}); rebuild the family "
-            "with the builders, which record copy labels"
-        )
-    for assignment in product(perms, repeat=len(slots)):
-        labelled = [list(lab) for lab in scan]
-        for (i, positions), perm in zip(slots, assignment):
-            for r, p in enumerate(positions):
-                labelled[i - 1][p] = perm[r]
-        candidate = [tuple(lab) for lab in labelled]
-        if trace_ids(_family_ids(s, candidate)).all_quadrilateral:
-            return candidate
-    raise CopyResolutionError(
-        "no copy labelling yields an all-quadrilateral scheme"
-    )
-
-
 def _copy_labels(s: EmbeddingSet) -> list[tuple[int, ...]]:
-    """Copy labels of every circuit of a valid family.
+    """Copy labels of every circuit of an Eulerian family.
 
-    All zeros for m = 1; otherwise the circuits' own labels, checked, when
-    every circuit has them, and else the labels found by the bounded search.
+    All zeros for m = 1; otherwise the circuits' own labels, checked.  They
+    are data: raises CopyResolutionError naming the first circuit that has
+    none, or whose labels do not tell the parallel copies apart.
     """
     if s.m == 1:
         return [(0,) * len(c.seq) for c in s.circuits]
-    if all(c.copy_labels is not None for c in s.circuits):
-        for c in s.circuits:
-            if not _labels_consistent(c, c.copy_labels):
-                raise CopyResolutionError(
-                    f"circuit {c.excluded}: copy labels are not a permutation "
-                    "of 0..m-1 on some parallel pair"
-                )
-        return [c.copy_labels for c in s.circuits]
-    return _resolve_labels_by_search(s)
-
-
-def _require_valid(s: EmbeddingSet) -> None:
-    report = is_embedding_set(s, require_strong=False)
-    if not report:
-        raise NotAnEmbeddingSet(report.first())
-
-
-def with_copy_labels(s: EmbeddingSet) -> EmbeddingSet:
-    """The same family with parallel-copy labels attached to every circuit.
-
-    No-op when labels are already present; all zeros for m = 1; for
-    label-less multi-edge families the assignment is found by the bounded
-    search and is face-consistent by construction.
-    """
-    if all(c.copy_labels is not None for c in s.circuits):
-        return s
-    if s.m > 1:
-        _require_valid(s)
-    circuits = tuple(
-        Circuit(c.excluded, c.n, c.m, c.seq, lab)
-        for c, lab in zip(s.circuits, _copy_labels(s))
-    )
-    return EmbeddingSet(s.n, s.m, circuits, s.strong)
+    for c in s.circuits:
+        if c.copy_labels is None:
+            raise CopyResolutionError(
+                f"circuit {c.excluded}: no copy labels, which m={s.m} requires"
+            )
+        if not _labels_consistent(c):
+            raise CopyResolutionError(
+                f"circuit {c.excluded}: copy labels are not a permutation "
+                "of 0..m-1 on some parallel pair"
+            )
+    return [c.copy_labels for c in s.circuits]
 
 
 def set_to_scheme(s: EmbeddingSet) -> EmbeddingScheme:
@@ -430,10 +360,12 @@ def set_to_scheme(s: EmbeddingSet) -> EmbeddingScheme:
     of the sorted triple.
 
     For m > 1 the parallel copies are told apart by the circuits' copy
-    labels when present, otherwise by a search of at most
-    `LABEL_SEARCH_BUDGET` labellings, validated through face tracing.
+    labels, which every circuit must carry.  Raises NotAnEmbeddingSet for an
+    invalid family and CopyResolutionError for missing or bad labels.
     """
-    _require_valid(s)
+    report = is_embedding_set(s, require_strong=False)
+    if not report:
+        raise NotAnEmbeddingSet(report.first())
     return _family_view(_family_ids(s, _copy_labels(s)))
 
 

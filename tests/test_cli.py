@@ -125,6 +125,22 @@ def test_verify_corrupted_file(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("--n", "4", "--multiplicity", "2", "--nonorientable"), ("--n", "6", "--multiplicity", "2")],
+    ids=["4x2-nonorientable", "6x2-orientable"],
+)
+def test_verify_refuses_multi_build_without_label_lines(tmp_path, capsys, argv):
+    path = tmp_path / "multi.kn3set"
+    code, _, _ = run(capsys, "build", *argv, "--out", str(path))
+    assert code == 0
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(l for l in lines if not l.startswith("L ")))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert err == "error: line 2: m=2 needs L lines, the copy label of every traversed edge\n"
+
+
 def test_verify_missing_file(capsys):
     code, _, err = run(capsys, "verify", "/does/not/exist.kn3set")
     assert code == 2

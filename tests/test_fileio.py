@@ -1,11 +1,17 @@
+from importlib import resources
+
 import pytest
 
 from kn3genus import (
+    Circuit,
+    CopyResolutionError,
     EmbeddingScheme,
+    EmbeddingSet,
     FormatError,
     GraphMismatch,
     build_even,
     build_multi,
+    fixture_set,
     format_census,
     format_scheme,
     format_set,
@@ -35,6 +41,31 @@ def test_set_round_trip_with_labels():
 
 def test_set_format_m1_has_no_label_lines(strong6):
     assert "L " not in format_set(strong6)
+
+
+@pytest.mark.parametrize("name", ["planar_4", "strong_6", "nonorientable_6", "klein_4x2"])
+def test_fixture_files_are_writer_canonical(name):
+    text = resources.files("kn3genus.data").joinpath(f"{name}.kn3set").read_text()
+    assert format_set(fixture_set(name)) == text
+
+
+def test_parse_set_refuses_multi_family_without_label_lines(klein4x2):
+    text = format_set(klein4x2)
+    stripped = "".join(l for l in text.splitlines(keepends=True) if not l.startswith("L "))
+    with pytest.raises(FormatError) as err:
+        parse_set(stripped)
+    assert err.value.line == 2
+    assert str(err.value) == "line 2: m=2 needs L lines, the copy label of every traversed edge"
+
+
+def test_format_set_refuses_multi_family_without_labels(klein4x2):
+    circuits = list(klein4x2.circuits)
+    c = circuits[2]
+    circuits[2] = Circuit(c.excluded, c.n, c.m, c.seq)
+    unlabelled = EmbeddingSet(klein4x2.n, klein4x2.m, tuple(circuits), klein4x2.strong)
+    with pytest.raises(CopyResolutionError) as err:
+        format_set(unlabelled)
+    assert str(err.value) == "circuit 3: no copy labels, which m=2 requires"
 
 
 def test_parse_set_rejects_unknown_version():

@@ -22,7 +22,6 @@ from kn3genus import (
     schemes_equivalent,
     set_to_scheme,
     trace_faces,
-    with_copy_labels,
 )
 from kn3genus.circuits import Circuit, EmbeddingSet, canonical_set_key
 from kn3genus.scheme import verify_family
@@ -266,7 +265,10 @@ def test_trace_rejects_disconnected(planar4):
         trace_faces(EmbeddingScheme(Stub, rotation, sch.signature))
 
 
-def test_copy_resolution_budget_error():
+@pytest.mark.parametrize(
+    "refuse", [set_to_scheme, verify_family], ids=["set_to_scheme", "verify_family"]
+)
+def test_copy_resolution_requires_labels(refuse):
     from kn3genus import Circuit, CopyResolutionError
 
     s = build_multi(6, 2, orientable=True)
@@ -277,15 +279,32 @@ def test_copy_resolution_budget_error():
         s.strong,
     )
     with pytest.raises(CopyResolutionError) as err:
-        set_to_scheme(stripped)
-    assert "budget" in str(err.value)
+        refuse(stripped)
+    assert str(err.value) == "circuit 1: no copy labels, which m=2 requires"
 
 
-def test_with_copy_labels_resolves_klein(klein4x2):
-    labelled = with_copy_labels(klein4x2)
-    assert all(c.copy_labels is not None for c in labelled.circuits)
-    report = trace_faces(set_to_scheme(labelled))
-    assert report.all_quadrilateral and report.euler_genus == 2
+@pytest.mark.parametrize(
+    "labels",
+    [(0, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0), (0, 0, 1, 1, 0, 2)],
+    ids=["repeated", "short", "out-of-range"],
+)
+def test_copy_resolution_refuses_bad_labels(klein4x2, labels):
+    from kn3genus import CopyResolutionError
+
+    c = klein4x2.circuit(1)
+    circuits = (Circuit(1, c.n, c.m, c.seq, labels),) + klein4x2.circuits[1:]
+    with pytest.raises(CopyResolutionError) as err:
+        set_to_scheme(EmbeddingSet(klein4x2.n, klein4x2.m, circuits, klein4x2.strong))
+    assert str(err.value) == (
+        "circuit 1: copy labels are not a permutation of 0..m-1 on some parallel pair"
+    )
+
+
+def test_klein_fixture_labels_trace_klein_bottle(klein4x2):
+    assert all(c.copy_labels is not None for c in klein4x2.circuits)
+    report = trace_faces(set_to_scheme(klein4x2))
+    assert report.all_quadrilateral and report.face_count == 12
+    assert report.euler_genus == 2 and not report.orientable
 
 
 def test_verify_family_certifies_fixtures(planar4, strong6, nonorientable6, klein4x2):
