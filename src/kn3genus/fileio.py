@@ -11,12 +11,13 @@ order, then `sig <x> <y>: +1|-1` lines.  Edge-side vertices are written
 `e{i,j,k}` (plus `#c` when m > 1).  Schemes are read and written as Levi
 edge ids (`scheme.IdScheme`): `parse_scheme_ids` checks every line against
 the Levi graph and `format_scheme_ids` writes the ids back, so reading a
-written scheme reproduces it bit-exactly.  `parse_scheme` is the dict view
-of what `parse_scheme_ids` reads, and `format_scheme` checks a dict scheme
-through `scheme.scheme_ids` before writing it.  Names are written and read
-through one name table per (n, m), built on first use: a token that is not
-a canonical name (such as `e{1,2,3}#0` when m = 1) is parsed on its own,
-and a bad one is reported with its line.
+written scheme reproduces it bit-exactly.  `parse_scheme` returns the
+`EmbeddingScheme` those ids back, whose rotation and signature are
+read-only dict views, and `format_scheme` writes the ids of any scheme
+(`scheme.scheme_ids` checks a hand-built one first).  Names are written
+and read through one name table per (n, m), built on first use: a token
+that is not a canonical name (such as `e{1,2,3}#0` when m = 1) is parsed
+on its own, and a bad one is reported with its line.
 
 Census: header line, then per record a `record sha256=<hex>` digest line
 followed by the record's family in the format above.
@@ -26,6 +27,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from functools import cache
+from math import comb
 
 from .circuits import Circuit, EmbeddingSet
 from .exceptions import CopyResolutionError, FormatError
@@ -100,6 +102,9 @@ def parse_set(text: str) -> EmbeddingSet:
         except ValueError:
             raise FormatError(f"bad circuit line {line!r}", lineno) from None
         target = seqs if kind == "T" else labels
+        if kind == "L" and values and not 0 <= min(values) <= max(values) < m:
+            bad = next(v for v in values if not 0 <= v < m)
+            raise FormatError(f"L {idx}: copy label {bad} outside 0..{m - 1}", lineno)
         if idx in target:
             raise FormatError(f"duplicate {kind} line for {idx}", lineno)
         target[idx] = values
@@ -169,10 +174,7 @@ def format_scheme_ids(sch: IdScheme) -> str:
     lines = [SCHEME_HEADER]
     for x, rot in zip(graph.x_vertices, sch.x_rotations):
         lines.append(f"rot {x}: " + " ".join([y_names[k // 3] for k in rot]))
-    y_rotations = sch.y_rotations
-    if y_rotations is None:
-        y_rotations = [range(k, k + 3) for k in range(0, len(x_end), 3)]
-    for name, rot in zip(y_names, y_rotations):
+    for name, rot in zip(y_names, sch.y_lists()):
         lines.append(f"rot {name}: " + " ".join([str(x_end[k]) for k in rot]))
     for k, x in enumerate(x_end):
         lines.append(f"sig {x} {y_names[k // 3]}: {'-1' if negative[k] else '+1'}")
@@ -180,15 +182,16 @@ def format_scheme_ids(sch: IdScheme) -> str:
 
 
 def format_scheme(sch: EmbeddingScheme) -> str:
-    """The scheme file of a dict scheme, checked and mapped to ids first.
+    """The scheme file of a scheme, written from its ids.
 
-    Raises what `scheme_ids` raises for a scheme that does not fit its graph.
+    Raises what `scheme_ids` raises for a hand-built scheme that does not
+    fit its graph.
     """
     return format_scheme_ids(scheme_ids(sch))
 
 
-def _read_scheme(text: str) -> tuple[IdScheme, dict[int, list[int]]]:
-    """The ids of a scheme file, and the rotations by vertex index in file order."""
+def parse_scheme_ids(text: str) -> IdScheme:
+    """The id scheme of a scheme file; raises FormatError for a malformed one."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != SCHEME_HEADER:
         raise FormatError(f"expected header {SCHEME_HEADER!r}", 1 if lines else None)
@@ -229,6 +232,9 @@ def _read_scheme(text: str) -> tuple[IdScheme, dict[int, list[int]]]:
         if (m := _Y_NAME.match(name)) and m.group(2)
     ]
     m_mult = max(copies) + 1 if copies else 1
+    # Checked before the table is built, whose size the copy indices set.
+    if len(rot_tokens) != n + m_mult * comb(n, 3):
+        raise FormatError("rot lines do not match the Levi graph of the inferred (n, m)")
     table = levi_edges(n, m_mult)
     graph, count = table.graph, len(table.x_end)
     index_of = _names(n, m_mult).index_of
@@ -275,8 +281,6 @@ def _read_scheme(text: str) -> tuple[IdScheme, dict[int, list[int]]]:
             else:
                 raise FormatError(f"rotation at {head} must list its 3 vertices once each", lineno)
         rotations[u] = at
-    if len(rotations) != len(triples):
-        raise FormatError("rot lines do not match the Levi graph of the inferred (n, m)")
 
     negative = bytearray(count)
     signed = bytearray(count)
@@ -299,30 +303,17 @@ def _read_scheme(text: str) -> tuple[IdScheme, dict[int, list[int]]]:
     missing = signed.count(0)
     if missing:
         raise FormatError(f"{missing} edges missing a sig line")
-    ids = IdScheme(
+    return IdScheme(
         table,
         [rotations[u] for u in range(n)],
         [rotations[w] for w in range(n, len(triples))],
         negative,
     )
-    return ids, rotations
-
-
-def parse_scheme_ids(text: str) -> IdScheme:
-    """The id scheme of a scheme file; raises FormatError for a malformed one."""
-    return _read_scheme(text)[0]
 
 
 def parse_scheme(text: str) -> EmbeddingScheme:
-    """The dict view of a scheme file: rotations in the order of its rot
-    lines, the signature in edge id order."""
-    ids, rotations = _read_scheme(text)
-    table = ids.table
-    edges, graph = table.edges, table.graph
-    vertices = (*graph.x_vertices, *graph.y_vertices)
-    rotation = {vertices[u]: tuple([edges[k] for k in at]) for u, at in rotations.items()}
-    signature = dict(zip(edges, [-1 if b else 1 for b in ids.negative]))
-    return EmbeddingScheme(graph=graph, rotation=rotation, signature=signature)
+    """The scheme of a scheme file, backed by the ids `parse_scheme_ids` reads."""
+    return EmbeddingScheme.of_ids(parse_scheme_ids(text))
 
 
 def _digest(record: str) -> str:

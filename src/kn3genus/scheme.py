@@ -8,16 +8,18 @@ faces are traced combinatorially.
 Scheme algorithms run on the integer edge ids of `levi.levi_edges` (id
 3*y + slot).  An `IdScheme` holds the X rotations as lists of ids, the Y
 rotations (or None for the sorted order 3y, 3y+1, 3y+2) and a bytearray
-marking the negative edges.  One core, `trace_ids`, walks the faces over
-flags keyed by edge and reads orientability off a forced vertex parity.
-Two front ends feed it: the family front end turns a family's circuit
-steps into ids and signs (the id formula and the sign rule live there
-alone), and `scheme_ids` checks a dict `EmbeddingScheme` against its graph
-before mapping it to ids.  The dict scheme is the public view, built only
-when a caller asks for it: `set_to_scheme`, or reading
-`FamilyReport.scheme`.  Switching equivalence of two dict schemes is
-decided in linear time by forcing the switch state of every vertex along
-the edges.
+marking the negative edges.  One `EmbeddingScheme` value serves every
+caller.  A scheme the library builds (`set_to_scheme`, `parse_scheme`,
+`FamilyReport.scheme`) is backed by its ids, and its `rotation` and
+`signature` are read-only dict views built when first read.  A scheme built
+by hand from dicts goes through the checked front end `scheme_ids` on every
+call.  The family front end turns a family's circuit steps into ids and
+signs (the id formula and the sign rule live there alone).
+
+Every scheme call starts from the ids.  One core, `trace_ids`, walks the
+faces over flags keyed by edge and reads orientability off a forced vertex
+parity; `schemes_equivalent` forces the switch states the same way, from
+the edges whose signs differ, and then compares rotations.
 
 The central conversions realize the bijection between quadrilateral
 embeddings of the Levi graph and pairwise-compatible circuit families:
@@ -28,10 +30,12 @@ certifies it, through its scheme, as a minimum-genus embedding or not.
 """
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import xor
+from types import MappingProxyType
 
 from .circuits import (
     Circuit,
@@ -62,42 +66,6 @@ Vertex = XVertex | YVertex
 Edge = tuple[XVertex, YVertex]
 
 
-@dataclass(frozen=True)
-class EmbeddingScheme:
-    graph: LeviGraph
-    rotation: dict[Vertex, tuple[Edge, ...]]
-    signature: dict[Edge, int]
-
-
-@dataclass(frozen=True)
-class FaceReport:
-    face_count: int
-    face_lengths: tuple[int, ...]
-    euler_genus: int
-    orientable: bool
-
-    @property
-    def all_quadrilateral(self) -> bool:
-        return all(length == 4 for length in self.face_lengths)
-
-    def length_histogram(self) -> Counter:
-        return Counter(self.face_lengths)
-
-
-def _vertices(sch: EmbeddingScheme):
-    yield from sch.graph.x_vertices
-    yield from sch.graph.y_vertices
-
-
-def _rotation(sch: EmbeddingScheme, v: Vertex) -> tuple[Edge, ...]:
-    rot = sch.rotation.get(v)
-    if rot is None:
-        raise GraphMismatch(f"no rotation at vertex {v}")
-    if not rot:
-        raise Disconnected(f"vertex {v} has no incident edges")
-    return rot
-
-
 @dataclass(frozen=True, eq=False)
 class IdScheme:
     """An embedding scheme on the integer edge ids of its Levi graph.
@@ -115,15 +83,142 @@ class IdScheme:
     y_rotations: list[list[int]] | None
     negative: bytearray
 
+    def y_lists(self) -> list[list[int]]:
+        """The Y rotations, written out when they are the sorted order."""
+        if self.y_rotations is not None:
+            return self.y_rotations
+        return [[k, k + 1, k + 2] for k in range(0, len(self.negative), 3)]
+
+
+class EmbeddingScheme:
+    """A rotation and a signature on a Levi graph.
+
+    `rotation` maps every vertex to the cyclic order of its edges and
+    `signature` every edge (x, y) to +1 or -1.  A scheme the library builds
+    (`set_to_scheme`, `parse_scheme`, `FamilyReport.scheme`, all through
+    `of_ids`) is backed by its `IdScheme`: every scheme call reads the ids,
+    and `rotation` and `signature` are read-only views of them, built when
+    first read.  `EmbeddingScheme(graph, rotation, signature)` wraps
+    hand-built dicts as given; every scheme call checks them against the
+    graph (`scheme_ids`).  Two schemes are equal when their graphs, their
+    rotations (as tuples) and their signatures are.
+    """
+
+    __slots__ = ("_graph", "_rotation", "_signature", "_ids")
+
+    def __init__(
+        self,
+        graph: LeviGraph,
+        rotation: Mapping[Vertex, tuple[Edge, ...]],
+        signature: Mapping[Edge, int],
+    ):
+        self._graph = graph
+        self._rotation = rotation
+        self._signature = signature
+        self._ids = None
+
+    @classmethod
+    def of_ids(cls, ids: IdScheme) -> "EmbeddingScheme":
+        """The scheme backed by `ids`, which a front end has checked."""
+        sch = cls(ids.table.graph, None, None)
+        sch._ids = ids
+        return sch
+
+    @property
+    def graph(self) -> LeviGraph:
+        return self._graph
+
+    @property
+    def rotation(self) -> Mapping[Vertex, tuple[Edge, ...]]:
+        if self._rotation is None and self._ids is not None:
+            self._view()
+        return self._rotation
+
+    @property
+    def signature(self) -> Mapping[Edge, int]:
+        if self._signature is None and self._ids is not None:
+            self._view()
+        return self._signature
+
+    def _view(self) -> None:
+        """The dict view of the ids: Y rotations, then X rotations, and the
+        signature in the order the X rotations list the edges."""
+        ids = self._ids
+        table, negative = ids.table, ids.negative
+        edges, graph = table.edges, table.graph
+        rotation = {
+            y: tuple([edges[k] for k in rot])
+            for y, rot in zip(graph.y_vertices, ids.y_lists())
+        }
+        for x, rot in zip(graph.x_vertices, ids.x_rotations):
+            rotation[x] = tuple([edges[k] for k in rot])
+        signature = {
+            edges[k]: -1 if negative[k] else 1 for rot in ids.x_rotations for k in rot
+        }
+        self._rotation = MappingProxyType(rotation)
+        self._signature = MappingProxyType(signature)
+
+    def __eq__(self, other):
+        if not isinstance(other, EmbeddingScheme):
+            return NotImplemented
+        a, b = self._ids, other._ids
+        if a is None or b is None:
+            return (self.graph, self.rotation, self.signature) == (
+                other.graph, other.rotation, other.signature
+            )
+        return (
+            a.table.graph == b.table.graph
+            and a.negative == b.negative
+            and a.x_rotations == b.x_rotations
+            and (a.y_rotations == b.y_rotations or a.y_lists() == b.y_lists())
+        )
+
+    def __repr__(self) -> str:
+        return f"EmbeddingScheme(n={self.graph.n}, m={self.graph.m})"
+
+    def __reduce__(self):
+        # The views are not picklable; the ids or the given dicts are.
+        if self._ids is not None:
+            return EmbeddingScheme.of_ids, (self._ids,)
+        return EmbeddingScheme, (self._graph, self._rotation, self._signature)
+
+
+@dataclass(frozen=True)
+class FaceReport:
+    face_count: int
+    face_lengths: tuple[int, ...]
+    euler_genus: int
+    orientable: bool
+
+    @property
+    def all_quadrilateral(self) -> bool:
+        return all(length == 4 for length in self.face_lengths)
+
+    def length_histogram(self) -> Counter:
+        return Counter(self.face_lengths)
+
+
+def _rotation(sch: EmbeddingScheme, v: Vertex) -> tuple[Edge, ...]:
+    rot = sch.rotation.get(v)
+    if rot is None:
+        raise GraphMismatch(f"no rotation at vertex {v}")
+    if not rot:
+        raise Disconnected(f"vertex {v} has no incident edges")
+    return rot
+
 
 def scheme_ids(sch: EmbeddingScheme) -> IdScheme:
-    """The dict front end: check a scheme against its Levi graph, map it to ids.
+    """The ids of a scheme: its own for a library-built one; a hand-built one
+    goes through the dict front end, which checks it against its Levi graph
+    and maps it to ids.
 
     Raises GraphMismatch when a vertex has no rotation, a rotation lists an
     edge that is not at its vertex, some edge is missing from or repeated in
     the rotations, or an edge has no signature of +1 or -1; Disconnected
     for a vertex without edges.
     """
+    if sch._ids is not None:
+        return sch._ids
     graph = sch.graph
     table = levi_edges(graph.n, graph.m)
     ids, x_end, count = table.ids, table.x_end, len(table.x_end)
@@ -155,6 +250,28 @@ def scheme_ids(sch: EmbeddingScheme) -> IdScheme:
     return IdScheme(table, x_rotations, y_rotations, negative)
 
 
+def _parities(table: LeviEdges, odd: bytes) -> tuple[list[int], bytes] | None:
+    """A vertex parity with par[x] xor par[y] = odd[k] on every edge k = xy,
+    and par[1] = 0: the X parities indexed by vertex, and the Y parities by
+    Y index.  None when there is none.
+
+    The Levi graph is connected: X vertex 1 at parity 0 forces the parity
+    of every X vertex x through the Y vertex {1, 2, x} (copy 0).  Each edge
+    then forces a parity on its Y end, and a parity exists iff the three
+    edges of every Y vertex force the same one.
+    """
+    first_ids = table.first_ids
+    px = [0] * (table.graph.n + 1)
+    for x in range(2, len(px)):
+        k = first_ids[0b110 | 1 << max(x, 3)]
+        px[x] = odd[k] ^ odd[k + 1 if x == 2 else k + 2]
+    forced = bytes(map(xor, map(px.__getitem__, table.x_end), odd))
+    py = forced[0::3]
+    if py == forced[1::3] == forced[2::3]:
+        return px, py
+    return None
+
+
 # Band pairing of the flags of edge k, as the xor that takes a flag to its
 # partner, indexed by negative[k]: X side s meets Y side 1 - s on a positive
 # edge (f ^ 3) and Y side s on a negative one (f ^ 2).
@@ -164,26 +281,23 @@ _BAND = bytes.maketrans(b"\x00\x01", b"\x03\x02")
 def trace_ids(sch: IdScheme) -> FaceReport:
     """Trace the faces of an id scheme; decide orientability by vertex parity.
 
-    This is the one tracing core; `trace_faces` feeds it a dict scheme and
-    `verify_family` a family.  Every edge k has four flags, 4k + 2*end +
-    side, for its X end (end 0) and its Y end (end 1), each with two sides;
-    side 1 touches the corner toward the next edge of the rotation.  Two
-    pairings act on them: the corner pairing (consecutive edge-ends around
-    a vertex), the only one filled from the rotations, and the band pairing
-    (sides matched across an edge, crossed when the signature is negative),
-    which is f ^ 3 on a positive edge and f ^ 2 on a negative one.  Faces
-    are the orbits under corner and band; a face of length L is an orbit of
-    2L flags.
+    This is the one tracing core; `trace_faces` feeds it the ids of a
+    scheme and `verify_family` those of a family.  Every edge k has four
+    flags, 4k + 2*end + side, for its X end (end 0) and its Y end (end 1),
+    each with two sides; side 1 touches the corner toward the next edge of
+    the rotation.  Two pairings act on them: the corner pairing
+    (consecutive edge-ends around a vertex), the only one filled from the
+    rotations, and the band pairing (sides matched across an edge, crossed
+    when the signature is negative), which is f ^ 3 on a positive edge and
+    f ^ 2 on a negative one.  Faces are the orbits under corner and band; a
+    face of length L is an orbit of 2L flags.
 
     The embedding is orientable iff its signature switches to all-positive,
-    i.e. iff some vertex parity has par[x] xor par[y] = [sign < 0] on every
-    edge xy.  The rotations hold every edge of the Levi graph once at each
-    end, so the graph is the (connected) Levi graph itself: fixing X vertex
-    1 forces the parity of every X vertex through the Y vertices {1, 2, x},
-    and then that of every Y vertex through each of its three edges.
+    i.e. iff `_parities` finds a vertex parity with par[x] xor par[y] =
+    [sign < 0] on every edge xy.
     """
     table = sch.table
-    graph, x_end, count = table.graph, table.x_end, len(table.x_end)
+    graph, count = table.graph, len(table.x_end)
     total = 4 * count
     corner = [0] * total
     y_rotations = sch.y_rotations
@@ -204,17 +318,8 @@ def trace_ids(sch: IdScheme) -> FaceReport:
                 corner[f] = prev
                 prev = f + 1
 
-    # Switch X vertex 1 to parity 0; the Y vertex {1, 2, x} (copy 0) then
-    # forces the parity of x.  Each edge forces a parity on its Y end, and
-    # the signature switches to all-positive iff the three edges of every Y
-    # vertex force the same one.
-    negative, first_ids = sch.negative, table.first_ids
-    px = [0] * (graph.n + 1)
-    for x in range(2, graph.n + 1):
-        k = first_ids[0b110 | 1 << max(x, 3)]
-        px[x] = negative[k] ^ negative[k + 1 if x == 2 else k + 2]
-    forced = bytes(map(xor, map(px.__getitem__, x_end), negative))
-    orientable = forced[0::3] == forced[1::3] == forced[2::3]
+    negative = sch.negative
+    orientable = _parities(table, negative) is not None
 
     # Corner and band are fixed-point-free involutions, so each orbit is a
     # cycle that alternates them.  Its corners alternate between X and Y
@@ -249,10 +354,10 @@ def trace_ids(sch: IdScheme) -> FaceReport:
 
 
 def trace_faces(sch: EmbeddingScheme) -> FaceReport:
-    """Trace the faces of a dict scheme and decide its orientability.
+    """Trace the faces of a scheme and decide its orientability.
 
-    The dict front end `scheme_ids` checks the scheme and maps it to edge
-    ids; the core `trace_ids` walks the faces over edge-keyed flags.  Raises
+    The core `trace_ids` walks the faces over the edge-keyed flags of the
+    scheme's ids (`scheme_ids`).  For a hand-built scheme, raises
     Disconnected for a vertex without edges, and GraphMismatch when a
     rotation is missing or misses, repeats or adds an edge of the graph, or
     an edge has no signature of +1 or -1.
@@ -272,19 +377,22 @@ def is_orientable(sch: EmbeddingScheme) -> bool:
 # circuits -> scheme
 
 
-def _labels_consistent(c: Circuit) -> bool:
-    """Whether the copy labels of an Eulerian circuit, which traverses every
-    pair m times, give the m traversals of each pair the copies 0..m-1.
-
-    That holds iff there is one label per traversal, every label is a copy,
-    and no pair takes one label twice.
-    """
-    seq, labels = c.seq, c.copy_labels
-    copies = {
-        (u, v, a) if u < v else (v, u, a)
-        for u, v, a in zip(seq, seq[1:] + seq[:1], labels)
-    }
-    return len(labels) == len(copies) == len(seq) and set(labels) <= set(range(c.m))
+def _label_failure(c: Circuit) -> str:
+    """Why the copy labels of an Eulerian circuit, which traverses every pair
+    m times, do not give the m traversals of each pair the copies 0..m-1;
+    "" when they do."""
+    seq, labels, m = c.seq, c.copy_labels, c.m
+    if len(labels) != len(seq):
+        return f"{len(labels)} copy labels for {len(seq)} edges"
+    taken = set()
+    for u, v, copy in zip(seq, seq[1:] + seq[:1], labels):
+        if not 0 <= copy < m:
+            return f"copy label {copy} outside 0..{m - 1}"
+        key = (u, v, copy) if u < v else (v, u, copy)
+        if key in taken:
+            return f"pair {{{key[0]},{key[1]}}} takes copy {copy} twice"
+        taken.add(key)
+    return ""
 
 
 def _family_ids(s: EmbeddingSet, labelled: list[tuple[int, ...]]) -> IdScheme:
@@ -313,27 +421,12 @@ def _family_ids(s: EmbeddingSet, labelled: list[tuple[int, ...]]) -> IdScheme:
     return IdScheme(table, x_rotations, None, negative)
 
 
-def _family_view(ids: IdScheme) -> EmbeddingScheme:
-    """The dict view of a family's ids: Y rotations, then X rotations, and
-    the signature in the order the circuits traverse the edges."""
-    edges, graph, negative = ids.table.edges, ids.table.graph, ids.negative
-    rotation: dict[Vertex, tuple[Edge, ...]] = {
-        y: edges[3 * k : 3 * k + 3] for k, y in enumerate(graph.y_vertices)
-    }
-    for x, rot in zip(graph.x_vertices, ids.x_rotations):
-        rotation[x] = tuple([edges[k] for k in rot])
-    signature = {
-        edges[k]: -1 if negative[k] else 1 for rot in ids.x_rotations for k in rot
-    }
-    return EmbeddingScheme(graph=graph, rotation=rotation, signature=signature)
-
-
 def _copy_labels(s: EmbeddingSet) -> list[tuple[int, ...]]:
     """Copy labels of every circuit of an Eulerian family.
 
     All zeros for m = 1; otherwise the circuits' own labels, checked.  They
     are data: raises CopyResolutionError naming the first circuit that has
-    none, or whose labels do not tell the parallel copies apart.
+    none, or whose labels do not tell the parallel copies apart, and why.
     """
     if s.m == 1:
         return [(0,) * len(c.seq) for c in s.circuits]
@@ -342,11 +435,9 @@ def _copy_labels(s: EmbeddingSet) -> list[tuple[int, ...]]:
             raise CopyResolutionError(
                 f"circuit {c.excluded}: no copy labels, which m={s.m} requires"
             )
-        if not _labels_consistent(c):
-            raise CopyResolutionError(
-                f"circuit {c.excluded}: copy labels are not a permutation "
-                "of 0..m-1 on some parallel pair"
-            )
+        failure = _label_failure(c)
+        if failure:
+            raise CopyResolutionError(f"circuit {c.excluded}: {failure}")
     return [c.copy_labels for c in s.circuits]
 
 
@@ -366,7 +457,7 @@ def set_to_scheme(s: EmbeddingSet) -> EmbeddingScheme:
     report = is_embedding_set(s, require_strong=False)
     if not report:
         raise NotAnEmbeddingSet(report.first())
-    return _family_view(_family_ids(s, _copy_labels(s)))
+    return EmbeddingScheme.of_ids(_family_ids(s, _copy_labels(s)))
 
 
 @dataclass(frozen=True)
@@ -376,7 +467,7 @@ class FamilyReport:
     `compatible` is None when `eulerian` fails and `strong` is None when
     `compatible` fails; the scheme's ids, its faces and the Euler genus they
     must reach (the lower bound) are present exactly when the family is
-    compatible.  The dict view `scheme` is built when it is first read.
+    compatible.  `scheme` is the scheme those ids back.
     """
 
     eulerian: ValidationReport
@@ -388,7 +479,7 @@ class FamilyReport:
 
     @cached_property
     def scheme(self) -> EmbeddingScheme | None:
-        return None if self.ids is None else _family_view(self.ids)
+        return None if self.ids is None else EmbeddingScheme.of_ids(self.ids)
 
     def is_minimum(self, orientable: bool) -> bool:
         """A minimum-genus embedding of the requested orientability: compatible
@@ -419,39 +510,32 @@ def verify_family(s: EmbeddingSet) -> FamilyReport:
 # scheme -> circuits
 
 
-def _read_circuit(sch: EmbeddingScheme, i: int) -> Circuit:
-    rot = sch.rotation[i]
-    neighbors: list[YVertex] = [e[1] for e in rot]
-    k = len(neighbors)
+def _read_circuit(graph: LeviGraph, i: int, rot: list[int]) -> Circuit:
+    """The circuit excluding i that the ids around X vertex i spell.
 
-    def third(y: YVertex, prev: int) -> int | None:
-        rest = [w for w in y[0] if w != i and w != prev]
-        return rest[0] if len(rest) == 1 else None
-
-    first = [w for w in neighbors[0][0] if w != i]
+    Consecutive triples around i share i and one circuit vertex: the circuit
+    starts at an element a0 of the first triple, and each later triple
+    holds the last vertex a and adds its third element, the triple's sum
+    less i and a.  Edge k ends at the Y vertex k // 3, which gives its copy.
+    """
+    ys = [graph.y_vertices[k // 3] for k in rot]
+    first = ys[0][0]
     for a0 in first:
-        seq = [a0]
-        labels = []
-        ok = True
-        for p in range(1, k):
-            nxt = third(neighbors[p], seq[-1])
-            if nxt is None:
-                ok = False
-                break
-            seq.append(nxt)
-            labels.append(neighbors[p][1])
-        if not ok:
+        if a0 == i:
             continue
-        # Close the cycle: the first neighbor must be the triple {i, a_last, a_0}.
-        if set(neighbors[0][0]) == {i, seq[-1], seq[0]}:
-            labels.append(neighbors[0][1])
-            return Circuit(
-                excluded=i,
-                n=sch.graph.n,
-                m=sch.graph.m,
-                seq=tuple(seq),
-                copy_labels=tuple(labels),
-            )
+        a = a0
+        seq = [a]
+        for (u, v, w), _ in ys[1:]:
+            if a != u and a != v and a != w:
+                break
+            a = u + v + w - i - a
+            seq.append(a)
+        else:
+            # Close the cycle: the first triple must be {i, a_last, a0}.
+            if a != a0 and a in first:
+                labels = [copy for _, copy in ys[1:]]
+                labels.append(ys[0][1])
+                return Circuit(i, graph.n, graph.m, tuple(seq), tuple(labels))
     raise NotQuadrilateral(
         f"rotation around vertex {i} does not read as an Eulerian circuit"
     )
@@ -460,19 +544,23 @@ def _read_circuit(sch: EmbeddingScheme, i: int) -> Circuit:
 def scheme_to_set(sch: EmbeddingScheme) -> EmbeddingSet:
     """Recover the circuit family of a quadrilateral embedding.
 
-    Raises NotQuadrilateral when some face has length != 4, and OddOrder for
-    odd n (the vertex-deleted complete graph has odd degrees then, so no
+    Each circuit is read off the ids of an X rotation.  Raises
+    NotQuadrilateral when some face has length != 4, and OddOrder for odd n
+    (the vertex-deleted complete graph has odd degrees then, so no
     quadrilateral embedding exists).  Validity and the `strong` flag come
     from one transition index (`check_family`).
     """
-    if sch.graph.n % 2 != 0:
-        raise OddOrder(f"no quadrilateral embedding for odd order {sch.graph.n}")
-    report = trace_faces(sch)
+    n, m = sch.graph.n, sch.graph.m
+    if n % 2 != 0:
+        raise OddOrder(f"no quadrilateral embedding for odd order {n}")
+    ids = scheme_ids(sch)
+    report = trace_ids(ids)
     if not report.all_quadrilateral:
         bad = next(length for length in report.face_lengths if length != 4)
         raise NotQuadrilateral(f"face of length {bad} traced")
-    n, m = sch.graph.n, sch.graph.m
-    circuits = tuple(_read_circuit(sch, i) for i in range(1, n + 1))
+    circuits = tuple(
+        _read_circuit(ids.table.graph, i, rot) for i, rot in enumerate(ids.x_rotations, 1)
+    )
     eulerian, compatible, strong = check_family(
         EmbeddingSet(n=n, m=m, circuits=circuits, strong=False)
     )
@@ -486,25 +574,19 @@ def scheme_to_set(sch: EmbeddingScheme) -> EmbeddingSet:
 # switching equivalence
 
 
-def _switch_states(ra: tuple[Edge, ...], rb: tuple[Edge, ...]) -> int:
-    """Switch states carrying rotation ra onto rb up to rotation, as bits.
-
-    Bit 1: ra itself (kept); bit 2: ra reversed.  Rotations list each edge
-    once, so the offset is fixed by where rb[0] sits in ra.
-    """
-    if len(ra) != len(rb):
-        return 0
-    try:
-        i = ra.index(rb[0])
-    except ValueError:
-        return 0
-    kept = ra[i:] + ra[:i] == rb
-    reversed_ = ra[i::-1] + ra[:i:-1] == rb
-    return kept | reversed_ << 1
+def _cyclically_equal(ra: list[int], rb: list[int]) -> bool:
+    """Whether rb is ra up to rotation; both list the same edges once each."""
+    i = ra.index(rb[0])
+    return ra[i:] + ra[:i] == rb
 
 
-# Switch-state bits seen from the other state of the component's root.
-_SWAPPED = (0, 2, 1, 3)
+def _y_reversed(ids: IdScheme) -> bytes:
+    """1 for every Y rotation that runs against the cyclic order of its
+    sorted triple.  A Y rotation has three edges, so it has one of two
+    cyclic orders, told by the slot step from its first entry to its second."""
+    if ids.y_rotations is None:
+        return bytes(len(ids.negative) // 3)
+    return bytes([(rot[1] - rot[0]) % 3 != 1 for rot in ids.y_rotations])
 
 
 def schemes_equivalent(a: EmbeddingScheme, b: EmbeddingScheme) -> bool:
@@ -513,47 +595,30 @@ def schemes_equivalent(a: EmbeddingScheme, b: EmbeddingScheme) -> bool:
     Switching a set U of vertices reverses their rotations and negates the
     signature of every edge with one end in U.  Whether v is switched is
     then forced along every edge xy: x and y differ in state iff a and b
-    differ in signature on xy.  So one search per connected component fixes
-    every state relative to the component's first vertex, checks every edge
-    on the way, and keeps the root states under which each rotation of a
-    becomes that of b up to rotation.  The cost is linear in the graph.
+    differ in signature on xy.  `_parities` solves these states on the ids
+    relative to X vertex 1.  Each Y rotation of b is a's, kept or reversed
+    (it has three edges), so the Y vertices fix the state of X vertex 1;
+    b's rotation at every X vertex must then be a's, kept or reversed by
+    its state, up to rotation.  The cost is linear in the graph.
 
-    Raises GraphMismatch when the graphs differ, or when a vertex the search
-    reaches has no rotation or an edge it crosses has no signature of +1 or
-    -1 in either scheme.
+    Both schemes are read in full first (`scheme_ids`), so a malformed
+    hand-built scheme always raises GraphMismatch (or Disconnected), as
+    does a pair of schemes on different graphs.
     """
     if a.graph != b.graph:
         raise GraphMismatch("schemes are defined on different labelled graphs")
-    parity: dict[Vertex, int] = {}
-    for root in _vertices(a):
-        if root in parity:
-            continue
-        parity[root] = 0
-        fits = 3  # bit 1 << s: the root may take state s
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            p = parity[v]
-            ra, rb = a.rotation.get(v), b.rotation.get(v)
-            if ra is None or rb is None:
-                raise GraphMismatch(f"no rotation at vertex {v}")
-            states = _switch_states(ra, rb)
-            fits &= _SWAPPED[states] if p else states
-            if not fits:
-                return False
-            other = 1 if isinstance(v, int) else 0
-            for e in ra:
-                w = e[other]
-                sa, sb = a.signature.get(e), b.signature.get(e)
-                if sa not in (1, -1) or sb not in (1, -1):
-                    raise GraphMismatch(
-                        f"edge {e} has no signature of +1 or -1 in both schemes "
-                        f"(got {sa!r} and {sb!r})"
-                    )
-                q = p ^ (sa != sb)
-                if w not in parity:
-                    parity[w] = q
-                    stack.append(w)
-                elif parity[w] != q:
-                    return False
-    return True
+    ia, ib = scheme_ids(a), scheme_ids(b)
+    parities = _parities(ia.table, bytes(map(xor, ia.negative, ib.negative)))
+    if parities is None:
+        return False
+    px, py = parities
+    # Y vertex y is switched iff b reverses its rotation, and iff py[y]
+    # differs from the state of X vertex 1: every Y vertex must agree on it.
+    root = bytes(map(xor, py, map(xor, _y_reversed(ia), _y_reversed(ib))))
+    state = root[0]
+    if root.count(state) != len(root):
+        return False
+    return all(
+        _cyclically_equal(ra[::-1] if p ^ state else ra, rb)
+        for ra, rb, p in zip(ia.x_rotations, ib.x_rotations, px[1:])
+    )

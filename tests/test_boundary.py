@@ -1,20 +1,36 @@
-"""The family-file boundary: every mutated file is accepted or refused cleanly.
+"""The file boundary: every mutated file is accepted or refused cleanly.
 
-Family files written by `build` are mutated line- and token-wise (dropped,
-duplicated, corrupted or shuffled).  The library must read and check each
-one or refuse it with a `Kn3Error`, and `verify` must exit 0 or 1 for a
-file that parses, 2 for one that `parse_set` refuses with `FormatError`,
-and 1 for any other refusal.
+Family, scheme and census files written by the library are mutated line-
+and token-wise (dropped, duplicated, corrupted or shuffled).  The library
+must read and check each one or refuse it with a `Kn3Error`.  `verify`
+must exit 0 or 1 for a family file that parses, 2 for one that `parse_set`
+refuses with `FormatError`, and 1 for any other refusal.  `genus` must exit
+0 for a scheme file that parses and 2 for one that `parse_scheme` refuses.
+`parse_census` refuses a census file with nothing but `FormatError`.
 """
 
 import io
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout, suppress
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kn3genus import FormatError, Kn3Error, build_multi, format_set, parse_set
+from kn3genus import (
+    FormatError,
+    Kn3Error,
+    build_even,
+    build_multi,
+    format_census,
+    format_scheme,
+    format_set,
+    parse_census,
+    parse_scheme,
+    parse_set,
+    scheme_to_set,
+    set_to_scheme,
+    trace_faces,
+)
 from kn3genus.cli import main
 from kn3genus.scheme import verify_family
 
@@ -28,10 +44,26 @@ TOKENS = [
     "", "0", "1", "2", "3", "-1", "7", "99", "x", "T", "L", ":", "1:", "n=4", "m=3", "orientable=2",
 ]
 
+SCHEME_SEEDS = [
+    format_scheme(set_to_scheme(build_multi(6, 1, seed=1))),
+    format_scheme(set_to_scheme(build_multi(4, 2, orientable=False))),
+    format_scheme(set_to_scheme(build_multi(6, 1, orientable=False, seed=1))),
+]
+
+SCHEME_TOKENS = [
+    "", "0", "1", "4", "7", "-1", "+1", "x", "rot", "sig", ":", "1:", "e{1,2,3}", "e{1,2,3}#0",
+    "e{1,2,3}#1", "e{1,2,3}#9", "e{3,2,1}", "e{1,2}", "e{1,2,99}", "e{1,2,3}:", "e{2,3,4}#1:",
+]
+
+CENSUS_SEEDS = [format_census([build_even(6, True, seed=1), build_even(6, False, seed=2)])]
+
+CENSUS_TOKENS = TOKENS + ["record", "sha256=0", "record sha256=" + "0" * 64]
+
 
 @st.composite
-def mutated_families(draw):
-    lines = [line.split(" ") for line in draw(st.sampled_from(SEEDS)).splitlines()]
+def mutated(draw, seeds, pool):
+    """A file of `seeds` with 1 to 4 line or token edits, new tokens from `pool`."""
+    lines = [line.split(" ") for line in draw(st.sampled_from(seeds)).splitlines()]
     for _ in range(draw(st.integers(1, 4))):
         if not lines:
             break
@@ -52,20 +84,25 @@ def mutated_families(draw):
             elif edit == "duplicate":
                 tokens.insert(k, tokens[k])
             elif edit == "corrupt":
-                tokens[k] = draw(st.sampled_from(TOKENS))
+                tokens[k] = draw(st.sampled_from(pool))
             else:
                 lines[at] = draw(st.permutations(tokens))
     return "\n".join(" ".join(tokens) for tokens in lines) + "\n"
 
 
 @pytest.fixture(scope="module")
-def family_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("boundary") / "family.kn3set"
+def file_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("boundary") / "mutated.txt"
+
+
+def run_cli(*argv) -> int:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(list(argv))
 
 
 @settings(max_examples=60, deadline=None)
-@given(text=mutated_families())
-def test_mutated_family_files_are_accepted_or_refused(family_path, text):
+@given(text=mutated(SEEDS, TOKENS))
+def test_mutated_family_files_are_accepted_or_refused(file_path, text):
     refused = None
     try:
         verify_family(parse_set(text))
@@ -73,7 +110,28 @@ def test_mutated_family_files_are_accepted_or_refused(family_path, text):
         refused = FormatError
     except Kn3Error:
         refused = Kn3Error
-    family_path.write_text(text)
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        code = main(["verify", str(family_path)])
+    file_path.write_text(text)
+    code = run_cli("verify", str(file_path))
     assert code in {None: (0, 1), FormatError: (2,), Kn3Error: (1,)}[refused]
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=mutated(SCHEME_SEEDS, SCHEME_TOKENS))
+def test_mutated_scheme_files_are_accepted_or_refused(file_path, text):
+    try:
+        sch = parse_scheme(text)
+    except FormatError:
+        sch = None
+    if sch is not None:
+        trace_faces(sch)
+        with suppress(Kn3Error):
+            scheme_to_set(sch)
+    file_path.write_text(text)
+    assert run_cli("genus", str(file_path)) == (2 if sch is None else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=mutated(CENSUS_SEEDS, CENSUS_TOKENS))
+def test_mutated_census_files_are_accepted_or_refused(text):
+    with suppress(FormatError):
+        parse_census(text)

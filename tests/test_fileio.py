@@ -21,6 +21,7 @@ from kn3genus import (
     set_to_scheme,
 )
 from kn3genus.circuits import canonical_set_key
+from kn3genus.levi import levi_edges
 
 
 def test_set_round_trip_exact(strong6):
@@ -56,6 +57,20 @@ def test_parse_set_refuses_multi_family_without_label_lines(klein4x2):
         parse_set(stripped)
     assert err.value.line == 2
     assert str(err.value) == "line 2: m=2 needs L lines, the copy label of every traversed edge"
+
+
+def test_parse_set_refuses_copy_labels_out_of_range(klein4x2):
+    text = format_set(klein4x2)
+    assert "\nL 1: 0 0 1 1 0 1\n" in text
+    with pytest.raises(FormatError) as err:
+        parse_set(text.replace("L 1: 0 0 1 1 0 1", "L 1: 0 0 1 1 0 5"))
+    assert str(err.value) == "line 7: L 1: copy label 5 outside 0..1"
+    # Labels in range that give one pair a copy twice parse, and are refused
+    # when the family is read as a scheme.
+    repeated = parse_set(text.replace("L 1: 0 0 1 1 0 1", "L 1: 0 0 0 0 0 0"))
+    with pytest.raises(CopyResolutionError) as err:
+        set_to_scheme(repeated)
+    assert str(err.value) == "circuit 1: pair {2,4} takes copy 0 twice"
 
 
 def test_format_set_refuses_multi_family_without_labels(klein4x2):
@@ -195,3 +210,14 @@ def test_parse_scheme_names_the_line_of_an_unknown_token(strong6, kind, bad):
     with pytest.raises(FormatError) as err:
         parse_scheme("\n".join(lines))
     assert str(err.value) == f"line {at + 1}: bad vertex token 'e{{1,2,x}}'"
+
+
+def test_parse_scheme_refuses_a_copy_index_its_rot_lines_cannot_hold(strong6):
+    # The copy index sets the size of the Levi graph: it is checked against
+    # the number of rot lines before the graph's edge table is built.
+    text = format_scheme(set_to_scheme(strong6)) + "rot e{1,2,3}#999: 1 2 3\n"
+    tables = levi_edges.cache_info().currsize
+    with pytest.raises(FormatError) as err:
+        parse_scheme(text)
+    assert str(err.value) == "rot lines do not match the Levi graph of the inferred (n, m)"
+    assert levi_edges.cache_info().currsize == tables

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -8,12 +9,14 @@ from kn3genus import (
     FormatError,
     GraphMismatch,
     HypergraphSpec,
+    Kn3Error,
     NotAnEmbeddingSet,
     NotQuadrilateral,
     build_even,
     build_levi,
     build_multi,
     euler_genus_lower_bound,
+    fixture_set,
     format_scheme,
     is_embedding_set,
     is_orientable,
@@ -24,6 +27,7 @@ from kn3genus import (
     trace_faces,
 )
 from kn3genus.circuits import Circuit, EmbeddingSet, canonical_set_key
+from kn3genus.levi import levi_edges
 from kn3genus.scheme import verify_family
 
 from oracle import brute_force_equivalent, naive_face_trace
@@ -284,20 +288,22 @@ def test_copy_resolution_requires_labels(refuse):
 
 
 @pytest.mark.parametrize(
-    "labels",
-    [(0, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0), (0, 0, 1, 1, 0, 2)],
+    "labels,why",
+    [
+        ((0, 0, 0, 0, 0, 0), "pair {2,4} takes copy 0 twice"),
+        ((0, 0, 1, 1, 0), "5 copy labels for 6 edges"),
+        ((0, 0, 1, 1, 0, 2), "copy label 2 outside 0..1"),
+    ],
     ids=["repeated", "short", "out-of-range"],
 )
-def test_copy_resolution_refuses_bad_labels(klein4x2, labels):
+def test_copy_resolution_refuses_bad_labels(klein4x2, labels, why):
     from kn3genus import CopyResolutionError
 
     c = klein4x2.circuit(1)
     circuits = (Circuit(1, c.n, c.m, c.seq, labels),) + klein4x2.circuits[1:]
     with pytest.raises(CopyResolutionError) as err:
         set_to_scheme(EmbeddingSet(klein4x2.n, klein4x2.m, circuits, klein4x2.strong))
-    assert str(err.value) == (
-        "circuit 1: copy labels are not a permutation of 0..m-1 on some parallel pair"
-    )
+    assert str(err.value) == f"circuit 1: {why}"
 
 
 def test_klein_fixture_labels_trace_klein_bottle(klein4x2):
@@ -549,3 +555,72 @@ def test_trace_rejects_edges_at_the_wrong_vertex(strong6):
         broken = EmbeddingScheme(sch.graph, {**sch.rotation, **changed}, sch.signature)
         with pytest.raises(GraphMismatch):
             trace_faces(broken)
+
+
+def with_dicts(sch):
+    """The hand-built dict scheme with the rotations and signature of `sch`."""
+    return EmbeddingScheme(sch.graph, dict(sch.rotation), dict(sch.signature))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Kn3Error as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["planar_4", "strong_6", "nonorientable_6", "klein_4x2"]
+    + [(n, m, o) for n, m in [(8, 1), (10, 1), (6, 2), (6, 3)] for o in (True, False)],
+    ids=str,
+)
+def test_id_backed_and_dict_built_schemes_agree(source):
+    family = fixture_set(source) if isinstance(source, str) else build_multi(
+        source[0], source[1], orientable=source[2], seed=1
+    )
+    rng = random.Random(str(source))
+    built = [set_to_scheme(family)]
+    for _ in range(3):
+        sch = perturb(built[-1], rng)
+        built += [sch, switch(sch, {v for v in sch.rotation if rng.random() < 0.4})]
+    # The library-built form of each hand-built mutant is its parsed file.
+    backed = [built[0]] + [parse_scheme(format_scheme(sch)) for sch in built[1:]]
+    dicts = [with_dicts(sch) for sch in backed]
+    for sch, hand in zip(backed, dicts):
+        assert sch == hand and hand == sch
+        assert trace_faces(sch) == trace_faces(hand)
+        assert outcome(scheme_to_set, sch) == outcome(scheme_to_set, hand)
+        for view in (sch.rotation, sch.signature):
+            with pytest.raises(TypeError):
+                view[1] = ()
+        assert pickle.loads(pickle.dumps(sch)) == sch
+    assert backed[1] != backed[0] != dicts[1]
+    small = built[0].graph.vertex_count <= 12
+    pairs = [(0, j) for j in range(len(backed))] + [(j, j + 1) for j in range(1, len(backed) - 1)]
+    for i, j in pairs:
+        answers = {
+            schemes_equivalent(a, b)
+            for a in (backed[i], dicts[i])
+            for b in (backed[j], dicts[j])
+        }
+        assert len(answers) == 1
+        if small:
+            assert answers == {brute_force_equivalent(dicts[i], dicts[j])}
+        elif i == 0 and j <= 2:
+            # One sign flip or one transposition in a rotation of length >= 3
+            # is no switching.
+            assert answers == {j == 0}
+        elif i % 2:
+            assert answers == {True}  # a mutant and its switching
+
+
+def test_library_round_trip_never_builds_the_dict_tables():
+    # No other test uses (10, 2), so its edge table is fresh here.
+    sch = set_to_scheme(build_multi(10, 2, orientable=False, seed=5))
+    again = set_to_scheme(scheme_to_set(sch))
+    parsed = parse_scheme(format_scheme(again))
+    assert schemes_equivalent(sch, again) and schemes_equivalent(parsed, sch)
+    assert parsed == again and trace_faces(parsed) == trace_faces(sch)
+    table = levi_edges(10, 2)
+    assert "edges" not in vars(table) and "ids" not in vars(table)
