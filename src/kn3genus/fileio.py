@@ -11,10 +11,16 @@ order, then `sig <x> <y>: +1|-1` lines.  Edge-side vertices are written
 `e{i,j,k}` (plus `#c` when m > 1).  Schemes are read and written as Levi
 edge ids (`scheme.IdScheme`): `parse_scheme_ids` checks every line against
 the Levi graph and `format_scheme_ids` writes the ids back, so reading a
-written scheme reproduces it bit-exactly.  `parse_scheme` returns the
-`EmbeddingScheme` those ids back, whose rotation and signature are
-read-only dict views, and `format_scheme` writes the ids of any scheme
-(`scheme.scheme_ids` checks a hand-built one first).  Names are written
+written scheme reproduces it bit-exactly.  Lines may come in any order.
+The reader makes two passes: the first classifies the lines and keeps
+only the rot heads and where the lines are; once the heads give n and m,
+the second turns each line straight into ids, so no line's tokens outlive
+it.  Y rotations that all list their triple in sorted order, as the writer
+does, are read back as None, the form `scheme.trace_ids` reads by slicing.
+`parse_scheme` returns the `EmbeddingScheme` those ids back, whose
+rotation and signature are read-only dict views, and `format_scheme`
+writes the ids of any scheme (`scheme.scheme_ids` checks a hand-built one
+first).  Names are written
 and read through one name table per (n, m), built on first use: a token
 that is not a canonical name (such as `e{1,2,3}#0` when m = 1) is parsed
 on its own, and a bad one is reported with its line.
@@ -27,6 +33,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from functools import cache
+from itertools import compress
 from math import comb
 
 from .circuits import Circuit, EmbeddingSet
@@ -191,49 +198,57 @@ def format_scheme(sch: EmbeddingScheme) -> str:
 
 
 def parse_scheme_ids(text: str) -> IdScheme:
-    """The id scheme of a scheme file; raises FormatError for a malformed one."""
+    """The id scheme of a scheme file; raises FormatError for a malformed one.
+
+    Lines may come in any order.  The first pass classifies each line,
+    refuses a second rot line for a head or a sig line without exactly two
+    names, and keeps only the rot heads with their line indices and a mark
+    on every sig line.  Once the heads give n and m and their count fits
+    the Levi graph, the second pass reads each rot line, then each sig
+    line, straight into ids and signs.  The Y rotations come back as None
+    when every one lists its triple in sorted order, as the writer does.
+    """
     lines = text.splitlines()
     if not lines or lines[0].strip() != SCHEME_HEADER:
         raise FormatError(f"expected header {SCHEME_HEADER!r}", 1 if lines else None)
-    rot_tokens: dict[object, tuple[str, list[str], int]] = {}
-    sig_tokens: list[tuple[str, str, str, int]] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
+    rot_at: dict[str, int] = {}
+    is_sig = bytearray(len(lines))
+    for i in range(1, len(lines)):
+        line = lines[i].strip()
         if not line:
             continue
-        if line.startswith("rot "):
-            head, _, body = line[4:].partition(":")
-            head = head.strip()
-            if head in rot_tokens:
-                raise FormatError(f"second rot line for {head!r}", lineno)
-            rot_tokens[head] = (head, body.split(), lineno)
-        elif line.startswith("sig "):
-            head, _, body = line[4:].partition(":")
-            parts = head.split()
-            if len(parts) != 2:
-                raise FormatError(f"bad sig line {line!r}", lineno)
-            sig_tokens.append((parts[0], parts[1], body.strip(), lineno))
+        kind = line[:4]
+        if kind == "sig ":
+            # The head is all but the first word before the first colon.
+            if len(line.partition(":")[0].split()) != 3:
+                raise FormatError(f"bad sig line {line!r}", i + 1)
+            is_sig[i] = 1
+        elif kind == "rot ":
+            head = line[4:].partition(":")[0].strip()
+            if head in rot_at:
+                raise FormatError(f"second rot line for {head!r}", i + 1)
+            rot_at[head] = i
         else:
-            raise FormatError(f"unexpected line {line!r}", lineno)
+            raise FormatError(f"unexpected line {line!r}", i + 1)
 
-    x_names = [name for name in rot_tokens if not name.startswith("e")]
-    try:
-        x_labels = sorted(int(v) for v in x_names)
-    except ValueError as exc:
-        raise FormatError(f"bad vertex name: {exc}") from None
+    x_labels = []
+    m_mult = 1
+    for head, i in rot_at.items():
+        if not head.startswith("e"):
+            try:
+                x_labels.append(int(head))
+            except ValueError as exc:
+                raise FormatError(f"bad vertex name: {exc}", i + 1) from None
+        elif "#" in head and (match := _Y_NAME.match(head)) and match.group(2):
+            m_mult = max(m_mult, int(match.group(2)) + 1)
+    x_labels.sort()
     n = len(x_labels)
     if x_labels != list(range(1, n + 1)):
         raise FormatError(f"rot lines must cover vertices 1..n, got {x_labels}")
     if n < 4:
         raise FormatError(f"need rot lines for vertices 1..n with n >= 4, got n={n}")
-    copies = [
-        int(m.group(2))
-        for name in rot_tokens
-        if (m := _Y_NAME.match(name)) and m.group(2)
-    ]
-    m_mult = max(copies) + 1 if copies else 1
     # Checked before the table is built, whose size the copy indices set.
-    if len(rot_tokens) != n + m_mult * comb(n, 3):
+    if len(rot_at) != n + m_mult * comb(n, 3):
         raise FormatError("rot lines do not match the Levi graph of the inferred (n, m)")
     table = levi_edges(n, m_mult)
     graph, count = table.graph, len(table.x_end)
@@ -252,14 +267,20 @@ def parse_scheme_ids(text: str) -> IdScheme:
         return index_of.get(_y_name(v, m_mult)) if v[1] < m_mult else None
 
     # Each rotation must list exactly the incident edges of its vertex, once.
+    # A line's tokens start after its first colon, which no head holds.
     x_degree = graph.x_degree()
-    rotations: dict[int, list[int]] = {}
-    for head, tokens, lineno in rot_tokens.values():
+    seen = bytearray(len(triples))
+    x_rotations: list = [None] * n  # each filled once: the heads cover 1..n
+    y_turned: dict[int, list[int]] = {}  # by Y index, the rotations not in sorted order
+    for head, i in rot_at.items():
+        lineno = i + 1
         u = index_of.get(head)
         if u is None:
             u = index(_parse_vertex(head, m_mult, lineno))
-        if u is None or u in rotations:
+        if u is None or seen[u]:
             raise FormatError(f"rot line for {head!r}: not a Levi vertex, or given twice", lineno)
+        seen[u] = 1
+        tokens = lines[i].partition(":")[2].split()
         if u < n:
             x = u + 1
             ws = [index_of.get(t) for t in tokens]
@@ -270,45 +291,45 @@ def parse_scheme_ids(text: str) -> IdScheme:
                 raise FormatError(
                     f"rotation at {x} must list its {x_degree} edges once each", lineno
                 )
+            x_rotations[u] = at
         else:
             a, b, c = triples[u]
             members = [labels[a], labels[b], labels[c]]
-            base = 3 * (u - n)
             if tokens == members:  # the order `format_scheme_ids` writes
-                at = [base, base + 1, base + 2]
-            elif sorted(tokens) == sorted(members):
-                at = [base + members.index(t) for t in tokens]
-            else:
+                continue
+            if sorted(tokens) != sorted(members):
                 raise FormatError(f"rotation at {head} must list its 3 vertices once each", lineno)
-        rotations[u] = at
+            base = 3 * (u - n)
+            y_turned[u - n] = [base + members.index(t) for t in tokens]
 
     negative = bytearray(count)
     signed = bytearray(count)
-    for x_tok, y_tok, val, lineno in sig_tokens:
+    for i in compress(range(len(lines)), is_sig):
+        head, _, val = lines[i].partition(":")
+        _, x_tok, y_tok = head.split()
         u, w = index_of.get(x_tok), index_of.get(y_tok)
         if u is None or w is None or u >= n or w < n:
-            x, y = _parse_vertex(x_tok, m_mult, lineno), _parse_vertex(y_tok, m_mult, lineno)
+            x, y = _parse_vertex(x_tok, m_mult, i + 1), _parse_vertex(y_tok, m_mult, i + 1)
             if not isinstance(x, int) or isinstance(y, int):
-                raise FormatError("sig line must name a vertex then an edge name", lineno)
+                raise FormatError("sig line must name a vertex then an edge name", i + 1)
             u, w = index(x), index(y)
         if u is None or w is None or u + 1 not in triples[w]:
-            raise FormatError(f"sig line for {x_tok} {y_tok}: not a Levi edge", lineno)
+            raise FormatError(f"sig line for {x_tok} {y_tok}: not a Levi edge", i + 1)
         k = 3 * (w - n) + triples[w].index(u + 1)
         if signed[k]:
-            raise FormatError(f"second sig line for {x_tok} {y_tok}", lineno)
+            raise FormatError(f"second sig line for {x_tok} {y_tok}", i + 1)
+        val = val.strip()
         if val not in ("+1", "-1"):
-            raise FormatError(f"bad signature value {val!r}", lineno)
+            raise FormatError(f"bad signature value {val!r}", i + 1)
         signed[k] = 1
         negative[k] = val == "-1"
     missing = signed.count(0)
     if missing:
         raise FormatError(f"{missing} edges missing a sig line")
-    return IdScheme(
-        table,
-        [rotations[u] for u in range(n)],
-        [rotations[w] for w in range(n, len(triples))],
-        negative,
-    )
+    y_rotations = None
+    if y_turned:
+        y_rotations = [y_turned.get(k // 3) or [k, k + 1, k + 2] for k in range(0, count, 3)]
+    return IdScheme(table, x_rotations, y_rotations, negative)
 
 
 def parse_scheme(text: str) -> EmbeddingScheme:

@@ -234,8 +234,10 @@ def test_usage_error_exits_2(capsys):
     [
         ("rot e{1,2,3}: 1 2 3", "rot e{1,2,3}: x 2 3"),  # not a vertex label
         ("rot 1: ", "rot 1: e{2,3,4} "),  # an edge that does not meet vertex 1
+        ("rot 1: ", "rot x1: "),  # a head that names no vertex
+        ("rot 1: ", "rot 1 "),  # a head without its colon
     ],
-    ids=["bad-label", "extra-edge"],
+    ids=["bad-label", "extra-edge", "bad-head", "no-colon"],
 )
 def test_genus_rejects_rotation_off_graph(tmp_path, capsys, old, new):
     from kn3genus import set_to_scheme

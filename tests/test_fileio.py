@@ -1,3 +1,4 @@
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -21,6 +22,7 @@ from kn3genus import (
     set_to_scheme,
 )
 from kn3genus.circuits import canonical_set_key
+from kn3genus.fileio import format_scheme_ids, parse_scheme_ids
 from kn3genus.levi import levi_edges
 
 
@@ -221,3 +223,71 @@ def test_parse_scheme_refuses_a_copy_index_its_rot_lines_cannot_hold(strong6):
         parse_scheme(text)
     assert str(err.value) == "rot lines do not match the Levi graph of the inferred (n, m)"
     assert levi_edges.cache_info().currsize == tables
+
+
+def _blocks(text):
+    """The header, X rot lines, Y rot lines and sig lines of a written scheme."""
+    header, *body = text.splitlines()
+    y_rot = [l for l in body if l.startswith("rot e")]
+    x_rot = [l for l in body if l.startswith("rot ") and l not in y_rot]
+    return header, x_rot, y_rot, [l for l in body if l.startswith("sig ")]
+
+
+@pytest.mark.parametrize("name", ["strong_6", "klein_4x2"])
+def test_parse_scheme_ids_reads_lines_in_any_order(name):
+    text = format_scheme(set_to_scheme(fixture_set(name)))
+    header, x_rot, y_rot, sig = _blocks(text)
+    moved = "\n".join([header, *sig, "", *y_rot, " ", "", *x_rot, ""])
+    written, back = parse_scheme_ids(text), parse_scheme_ids(moved)
+    assert back.y_rotations is None and written.y_rotations is None
+    assert back.x_rotations == written.x_rotations
+    assert back.negative == written.negative
+    assert format_scheme_ids(back) == text
+
+
+def test_parse_scheme_reports_a_bad_rot_line_before_an_earlier_bad_sig_line(strong6):
+    header, x_rot, y_rot, sig = _blocks(format_scheme(set_to_scheme(strong6)))
+    sig[0] = "sig 1 e{2,3,4}: +1"  # not a Levi edge
+    x_rot[0] += " " + x_rot[0].split()[2]  # an edge listed twice
+    lines = [header, *sig, *x_rot, *y_rot]
+    with pytest.raises(FormatError) as err:
+        parse_scheme("\n".join(lines))
+    assert str(err.value) == f"line {len(sig) + 2}: rotation at 1 must list its 10 edges once each"
+
+
+def test_parse_scheme_ids_keeps_sorted_y_rotations_implicit(strong6):
+    text = format_scheme(set_to_scheme(strong6))
+    assert parse_scheme_ids(text).y_rotations is None
+    turned = text.replace("rot e{1,2,3}: 1 2 3", "rot e{1,2,3}: 3 2 1")
+    ids = parse_scheme_ids(turned)
+    assert ids.y_rotations == [[2, 1, 0]] + [[k, k + 1, k + 2] for k in range(3, 60, 3)]
+    assert format_scheme_ids(ids) == turned
+    assert parse_scheme(turned) != parse_scheme(text)
+
+
+@pytest.mark.parametrize("new", ["rot x1:", "rot 2"], ids=["letter", "no-colon"])
+def test_parse_scheme_names_the_line_of_a_bad_rot_head(strong6, new):
+    lines = format_scheme(set_to_scheme(strong6)).splitlines()
+    at = next(i for i, l in enumerate(lines) if l.startswith("rot 2:"))
+    lines[at] = lines[at].replace("rot 2:", new, 1)
+    with pytest.raises(FormatError) as err:
+        parse_scheme("\n".join(lines))
+    assert err.value.line == at + 1
+    assert str(err.value).startswith(f"line {at + 1}: bad vertex name: invalid literal for int()")
+
+
+def test_parse_scheme_ids_keeps_no_tokens_per_line():
+    # Formatting builds the (20, 1) edge and name tables the parser reads.
+    text = format_scheme(set_to_scheme(build_multi(20, 1, seed=1)))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        parse_scheme_ids(text)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 10 * len(text)
