@@ -19,7 +19,7 @@ from .census import (
 )
 from .exceptions import FormatError, Kn3Error
 from .levi import HypergraphSpec, euler_genus_lower_bound, genus_formula
-from .scheme import trace_ids, verify_family
+from .scheme import trace_faces, verify_family
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -74,7 +74,7 @@ def cmd_build(args) -> int:
     if args.out:
         Path(args.out).write_text(text)
     if args.scheme_out:
-        Path(args.scheme_out).write_text(fileio.format_scheme_ids(verified.ids))
+        Path(args.scheme_out).write_text(fileio.format_scheme(verified.scheme))
     payload = {
         "n": s.n,
         "m": s.m,
@@ -139,7 +139,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_genus(args) -> int:
-    report = trace_ids(fileio.parse_scheme_ids(_read(args.path)))
+    report = trace_faces(fileio.parse_scheme(_read(args.path)))
     hist = dict(sorted(report.length_histogram().items()))
     payload = {
         "face_count": report.face_count,

@@ -8,22 +8,20 @@ without them, since nothing else tells the parallel copies apart.
 
 Schemes: header line, `rot <vertex>: ...` lines giving each cyclic edge
 order, then `sig <x> <y>: +1|-1` lines.  Edge-side vertices are written
-`e{i,j,k}` (plus `#c` when m > 1).  Schemes are read and written as Levi
-edge ids (`scheme.IdScheme`): `parse_scheme_ids` checks every line against
-the Levi graph and `format_scheme_ids` writes the ids back, so reading a
-written scheme reproduces it bit-exactly.  Lines may come in any order.
-The reader makes two passes: the first classifies the lines and keeps
-only the rot heads and where the lines are; once the heads give n and m,
-the second turns each line straight into ids, so no line's tokens outlive
-it.  Y rotations that all list their triple in sorted order, as the writer
-does, are read back as None, the form `scheme.trace_ids` reads by slicing.
-`parse_scheme` returns the `EmbeddingScheme` those ids back, whose
-rotation and signature are read-only dict views, and `format_scheme`
-writes the ids of any scheme (`scheme.scheme_ids` checks a hand-built one
-first).  Names are written
-and read through one name table per (n, m), built on first use: a token
-that is not a canonical name (such as `e{1,2,3}#0` when m = 1) is parsed
-on its own, and a bad one is reported with its line.
+`e{i,j,k}` (plus `#c` when m > 1).  Schemes are read and written as the
+Levi edge ids an `EmbeddingScheme` holds: `parse_scheme` checks every line
+against the Levi graph and builds the scheme from the ids it reads, and
+`format_scheme` writes the ids of any scheme back, so reading a written
+scheme reproduces it bit-exactly.  Lines may come in any order.  The
+reader makes two passes: the first classifies the lines and keeps only
+the rot heads and where the lines are; once the heads give n and m, the
+second turns each line straight into ids, so no line's tokens outlive it.
+Y rotations that all list their triple in sorted order, as the writer
+does, are read back as None, the form `scheme.trace_faces` reads by
+slicing.  Names are written and read through one name table per (n, m),
+built on first use: a token that is not a canonical name (such as
+`e{1,2,3}#0` when m = 1) is parsed on its own, and a bad one, such as a
+digit run too long for an int, is reported with its line.
 
 Census: header line, then per record a `record sha256=<hex>` digest line
 followed by the record's family in the format above.
@@ -39,7 +37,7 @@ from math import comb
 from .circuits import Circuit, EmbeddingSet
 from .exceptions import CopyResolutionError, FormatError
 from .levi import YVertex, levi_edges
-from .scheme import EmbeddingScheme, IdScheme, scheme_ids
+from .scheme import EmbeddingScheme
 
 SET_HEADER = "# kn3-embedding-set v1"
 SCHEME_HEADER = "# kn3-scheme v1"
@@ -159,13 +157,23 @@ def _names(n: int, m: int) -> _Names:
     return _Names(y_names, index_of)
 
 
+def _digits(run: str, lineno: int) -> int:
+    """A run of digits in a Y name as an int; FormatError when it is longer
+    than `int` reads (Python's limit on decimal digits)."""
+    try:
+        return int(run)
+    except ValueError:
+        message = f"a run of {len(run)} digits is too long for a vertex name"
+        raise FormatError(message, lineno) from None
+
+
 def _parse_vertex(token: str, m: int, lineno: int):
     match = _Y_NAME.match(token)
     if match:
-        triple = tuple(int(v) for v in match.group(1).split(","))
+        triple = tuple(_digits(v, lineno) for v in match.group(1).split(","))
         if len(triple) != 3 or sorted(triple) != list(triple):
             raise FormatError(f"bad triple in {token!r}", lineno)
-        copy = int(match.group(2)) if match.group(2) else 0
+        copy = _digits(match.group(2), lineno) if match.group(2) else 0
         return (triple, copy)
     try:
         return int(token)
@@ -173,8 +181,8 @@ def _parse_vertex(token: str, m: int, lineno: int):
         raise FormatError(f"bad vertex token {token!r}", lineno) from None
 
 
-def format_scheme_ids(sch: IdScheme) -> str:
-    """The scheme file of an id scheme."""
+def format_scheme(sch: EmbeddingScheme) -> str:
+    """The scheme file of a scheme, written from its ids."""
     table = sch.table
     graph, x_end, negative = table.graph, table.x_end, sch.negative
     y_names = _names(graph.n, graph.m).y_names
@@ -188,17 +196,8 @@ def format_scheme_ids(sch: IdScheme) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_scheme(sch: EmbeddingScheme) -> str:
-    """The scheme file of a scheme, written from its ids.
-
-    Raises what `scheme_ids` raises for a hand-built scheme that does not
-    fit its graph.
-    """
-    return format_scheme_ids(scheme_ids(sch))
-
-
-def parse_scheme_ids(text: str) -> IdScheme:
-    """The id scheme of a scheme file; raises FormatError for a malformed one.
+def parse_scheme(text: str) -> EmbeddingScheme:
+    """The scheme of a scheme file; raises FormatError for a malformed one.
 
     Lines may come in any order.  The first pass classifies each line,
     refuses a second rot line for a head or a sig line without exactly two
@@ -240,7 +239,7 @@ def parse_scheme_ids(text: str) -> IdScheme:
             except ValueError as exc:
                 raise FormatError(f"bad vertex name: {exc}", i + 1) from None
         elif "#" in head and (match := _Y_NAME.match(head)) and match.group(2):
-            m_mult = max(m_mult, int(match.group(2)) + 1)
+            m_mult = max(m_mult, _digits(match.group(2), i + 1) + 1)
     x_labels.sort()
     n = len(x_labels)
     if x_labels != list(range(1, n + 1)):
@@ -295,7 +294,7 @@ def parse_scheme_ids(text: str) -> IdScheme:
         else:
             a, b, c = triples[u]
             members = [labels[a], labels[b], labels[c]]
-            if tokens == members:  # the order `format_scheme_ids` writes
+            if tokens == members:  # the order `format_scheme` writes
                 continue
             if sorted(tokens) != sorted(members):
                 raise FormatError(f"rotation at {head} must list its 3 vertices once each", lineno)
@@ -329,12 +328,7 @@ def parse_scheme_ids(text: str) -> IdScheme:
     y_rotations = None
     if y_turned:
         y_rotations = [y_turned.get(k // 3) or [k, k + 1, k + 2] for k in range(0, count, 3)]
-    return IdScheme(table, x_rotations, y_rotations, negative)
-
-
-def parse_scheme(text: str) -> EmbeddingScheme:
-    """The scheme of a scheme file, backed by the ids `parse_scheme_ids` reads."""
-    return EmbeddingScheme.of_ids(parse_scheme_ids(text))
+    return EmbeddingScheme.from_ids(table, x_rotations, y_rotations, negative)
 
 
 def _digest(record: str) -> str:

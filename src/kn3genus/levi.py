@@ -102,7 +102,7 @@ class LeviEdges:
     the order of `graph.edges()`.  `x_end[id]` is the X end of an edge, and
     `first_ids[1 << a | 1 << b | 1 << c]` the id of copy 0 of the triple
     {a, b, c} at its smallest element; copy c at slot s adds 3*c + s.  The
-    (x, y) pairs `edges[id]` and the inverse dict `ids` serve only the dict
+    (x, y) pairs `edges[id]` and the inverse dict `id_of` serve only the dict
     form of a scheme, so each is built when first read.  The table is shared
     by every caller: read it, never change it.
     """
@@ -116,7 +116,7 @@ class LeviEdges:
         return tuple(self.graph.edges())
 
     @cached_property
-    def ids(self) -> dict[tuple[int, YVertex], int]:
+    def id_of(self) -> dict[tuple[int, YVertex], int]:
         return {e: k for k, e in enumerate(self.edges)}
 
 

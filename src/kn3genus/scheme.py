@@ -5,19 +5,17 @@ at every vertex) plus a signature assigning +1 or -1 to every edge.  Up to
 switching equivalence this determines a 2-cell surface embedding, whose
 faces are traced combinatorially.
 
-Scheme algorithms run on the integer edge ids of `levi.levi_edges` (id
-3*y + slot).  An `IdScheme` holds the X rotations as lists of ids, the Y
-rotations (or None for the sorted order 3y, 3y+1, 3y+2) and a bytearray
-marking the negative edges.  One `EmbeddingScheme` value serves every
-caller.  A scheme the library builds (`set_to_scheme`, `parse_scheme`,
-`FamilyReport.scheme`) is backed by its ids, and its `rotation` and
-`signature` are read-only dict views built when first read.  A scheme built
-by hand from dicts goes through the checked front end `scheme_ids` on every
-call.  The family front end turns a family's circuit steps into ids and
-signs (the id formula and the sign rule live there alone).
+A scheme has one representation, `EmbeddingScheme`, on the integer edge
+ids of `levi.levi_edges` (id 3*y + slot): the X rotations as lists of ids,
+the Y rotations (or None for the sorted order 3y, 3y+1, 3y+2) and a
+bytearray marking the negative edges.  Every scheme is checked once, when
+it is built: a hand-built one by the dict front end in its constructor, a
+family's by the family front end (the id formula and the sign rule live
+there alone), a file's by `fileio.parse_scheme`.  Its `rotation` and
+`signature` are read-only dict views, built when first read.
 
-Every scheme call starts from the ids.  One core, `trace_ids`, walks the
-faces over flags keyed by edge and reads orientability off a forced vertex
+Every scheme call reads the ids.  One core, `trace_faces`, walks the faces
+over flags keyed by edge and reads orientability off a forced vertex
 parity; `schemes_equivalent` forces the switch states the same way, from
 the edges whose signs differ, and then compares rotations.
 
@@ -32,7 +30,6 @@ certifies it, through its scheme, as a minimum-genus embedding or not.
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from operator import xor
 from types import MappingProxyType
@@ -66,45 +63,27 @@ Vertex = XVertex | YVertex
 Edge = tuple[XVertex, YVertex]
 
 
-@dataclass(frozen=True, eq=False)
-class IdScheme:
-    """An embedding scheme on the integer edge ids of its Levi graph.
-
-    `x_rotations[x - 1]` lists the ids of the edges at X vertex x in
-    rotation order and `y_rotations[y]` those at the Y vertex at index y;
-    `y_rotations` is None when every Y rotation is 3y, 3y+1, 3y+2, the order
-    of its sorted triple.  `negative[k]` is 1 when edge k has signature -1.
-    Every front end hands out rotations that list each edge exactly once at
-    each of its ends, on which `trace_ids` relies.
-    """
-
-    table: LeviEdges
-    x_rotations: list[list[int]]
-    y_rotations: list[list[int]] | None
-    negative: bytearray
-
-    def y_lists(self) -> list[list[int]]:
-        """The Y rotations, written out when they are the sorted order."""
-        if self.y_rotations is not None:
-            return self.y_rotations
-        return [[k, k + 1, k + 2] for k in range(0, len(self.negative), 3)]
-
-
 class EmbeddingScheme:
-    """A rotation and a signature on a Levi graph.
+    """A rotation and a signature on a Levi graph, held as Levi edge ids.
 
+    The ids are those of `table` (`levi.levi_edges`): `x_rotations[x - 1]`
+    lists the edges at X vertex x in rotation order and `y_rotations[y]`
+    those at the Y vertex at index y; `y_rotations` is None exactly when
+    every Y rotation is 3y, 3y+1, 3y+2, the order of its sorted triple.
+    `negative[k]` is 1 when edge k has signature -1.  Both constructors
+    hand out rotations that list each edge exactly once at each of its
+    ends, on which `trace_faces` relies; read the fields, never change them.
+
+    `EmbeddingScheme(graph, rotation, signature)` checks hand-built dicts
+    once and keeps their ids, not the dicts; `from_ids` takes ids a front
+    end has checked (`set_to_scheme`, `verify_family`, `parse_scheme`).
     `rotation` maps every vertex to the cyclic order of its edges and
-    `signature` every edge (x, y) to +1 or -1.  A scheme the library builds
-    (`set_to_scheme`, `parse_scheme`, `FamilyReport.scheme`, all through
-    `of_ids`) is backed by its `IdScheme`: every scheme call reads the ids,
-    and `rotation` and `signature` are read-only views of them, built when
-    first read.  `EmbeddingScheme(graph, rotation, signature)` wraps
-    hand-built dicts as given; every scheme call checks them against the
-    graph (`scheme_ids`).  Two schemes are equal when their graphs, their
-    rotations (as tuples) and their signatures are.
+    `signature` every edge (x, y) to +1 or -1: read-only views of the ids,
+    built when first read.  Two schemes are equal when their graphs,
+    rotations and signatures are.
     """
 
-    __slots__ = ("_graph", "_rotation", "_signature", "_ids")
+    __slots__ = ("table", "x_rotations", "y_rotations", "negative", "_rotation", "_signature")
 
     def __init__(
         self,
@@ -112,48 +91,105 @@ class EmbeddingScheme:
         rotation: Mapping[Vertex, tuple[Edge, ...]],
         signature: Mapping[Edge, int],
     ):
-        self._graph = graph
-        self._rotation = rotation
-        self._signature = signature
-        self._ids = None
+        """The scheme of hand-built dicts, checked against their Levi graph.
+
+        Raises GraphMismatch when the rotation or the signature is not a
+        mapping, a vertex has no rotation, a rotation lists an edge that is
+        not at its vertex, some edge is missing from or repeated in the
+        rotations, or an edge has no signature of +1 or -1; Disconnected for
+        a vertex without edges.
+        """
+        if not isinstance(rotation, Mapping) or not isinstance(signature, Mapping):
+            raise GraphMismatch(
+                "rotation and signature must be mappings, got "
+                f"{type(rotation).__name__} and {type(signature).__name__}"
+            )
+        table = levi_edges(graph.n, graph.m)
+        id_of, x_end, count = table.id_of, table.x_end, len(table.x_end)
+        x_rotations = []
+        for x in graph.x_vertices:
+            at = [id_of.get(e) for e in _rotation(rotation, x)]
+            if None in at or [x_end[k] for k in at].count(x) != len(at):
+                raise GraphMismatch(f"the rotation at vertex {x} lists an edge not at {x}")
+            x_rotations.append(at)
+        y_rotations = []
+        for yi, y in enumerate(graph.y_vertices):
+            at = [id_of.get(e) for e in _rotation(rotation, y)]
+            if None in at or [k // 3 for k in at].count(yi) != len(at):
+                raise GraphMismatch(f"the rotation at vertex {y} lists an edge not at {y}")
+            y_rotations.append(at)
+        # Every entry is at its own vertex, so the rotations of one side list
+        # each edge once iff they hold `count` entries, all distinct.
+        for side in (x_rotations, y_rotations):
+            if sum(map(len, side)) != count or len(set(chain.from_iterable(side))) != count:
+                raise GraphMismatch("a rotation misses or repeats an edge of the graph")
+
+        signs = [signature.get(e) for e in table.edges]
+        if signs.count(1) + signs.count(-1) != count:
+            k = next(k for k, sign in enumerate(signs) if sign != 1 and sign != -1)
+            raise GraphMismatch(
+                f"edge {table.edges[k]} has no signature of +1 or -1 (got {signs[k]!r})"
+            )
+        self._set(table, x_rotations, y_rotations, bytearray([sign == -1 for sign in signs]))
 
     @classmethod
-    def of_ids(cls, ids: IdScheme) -> "EmbeddingScheme":
-        """The scheme backed by `ids`, which a front end has checked."""
-        sch = cls(ids.table.graph, None, None)
-        sch._ids = ids
+    def from_ids(
+        cls,
+        table: LeviEdges,
+        x_rotations: list[list[int]],
+        y_rotations: list[list[int]] | None,
+        negative: bytearray,
+    ) -> "EmbeddingScheme":
+        """The scheme of ids that a front end has checked."""
+        sch = cls.__new__(cls)
+        sch._set(table, x_rotations, y_rotations, negative)
         return sch
+
+    def _set(self, table, x_rotations, y_rotations, negative) -> None:
+        """Fill the fields, with Y rotations that are all sorted as None."""
+        if y_rotations is not None and all(
+            rot == [k, k + 1, k + 2] for k, rot in zip(range(0, len(negative), 3), y_rotations)
+        ):
+            y_rotations = None
+        self.table, self.x_rotations, self.y_rotations = table, x_rotations, y_rotations
+        self.negative = negative
+        self._rotation = self._signature = None
 
     @property
     def graph(self) -> LeviGraph:
-        return self._graph
+        return self.table.graph
+
+    def y_lists(self) -> list[list[int]]:
+        """The Y rotations, written out when they are the sorted order."""
+        if self.y_rotations is not None:
+            return self.y_rotations
+        return [[k, k + 1, k + 2] for k in range(0, len(self.negative), 3)]
 
     @property
     def rotation(self) -> Mapping[Vertex, tuple[Edge, ...]]:
-        if self._rotation is None and self._ids is not None:
+        if self._rotation is None:
             self._view()
         return self._rotation
 
     @property
     def signature(self) -> Mapping[Edge, int]:
-        if self._signature is None and self._ids is not None:
+        if self._signature is None:
             self._view()
         return self._signature
 
     def _view(self) -> None:
         """The dict view of the ids: Y rotations, then X rotations, and the
         signature in the order the X rotations list the edges."""
-        ids = self._ids
-        table, negative = ids.table, ids.negative
+        table, negative = self.table, self.negative
         edges, graph = table.edges, table.graph
         rotation = {
             y: tuple([edges[k] for k in rot])
-            for y, rot in zip(graph.y_vertices, ids.y_lists())
+            for y, rot in zip(graph.y_vertices, self.y_lists())
         }
-        for x, rot in zip(graph.x_vertices, ids.x_rotations):
+        for x, rot in zip(graph.x_vertices, self.x_rotations):
             rotation[x] = tuple([edges[k] for k in rot])
         signature = {
-            edges[k]: -1 if negative[k] else 1 for rot in ids.x_rotations for k in rot
+            edges[k]: -1 if negative[k] else 1 for rot in self.x_rotations for k in rot
         }
         self._rotation = MappingProxyType(rotation)
         self._signature = MappingProxyType(signature)
@@ -161,26 +197,21 @@ class EmbeddingScheme:
     def __eq__(self, other):
         if not isinstance(other, EmbeddingScheme):
             return NotImplemented
-        a, b = self._ids, other._ids
-        if a is None or b is None:
-            return (self.graph, self.rotation, self.signature) == (
-                other.graph, other.rotation, other.signature
-            )
         return (
-            a.table.graph == b.table.graph
-            and a.negative == b.negative
-            and a.x_rotations == b.x_rotations
-            and (a.y_rotations == b.y_rotations or a.y_lists() == b.y_lists())
+            self.table.graph == other.table.graph
+            and self.negative == other.negative
+            and self.x_rotations == other.x_rotations
+            and self.y_rotations == other.y_rotations
         )
 
     def __repr__(self) -> str:
         return f"EmbeddingScheme(n={self.graph.n}, m={self.graph.m})"
 
     def __reduce__(self):
-        # The views are not picklable; the ids or the given dicts are.
-        if self._ids is not None:
-            return EmbeddingScheme.of_ids, (self._ids,)
-        return EmbeddingScheme, (self._graph, self._rotation, self._signature)
+        # The views are not picklable; the ids are.
+        return EmbeddingScheme.from_ids, (
+            self.table, self.x_rotations, self.y_rotations, self.negative
+        )
 
 
 @dataclass(frozen=True)
@@ -198,56 +229,13 @@ class FaceReport:
         return Counter(self.face_lengths)
 
 
-def _rotation(sch: EmbeddingScheme, v: Vertex) -> tuple[Edge, ...]:
-    rot = sch.rotation.get(v)
+def _rotation(rotation: Mapping, v: Vertex) -> tuple[Edge, ...]:
+    rot = rotation.get(v)
     if rot is None:
         raise GraphMismatch(f"no rotation at vertex {v}")
     if not rot:
         raise Disconnected(f"vertex {v} has no incident edges")
     return rot
-
-
-def scheme_ids(sch: EmbeddingScheme) -> IdScheme:
-    """The ids of a scheme: its own for a library-built one; a hand-built one
-    goes through the dict front end, which checks it against its Levi graph
-    and maps it to ids.
-
-    Raises GraphMismatch when a vertex has no rotation, a rotation lists an
-    edge that is not at its vertex, some edge is missing from or repeated in
-    the rotations, or an edge has no signature of +1 or -1; Disconnected
-    for a vertex without edges.
-    """
-    if sch._ids is not None:
-        return sch._ids
-    graph = sch.graph
-    table = levi_edges(graph.n, graph.m)
-    ids, x_end, count = table.ids, table.x_end, len(table.x_end)
-    x_rotations = []
-    for x in graph.x_vertices:
-        at = [ids.get(e) for e in _rotation(sch, x)]
-        if None in at or [x_end[k] for k in at].count(x) != len(at):
-            raise GraphMismatch(f"the rotation at vertex {x} lists an edge not at {x}")
-        x_rotations.append(at)
-    y_rotations = []
-    for yi, y in enumerate(graph.y_vertices):
-        at = [ids.get(e) for e in _rotation(sch, y)]
-        if None in at or [k // 3 for k in at].count(yi) != len(at):
-            raise GraphMismatch(f"the rotation at vertex {y} lists an edge not at {y}")
-        y_rotations.append(at)
-    # Every entry is at its own vertex, so the rotations of one side list
-    # each edge once iff they hold `count` entries, all distinct.
-    for side in (x_rotations, y_rotations):
-        if sum(map(len, side)) != count or len(set(chain.from_iterable(side))) != count:
-            raise GraphMismatch("a rotation misses or repeats an edge of the graph")
-
-    signs = [sch.signature.get(e) for e in table.edges]
-    if signs.count(1) + signs.count(-1) != count:
-        k = next(k for k, sign in enumerate(signs) if sign != 1 and sign != -1)
-        raise GraphMismatch(
-            f"edge {table.edges[k]} has no signature of +1 or -1 (got {signs[k]!r})"
-        )
-    negative = bytearray([sign == -1 for sign in signs])
-    return IdScheme(table, x_rotations, y_rotations, negative)
 
 
 def _parities(table: LeviEdges, odd: bytes) -> tuple[list[int], bytes] | None:
@@ -278,11 +266,11 @@ def _parities(table: LeviEdges, odd: bytes) -> tuple[list[int], bytes] | None:
 _BAND = bytes.maketrans(b"\x00\x01", b"\x03\x02")
 
 
-def trace_ids(sch: IdScheme) -> FaceReport:
-    """Trace the faces of an id scheme; decide orientability by vertex parity.
+def trace_faces(sch: EmbeddingScheme) -> FaceReport:
+    """Trace the faces of a scheme; decide orientability by vertex parity.
 
-    This is the one tracing core; `trace_faces` feeds it the ids of a
-    scheme and `verify_family` those of a family.  Every edge k has four
+    This is the one tracing core, over the scheme's edge ids; `verify_family`
+    calls it on the scheme of a family.  Every edge k has four
     flags, 4k + 2*end + side, for its X end (end 0) and its Y end (end 1),
     each with two sides; side 1 touches the corner toward the next edge of
     the rotation.  Two pairings act on them: the corner pairing
@@ -353,18 +341,6 @@ def trace_ids(sch: IdScheme) -> FaceReport:
     )
 
 
-def trace_faces(sch: EmbeddingScheme) -> FaceReport:
-    """Trace the faces of a scheme and decide its orientability.
-
-    The core `trace_ids` walks the faces over the edge-keyed flags of the
-    scheme's ids (`scheme_ids`).  For a hand-built scheme, raises
-    Disconnected for a vertex without edges, and GraphMismatch when a
-    rotation is missing or misses, repeats or adds an edge of the graph, or
-    an edge has no signature of +1 or -1.
-    """
-    return trace_ids(scheme_ids(sch))
-
-
 def is_orientable(sch: EmbeddingScheme) -> bool:
     """True iff the signature is switching-equivalent to all-positive.
 
@@ -395,8 +371,8 @@ def _label_failure(c: Circuit) -> str:
     return ""
 
 
-def _family_ids(s: EmbeddingSet, labelled: list[tuple[int, ...]]) -> IdScheme:
-    """The family front end: the ids of the scheme a valid family encodes.
+def _family_scheme(s: EmbeddingSet, labelled: list[tuple[int, ...]]) -> EmbeddingScheme:
+    """The family front end: the scheme a valid family encodes, on edge ids.
 
     Circuit i, with its copy labels, gives the rotation at vertex i; every
     Y rotation is the sorted order of its triple.
@@ -418,7 +394,7 @@ def _family_ids(s: EmbeddingSet, labelled: list[tuple[int, ...]]) -> IdScheme:
             # of i > u, u > v, v > i holds.
             negative[k] = (i > u) + (u > v) + (v > i) != 1
         x_rotations.append(rot)
-    return IdScheme(table, x_rotations, None, negative)
+    return EmbeddingScheme.from_ids(table, x_rotations, None, negative)
 
 
 def _copy_labels(s: EmbeddingSet) -> list[tuple[int, ...]]:
@@ -457,7 +433,7 @@ def set_to_scheme(s: EmbeddingSet) -> EmbeddingScheme:
     report = is_embedding_set(s, require_strong=False)
     if not report:
         raise NotAnEmbeddingSet(report.first())
-    return EmbeddingScheme.of_ids(_family_ids(s, _copy_labels(s)))
+    return _family_scheme(s, _copy_labels(s))
 
 
 @dataclass(frozen=True)
@@ -465,21 +441,17 @@ class FamilyReport:
     """Everything that certifies a family as a minimum-genus embedding.
 
     `compatible` is None when `eulerian` fails and `strong` is None when
-    `compatible` fails; the scheme's ids, its faces and the Euler genus they
-    must reach (the lower bound) are present exactly when the family is
-    compatible.  `scheme` is the scheme those ids back.
+    `compatible` fails; the scheme, its faces and the Euler genus they must
+    reach (the lower bound) are present exactly when the family is
+    compatible.
     """
 
     eulerian: ValidationReport
     compatible: ValidationReport | None
     strong: ValidationReport | None
-    ids: IdScheme | None
+    scheme: EmbeddingScheme | None
     faces: FaceReport | None
     expected_genus: int | None
-
-    @cached_property
-    def scheme(self) -> EmbeddingScheme | None:
-        return None if self.ids is None else EmbeddingScheme.of_ids(self.ids)
 
     def is_minimum(self, orientable: bool) -> bool:
         """A minimum-genus embedding of the requested orientability: compatible
@@ -496,14 +468,14 @@ class FamilyReport:
 
 
 def verify_family(s: EmbeddingSet) -> FamilyReport:
-    """Check a family once and, when it is compatible, trace its scheme's ids."""
+    """Check a family once and, when it is compatible, trace its scheme."""
     eulerian, compatible, strong = check_family(s)
-    ids = faces = expected_genus = None
+    scheme = faces = expected_genus = None
     if compatible:
-        ids = _family_ids(s, _copy_labels(s))
-        faces = trace_ids(ids)
+        scheme = _family_scheme(s, _copy_labels(s))
+        faces = trace_faces(scheme)
         expected_genus = euler_genus_lower_bound(HypergraphSpec(s.n, s.m))
-    return FamilyReport(eulerian, compatible, strong, ids, faces, expected_genus)
+    return FamilyReport(eulerian, compatible, strong, scheme, faces, expected_genus)
 
 
 # ---------------------------------------------------------------------------
@@ -553,13 +525,12 @@ def scheme_to_set(sch: EmbeddingScheme) -> EmbeddingSet:
     n, m = sch.graph.n, sch.graph.m
     if n % 2 != 0:
         raise OddOrder(f"no quadrilateral embedding for odd order {n}")
-    ids = scheme_ids(sch)
-    report = trace_ids(ids)
+    report = trace_faces(sch)
     if not report.all_quadrilateral:
         bad = next(length for length in report.face_lengths if length != 4)
         raise NotQuadrilateral(f"face of length {bad} traced")
     circuits = tuple(
-        _read_circuit(ids.table.graph, i, rot) for i, rot in enumerate(ids.x_rotations, 1)
+        _read_circuit(sch.graph, i, rot) for i, rot in enumerate(sch.x_rotations, 1)
     )
     eulerian, compatible, strong = check_family(
         EmbeddingSet(n=n, m=m, circuits=circuits, strong=False)
@@ -580,13 +551,13 @@ def _cyclically_equal(ra: list[int], rb: list[int]) -> bool:
     return ra[i:] + ra[:i] == rb
 
 
-def _y_reversed(ids: IdScheme) -> bytes:
+def _y_reversed(sch: EmbeddingScheme) -> bytes:
     """1 for every Y rotation that runs against the cyclic order of its
     sorted triple.  A Y rotation has three edges, so it has one of two
     cyclic orders, told by the slot step from its first entry to its second."""
-    if ids.y_rotations is None:
-        return bytes(len(ids.negative) // 3)
-    return bytes([(rot[1] - rot[0]) % 3 != 1 for rot in ids.y_rotations])
+    if sch.y_rotations is None:
+        return bytes(len(sch.negative) // 3)
+    return bytes([(rot[1] - rot[0]) % 3 != 1 for rot in sch.y_rotations])
 
 
 def schemes_equivalent(a: EmbeddingScheme, b: EmbeddingScheme) -> bool:
@@ -601,24 +572,21 @@ def schemes_equivalent(a: EmbeddingScheme, b: EmbeddingScheme) -> bool:
     b's rotation at every X vertex must then be a's, kept or reversed by
     its state, up to rotation.  The cost is linear in the graph.
 
-    Both schemes are read in full first (`scheme_ids`), so a malformed
-    hand-built scheme always raises GraphMismatch (or Disconnected), as
-    does a pair of schemes on different graphs.
+    Raises GraphMismatch for two schemes on different graphs.
     """
     if a.graph != b.graph:
         raise GraphMismatch("schemes are defined on different labelled graphs")
-    ia, ib = scheme_ids(a), scheme_ids(b)
-    parities = _parities(ia.table, bytes(map(xor, ia.negative, ib.negative)))
+    parities = _parities(a.table, bytes(map(xor, a.negative, b.negative)))
     if parities is None:
         return False
     px, py = parities
     # Y vertex y is switched iff b reverses its rotation, and iff py[y]
     # differs from the state of X vertex 1: every Y vertex must agree on it.
-    root = bytes(map(xor, py, map(xor, _y_reversed(ia), _y_reversed(ib))))
+    root = bytes(map(xor, py, map(xor, _y_reversed(a), _y_reversed(b))))
     state = root[0]
     if root.count(state) != len(root):
         return False
     return all(
         _cyclically_equal(ra[::-1] if p ^ state else ra, rb)
-        for ra, rb, p in zip(ia.x_rotations, ib.x_rotations, px[1:])
+        for ra, rb, p in zip(a.x_rotations, b.x_rotations, px[1:])
     )

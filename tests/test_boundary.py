@@ -53,6 +53,8 @@ SCHEME_SEEDS = [
 SCHEME_TOKENS = [
     "", "0", "1", "4", "7", "-1", "+1", "x", "rot", "sig", ":", "1:", "e{1,2,3}", "e{1,2,3}#0",
     "e{1,2,3}#1", "e{1,2,3}#9", "e{3,2,1}", "e{1,2}", "e{1,2,99}", "e{1,2,3}:", "e{2,3,4}#1:",
+    # digit runs past Python's 4300-digit limit for int()
+    "e{1,2,3}#" + "9" * 5000, "e{1,2,3}#" + "9" * 5000 + ":", "e{1,2," + "9" * 5000 + "}",
 ]
 
 CENSUS_SEEDS = [format_census([build_even(6, True, seed=1), build_even(6, False, seed=2)])]

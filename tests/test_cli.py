@@ -267,6 +267,18 @@ def test_genus_rejects_bad_sig_line(tmp_path, capsys, extra):
     assert f"line {len(text.splitlines()) + 1}" in err
 
 
+def test_genus_refuses_a_digit_run_too_long_for_an_int(tmp_path, capsys):
+    from kn3genus import set_to_scheme
+
+    text = fileio.format_scheme(set_to_scheme(fixture_set("strong_6")))
+    at = text.splitlines().index("sig 1 e{1,2,3}: +1") + 1
+    path = tmp_path / "long.kn3scheme"
+    path.write_text(text.replace("sig 1 e{1,2,3}:", "sig 1 e{1,2,3}#" + "9" * 5000 + ":"))
+    code, _, err = run(capsys, "genus", str(path))
+    assert code == 2
+    assert err == f"error: line {at}: a run of 5000 digits is too long for a vertex name\n"
+
+
 def test_genus_refuses_order_below_4(tmp_path, capsys):
     path = tmp_path / "k3.kn3scheme"
     path.write_text(

@@ -22,7 +22,6 @@ from kn3genus import (
     set_to_scheme,
 )
 from kn3genus.circuits import canonical_set_key
-from kn3genus.fileio import format_scheme_ids, parse_scheme_ids
 from kn3genus.levi import levi_edges
 
 
@@ -160,16 +159,22 @@ def test_format_scheme_refuses_a_scheme_off_its_graph(strong6):
     del rotation[3]
     signature = dict(sch.signature)
     del signature[(1, ((1, 2, 3), 0))]
-    for broken in (
-        EmbeddingScheme(sch.graph, rotation, sch.signature),  # no rotation at 3
-        EmbeddingScheme(sch.graph, sch.rotation, signature),  # an edge without a sign
+    repeats = "a rotation misses or repeats an edge of the graph"
+    for dicts, message in (
+        ((rotation, sch.signature), "no rotation at vertex 3"),
+        (
+            (sch.rotation, signature),
+            "edge (1, ((1, 2, 3), 0)) has no signature of +1 or -1 (got None)",
+        ),
         # A rotation that misses one edge and repeats another, and one that
         # repeats an edge and misses none:
-        EmbeddingScheme(sch.graph, {**sch.rotation, 1: (rot[1],) + rot[1:]}, sch.signature),
-        EmbeddingScheme(sch.graph, {**sch.rotation, 1: rot + rot[:1]}, sch.signature),
+        (({**sch.rotation, 1: (rot[1],) + rot[1:]}, sch.signature), repeats),
+        (({**sch.rotation, 1: rot + rot[:1]}, sch.signature), repeats),
     ):
-        with pytest.raises(GraphMismatch):
-            format_scheme(broken)
+        # The scheme is refused when it is built, before it can be written.
+        with pytest.raises(GraphMismatch) as err:
+            format_scheme(EmbeddingScheme(sch.graph, *dicts))
+        assert str(err.value) == message
 
 
 def test_census_round_trip():
@@ -234,15 +239,15 @@ def _blocks(text):
 
 
 @pytest.mark.parametrize("name", ["strong_6", "klein_4x2"])
-def test_parse_scheme_ids_reads_lines_in_any_order(name):
+def test_parse_scheme_reads_lines_in_any_order(name):
     text = format_scheme(set_to_scheme(fixture_set(name)))
     header, x_rot, y_rot, sig = _blocks(text)
     moved = "\n".join([header, *sig, "", *y_rot, " ", "", *x_rot, ""])
-    written, back = parse_scheme_ids(text), parse_scheme_ids(moved)
+    written, back = parse_scheme(text), parse_scheme(moved)
     assert back.y_rotations is None and written.y_rotations is None
     assert back.x_rotations == written.x_rotations
     assert back.negative == written.negative
-    assert format_scheme_ids(back) == text
+    assert format_scheme(back) == text
 
 
 def test_parse_scheme_reports_a_bad_rot_line_before_an_earlier_bad_sig_line(strong6):
@@ -255,13 +260,13 @@ def test_parse_scheme_reports_a_bad_rot_line_before_an_earlier_bad_sig_line(stro
     assert str(err.value) == f"line {len(sig) + 2}: rotation at 1 must list its 10 edges once each"
 
 
-def test_parse_scheme_ids_keeps_sorted_y_rotations_implicit(strong6):
+def test_parse_scheme_keeps_sorted_y_rotations_implicit(strong6):
     text = format_scheme(set_to_scheme(strong6))
-    assert parse_scheme_ids(text).y_rotations is None
+    assert parse_scheme(text).y_rotations is None
     turned = text.replace("rot e{1,2,3}: 1 2 3", "rot e{1,2,3}: 3 2 1")
-    ids = parse_scheme_ids(turned)
-    assert ids.y_rotations == [[2, 1, 0]] + [[k, k + 1, k + 2] for k in range(3, 60, 3)]
-    assert format_scheme_ids(ids) == turned
+    sch = parse_scheme(turned)
+    assert sch.y_rotations == [[2, 1, 0]] + [[k, k + 1, k + 2] for k in range(3, 60, 3)]
+    assert format_scheme(sch) == turned
     assert parse_scheme(turned) != parse_scheme(text)
 
 
@@ -276,7 +281,7 @@ def test_parse_scheme_names_the_line_of_a_bad_rot_head(strong6, new):
     assert str(err.value).startswith(f"line {at + 1}: bad vertex name: invalid literal for int()")
 
 
-def test_parse_scheme_ids_keeps_no_tokens_per_line():
+def test_parse_scheme_keeps_no_tokens_per_line():
     # Formatting builds the (20, 1) edge and name tables the parser reads.
     text = format_scheme(set_to_scheme(build_multi(20, 1, seed=1)))
     tracing = tracemalloc.is_tracing()
@@ -285,9 +290,34 @@ def test_parse_scheme_ids_keeps_no_tokens_per_line():
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        parse_scheme_ids(text)
+        parse_scheme(text)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
     assert peak < 10 * len(text)
+
+
+LONG_RUN = "9" * 5000  # past Python's 4300-digit limit for int()
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        # a copy index on a rot head, where it sets m
+        ("rot e{1,2,3}: ", f"rot e{{1,2,3}}#{LONG_RUN}: "),
+        ("rot e{1,2,3}: ", f"rot e{{1,2,{LONG_RUN}}}: "),  # a triple member on a rot head
+        ("rot 1: ", f"rot 1: e{{1,2,{LONG_RUN}}} "),  # ... in a rot token
+        ("rot 1: ", f"rot 1: e{{1,2,3}}#{LONG_RUN} "),  # a copy index in a rot token
+        ("sig 1 e{1,2,3}: ", f"sig 1 e{{1,2,3}}#{LONG_RUN}: "),  # ... on a sig line
+        ("sig 1 e{1,2,3}: ", f"sig 1 e{{{LONG_RUN},2,3}}: "),  # a triple member on a sig line
+    ],
+    ids=["rot-head-copy", "rot-head-triple", "rot-token-triple", "rot-token-copy",
+         "sig-copy", "sig-triple"],
+)
+def test_parse_scheme_refuses_a_digit_run_too_long_for_an_int(strong6, old, new):
+    text = format_scheme(set_to_scheme(strong6))
+    at = next(i for i, l in enumerate(text.splitlines()) if l.startswith(old))
+    with pytest.raises(FormatError) as err:
+        parse_scheme(text.replace(old, new, 1))
+    assert str(err.value) == f"line {at + 1}: a run of 5000 digits is too long for a vertex name"

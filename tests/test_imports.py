@@ -1,16 +1,20 @@
-"""Package modules share only public names.
+"""Package modules share only public names, and the benchmark's imports exist.
 
 A module of `kn3genus` that needs another module's underscore name should
 get a public entry point instead; this keeps private helpers private to the
-module that defines them.
+module that defines them.  The benchmark harness in `perfbench/` imports
+public names of the package; one that is renamed or deleted would surface
+only as failed benchmark operations, so its imports are checked here.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kn3genus"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "kn3genus"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -56,3 +60,21 @@ def test_private_uses_are_detected():
         "line 4: imports _index",
         "line 3: reads fileio._helper",
     ]
+
+
+def test_perfbench_imports_only_names_the_package_has():
+    imported, missing = 0, []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (
+                isinstance(node, ast.ImportFrom)
+                and node.level == 0
+                and (node.module or "").split(".")[0] == "kn3genus"
+            ):
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                imported += 1
+                if not hasattr(module, alias.name):
+                    missing.append(f"{path.name}:{node.lineno}: {node.module}.{alias.name}")
+    assert imported and missing == []

@@ -1,5 +1,6 @@
 import pickle
 import random
+from functools import partial
 
 import pytest
 
@@ -265,8 +266,9 @@ def test_trace_rejects_disconnected(planar4):
 
     rotation = dict(sch.rotation)
     rotation[isolated] = ()
-    with pytest.raises(Disconnected):
+    with pytest.raises(Disconnected) as err:
         trace_faces(EmbeddingScheme(Stub, rotation, sch.signature))
+    assert str(err.value) == "vertex ((1, 2, 3), 9) has no incident edges"
 
 
 @pytest.mark.parametrize(
@@ -381,16 +383,18 @@ def test_trace_rejects_rotation_off_graph(strong6):
     sch = set_to_scheme(strong6)
     y = ((1, 2, 3), 0)
     rot, ry = sch.rotation[1], sch.rotation[y]
-    for v, bad in (
-        (1, rot + ((1, ((4, 5, 6), 0)),)),  # an edge that is not in the graph
-        (1, rot[1:]),  # a missing edge
-        (1, (rot[1],) + rot[1:]),  # a repeated edge in place of another
-        (1, rot + rot[:1]),  # one edge repeated, none missing
-        (y, ry + ry[:1]),
+    repeats = "a rotation misses or repeats an edge of the graph"
+    for v, bad, message in (
+        # an edge that is not in the graph
+        (1, rot + ((1, ((4, 5, 6), 0)),), "the rotation at vertex 1 lists an edge not at 1"),
+        (1, rot[1:], repeats),  # a missing edge
+        (1, (rot[1],) + rot[1:], repeats),  # a repeated edge in place of another
+        (1, rot + rot[:1], repeats),  # one edge repeated, none missing
+        (y, ry + ry[:1], repeats),
     ):
-        broken = EmbeddingScheme(sch.graph, {**sch.rotation, v: bad}, sch.signature)
-        with pytest.raises(GraphMismatch):
-            trace_faces(broken)
+        with pytest.raises(GraphMismatch) as err:
+            trace_faces(EmbeddingScheme(sch.graph, {**sch.rotation, v: bad}, sch.signature))
+        assert str(err.value) == message
     # The same two rotations, one entry too long, in a scheme file.
     text = format_scheme(sch)
     for head in ("rot 1:", "rot e{1,2,3}:"):
@@ -458,13 +462,17 @@ def test_schemes_equivalent_rejects_missing_signature_or_rotation(strong6):
     del signature[(1, ((1, 2, 3), 0))]
     rotation = dict(sch.rotation)
     del rotation[((1, 2, 3), 0)]
-    for broken in (
-        EmbeddingScheme(sch.graph, sch.rotation, signature),
-        EmbeddingScheme(sch.graph, rotation, sch.signature),
+    for dicts, message in (
+        (
+            (sch.rotation, signature),
+            "edge (1, ((1, 2, 3), 0)) has no signature of +1 or -1 (got None)",
+        ),
+        ((rotation, sch.signature), "no rotation at vertex ((1, 2, 3), 0)"),
     ):
-        for a, b in ((broken, sch), (sch, broken)):
-            with pytest.raises(GraphMismatch):
-                schemes_equivalent(a, b)
+        # The broken scheme is refused when it is built, before the call.
+        with pytest.raises(GraphMismatch) as err:
+            schemes_equivalent(sch, EmbeddingScheme(sch.graph, *dicts))
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("orientable", [True, False], ids=["orientable", "nonorientable"])
@@ -522,17 +530,16 @@ def test_verify_family_agrees_with_oracle(n, m, orientable):
 def test_trace_and_equivalence_reject_signs_other_than_one(strong6):
     sch = set_to_scheme(strong6)
     e = (1, ((1, 2, 3), 0))
-    for signature in (
-        {f: 0 if sign == -1 else "yes" for f, sign in sch.signature.items()},
-        {**sch.signature, e: 0},
-        {**sch.signature, e: None},
+    for signature, got in (
+        ({f: 0 if sign == -1 else "yes" for f, sign in sch.signature.items()}, "'yes'"),
+        ({**sch.signature, e: 0}, "0"),
+        ({**sch.signature, e: None}, "None"),
     ):
-        broken = EmbeddingScheme(sch.graph, sch.rotation, signature)
-        with pytest.raises(GraphMismatch):
-            trace_faces(broken)
-        for a, b in ((broken, broken), (broken, sch), (sch, broken)):
-            with pytest.raises(GraphMismatch):
-                schemes_equivalent(a, b)
+        # The broken scheme is refused when it is built, before either call.
+        for use in (trace_faces, partial(schemes_equivalent, sch)):
+            with pytest.raises(GraphMismatch) as err:
+                use(EmbeddingScheme(sch.graph, sch.rotation, signature))
+            assert str(err.value) == f"edge {e} has no signature of +1 or -1 (got {got})"
 
 
 def test_trace_rejects_edges_at_the_wrong_vertex(strong6):
@@ -544,17 +551,20 @@ def test_trace_rejects_edges_at_the_wrong_vertex(strong6):
     def swap(rot, old, new):
         return tuple(new if e == old else e for e in rot)
 
-    for changed in (
-        {y: (ry[0], ry[1], ry[1])},  # a Y rotation repeats an edge
-        {y: (ry[0], ry[1], (4, z))},  # a Y rotation lists an edge of another triple
-        {1: swap(r1, (1, y), (2, y))},  # (2, y) at vertex 1
+    off_y = f"the rotation at vertex {y} lists an edge not at {y}"
+    off_1 = "the rotation at vertex 1 lists an edge not at 1"
+    for changed, message in (
+        # a Y rotation repeats an edge
+        ({y: (ry[0], ry[1], ry[1])}, "a rotation misses or repeats an edge of the graph"),
+        ({y: (ry[0], ry[1], (4, z))}, off_y),  # a Y rotation lists an edge of another triple
+        ({1: swap(r1, (1, y), (2, y))}, off_1),  # (2, y) at vertex 1
         # Every edge listed once, but two at the wrong vertex of their side:
-        {1: swap(r1, (1, y), (2, y)), 2: swap(r2, (2, y), (1, y))},
-        {y: swap(ry, (1, y), (1, z)), z: swap(rz, (1, z), (1, y))},
+        ({1: swap(r1, (1, y), (2, y)), 2: swap(r2, (2, y), (1, y))}, off_1),
+        ({y: swap(ry, (1, y), (1, z)), z: swap(rz, (1, z), (1, y))}, off_y),
     ):
-        broken = EmbeddingScheme(sch.graph, {**sch.rotation, **changed}, sch.signature)
-        with pytest.raises(GraphMismatch):
-            trace_faces(broken)
+        with pytest.raises(GraphMismatch) as err:
+            trace_faces(EmbeddingScheme(sch.graph, {**sch.rotation, **changed}, sch.signature))
+        assert str(err.value) == message
 
 
 def with_dicts(sch):
@@ -623,4 +633,50 @@ def test_library_round_trip_never_builds_the_dict_tables():
     assert schemes_equivalent(sch, again) and schemes_equivalent(parsed, sch)
     assert parsed == again and trace_faces(parsed) == trace_faces(sch)
     table = levi_edges(10, 2)
-    assert "edges" not in vars(table) and "ids" not in vars(table)
+    assert "edges" not in vars(table) and "id_of" not in vars(table)
+
+
+def test_hand_built_scheme_keeps_no_reference_to_its_dicts(strong6):
+    library = set_to_scheme(strong6)
+    rotation, signature = dict(library.rotation), dict(library.signature)
+    sch = EmbeddingScheme(library.graph, rotation, signature)
+    faces, text = trace_faces(sch), format_scheme(sch)
+    # Y rotations given by hand in sorted order are kept as None, as parsed ones are.
+    assert faces.face_count == 30 and sch == library and sch.y_rotations is None
+    e = next(iter(signature))
+    signature[e] = -signature[e]
+    rotation[1] = rotation[1][::-1]
+    del rotation[2]
+    assert trace_faces(sch) == faces
+    assert format_scheme(sch) == text
+    assert sch == library and sch.signature[e] == library.signature[e]
+
+
+def test_hand_built_scheme_survives_a_pickle_round_trip(strong6):
+    library = set_to_scheme(strong6)
+    y = ((1, 2, 3), 0)
+    rotation = {**library.rotation, y: library.rotation[y][::-1]}
+    sch = EmbeddingScheme(library.graph, rotation, dict(library.signature))
+    assert sch.y_rotations is not None
+    back = pickle.loads(pickle.dumps(sch))
+    assert back == sch == parse_scheme(format_scheme(sch))
+    assert trace_faces(back) == trace_faces(sch)
+    assert back.rotation == sch.rotation and back.signature == sch.signature
+
+
+@pytest.mark.parametrize("which", ["none", "rotation-pairs", "signature-pairs"])
+def test_scheme_refuses_a_rotation_or_signature_that_is_no_mapping(strong6, which):
+    library = set_to_scheme(strong6)
+    rotation, signature = library.rotation, library.signature
+    if which == "none":
+        rotation = signature = None
+    elif which == "rotation-pairs":
+        rotation = list(rotation.items())
+    else:
+        signature = list(signature.items())
+    with pytest.raises(GraphMismatch) as err:
+        EmbeddingScheme(library.graph, rotation, signature)
+    assert str(err.value) == (
+        "rotation and signature must be mappings, got "
+        f"{type(rotation).__name__} and {type(signature).__name__}"
+    )
