@@ -49,6 +49,7 @@ from .exceptions import (
     Disconnected,
     FormatError,
     GraphMismatch,
+    InvalidParameter,
     Kn3Error,
     MismatchedAmbient,
     NoCommonTransition,

@@ -1,9 +1,12 @@
 """Constructions of minimum-genus circuit families for even order.
 
-The orientable family grows two vertices at a time: per odd vertex i a
-transition (a, i+1, b) of T_i is broken, a fixed zigzag trail through the
-two new vertices is inserted there (and symmetrically in T_{i+1}), and two
-explicit circuits for the new vertices are appended.  The non-orientable
+The orientable family grows two vertices at a time.  A pairing names the
+old vertices 1..n afresh; per odd name i a transition (a, i+1, b) of T_i is
+broken, a fixed zigzag trail through the two new vertices is inserted there
+(and symmetrically in T_{i+1}), and two explicit circuits for the new
+vertices are appended.  The step works in the caller's labels: only the
+trails and the apex circuits, fixed for (i, n), are mapped back from the
+fresh names, and each old circuit is spliced once.  The non-orientable
 variant runs the same induction from a non-strong order-6 base, and the
 multi-edge variant splices a whole single-multiplicity family into the
 current one at a shared transition, once per extra copy.
@@ -17,14 +20,8 @@ from importlib import resources
 from random import Random
 from typing import Sequence
 
-from .circuits import (
-    Circuit,
-    EmbeddingSet,
-    Transition,
-    relabel,
-    transitions_through,
-)
-from .exceptions import NoCommonTransition, OddOrder, UnsupportedCase
+from .circuits import Circuit, EmbeddingSet
+from .exceptions import InvalidParameter, NoCommonTransition, OddOrder, UnsupportedCase
 from .fileio import parse_set
 
 _FIXTURES = {
@@ -94,9 +91,9 @@ def build_sigma(i: int, n: int) -> tuple[int, ...]:
     (i-2, i-1).
     """
     if n % 2 != 0:
-        raise ValueError(f"order must be even, got n={n}")
+        raise InvalidParameter(f"order must be even, got n={n}")
     if i % 2 == 0 or not 1 <= i <= n - 1:
-        raise ValueError(f"sigma is defined for odd 1 <= i <= n-1, got i={i}")
+        raise InvalidParameter(f"sigma is defined for odd 1 <= i <= n-1, got i={i}")
     vals = [v for v in range(1, n + 1) if v not in (i, i + 1)]
     for j in range(1, (i - 1) // 2 + 1):
         a, b = 2 * j - 2, 2 * j - 1
@@ -104,6 +101,7 @@ def build_sigma(i: int, n: int) -> tuple[int, ...]:
     return tuple(vals)
 
 
+@cache
 def build_insertion(i: int, n: int) -> InsertionTrail:
     """Trail inserted into T_i during the step n -> n+2.
 
@@ -113,7 +111,7 @@ def build_insertion(i: int, n: int) -> InsertionTrail:
     {x, y} to the old vertices except those into i, plus the edge xy.
     """
     if not 1 <= i <= n:
-        raise ValueError(f"need 1 <= i <= n, got i={i}")
+        raise InvalidParameter(f"need 1 <= i <= n, got i={i}")
     x, y = n + 1, n + 2
     odd = i % 2 == 1
     sigma = build_sigma(i if odd else i - 1, n)
@@ -127,6 +125,7 @@ def build_insertion(i: int, n: int) -> InsertionTrail:
     return InsertionTrail(vertex=i, order=n, tokens=tuple(tokens))
 
 
+@cache
 def build_apex_circuits(n: int) -> tuple[Circuit, Circuit]:
     """Circuits for the two new vertices x = n+1 and y = n+2.
 
@@ -134,7 +133,7 @@ def build_apex_circuits(n: int) -> tuple[Circuit, Circuit]:
     the ones forced by strong compatibility with the expanded old circuits.
     """
     if n % 2 != 0 or n < 4:
-        raise ValueError(f"order must be even and >= 4, got n={n}")
+        raise InvalidParameter(f"order must be even and >= 4, got n={n}")
     x, y = n + 1, n + 2
 
     a_parts = [[y, 1, n, 2, n - 1, n]]
@@ -163,19 +162,28 @@ def build_apex_circuits(n: int) -> tuple[Circuit, Circuit]:
     return t_x, t_y
 
 
-def _splice_tokens(c: Circuit, position: int, tokens: tuple[int, ...], new_n: int) -> Circuit:
-    seq = c.seq[: position + 1] + tokens + c.seq[position + 1 :]
-    return Circuit(c.excluded, new_n, c.m, seq)
-
-
 def _sample_pairing(n: int, rng: Random) -> tuple[tuple[int, int], ...]:
     verts = list(range(1, n + 1))
     rng.shuffle(verts)
     return tuple((verts[2 * t], verts[2 * t + 1]) for t in range(n // 2))
 
 
+def _through(seq: tuple[int, ...], v: int) -> list[tuple[int, int, int]]:
+    """(prev, next, p) at every position p of v in the cyclic seq, in order."""
+    k, p, out = len(seq), -1, []
+    for _ in range(seq.count(v)):
+        p = seq.index(v, p + 1)
+        out.append((seq[p - 1], seq[(p + 1) % k], p))
+    return out
+
+
 def _expand(s: EmbeddingSet, choice: TransitionChoice | None, rng: Random | None) -> EmbeddingSet:
-    """One induction step: a family of order n becomes one of order n+2."""
+    """One induction step: a family of order n becomes one of order n+2.
+
+    The pair at slot t of the pairing takes the names 2t+1, 2t+2 of the
+    construction.  The rng is read in a fixed order: the pairing, one pick
+    per pair, then the apex swap.
+    """
     n = s.n
     pairing = choice.pairing if choice and choice.pairing else None
     if pairing is None:
@@ -186,29 +194,19 @@ def _expand(s: EmbeddingSet, choice: TransitionChoice | None, rng: Random | None
         )
     flat = [v for pair in pairing for v in pair]
     if sorted(flat) != list(range(1, n + 1)):
-        raise ValueError(f"pairing {pairing} does not cover 1..{n}")
-    phi = {}
-    for slot, (first, second) in enumerate(pairing):
-        phi[first], phi[second] = 2 * slot + 1, 2 * slot + 2
-    work = relabel(s, phi)
+        raise InvalidParameter(f"pairing {pairing} does not cover 1..{n}")
 
-    circuits = list(work.circuits)
+    seqs = [c.seq for c in s.circuits]
     indices = choice.transition_index if choice and choice.transition_index else {}
-    for i in range(1, n, 2):
-        c_i, c_j = circuits[i - 1], circuits[i]
-
-        def candidates():
-            # (a, i+1, b) in T_i is admissible iff T_{i+1} passes b, i, a.
-            mates = {(t.b, t.a) for t in transitions_through(c_j, i)}
-            return [t for t in transitions_through(c_i, i + 1) if (t.a, t.b) in mates]
-
-        cands = candidates()
+    picks = []
+    for i, (u, w) in zip(range(1, n, 2), pairing):
+        # (a, i+1, b) in T_i is admissible iff T_{i+1} passes b, i, a.
+        cands = _admissible(seqs[u - 1], seqs[w - 1], u, w)
         if not cands:
             # Only weak-form matches: reverse the even circuit (an
             # equivalence-preserving move) to expose the strong form.
-            c_j = c_j.reversed_()
-            circuits[i] = c_j
-            cands = candidates()
+            seqs[w - 1] = seqs[w - 1][::-1]
+            cands = _admissible(seqs[u - 1], seqs[w - 1], u, w)
             if not cands:
                 raise NoCommonTransition(
                     f"pair ({i},{i + 1}) admits no transition to break"
@@ -219,21 +217,32 @@ def _expand(s: EmbeddingSet, choice: TransitionChoice | None, rng: Random | None
             idx = rng.randrange(len(cands))
         else:
             idx = 0
-        t = cands[idx % len(cands)]
-
-        p = _occurrences(c_i, t)[0]
-        circuits[i - 1] = _splice_tokens(c_i, p, build_insertion(i, n).tokens, n + 2)
-        q = _occurrences(c_j, Transition(t.b, i, t.a))[0]
-        circuits[i] = _splice_tokens(c_j, q, build_insertion(i + 1, n).tokens, n + 2)
-
-    t_x, t_y = build_apex_circuits(n)
-    grown = EmbeddingSet(n + 2, s.m, tuple(circuits) + (t_x, t_y), strong=s.strong)
+        picks.append(cands[idx % len(cands)])
 
     apex_swap = choice.apex_swap if choice else (rng.random() < 0.5 if rng else False)
-    inverse = {phi[v]: v for v in phi}
-    inverse[n + 1] = n + 2 if apex_swap else n + 1
-    inverse[n + 2] = n + 1 if apex_swap else n + 2
-    return relabel(grown, inverse)
+    # inverse[name] is the caller's label of a name of the construction.
+    inverse = [0, *flat, n + 1, n + 2]
+    if apex_swap:
+        inverse[n + 1], inverse[n + 2] = n + 2, n + 1
+    to_caller = inverse.__getitem__
+    for i, (u, w), (p, q) in zip(range(1, n, 2), pairing, picks):
+        for v, pos, j in ((u, p, i), (w, q, i + 1)):
+            seq = seqs[v - 1]
+            trail = tuple(map(to_caller, build_insertion(j, n).tokens))
+            seqs[v - 1] = seq[: pos + 1] + trail + seq[pos + 1 :]
+    apex = build_apex_circuits(n)
+    seqs += [tuple(map(to_caller, c.seq)) for c in (apex[::-1] if apex_swap else apex)]
+    circuits = tuple(Circuit(v, n + 2, 1, seq) for v, seq in enumerate(seqs, 1))
+    return EmbeddingSet(n + 2, s.m, circuits, strong=s.strong)
+
+
+def _admissible(
+    s_u: tuple[int, ...], s_w: tuple[int, ...], u: int, w: int
+) -> list[tuple[int, int]]:
+    """Positions (p, q) of each transition (a, w, b) at p in T_u that T_w
+    passes as (b, u, a) at q, in the order of p."""
+    mates = {(b, a): q for a, b, q in _through(s_w, u)}
+    return [(p, mates[a, b]) for a, b, p in _through(s_u, w) if (a, b) in mates]
 
 
 def build_even(
@@ -251,7 +260,7 @@ def build_even(
     if n % 2 != 0:
         raise OddOrder(f"only even orders are constructed, got n={n}")
     if n < 4:
-        raise ValueError(f"order must be >= 4, got n={n}")
+        raise InvalidParameter(f"order must be >= 4, got n={n}")
     if not orientable and n < 6:
         raise UnsupportedCase(
             "the order-4 family is planar; no non-orientable minimum exists"
@@ -268,17 +277,6 @@ def build_even(
     return current
 
 
-def _occurrences(c: Circuit, t: Transition) -> list[int]:
-    """Positions p, in order, where c passes t.a, t.mid, t.b at p-1, p, p+1."""
-    s = c.seq
-    k = len(s)
-    return [
-        p
-        for p in range(k)
-        if s[p] == t.mid and s[p - 1] == t.a and s[(p + 1) % k] == t.b
-    ]
-
-
 def _splice_layer(
     current: EmbeddingSet, layer: EmbeddingSet, rng: Random | None
 ) -> EmbeddingSet:
@@ -292,85 +290,66 @@ def _splice_layer(
     grouping stays face-consistent.
     """
     n, m = current.n, current.m
-    new_label = m
-    circuits = list(current.circuits)
+    seqs = [c.seq for c in current.circuits]
+    labels = [c.copy_labels for c in current.circuits]
     for i in range(1, n, 2):
-        c_i, c_j = circuits[i - 1], circuits[i]
-        f_i, f_j = layer.circuit(i), layer.circuit(i + 1)
-
-        picked = None
+        f_i, f_j = layer.circuit(i).seq, layer.circuit(i + 1).seq
+        through_i = _through(seqs[i - 1], i + 1)
         for flip_i in (False, True):
-            cand_f_i = f_i.reversed_() if flip_i else f_i
+            if flip_i:
+                f_i = f_i[::-1]
             # (a, i+1, b) in T_i is shared iff the layer's T_i passes a, i+1, b.
-            passes = {(t.a, t.b) for t in transitions_through(cand_f_i, i + 1)}
-            shared = [t for t in transitions_through(c_i, i + 1) if (t.a, t.b) in passes]
-            if shared:
-                picked = (cand_f_i, shared)
+            passes = {(a, b): r for a, b, r in _through(f_i, i + 1)}
+            shared = [(a, b) for a, b, _ in through_i if (a, b) in passes]
+            if shared or current.strong:
                 break
-            if current.strong:
-                break
-        if picked is None:
+        if not shared:
             raise NoCommonTransition(
                 f"no transition through {i + 1} shared by both versions of T_{i}"
             )
-        f_i, shared = picked
-        t = shared[rng.randrange(len(shared))] if rng is not None else shared[0]
-
-        p = _occurrences(c_i, t)[0]
-        labels_i = c_i.copy_labels
-        alpha_after = labels_i[p]
-        alpha_before = labels_i[p - 1]
+        a, b = shared[rng.randrange(len(shared))] if rng is not None else shared[0]
+        p = next(p for x, y, p in through_i if (x, y) == (a, b))
+        before, after = labels[i - 1][p - 1], labels[i - 1][p]
 
         # Matching transition through i in the current T_{i+1}: strong form
-        # (b, i, a) wants flanks (alpha_after, alpha_before); the weak form
-        # (a, i, b) wants them the other way around.
-        q = form = None
-        for mate, want in (
-            (Transition(t.b, i, t.a), (alpha_after, alpha_before)),
-            (Transition(t.a, i, t.b), (alpha_before, alpha_after)),
-        ):
-            labels_j = c_j.copy_labels
-            for pos in _occurrences(c_j, mate):
-                if (labels_j[pos - 1], labels_j[pos]) == want:
-                    q, form = pos, mate
-                    break
+        # (b, i, a) wants flanks (after, before); the weak form (a, i, b)
+        # wants them the other way around.
+        labels_j, through_j = labels[i], _through(seqs[i], i)
+        for form, want in (((b, a), (after, before)), ((a, b), (before, after))):
+            q = next(
+                (q for x, y, q in through_j
+                 if (x, y) == form and (labels_j[q - 1], labels_j[q]) == want),
+                None,
+            )
             if q is not None:
                 break
-        if q is None:
+        else:
             raise NoCommonTransition(
                 f"pair ({i},{i + 1}): no label-matched transition through {i}"
             )
-        if not _occurrences(f_j, form):
-            f_j = f_j.reversed_()
-            if not _occurrences(f_j, form):
-                raise NoCommonTransition(
-                    f"layer circuit {i + 1} lacks the transition "
-                    f"({form.a},{form.mid},{form.b}) in either direction"
-                )
+        for flip_j in (False, True):
+            if flip_j:
+                f_j = f_j[::-1]
+            at_j = {(x, y): r for x, y, r in _through(f_j, i)}.get(form)
+            if at_j is not None:
+                break
+        else:
+            raise NoCommonTransition(
+                f"layer circuit {i + 1} lacks the transition "
+                f"({form[0]},{i},{form[1]}) in either direction"
+            )
 
-        circuits[i - 1] = _insert_layer(c_i, p, f_i, t, new_label)
-        circuits[i] = _insert_layer(c_j, q, f_j, form, new_label)
-
-    circuits = [
-        Circuit(c.excluded, n, m + 1, c.seq, c.copy_labels) for c in circuits
-    ]
-    return EmbeddingSet(n, m + 1, tuple(circuits), strong=current.strong)
-
-
-def _insert_layer(
-    c: Circuit, position: int, fresh: Circuit, t: Transition, new_label: int
-) -> Circuit:
-    r = _occurrences(fresh, t)[0]
-    rotated = fresh.rotated((r + 1) % len(fresh.seq))
-    seq = c.seq[: position + 1] + rotated.seq + c.seq[position + 1 :]
-    old = c.copy_labels
-    labels = (
-        old[:position]
-        + (new_label,) * len(rotated.seq)
-        + (old[position],)
-        + old[position + 1 :]
+        # Each layer circuit goes in written from just after its own copy
+        # of the broken transition, on edges of the new copy m.
+        for v, pos, fresh, at in ((i, p, f_i, passes[a, b]), (i + 1, q, f_j, at_j)):
+            seq, old = seqs[v - 1], labels[v - 1]
+            fresh = fresh[at + 1 :] + fresh[: at + 1]
+            seqs[v - 1] = seq[: pos + 1] + fresh + seq[pos + 1 :]
+            labels[v - 1] = old[:pos] + (m,) * len(fresh) + old[pos:]
+    circuits = tuple(
+        Circuit(v, n, m + 1, seq, lab) for v, (seq, lab) in enumerate(zip(seqs, labels), 1)
     )
-    return Circuit(c.excluded, c.n, c.m, seq, labels)
+    return EmbeddingSet(n, m + 1, circuits, strong=current.strong)
 
 
 def build_multi(
@@ -385,7 +364,7 @@ def build_multi(
     if n % 2 != 0:
         raise OddOrder(f"only even orders are constructed, got n={n}")
     if m < 1:
-        raise ValueError(f"multiplicity must be >= 1, got m={m}")
+        raise InvalidParameter(f"multiplicity must be >= 1, got m={m}")
     if not orientable and n == 4 and m == 1:
         raise UnsupportedCase(
             "the order-4 family is planar; no non-orientable minimum exists"

@@ -19,9 +19,10 @@ from .circuits import (
     canonical_set_key,
     is_embedding_set,
     least_rotation,
+    least_written,
     relabel,
 )
-from .exceptions import OddOrder
+from .exceptions import InvalidParameter, OddOrder
 from .scheme import verify_family
 
 
@@ -49,12 +50,19 @@ def canonical_rewrite(s: EmbeddingSet) -> EmbeddingSet:
     families (only rotations and simultaneous reversal preserve it); copy
     labels ride along.
     """
-    forward = tuple(c.rotated(least_rotation(c.seq)) for c in s.circuits)
-    backward = tuple(
-        r.rotated(least_rotation(r.seq)) for r in map(Circuit.reversed_, s.circuits)
-    )
-    circuits = min(forward, backward, key=lambda cs: tuple(c.seq for c in cs))
-    return EmbeddingSet(s.n, s.m, circuits, s.strong)
+    forms = ((least_written(c.seq), least_written(c.seq[::-1])) for c in s.circuits)
+    # The first circuit whose two least forms differ decides the direction.
+    reverse = next((back < ahead for ahead, back in forms if ahead != back), False)
+    circuits = []
+    for c in s.circuits:
+        seq, labels = c.seq, c.copy_labels
+        if reverse:
+            # Position p of the reversed trail covers the old position -2-p.
+            seq, labels = seq[::-1], labels and labels[-2::-1] + labels[-1:]
+        off = least_rotation(seq)
+        labels = labels and labels[off:] + labels[:off]
+        circuits.append(Circuit(c.excluded, c.n, c.m, seq[off:] + seq[:off], labels))
+    return EmbeddingSet(s.n, s.m, tuple(circuits), s.strong)
 
 
 def sets_isomorphic(a: EmbeddingSet, b: EmbeddingSet) -> dict[int, int] | None:
@@ -141,7 +149,7 @@ def count_lower_bound(n: int) -> int:
     if n % 2 != 0:
         raise OddOrder(f"bound defined for even orders, got n={n}")
     if n < 4:
-        raise ValueError(f"order must be >= 4, got n={n}")
+        raise InvalidParameter(f"order must be >= 4, got n={n}")
     r = 1
     for k in range(6, n + 1, 2):
         half = (k - 2) // 2
@@ -154,7 +162,7 @@ def count_upper_bound(n: int) -> int:
     if n % 2 != 0:
         raise OddOrder(f"bound defined for even orders, got n={n}")
     if n < 4:
-        raise ValueError(f"order must be >= 4, got n={n}")
+        raise InvalidParameter(f"order must be >= 4, got n={n}")
     return double_factorial(n - 3) ** (n * (n - 1) // 2)
 
 

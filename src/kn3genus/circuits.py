@@ -27,6 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 from math import comb
+from operator import eq
 
 from .exceptions import MismatchedAmbient, VertexAbsent
 
@@ -51,14 +52,20 @@ def least_rotation(seq: tuple[int, ...]) -> int:
     """
     if not seq:
         return 0
-    low = min(seq)
-    return min(
-        (off for off, v in enumerate(seq) if v == low),
-        key=lambda off: seq[off:] + seq[:off],
-    )
+    low, k, doubled = min(seq), len(seq), seq + seq
+    best = off = seq.index(low)
+    least = doubled[off : off + k]
+    for _ in range(seq.count(low) - 1):
+        off = seq.index(low, off + 1)
+        if doubled[off + 1] <= least[1]:  # else this rotation is greater already
+            written = doubled[off : off + k]
+            if written < least:
+                best, least = off, written
+    return best
 
 
-def _least_written(seq: tuple[int, ...]) -> tuple[int, ...]:
+def least_written(seq: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation of seq, written out."""
     off = least_rotation(seq)
     return seq[off:] + seq[:off]
 
@@ -116,12 +123,12 @@ class Circuit:
 
         The lesser of the `least_rotation` of seq and of its reverse.
         """
-        return min(_least_written(self.seq), _least_written(self.seq[::-1]))
+        return min(least_written(self.seq), least_written(self.seq[::-1]))
 
     def cyclically_equal(self, other: "Circuit") -> bool:
         """Equality up to rotation only (reversal is a distinct trail)."""
         return len(self.seq) == len(other.seq) and (
-            _least_written(self.seq) == _least_written(other.seq)
+            least_written(self.seq) == least_written(other.seq)
         )
 
     def equivalent(self, other: "Circuit") -> bool:
@@ -159,50 +166,49 @@ class ValidationReport:
 
 
 def validate_eulerian(c: Circuit) -> ValidationReport:
-    """Check the Eulerian-multiset invariant, reporting the first violation."""
+    """Check the Eulerian-multiset invariant, reporting the first violation.
+
+    The tests run as scans in C and one Counter; a message is worked out
+    only for a test that fails.
+    """
     failures: list[str] = []
-    seq = c.seq
-    steps = list(zip(seq, seq[1:] + seq[:1]))
-    ground = [v for v in range(1, c.n + 1) if v != c.excluded]
+    seq, n, m = c.seq, c.n, c.m
+    nxt = seq[1:] + seq[:1]
     if len(seq) != c.expected_length:
         failures.append(
             f"length {len(seq)} != expected {c.expected_length} "
-            f"(m*C(n-1,2) with n={c.n}, m={c.m})"
+            f"(m*C(n-1,2) with n={n}, m={m})"
         )
-    for v in seq:
-        if v == c.excluded:
-            failures.append(f"excluded vertex {v} occurs in the sequence")
-            break
-        if not 1 <= v <= c.n:
-            failures.append(f"vertex {v} outside 1..{c.n}")
-            break
-    repeated = next((u for u, v in steps if u == v), None)
-    if repeated is not None:
+    if seq and (c.excluded in seq or min(seq) < 1 or max(seq) > n):
+        v = next(v for v in seq if v == c.excluded or not 1 <= v <= n)
+        failures.append(
+            f"excluded vertex {v} occurs in the sequence"
+            if v == c.excluded
+            else f"vertex {v} outside 1..{n}"
+        )
+    if any(map(eq, seq, nxt)):
+        repeated = next(u for u, v in zip(seq, nxt) if u == v)
         failures.append(f"immediate repetition at vertex {repeated}")
-    if not failures:
-        pairs = [(u, v) if u < v else (v, u) for u, v in steps]
-        counts = Counter(pairs)
-        if max(counts.values(), default=0) > c.m:
-            # Name the pair whose count first exceeds m in scan order.
-            running = Counter()
-            for pair in pairs:
-                running[pair] += 1
-                if running[pair] > c.m:
-                    failures.append(
-                        f"pair {{{pair[0]},{pair[1]}}} count {running[pair]} expected {c.m}"
-                    )
-                    break
-        elif len(counts) != comb(len(ground), 2) or min(counts.values(), default=c.m) < c.m:
-            for i, u in enumerate(ground):
-                for v in ground[i + 1:]:
-                    got = counts.get((u, v), 0)
-                    if got != c.m:
-                        failures.append(
-                            f"pair {{{u},{v}}} count {got} expected {c.m}"
-                        )
-                        break
-                if failures:
-                    break
+    if failures:
+        return ValidationReport(False, failures)
+    pairs = [(u, v) if u < v else (v, u) for u, v in zip(seq, nxt)]
+    counts = Counter(pairs)
+    ground = [v for v in range(1, n + 1) if v != c.excluded]
+    if max(counts.values(), default=0) > m:
+        # Name the pair whose count first exceeds m in scan order.
+        running = Counter()
+        for pair in pairs:
+            running[pair] += 1
+            if running[pair] > m:
+                failures.append(f"pair {{{pair[0]},{pair[1]}}} count {running[pair]} expected {m}")
+                break
+    elif len(counts) != comb(len(ground), 2) or min(counts.values(), default=m) < m:
+        failures.append(next(
+            f"pair {{{u},{v}}} count {counts.get((u, v), 0)} expected {m}"
+            for i, u in enumerate(ground)
+            for v in ground[i + 1:]
+            if counts.get((u, v), 0) != m
+        ))
     return ValidationReport(not failures, failures)
 
 

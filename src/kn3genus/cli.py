@@ -17,7 +17,7 @@ from .census import (
     count_upper_bound,
     enumerate_variants,
 )
-from .exceptions import FormatError, Kn3Error
+from .exceptions import FormatError, InvalidParameter, Kn3Error
 from .levi import HypergraphSpec, euler_genus_lower_bound, genus_formula
 from .scheme import trace_faces, verify_family
 
@@ -188,6 +188,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_formula(args) -> int:
+    if max(abs(args.n), abs(args.multiplicity)) >= 10**1000:
+        # Keeps every value it prints below Python's 4300-digit str limit.
+        raise InvalidParameter("n and m must have at most 1000 digits")
     spec = HypergraphSpec(args.n, args.multiplicity)
     lower = euler_genus_lower_bound(spec)
     payload = {"n": args.n, "m": args.multiplicity, "euler_genus_lower_bound": lower}
@@ -268,7 +271,7 @@ def main(argv=None) -> int:
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (Kn3Error, ValueError) as exc:
+    except Kn3Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,6 +9,10 @@ class OddOrder(Kn3Error):
     """The requested vertex count is odd; only even orders are supported."""
 
 
+class InvalidParameter(Kn3Error, ValueError):
+    """An argument outside its domain: an order, multiplicity, vertex or pairing."""
+
+
 class UnsupportedCase(Kn3Error):
     """A parameter combination outside the supported constructions."""
 

@@ -27,7 +27,6 @@ Census: header line, then per record a `record sha256=<hex>` digest line
 followed by the record's family in the format above.
 """
 
-import hashlib
 import re
 from dataclasses import dataclass
 from functools import cache
@@ -51,14 +50,14 @@ def format_set(s: EmbeddingSet) -> str:
     else CopyResolutionError names the first that has none."""
     lines = [SET_HEADER, f"n={s.n} m={s.m} orientable={1 if s.strong else 0}"]
     for c in s.circuits:
-        lines.append(f"T {c.excluded}: " + " ".join(str(v) for v in c.seq))
+        lines.append(f"T {c.excluded}: " + " ".join(map(str, c.seq)))
     if s.m > 1:
         for c in s.circuits:
             if c.copy_labels is None:
                 raise CopyResolutionError(
                     f"circuit {c.excluded}: no copy labels, which m={s.m} requires"
                 )
-            lines.append(f"L {c.excluded}: " + " ".join(str(v) for v in c.copy_labels))
+            lines.append(f"L {c.excluded}: " + " ".join(map(str, c.copy_labels)))
     return "\n".join(lines) + "\n"
 
 
@@ -332,6 +331,7 @@ def parse_scheme(text: str) -> EmbeddingScheme:
 
 
 def _digest(record: str) -> str:
+    import hashlib  # only census files carry digests; other commands skip its import
     return hashlib.sha256(record.encode()).hexdigest()
 
 

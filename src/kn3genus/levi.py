@@ -13,7 +13,7 @@ from functools import cache, cached_property
 from itertools import combinations
 from math import comb
 
-from .exceptions import OddOrder, UnsupportedCase
+from .exceptions import InvalidParameter, OddOrder, UnsupportedCase
 
 Triple = tuple[int, int, int]
 # A Levi vertex on the edge side: (sorted triple, copy index in 0..m-1).
@@ -31,9 +31,9 @@ class HypergraphSpec:
         if not isinstance(self.n, int) or not isinstance(self.m, int):
             raise TypeError("n and m must be integers")
         if self.n < 4:
-            raise ValueError(f"order n must be >= 4, got {self.n}")
+            raise InvalidParameter(f"order n must be >= 4, got {self.n}")
         if self.m < 1:
-            raise ValueError(f"multiplicity m must be >= 1, got {self.m}")
+            raise InvalidParameter(f"multiplicity m must be >= 1, got {self.m}")
 
     @property
     def edge_count(self) -> int:
@@ -118,6 +118,10 @@ class LeviEdges:
     @cached_property
     def id_of(self) -> dict[tuple[int, YVertex], int]:
         return {e: k for k, e in enumerate(self.edges)}
+
+    def __reduce__(self):
+        # Unpickled, it is the one shared table; the cached views stay behind.
+        return levi_edges, (self.graph.n, self.graph.m)
 
 
 @cache

@@ -93,28 +93,33 @@ class EmbeddingScheme:
     ):
         """The scheme of hand-built dicts, checked against their Levi graph.
 
-        Raises GraphMismatch when the rotation or the signature is not a
-        mapping, a vertex has no rotation, a rotation lists an edge that is
-        not at its vertex, some edge is missing from or repeated in the
-        rotations, or an edge has no signature of +1 or -1; Disconnected for
-        a vertex without edges.
+        Raises GraphMismatch when the graph is not a Levi graph, the rotation
+        or the signature is not a mapping, a vertex has no rotation or one
+        that is not a sequence of hashable edges, a rotation lists an edge
+        that is not at its vertex, some edge is missing from or repeated in
+        the rotations, or an edge has no signature of +1 or -1; Disconnected
+        for a vertex without edges.
         """
         if not isinstance(rotation, Mapping) or not isinstance(signature, Mapping):
             raise GraphMismatch(
                 "rotation and signature must be mappings, got "
                 f"{type(rotation).__name__} and {type(signature).__name__}"
             )
-        table = levi_edges(graph.n, graph.m)
+        try:
+            table = levi_edges(graph.n, graph.m)
+            x_vertices, y_vertices = graph.x_vertices, graph.y_vertices
+        except (AttributeError, TypeError):
+            raise GraphMismatch(f"graph must be a LeviGraph, got {type(graph).__name__}") from None
         id_of, x_end, count = table.id_of, table.x_end, len(table.x_end)
         x_rotations = []
-        for x in graph.x_vertices:
-            at = [id_of.get(e) for e in _rotation(rotation, x)]
+        for x in x_vertices:
+            at = _rotation_ids(rotation, x, id_of)
             if None in at or [x_end[k] for k in at].count(x) != len(at):
                 raise GraphMismatch(f"the rotation at vertex {x} lists an edge not at {x}")
             x_rotations.append(at)
         y_rotations = []
-        for yi, y in enumerate(graph.y_vertices):
-            at = [id_of.get(e) for e in _rotation(rotation, y)]
+        for yi, y in enumerate(y_vertices):
+            at = _rotation_ids(rotation, y, id_of)
             if None in at or [k // 3 for k in at].count(yi) != len(at):
                 raise GraphMismatch(f"the rotation at vertex {y} lists an edge not at {y}")
             y_rotations.append(at)
@@ -229,13 +234,18 @@ class FaceReport:
         return Counter(self.face_lengths)
 
 
-def _rotation(rotation: Mapping, v: Vertex) -> tuple[Edge, ...]:
+def _rotation_ids(rotation: Mapping, v: Vertex, id_of: dict) -> list[int | None]:
+    """The ids of the edges the rotation lists at v, None for a non-edge."""
     rot = rotation.get(v)
     if rot is None:
         raise GraphMismatch(f"no rotation at vertex {v}")
-    if not rot:
+    try:
+        at = [id_of.get(e) for e in rot]
+    except TypeError:  # not iterable, or an unhashable entry
+        raise GraphMismatch(f"the rotation at vertex {v} is not a sequence of (x, y) edges") from None
+    if not at:
         raise Disconnected(f"vertex {v} has no incident edges")
-    return rot
+    return at
 
 
 def _parities(table: LeviEdges, odd: bytes) -> tuple[list[int], bytes] | None:

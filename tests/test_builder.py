@@ -1,9 +1,12 @@
+import hashlib
 from collections import Counter
 
 import pytest
 
 from kn3genus import (
     HypergraphSpec,
+    InvalidParameter,
+    Kn3Error,
     OddOrder,
     TransitionChoice,
     UnsupportedCase,
@@ -13,6 +16,12 @@ from kn3genus import (
     build_insertion,
     build_multi,
     build_sigma,
+    canonical_rewrite,
+    count_lower_bound,
+    count_upper_bound,
+    enumerate_variants,
+    format_census,
+    format_set,
     genus_formula,
     is_embedding_set,
     is_strongly_compatible,
@@ -141,6 +150,28 @@ def test_builder_errors():
         build_multi(5, 2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_even(2),
+        lambda: build_multi(6, 0),
+        lambda: build_sigma(2, 8),
+        lambda: build_insertion(9, 8),
+        lambda: build_apex_circuits(5),
+        lambda: HypergraphSpec(3),
+        lambda: HypergraphSpec(6, 0),
+        lambda: count_lower_bound(2),
+        lambda: count_upper_bound(-2),
+        lambda: _expand(build_even(6), TransitionChoice(pairing=((1, 2), (3, 4), (5, 5))), None),
+    ],
+)
+def test_argument_domain_errors_are_invalid_parameters(call):
+    # A domain error of the package that callers may still catch as ValueError.
+    with pytest.raises(InvalidParameter) as err:
+        call()
+    assert isinstance(err.value, Kn3Error) and isinstance(err.value, ValueError)
+
+
 def test_determinism():
     assert build_even(12, True, seed=42) == build_even(12, True, seed=42)
     assert build_even(10, False) == build_even(10, False)
@@ -213,3 +244,48 @@ def test_multi_output_carries_labels():
 
 def test_multi_reduces_to_even_for_m1():
     assert build_multi(8, 1, orientable=True) == build_even(8, orientable=True)
+
+
+# Digests of builder output that must stay byte-identical: they pin every
+# free choice of the constructions and the order in which the rng is read.
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "n,m,orientable,seed,digest",
+    [
+        (20, 3, False, 1, "96c36b89381894f057a32f5ab5bb89f32ad5fc580161116e20aa3b36070ac464"),
+        (40, 1, True, 2, "e5ea4fffff2f56f95b9da33503129f7aab5f2b5e90b82749416e205ec149bc82"),
+        (64, 1, True, 3, "0e583f0832be7894758f0449c8e6ebe48998828a0952e259df42b291937e6bc5"),
+    ],
+)
+def test_seeded_build_output_is_pinned(n, m, orientable, seed, digest):
+    assert _sha256(format_set(build_multi(n, m, orientable, seed=seed))) == digest
+
+
+@pytest.mark.parametrize(
+    "orientable,digest",
+    [
+        (True, "8abbe207e52e409c13d1946fac933b1f9bddce9cc1b45fe2946c198663cf8826"),
+        (False, "7e23ff5ffe93e4af66af753116b34fa3d7d7857be6e08715d6e599a68715a09e"),
+    ],
+)
+def test_census_text_is_pinned(orientable, digest):
+    families = enumerate_variants(8, orientable, 1000, seed=5).families
+    assert _sha256(format_census(canonical_rewrite(s) for s in families)) == digest
+
+
+def test_explicit_choices_output_is_pinned():
+    choices = [
+        TransitionChoice(pairing=((2, 1), (3, 4)), transition_index={1: 1, 3: 2}, apex_swap=True),
+        TransitionChoice(
+            pairing=((6, 3), (1, 5), (2, 4)), transition_index={1: 3, 5: 1}, apex_swap=False
+        ),
+        TransitionChoice(
+            pairing=((7, 8), (1, 3), (2, 6), (5, 4)), transition_index={3: 2, 7: 5}, apex_swap=True
+        ),
+    ]
+    s = build_even(10, choices=choices)
+    assert is_embedding_set(s, require_strong=True).ok
+    assert _sha256(format_set(s)) == "7fdf142b25009c8bf5d26cca0bd11bac9d02447e9c6b5765fe75cc303bc23ca8"

@@ -1,6 +1,10 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kn3genus import fileio, fixture_set
 from kn3genus.cli import main
@@ -324,3 +328,44 @@ def test_enumerate_refuses_a_negative_count(capsys):
         main(["enumerate", "--n", "6", "--count", "-1"])
     assert err.value.code == 2
     assert "--count" in capsys.readouterr().err
+
+
+SMALL = st.integers(min_value=-3, max_value=12).map(str)
+# Digit runs past Python's 4300-digit int limit included; only `formula` gets them.
+MANY_DIGITS = st.builds(
+    lambda sign, digit, length: sign + digit * length,
+    st.sampled_from(["", "-"]),
+    st.sampled_from("123456789"),
+    st.integers(min_value=1, max_value=5000),
+)
+
+
+@st.composite
+def integer_argvs(draw):
+    command = draw(st.sampled_from(["build", "enumerate", "formula"]))
+    if command == "formula":
+        number = st.one_of(SMALL, MANY_DIGITS)
+        argv = ["formula", "--n", draw(number), "--multiplicity", draw(number)]
+    else:
+        argv = [command, "--n", draw(SMALL), draw(st.sampled_from(["--orientable", "--nonorientable"]))]
+        option = "--multiplicity" if command == "build" else "--count"
+        argv += [option, str(draw(st.integers(min_value=-2, max_value=3)))]
+        seed = draw(st.none() | st.integers(min_value=-5, max_value=5))
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_argvs())
+def test_main_exits_0_1_or_2_on_any_integer_arguments(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a value it cannot read
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

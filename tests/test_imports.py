@@ -9,6 +9,9 @@ only as failed benchmark operations, so its imports are checked here.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +81,14 @@ def test_perfbench_imports_only_names_the_package_has():
                 if not hasattr(module, alias.name):
                     missing.append(f"{path.name}:{node.lineno}: {node.module}.{alias.name}")
     assert imported and missing == []
+
+
+def test_hashlib_is_imported_only_where_census_digests_are_made():
+    # `build`, `verify`, `genus` and `formula` make no digest, so they should
+    # not pay for importing hashlib.
+    code = "import sys, kn3genus.cli; print('hashlib' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -680,3 +680,33 @@ def test_scheme_refuses_a_rotation_or_signature_that_is_no_mapping(strong6, whic
         "rotation and signature must be mappings, got "
         f"{type(rotation).__name__} and {type(signature).__name__}"
     )
+
+
+@pytest.mark.parametrize("case", ["entry-not-iterable", "edge-as-list", "graph-none"])
+def test_scheme_refuses_malformed_dicts_with_graph_mismatch(strong6, case):
+    library = set_to_scheme(strong6)
+    graph, rotation = library.graph, dict(library.rotation)
+    if case == "entry-not-iterable":
+        rotation[1] = 5
+    elif case == "edge-as-list":
+        rotation[1] = tuple(list(e) for e in rotation[1])
+    else:
+        graph = None
+    with pytest.raises(GraphMismatch) as err:
+        EmbeddingScheme(graph, rotation, library.signature)
+    assert str(err.value) == (
+        "graph must be a LeviGraph, got NoneType"
+        if case == "graph-none"
+        else "the rotation at vertex 1 is not a sequence of (x, y) edges"
+    )
+
+
+def test_pickled_scheme_shares_the_cached_edge_table():
+    sch = set_to_scheme(build_multi(40, 1, seed=2))
+    table = levi_edges(40, 1)
+    assert table.id_of  # built here, yet it must not ride along in the pickle
+    data = pickle.dumps(sch)
+    back = pickle.loads(data)
+    assert back.table is table
+    assert len(data) < 200_000
+    assert back == sch and trace_faces(back) == trace_faces(sch)
