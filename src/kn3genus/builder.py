@@ -9,7 +9,8 @@ trails and the apex circuits, fixed for (i, n), are mapped back from the
 fresh names, and each old circuit is spliced once.  The non-orientable
 variant runs the same induction from a non-strong order-6 base, and the
 multi-edge variant splices a whole single-multiplicity family into the
-current one at a shared transition, once per extra copy.
+current one at a shared transition, once per extra copy.  Both find the
+transitions to break, and where they sit, with `circuits.transition_positions`.
 
 All builders are deterministic for fixed (parameters, choices, seed).
 """
@@ -20,7 +21,7 @@ from importlib import resources
 from random import Random
 from typing import Sequence
 
-from .circuits import Circuit, EmbeddingSet
+from .circuits import Circuit, EmbeddingSet, transition_positions
 from .exceptions import InvalidParameter, NoCommonTransition, OddOrder, UnsupportedCase
 from .fileio import parse_set
 
@@ -42,7 +43,7 @@ _BASE_KINDS = {
 def fixture_set(name: str) -> EmbeddingSet:
     """One of the bundled reference families, parsed from package data."""
     if name not in _FIXTURES:
-        raise KeyError(f"unknown fixture {name!r}; have {sorted(_FIXTURES)}")
+        raise InvalidParameter(f"unknown fixture {name!r}; have {sorted(_FIXTURES)}")
     text = resources.files("kn3genus.data").joinpath(_FIXTURES[name]).read_text()
     return parse_set(text)
 
@@ -55,7 +56,7 @@ def base_set(kind: str) -> EmbeddingSet:
     order-4 family on the Klein bottle.
     """
     if kind not in _BASE_KINDS:
-        raise KeyError(f"unknown base kind {kind!r}; have {sorted(_BASE_KINDS)}")
+        raise InvalidParameter(f"unknown base kind {kind!r}; have {sorted(_BASE_KINDS)}")
     return fixture_set(_BASE_KINDS[kind])
 
 
@@ -168,15 +169,6 @@ def _sample_pairing(n: int, rng: Random) -> tuple[tuple[int, int], ...]:
     return tuple((verts[2 * t], verts[2 * t + 1]) for t in range(n // 2))
 
 
-def _through(seq: tuple[int, ...], v: int) -> list[tuple[int, int, int]]:
-    """(prev, next, p) at every position p of v in the cyclic seq, in order."""
-    k, p, out = len(seq), -1, []
-    for _ in range(seq.count(v)):
-        p = seq.index(v, p + 1)
-        out.append((seq[p - 1], seq[(p + 1) % k], p))
-    return out
-
-
 def _expand(s: EmbeddingSet, choice: TransitionChoice | None, rng: Random | None) -> EmbeddingSet:
     """One induction step: a family of order n becomes one of order n+2.
 
@@ -241,8 +233,8 @@ def _admissible(
 ) -> list[tuple[int, int]]:
     """Positions (p, q) of each transition (a, w, b) at p in T_u that T_w
     passes as (b, u, a) at q, in the order of p."""
-    mates = {(b, a): q for a, b, q in _through(s_w, u)}
-    return [(p, mates[a, b]) for a, b, p in _through(s_u, w) if (a, b) in mates]
+    mates = {(b, a): q for a, b, q in transition_positions(s_w, u)}
+    return [(p, mates[a, b]) for a, b, p in transition_positions(s_u, w) if (a, b) in mates]
 
 
 def build_even(
@@ -294,12 +286,12 @@ def _splice_layer(
     labels = [c.copy_labels for c in current.circuits]
     for i in range(1, n, 2):
         f_i, f_j = layer.circuit(i).seq, layer.circuit(i + 1).seq
-        through_i = _through(seqs[i - 1], i + 1)
+        through_i = transition_positions(seqs[i - 1], i + 1)
         for flip_i in (False, True):
             if flip_i:
                 f_i = f_i[::-1]
             # (a, i+1, b) in T_i is shared iff the layer's T_i passes a, i+1, b.
-            passes = {(a, b): r for a, b, r in _through(f_i, i + 1)}
+            passes = {(a, b): r for a, b, r in transition_positions(f_i, i + 1)}
             shared = [(a, b) for a, b, _ in through_i if (a, b) in passes]
             if shared or current.strong:
                 break
@@ -314,7 +306,7 @@ def _splice_layer(
         # Matching transition through i in the current T_{i+1}: strong form
         # (b, i, a) wants flanks (after, before); the weak form (a, i, b)
         # wants them the other way around.
-        labels_j, through_j = labels[i], _through(seqs[i], i)
+        labels_j, through_j = labels[i], transition_positions(seqs[i], i)
         for form, want in (((b, a), (after, before)), ((a, b), (before, after))):
             q = next(
                 (q for x, y, q in through_j
@@ -330,7 +322,7 @@ def _splice_layer(
         for flip_j in (False, True):
             if flip_j:
                 f_j = f_j[::-1]
-            at_j = {(x, y): r for x, y, r in _through(f_j, i)}.get(form)
+            at_j = {(x, y): r for x, y, r in transition_positions(f_j, i)}.get(form)
             if at_j is not None:
                 break
         else:

@@ -74,7 +74,7 @@ def sets_isomorphic(a: EmbeddingSet, b: EmbeddingSet) -> dict[int, int] | None:
     candidates need checking rather than n! relabellings.
     """
     if a.n != b.n or a.m != b.m:
-        raise ValueError("families must share n and m to be compared")
+        raise InvalidParameter("families must share n and m to be compared")
     key_b = canonical_set_key(b)
     t1 = a.circuit(1)
     length = len(t1.seq)

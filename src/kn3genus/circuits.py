@@ -14,13 +14,16 @@ A family {T_1..T_n} that is pairwise compatible encodes a quadrilateral
 surface embedding of the Levi graph (see `scheme`), with strong families
 corresponding to the orientable embeddings.
 
-Every pair of a family is checked from one transition index: a single scan
-of all circuits counts each ordered transition (a, j, b) of T_i under the
-key (i, j, a, b).  T_i and T_j are strongly compatible iff every key's
-count equals that of (j, i, b, a), and compatible iff the same holds once
-outer pairs are sorted: (i, j, a, b) and (i, j, b, a) together count as
-often as (j, i, a, b) and (j, i, b, a).  Rotation-invariant forms of
-circuits all come from one routine, `least_rotation`.
+Compatibility has one rule, `_pair_failures`, behind both the family
+checks and the two-circuit `is_compatible`/`is_strongly_compatible`: a
+single scan of the given circuits counts each ordered transition (a, j, b)
+of T_i under the key (i, j, a, b).  T_i and T_j are strongly compatible iff
+every key's count equals that of (j, i, b, a), and compatible iff the same
+holds once outer pairs are sorted: (i, j, a, b) and (i, j, b, a) together
+count as often as (j, i, a, b) and (j, i, b, a).  The passes through one
+vertex, with their positions, come from one scanner, `transition_positions`,
+which `transitions_through` and the builder share.  Rotation-invariant
+forms of circuits all come from one routine, `least_rotation`.
 """
 
 from collections import Counter
@@ -29,7 +32,7 @@ from itertools import repeat
 from math import comb
 from operator import eq
 
-from .exceptions import MismatchedAmbient, VertexAbsent
+from .exceptions import InvalidParameter, MismatchedAmbient, VertexAbsent
 
 
 @dataclass(frozen=True)
@@ -212,53 +215,49 @@ def validate_eulerian(c: Circuit) -> ValidationReport:
     return ValidationReport(not failures, failures)
 
 
+def transition_positions(seq: tuple[int, ...], j: int) -> list[tuple[int, int, int]]:
+    """(prev, next, p) at every position p of j in the cyclic seq, in scan order."""
+    k, p, out = len(seq), -1, []
+    for _ in range(seq.count(j)):
+        p = seq.index(j, p + 1)
+        out.append((seq[p - 1], seq[(p + 1) % k], p))
+    return out
+
+
 def transitions_through(c: Circuit, j: int) -> list[Transition]:
     """All transitions (prev, j, next) around occurrences of j, in scan order."""
     if j == c.excluded:
         raise VertexAbsent(f"vertex {j} is the excluded vertex of this circuit")
-    s = c.seq
-    k = len(s)
-    out = [
-        Transition(s[p - 1], j, s[(p + 1) % k])
-        for p in range(k)
-        if s[p] == j
-    ]
+    out = [Transition(a, j, b) for a, b, _ in transition_positions(c.seq, j)]
     if not out:
         raise VertexAbsent(f"vertex {j} does not occur in the circuit")
     return out
 
 
-def _ordered_outer_counts(c: Circuit, j: int) -> Counter:
-    return Counter((t.a, t.b) for t in transitions_through(c, j))
-
-
-def _check_ambient(t_i: Circuit, t_j: Circuit) -> None:
+def _two_circuit_failures(t_i: Circuit, t_j: Circuit) -> tuple[str, str]:
+    """`_pair_failures` of T_i and T_j, refusing circuits that cannot pair."""
     if t_i.n != t_j.n or t_i.m != t_j.m:
         raise MismatchedAmbient(
             f"(n={t_i.n}, m={t_i.m}) vs (n={t_j.n}, m={t_j.m})"
         )
     if t_i.excluded == t_j.excluded:
-        raise ValueError("compatibility is defined for circuits excluding distinct vertices")
+        raise InvalidParameter("compatibility is defined for circuits excluding distinct vertices")
+    for c, v in ((t_i, t_j.excluded), (t_j, t_i.excluded)):
+        if v not in c.seq:
+            raise VertexAbsent(f"vertex {v} does not occur in the circuit")
+    return _pair_failures((t_i, t_j))
 
 
 def is_compatible(t_i: Circuit, t_j: Circuit) -> bool:
-    """Multiset compatibility: outer pairs of transitions through j in T_i
-    match those through i in T_j with equal counts (either orientation)."""
-    _check_ambient(t_i, t_j)
-    mine = Counter(t.outer for t in transitions_through(t_i, t_j.excluded))
-    theirs = Counter(t.outer for t in transitions_through(t_j, t_i.excluded))
-    return mine == theirs
+    """Every transition (a, j, b) of T_i is matched by (a, i, b) or (b, i, a)
+    of T_j, with multiplicity."""
+    return not _two_circuit_failures(t_i, t_j)[0]
 
 
 def is_strongly_compatible(t_i: Circuit, t_j: Circuit) -> bool:
-    """Strong compatibility: every (a, j, b) of T_i is matched by (b, i, a)
-    of T_j with equal multiplicity."""
-    _check_ambient(t_i, t_j)
-    mine = _ordered_outer_counts(t_i, t_j.excluded)
-    theirs = _ordered_outer_counts(t_j, t_i.excluded)
-    return all(theirs[(b, a)] == cnt for (a, b), cnt in mine.items()) and all(
-        mine[(b, a)] == cnt for (a, b), cnt in theirs.items()
-    )
+    """Every transition (a, j, b) of T_i is matched by (b, i, a) of T_j,
+    with multiplicity."""
+    return not _two_circuit_failures(t_i, t_j)[1]
 
 
 def _circuit_failures(s: EmbeddingSet, not_eulerian: str) -> list[str]:
@@ -289,21 +288,24 @@ def _transition_index(circuits) -> Counter:
     return index
 
 
-def _pair_failures(s: EmbeddingSet) -> tuple[str, str]:
+def _pair_failures(circuits) -> tuple[str, str]:
     """Failures of the first incompatible and the first not strongly
-    compatible pair ("" for none), from one transition index.
+    compatible pair among the given circuits ("" for none), from one
+    transition index.  Only passes through a vertex that some given circuit
+    excludes, other than the circuit's own, are paired.
 
     An incompatible pair also fails the strong test on the keys that break
     it, so only those keys need the compatibility test, and the first pair
     failing the strong test is incompatible iff it is also the first
     incompatible pair.
     """
-    index = _transition_index(s.circuits)
+    index = _transition_index(circuits)
     get = index.get
+    given = {c.excluded for c in circuits}
     mismatched = [
         ((i, j) if i < j else (j, i), i, j, a, b, count)
         for (i, j, a, b), count in index.items()
-        if get((j, i, b, a), 0) != count
+        if get((j, i, b, a), 0) != count and j in given and j != i
     ]
     if not mismatched:
         return "", ""
@@ -342,7 +344,7 @@ def is_embedding_set(s: EmbeddingSet, require_strong: bool | None = None) -> Val
     failures = _circuit_failures(s, " not Eulerian: ")
     if failures:
         return ValidationReport(False, failures)
-    weak_failure, strong_failure = _pair_failures(s)
+    weak_failure, strong_failure = _pair_failures(s.circuits)
     return _report(strong_failure if require_strong else weak_failure)
 
 
@@ -359,7 +361,7 @@ def check_family(
     failures = _circuit_failures(s, ": ")
     if failures:
         return ValidationReport(False, failures), None, None
-    weak_failure, strong_failure = _pair_failures(s)
+    weak_failure, strong_failure = _pair_failures(s.circuits)
     strong = None if weak_failure else _report(strong_failure)
     return ValidationReport(True, []), _report(weak_failure), strong
 

@@ -354,9 +354,10 @@ def trace_faces(sch: EmbeddingScheme) -> FaceReport:
 def is_orientable(sch: EmbeddingScheme) -> bool:
     """True iff the signature is switching-equivalent to all-positive.
 
-    Decided by the forced vertex parity of `trace_faces`.
+    Decided by the forced vertex parity, as in `trace_faces`, without
+    tracing the faces.
     """
-    return trace_faces(sch).orientable
+    return _parities(sch.table, sch.negative) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,23 @@ def brute_cyclically_equal(a, b):
     return len(a) == len(b) and any(a[i:] + a[:i] == b for i in range(len(a)))
 
 
+def _through(seq, j):
+    k = len(seq)
+    return [(seq[p - 1], seq[(p + 1) % k]) for p in range(k) if seq[p] == j]
+
+
+def pair_verdict(i, seq_i, j, seq_j):
+    """(compatible, strongly compatible) for the circuits T_i and T_j.
+
+    Compatible: the outer pairs of the transitions through j in T_i and
+    through i in T_j agree as unordered pairs, with multiplicity.  Strong:
+    they agree once those of T_j are reversed.
+    """
+    mine, theirs = _through(seq_i, j), _through(seq_j, i)
+    compatible = Counter(map(frozenset, mine)) == Counter(map(frozenset, theirs))
+    return compatible, Counter(mine) == Counter((b, a) for a, b in theirs)
+
+
 def pairwise_first_failure(circuits, require_strong):
     """First failing pair of a family of Eulerian circuits, checked pair by pair.
 
@@ -146,22 +163,16 @@ def pairwise_first_failure(circuits, require_strong):
     occurs a different number of times through i in T_j.
     """
     seqs = dict(circuits)
-
-    def through(i, j):
-        s = seqs[i]
-        k = len(s)
-        return [(s[p - 1], s[(p + 1) % k]) for p in range(k) if s[p] == j]
-
     n = len(seqs)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            mine, theirs = through(i, j), through(j, i)
-            if Counter(map(frozenset, mine)) != Counter(map(frozenset, theirs)):
+            compatible, strong = pair_verdict(i, seqs[i], j, seqs[j])
+            if not compatible:
                 return f"pair ({i},{j}) not compatible"
-            if not require_strong:
-                continue
-            fwd, back = Counter(mine), Counter((b, a) for a, b in theirs)
-            if fwd != back:
+            if require_strong and not strong:
+                mine = _through(seqs[i], j)
+                fwd = Counter(mine)
+                back = Counter((b, a) for a, b in _through(seqs[j], i))
                 t = next(((a, b) for a, b in mine if fwd[(a, b)] != back[(a, b)]), None)
                 where = f" at transition ({t[0]},{j},{t[1]})" if t else ""
                 return f"pair ({i},{j}) not strongly compatible{where}"

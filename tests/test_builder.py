@@ -20,6 +20,7 @@ from kn3genus import (
     count_lower_bound,
     count_upper_bound,
     enumerate_variants,
+    fixture_set,
     format_census,
     format_set,
     genus_formula,
@@ -40,8 +41,10 @@ def test_base_sets(planar4, nonorientable6, klein4x2):
     assert base_set("multi_nonorientable_4") == klein4x2
     assert is_embedding_set(planar4, require_strong=True).ok
     assert is_embedding_set(nonorientable6, require_strong=False).ok
-    with pytest.raises(KeyError):
+    with pytest.raises(InvalidParameter, match="unknown base kind 'torus_17'"):
         base_set("torus_17")
+    with pytest.raises(InvalidParameter, match="unknown fixture 'torus_17'"):
+        fixture_set("torus_17")
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from kn3genus import (
     EmbeddingSet,
+    Kn3Error,
     build_even,
     canonicalize,
     count_lower_bound,
@@ -85,8 +86,9 @@ def test_sets_isomorphic_without_order_cap(n):
 
 
 def test_sets_isomorphic_requires_same_ambient(strong6, planar4):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="families must share n and m") as err:
         sets_isomorphic(strong6, planar4)
+    assert isinstance(err.value, Kn3Error)
 
 
 def test_enumerate_n6_reaches_lower_bound():

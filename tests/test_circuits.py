@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from kn3genus import (
     Circuit,
     EmbeddingSet,
+    Kn3Error,
     MismatchedAmbient,
     NotQuadrilateral,
     VertexAbsent,
@@ -27,6 +28,7 @@ from oracle import (
     brute_canonical_seq,
     brute_cyclically_equal,
     brute_least_rotation,
+    pair_verdict,
     pairwise_first_failure,
 )
 
@@ -96,8 +98,9 @@ def test_compatibility_fixture_pairs(strong6, nonorientable6):
 
 
 def test_compatibility_preconditions(strong6):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="excluding distinct vertices") as err:
         is_compatible(strong6.circuit(1), strong6.circuit(1).reversed_())
+    assert isinstance(err.value, Kn3Error)
     other = Circuit(2, 4, 1, (3, 1, 4))
     with pytest.raises(MismatchedAmbient):
         is_compatible(strong6.circuit(1), other)
@@ -280,6 +283,18 @@ def test_is_embedding_set_matches_pairwise_check():
             assert (report.ok, report.first()) == (not expected, expected)
             seen.add(expected.partition(") ")[2].partition(" at ")[0])
     assert seen == {"", "not compatible", "not strongly compatible"}
+
+
+def test_pairwise_functions_match_pair_verdict():
+    verdicts = set()
+    for s in family_cases():
+        for i in range(1, s.n + 1):
+            for j in range(i + 1, s.n + 1):
+                a, b = s.circuit(i), s.circuit(j)
+                expected = pair_verdict(i, a.seq, j, b.seq)
+                assert (is_compatible(a, b), is_strongly_compatible(a, b)) == expected
+                verdicts.add(expected)
+    assert verdicts == {(True, True), (True, False), (False, False)}
 
 
 def test_scheme_to_set_strong_matches_pairwise_check():

@@ -1,8 +1,10 @@
-"""Package modules share only public names, and the benchmark's imports exist.
+"""Package modules share only public names and raise only domain errors, and
+the benchmark's imports exist.
 
 A module of `kn3genus` that needs another module's underscore name should
 get a public entry point instead; this keeps private helpers private to the
-module that defines them.  The benchmark harness in `perfbench/` imports
+module that defines them.  No module raises a bare `ValueError` or
+`KeyError`: refusals are `Kn3Error`s.  The benchmark harness in `perfbench/` imports
 public names of the package; one that is renamed or deleted would surface
 only as failed benchmark operations, so its imports are checked here.
 """
@@ -63,6 +65,37 @@ def test_private_uses_are_detected():
         "line 4: imports _index",
         "line 3: reads fileio._helper",
     ]
+
+
+def _bare_raises(tree: ast.Module) -> list[str]:
+    """`raise ValueError`/`raise KeyError`, called or not: the package
+    raises its own `Kn3Error` types instead."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if isinstance(exc, ast.Name) and exc.id in ("ValueError", "KeyError"):
+            found.append(f"line {node.lineno}: raises {exc.id}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_bare_value_or_key_errors(path):
+    assert _bare_raises(ast.parse(path.read_text())) == []
+
+
+def test_bare_raises_are_detected():
+    tree = ast.parse(
+        "raise ValueError('no')\n"
+        "raise KeyError\n"
+        "raise InvalidParameter('fine')\n"
+        "try:\n"
+        "    pass\n"
+        "except ValueError:\n"
+        "    raise\n"
+    )
+    assert _bare_raises(tree) == ["line 1: raises ValueError", "line 2: raises KeyError"]
 
 
 def test_perfbench_imports_only_names_the_package_has():

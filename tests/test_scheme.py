@@ -152,6 +152,22 @@ def test_all_positive_signature_is_orientable(planar4):
     assert is_orientable(positive)
 
 
+def test_is_orientable_agrees_with_both_tracers(planar4, strong6, nonorientable6, klein4x2):
+    seen = set()
+    for s in (planar4, strong6, nonorientable6, klein4x2):
+        sch = set_to_scheme(s)
+        cands = [sch, switch(sch, {1, 2})]
+        for e in list(sch.signature)[::7]:
+            signature = dict(sch.signature)
+            signature[e] = -signature[e]
+            cands.append(EmbeddingScheme(sch.graph, sch.rotation, signature))
+        for cand in cands:
+            orientable = is_orientable(cand)
+            assert orientable == trace_faces(cand).orientable == naive_face_trace(cand)[3]
+            seen.add(orientable)
+    assert seen == {True, False}
+
+
 def test_scheme_to_set_rejects_non_quadrilateral(planar4):
     sch = set_to_scheme(planar4)
     rng = random.Random(3)
