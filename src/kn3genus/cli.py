@@ -9,17 +9,10 @@ import json
 import sys
 from pathlib import Path
 
-from . import fileio
-from .builder import build_multi
-from .census import (
-    canonical_rewrite,
-    count_lower_bound,
-    count_upper_bound,
-    enumerate_variants,
-)
 from .exceptions import FormatError, InvalidParameter, Kn3Error
-from .levi import HypergraphSpec, euler_genus_lower_bound, genus_formula
-from .scheme import trace_faces, verify_family
+
+# Each command imports the modules it runs, so `formula` loads only `levi`,
+# `genus` and `verify` skip the builder and census, and `build` the census.
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -64,6 +57,10 @@ def _genus_words(euler_genus: int, orientable: bool) -> str:
 
 
 def cmd_build(args) -> int:
+    from . import fileio
+    from .builder import build_multi
+    from .scheme import verify_family
+
     s = build_multi(args.n, args.multiplicity, orientable=args.orientable, seed=args.seed)
     verified = verify_family(s)
     if not verified.is_minimum(args.orientable):
@@ -100,6 +97,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import fileio
+    from .scheme import verify_family
+
     verified = verify_family(fileio.parse_set(_read(args.path)))
     eulerian, compat, strong = verified.eulerian, verified.compatible, verified.strong
     faces, expected = verified.faces, verified.expected_genus
@@ -139,6 +139,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_genus(args) -> int:
+    from . import fileio
+    from .scheme import trace_faces
+
     report = trace_faces(fileio.parse_scheme(_read(args.path)))
     hist = dict(sorted(report.length_histogram().items()))
     payload = {
@@ -161,6 +164,14 @@ def cmd_genus(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from . import fileio
+    from .census import (
+        canonical_rewrite,
+        count_lower_bound,
+        count_upper_bound,
+        enumerate_variants,
+    )
+
     result = enumerate_variants(args.n, args.orientable, args.count, seed=args.seed)
     text = fileio.format_census(canonical_rewrite(s) for s in result.families)
     if args.out:
@@ -188,6 +199,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_formula(args) -> int:
+    from .levi import HypergraphSpec, euler_genus_lower_bound, genus_formula
+
     if max(abs(args.n), abs(args.multiplicity)) >= 10**1000:
         # Keeps every value it prints below Python's 4300-digit str limit.
         raise InvalidParameter("n and m must have at most 1000 digits")

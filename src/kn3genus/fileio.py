@@ -18,8 +18,9 @@ the rot heads and where the lines are; once the heads give n and m, the
 second turns each line straight into ids, so no line's tokens outlive it.
 Y rotations that all list their triple in sorted order, as the writer
 does, are read back as None, the form `scheme.trace_faces` reads by
-slicing.  Names are written and read through one name table per (n, m),
-built on first use: a token that is not a canonical name (such as
+slicing.  The Y names of one (n, m) are formatted once, by C-level passes,
+when first written or read; only the reader also builds the dict from each
+name to its vertex index.  A token that is not a canonical name (such as
 `e{1,2,3}#0` when m = 1) is parsed on its own, and a bad one, such as a
 digit run too long for an int, is reported with its line.
 
@@ -28,10 +29,10 @@ followed by the record's family in the format above.
 """
 
 import re
-from dataclasses import dataclass
 from functools import cache
-from itertools import compress
+from itertools import chain, combinations, compress, product, starmap
 from math import comb
+from operator import itemgetter
 
 from .circuits import Circuit, EmbeddingSet
 from .exceptions import CopyResolutionError, FormatError
@@ -130,30 +131,27 @@ def parse_set(text: str) -> EmbeddingSet:
 
 def _y_name(y: YVertex, m: int) -> str:
     triple, c = y
-    name = "e{" + ",".join(str(v) for v in triple) + "}"
-    return name if m == 1 else f"{name}#{c}"
-
-
-@dataclass(frozen=True, eq=False)
-class _Names:
-    """Written names of the Levi vertices of one (n, m).
-
-    `y_names[y]` is the name of the Y vertex at index y, and `index_of` maps
-    every written name to its vertex index: x - 1 for the X vertex x and
-    n + y for the Y vertex at index y.
-    """
-
-    y_names: tuple[str, ...]
-    index_of: dict[str, int]
+    return "e{%d,%d,%d}" % triple if m == 1 else "e{%d,%d,%d}#%d" % (*triple, c)
 
 
 @cache
-def _names(n: int, m: int) -> _Names:
-    ys = levi_edges(n, m).graph.y_vertices
-    y_names = tuple(_y_name(y, m) for y in ys)
-    index_of = {str(x): x - 1 for x in range(1, n + 1)}
-    index_of.update(zip(y_names, range(n, n + len(ys))))
-    return _Names(y_names, index_of)
+def _y_names(n: int, m: int) -> tuple[str, ...]:
+    """`_y_names(n, m)[y]` is the written name of the Y vertex at index y,
+    formatted by C-level passes in the order of `levi.build_levi`.  For m > 1
+    each triple is formatted once and its copies add their `#c` suffixes."""
+    triples = combinations(range(1, n + 1), 3)
+    if m == 1:
+        return tuple(map("e{%d,%d,%d}".__mod__, triples))
+    stems = map("e{%d,%d,%d}#".__mod__, triples)
+    return tuple(starmap(str.__add__, product(stems, map(str, range(m)))))
+
+
+@cache
+def _index_of(n: int, m: int) -> dict[str, int]:
+    """Every written name of (n, m) to its vertex index: x - 1 for the X
+    vertex x and n + y for the Y vertex at index y.  Only the reader needs it."""
+    y_names = _y_names(n, m)
+    return dict(zip(chain(map(str, range(1, n + 1)), y_names), range(n + len(y_names))))
 
 
 def _digits(run: str, lineno: int) -> int:
@@ -184,7 +182,7 @@ def format_scheme(sch: EmbeddingScheme) -> str:
     """The scheme file of a scheme, written from its ids."""
     table = sch.table
     graph, x_end, negative = table.graph, table.x_end, sch.negative
-    y_names = _names(graph.n, graph.m).y_names
+    y_names = _y_names(graph.n, graph.m)
     lines = [SCHEME_HEADER]
     for x, rot in zip(graph.x_vertices, sch.x_rotations):
         lines.append(f"rot {x}: " + " ".join([y_names[k // 3] for k in rot]))
@@ -250,10 +248,11 @@ def parse_scheme(text: str) -> EmbeddingScheme:
         raise FormatError("rot lines do not match the Levi graph of the inferred (n, m)")
     table = levi_edges(n, m_mult)
     graph, count = table.graph, len(table.x_end)
-    index_of = _names(n, m_mult).index_of
+    index_of = _index_of(n, m_mult)
     # triples[u] is the triple of the Y vertex with index u, and empty for an
     # X vertex, which meets no other X vertex.
-    triples = [()] * n + [y[0] for y in graph.y_vertices]
+    triples = [()] * n
+    triples += map(itemgetter(0), graph.y_vertices)
     labels = [str(x) for x in range(n + 1)]
 
     # Written names are looked up; any other token is parsed, and may still

@@ -10,8 +10,9 @@ All arithmetic here is exact integer arithmetic.
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import chain, combinations, product
 from math import comb
+from operator import itemgetter
 
 from .exceptions import InvalidParameter, OddOrder, UnsupportedCase
 
@@ -83,13 +84,11 @@ class LeviGraph:
 def build_levi(spec: HypergraphSpec) -> LeviGraph:
     """Construct the Levi graph with triples sorted and copies indexed.
 
-    Built once per spec; every caller shares the (immutable) result.
+    The Y vertices run through the triples in lexicographic order, the
+    copies of each triple in turn.  Built once per spec; every caller
+    shares the (immutable) result.
     """
-    ys = tuple(
-        (triple, c)
-        for triple in combinations(range(1, spec.n + 1), 3)
-        for c in range(spec.m)
-    )
+    ys = tuple(product(combinations(range(1, spec.n + 1), 3), range(spec.m)))
     return LeviGraph(n=spec.n, m=spec.m, y_vertices=ys)
 
 
@@ -101,10 +100,11 @@ class LeviEdges:
     to the element at position `slot` of its sorted triple, so ids run in
     the order of `graph.edges()`.  `x_end[id]` is the X end of an edge, and
     `first_ids[1 << a | 1 << b | 1 << c]` the id of copy 0 of the triple
-    {a, b, c} at its smallest element; copy c at slot s adds 3*c + s.  The
-    (x, y) pairs `edges[id]` and the inverse dict `id_of` serve only the dict
-    form of a scheme, so each is built when first read.  The table is shared
-    by every caller: read it, never change it.
+    {a, b, c} at its smallest element; copy c at slot s adds 3*c + s.  Both
+    are built by C-level iterator passes, never a Python loop per triple.
+    The (x, y) pairs `edges[id]` and the inverse dict `id_of` serve only the
+    dict form of a scheme, so each is built when first read.  The table is
+    shared by every caller: read it, never change it.
     """
 
     graph: LeviGraph
@@ -126,16 +126,19 @@ class LeviEdges:
 
 @cache
 def levi_edges(n: int, m: int) -> LeviEdges:
-    """The edge table of the Levi graph of order n and multiplicity m, built on first use."""
+    """The edge table of the Levi graph of order n and multiplicity m, built on first use.
+
+    `x_end` flattens the triples of the Y vertices.  A triple's mask is the
+    sum of its three distinct bits, and its copy 0 has the id 3*m times the
+    triple's rank, so `first_ids` zips the masks with a range.
+    """
     graph = build_levi(HypergraphSpec(n, m))
+    x_end = tuple(chain.from_iterable(map(itemgetter(0), graph.y_vertices)))
+    masks = map(sum, combinations([1 << x for x in range(1, n + 1)], 3))
     return LeviEdges(
         graph=graph,
-        x_end=tuple(x for triple, _ in graph.y_vertices for x in triple),
-        first_ids={
-            1 << a | 1 << b | 1 << c: 3 * k
-            for k, ((a, b, c), copy) in enumerate(graph.y_vertices)
-            if copy == 0
-        },
+        x_end=x_end,
+        first_ids=dict(zip(masks, range(0, len(x_end), 3 * m))),
     )
 
 

@@ -79,6 +79,8 @@ def mutated(draw, seeds, pool):
             lines = draw(st.permutations(lines))
         else:
             tokens = lines[at]
+            if not tokens:  # an earlier edit dropped this line's last token
+                continue
             k = draw(st.integers(0, len(tokens) - 1))
             edit = draw(st.sampled_from(["drop", "duplicate", "corrupt", "shuffle"]))
             if edit == "drop":

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from importlib import resources
 
@@ -321,3 +322,18 @@ def test_parse_scheme_refuses_a_digit_run_too_long_for_an_int(strong6, old, new)
     with pytest.raises(FormatError) as err:
         parse_scheme(text.replace(old, new, 1))
     assert str(err.value) == f"line {at + 1}: a run of 5000 digits is too long for a vertex name"
+
+
+# Digests of written schemes that must stay byte-identical: they pin the Y
+# names, the edge-id order and the sign of every edge the writer emits.
+@pytest.mark.parametrize(
+    "n,m,orientable,seed,digest",
+    [
+        (8, 1, True, 3, "eb8076f1f3bc4017dc8b1d9b8b3a31ba76ab036f52d606d57f2125815e9828b5"),
+        (10, 3, False, 1, "8309b95988a25b08a6e57dcf3beb2f3178ea3cd758f2ab70e9650f7609a7859e"),
+    ],
+)
+def test_written_scheme_is_pinned(n, m, orientable, seed, digest):
+    text = format_scheme(set_to_scheme(build_multi(n, m, orientable, seed=seed)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert format_scheme(parse_scheme(text)) == text

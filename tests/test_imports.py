@@ -1,22 +1,29 @@
-"""Package modules share only public names and raise only domain errors, and
-the benchmark's imports exist.
+"""Package modules share only public names and raise only domain errors, the
+benchmark's imports exist, and each command loads only what it runs.
 
 A module of `kn3genus` that needs another module's underscore name should
 get a public entry point instead; this keeps private helpers private to the
 module that defines them.  No module raises a bare `ValueError` or
 `KeyError`: refusals are `Kn3Error`s.  The benchmark harness in `perfbench/` imports
 public names of the package; one that is renamed or deleted would surface
-only as failed benchmark operations, so its imports are checked here.
+only as failed benchmark operations, so its imports are checked here.  The
+package loads its public names on first use, and the CLI imports per
+command, so `formula` loads no module but `levi`; the public names and the
+modules each command loads are pinned here.
 """
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import kn3genus
+from kn3genus import build_multi, format_scheme, format_set, set_to_scheme
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "kn3genus"
@@ -125,3 +132,97 @@ def test_hashlib_is_imported_only_where_census_digests_are_made():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def _run(args: list[str], cwd) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, check=True
+    )
+
+
+# Runs `cli.main` on its arguments, then prints the exit code, the package
+# modules loaded and whether hashlib was.
+FOOTPRINT = """
+import contextlib, io, json, sys
+from kn3genus import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+modules = sorted(name for name in sys.modules if name.split(".")[0] == "kn3genus")
+print(json.dumps([code, modules, "hashlib" in sys.modules]))
+"""
+
+
+@pytest.fixture(scope="module")
+def tiny_files(tmp_path_factory):
+    where = tmp_path_factory.mktemp("footprint")
+    s = build_multi(6, 1, seed=1)
+    (where / "tiny.kn3set").write_text(format_set(s))
+    (where / "tiny.kn3scheme").write_text(format_scheme(set_to_scheme(s)))
+    return where
+
+
+def _footprint(argv: list[str], cwd) -> set[str]:
+    code, modules, hashlib = json.loads(_run(["-c", FOOTPRINT, *argv], cwd).stdout)
+    assert code == 0 and not hashlib
+    return set(modules)
+
+
+def test_formula_loads_only_levi(tiny_files):
+    assert _footprint(["formula", "--n", "4"], tiny_files) == {
+        "kn3genus", "kn3genus.cli", "kn3genus.exceptions", "kn3genus.levi",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["genus", "tiny.kn3scheme"], ["verify", "tiny.kn3set", "--strict-strong"]],
+    ids=lambda argv: argv[0],
+)
+def test_reading_commands_load_no_builder_or_census(tiny_files, argv):
+    loaded = _footprint(argv, tiny_files)
+    assert "kn3genus.fileio" in loaded
+    assert loaded.isdisjoint({"kn3genus.builder", "kn3genus.census"})
+
+
+def test_build_loads_no_census(tiny_files):
+    loaded = _footprint(["build", "--n", "6", "--out", "built.kn3set"], tiny_files)
+    assert "kn3genus.builder" in loaded and "kn3genus.census" not in loaded
+    assert (tiny_files / "built.kn3set").exists()
+
+
+PUBLIC = [
+    "InsertionTrail", "TransitionChoice", "base_set", "build_apex_circuits", "build_even",
+    "build_insertion", "build_multi", "build_sigma", "fixture_set",
+    "CanonicalSet", "EnumerationResult", "canonical_rewrite", "canonicalize",
+    "count_lower_bound", "count_upper_bound", "double_factorial", "enumerate_variants",
+    "exhaustive_classes_order4", "sets_isomorphic",
+    "Circuit", "EmbeddingSet", "Transition", "ValidationReport", "is_compatible",
+    "is_embedding_set", "is_strongly_compatible", "relabel", "transitions_through",
+    "validate_eulerian",
+    "CopyResolutionError", "Disconnected", "FormatError", "GraphMismatch", "InvalidParameter",
+    "Kn3Error", "MismatchedAmbient", "NoCommonTransition", "NotAnEmbeddingSet",
+    "NotQuadrilateral", "OddOrder", "UnsupportedCase", "VertexAbsent",
+    "format_census", "format_scheme", "format_set", "parse_census", "parse_scheme", "parse_set",
+    "HypergraphSpec", "LeviGraph", "build_levi", "euler_genus_lower_bound", "genus_formula",
+    "EmbeddingScheme", "FaceReport", "is_orientable", "scheme_to_set", "schemes_equivalent",
+    "set_to_scheme", "trace_faces",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert kn3genus.__all__ == PUBLIC
+    assert set(PUBLIC) <= set(dir(kn3genus))
+    star: dict = {}
+    exec("from kn3genus import *", star)
+    for name in PUBLIC:
+        one: dict = {}
+        exec(f"from kn3genus import {name}", one)
+        assert one[name] is getattr(kn3genus, name) is star[name]
+        assert getattr(kn3genus, name).__module__.startswith("kn3genus.")
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        kn3genus.no_such_name
+
+
+def test_package_runs_as_a_module(tmp_path):
+    assert "usage: kn3genus" in _run(["-m", "kn3genus", "--help"], tmp_path).stdout

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from kn3genus import (
     euler_genus_lower_bound,
     genus_formula,
 )
+from kn3genus.levi import levi_edges
 
 
 @pytest.mark.parametrize(
@@ -42,6 +44,21 @@ def test_levi_triples_sorted_and_copies_indexed():
         assert list(triple) == sorted(triple)
         assert 0 <= copy < 3
     assert len(set(graph.y_vertices)) == len(graph.y_vertices)
+
+
+@pytest.mark.parametrize("n,m", [(4, 1), (5, 2), (8, 1), (10, 3)])
+def test_edge_table_matches_its_definition(n, m):
+    # The tables written out one triple at a time, as their docstrings define them.
+    ys = tuple((t, c) for t in combinations(range(1, n + 1), 3) for c in range(m))
+    x_end = tuple(x for t, _ in ys for x in t)
+    first_ids = {
+        1 << a | 1 << b | 1 << c: 3 * k for k, ((a, b, c), copy) in enumerate(ys) if copy == 0
+    }
+    table = levi_edges(n, m)
+    assert table.graph.y_vertices == ys
+    assert table.x_end == x_end
+    assert table.first_ids == first_ids
+    assert list(table.first_ids) == list(first_ids)
 
 
 def test_spec_validation():
