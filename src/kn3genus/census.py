@@ -55,13 +55,8 @@ def canonical_rewrite(s: EmbeddingSet) -> EmbeddingSet:
     reverse = next((back < ahead for ahead, back in forms if ahead != back), False)
     circuits = []
     for c in s.circuits:
-        seq, labels = c.seq, c.copy_labels
-        if reverse:
-            # Position p of the reversed trail covers the old position -2-p.
-            seq, labels = seq[::-1], labels and labels[-2::-1] + labels[-1:]
-        off = least_rotation(seq)
-        labels = labels and labels[off:] + labels[:off]
-        circuits.append(Circuit(c.excluded, c.n, c.m, seq[off:] + seq[:off], labels))
+        c = c.reversed_() if reverse else c
+        circuits.append(c.rotated(least_rotation(c.seq)))
     return EmbeddingSet(s.n, s.m, tuple(circuits), s.strong)
 
 

@@ -2,8 +2,10 @@
 
 A circuit stores a cyclic vertex sequence; each consecutive pair, including
 the wrap-around, is one traversed edge.  The circuit excluding vertex i must
-traverse every pair of the remaining labels exactly m times (an Eulerian
-circuit of the m-fold complete graph minus i).
+traverse every pair of the remaining labels exactly m times, and for m > 1
+its copy labels must give those traversals the copies 0..m-1 (an Eulerian
+circuit of the m-fold complete graph minus i).  `validate_eulerian` decides
+both, so the checks here alone decide whether a family is valid.
 
 Two circuits interlock through *transitions*: the two consecutive edges
 a-j, j-b of a circuit form the transition (a, j, b).  Circuits T_i and T_j
@@ -79,8 +81,9 @@ class Circuit:
 
     `copy_labels` assigns each traversed edge (position p covers the pair
     seq[p], seq[p+1]) to one of the m parallel copies.  For m > 1 it is data
-    that every circuit must carry: the builders fill it in and family files
-    hold it as `L` lines.  It is ignored for m=1.
+    that every circuit must carry: the builders fill it in, family files
+    hold it as `L` lines, and `validate_eulerian` refuses a circuit without
+    it or whose labels repeat a copy.  It is ignored for m=1.
     """
 
     excluded: int
@@ -106,7 +109,7 @@ class Circuit:
     def rotated(self, offset: int) -> "Circuit":
         """Same cyclic trail written from a different starting point."""
         k = len(self.seq)
-        offset %= k
+        offset %= k or 1
         seq = self.seq[offset:] + self.seq[:offset]
         labels = self.copy_labels
         if labels is not None:
@@ -117,8 +120,8 @@ class Circuit:
         seq = self.seq[::-1]
         labels = self.copy_labels
         if labels is not None:
-            k = len(labels)
-            labels = tuple(labels[(k - 2 - q) % k] for q in range(k))
+            # Position p of the reversed trail covers the old position -2-p.
+            labels = labels[-2::-1] + labels[-1:]
         return Circuit(self.excluded, self.n, self.m, seq, labels)
 
     def canonical_seq(self) -> tuple[int, ...]:
@@ -168,11 +171,32 @@ class ValidationReport:
         return self.failures[0] if self.failures else ""
 
 
+def _label_failure(c: Circuit) -> str:
+    """Why the copy labels of a circuit that traverses each of its pairs m
+    times do not give the m traversals of each pair the copies 0..m-1; ""
+    when they do."""
+    seq, labels, m = c.seq, c.copy_labels, c.m
+    if labels is None:
+        return f"no copy labels, which m={m} requires"
+    if len(labels) != len(seq):
+        return f"{len(labels)} copy labels for {len(seq)} edges"
+    taken = set()
+    for u, v, copy in zip(seq, seq[1:] + seq[:1], labels):
+        if not 0 <= copy < m:
+            return f"copy label {copy} outside 0..{m - 1}"
+        key = (u, v, copy) if u < v else (v, u, copy)
+        if key in taken:
+            return f"pair {{{key[0]},{key[1]}}} takes copy {copy} twice"
+        taken.add(key)
+    return ""
+
+
 def validate_eulerian(c: Circuit) -> ValidationReport:
     """Check the Eulerian-multiset invariant, reporting the first violation.
 
-    The tests run as scans in C and one Counter; a message is worked out
-    only for a test that fails.
+    The tests run in order: length, vertices and immediate repetitions as
+    scans in C, pair counts in one Counter and, for m > 1 only, the copy
+    labels in one pass.  A message is worked out only for a test that fails.
     """
     failures: list[str] = []
     seq, n, m = c.seq, c.n, c.m
@@ -212,6 +236,8 @@ def validate_eulerian(c: Circuit) -> ValidationReport:
             for v in ground[i + 1:]
             if counts.get((u, v), 0) != m
         ))
+    elif m > 1 and (failure := _label_failure(c)):
+        failures.append(failure)
     return ValidationReport(not failures, failures)
 
 
@@ -260,9 +286,9 @@ def is_strongly_compatible(t_i: Circuit, t_j: Circuit) -> bool:
     return not _two_circuit_failures(t_i, t_j)[1]
 
 
-def _circuit_failures(s: EmbeddingSet, not_eulerian: str) -> list[str]:
+def _circuit_failures(s: EmbeddingSet) -> list[str]:
     """Circuits out of place, of another ambient, or not Eulerian (the last
-    read "circuit <i><not_eulerian><first violation>")."""
+    read "circuit i: <first violation>")."""
     if len(s.circuits) != s.n:
         return [f"{len(s.circuits)} circuits for order {s.n}"]
     failures: list[str] = []
@@ -275,7 +301,7 @@ def _circuit_failures(s: EmbeddingSet, not_eulerian: str) -> list[str]:
         else:
             rep = validate_eulerian(c)
             if not rep:
-                failures.append(f"circuit {i}{not_eulerian}{rep.first()}")
+                failures.append(f"circuit {i}: {rep.first()}")
     return failures
 
 
@@ -334,14 +360,15 @@ def _report(failure: str) -> ValidationReport:
 def is_embedding_set(s: EmbeddingSet, require_strong: bool | None = None) -> ValidationReport:
     """Validate every circuit Eulerian and every pair (strongly) compatible.
 
-    All pairs are read off one transition index (see the module docstring);
-    the report names the lexicographically first failing pair, and for a
+    A circuit fails as in `check_family`, copy labels included.  All pairs
+    are read off one transition index (see the module docstring); the
+    report names the lexicographically first failing pair, and for a
     pair that is compatible but not strongly so, a transition of T_i whose
     reversed form T_j lacks.  `require_strong=None` uses the set's own flag.
     """
     if require_strong is None:
         require_strong = s.strong
-    failures = _circuit_failures(s, " not Eulerian: ")
+    failures = _circuit_failures(s)
     if failures:
         return ValidationReport(False, failures)
     weak_failure, strong_failure = _pair_failures(s.circuits)
@@ -358,7 +385,7 @@ def check_family(
     reports are those of `is_embedding_set`; compatible is None when the
     Eulerian report fails, and strong is None when compatible fails.
     """
-    failures = _circuit_failures(s, ": ")
+    failures = _circuit_failures(s)
     if failures:
         return ValidationReport(False, failures), None, None
     weak_failure, strong_failure = _pair_failures(s.circuits)

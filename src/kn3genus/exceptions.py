@@ -50,7 +50,8 @@ class NoCommonTransition(Kn3Error):
 
 
 class CopyResolutionError(Kn3Error):
-    """Parallel-edge copy indices could not be assigned to a circuit family."""
+    """`fileio.format_set`, its only raiser, got a family without copy labels
+    for m > 1; the family checks report such a circuit as not Eulerian."""
 
 
 class FormatError(Kn3Error):

@@ -3,8 +3,10 @@
 Families: header line, a metadata line, then one `T <i>: ...` line per
 circuit.  For multiplicity m > 1 one `L <i>: ...` line per circuit follows,
 carrying the parallel-copy label of each traversed edge.  These labels are
-data: the writer refuses a family without them and the reader a file
-without them, since nothing else tells the parallel copies apart.
+data: the writer refuses a family without them (CopyResolutionError) and
+the reader a file without them or with one outside 0..m-1, since nothing
+else tells the parallel copies apart.  Labels that repeat a copy parse, and
+fail the family checks (`circuits.validate_eulerian`).
 
 Schemes: header line, `rot <vertex>: ...` lines giving each cyclic edge
 order, then `sig <x> <y>: +1|-1` lines.  Edge-side vertices are written
@@ -14,8 +16,9 @@ against the Levi graph and builds the scheme from the ids it reads, and
 `format_scheme` writes the ids of any scheme back, so reading a written
 scheme reproduces it bit-exactly.  Lines may come in any order.  The
 reader makes two passes: the first classifies the lines and keeps only
-the rot heads and where the lines are; once the heads give n and m, the
-second turns each line straight into ids, so no line's tokens outlive it.
+the rot heads and where the lines are; once the X heads give n and the
+count of rot lines m, the second turns each line straight into ids, so no
+line's tokens outlive it.
 Y rotations that all list their triple in sorted order, as the writer
 does, are read back as None, the form `scheme.trace_faces` reads by
 slicing.  The Y names of one (n, m) are formatted once, by C-level passes,
@@ -199,9 +202,9 @@ def parse_scheme(text: str) -> EmbeddingScheme:
     Lines may come in any order.  The first pass classifies each line,
     refuses a second rot line for a head or a sig line without exactly two
     names, and keeps only the rot heads with their line indices and a mark
-    on every sig line.  Once the heads give n and m and their count fits
-    the Levi graph, the second pass reads each rot line, then each sig
-    line, straight into ids and signs.  The Y rotations come back as None
+    on every sig line.  Once the X heads give n and the count of rot lines
+    gives m, the second pass reads each rot line, then each sig line,
+    straight into ids and signs.  The Y rotations come back as None
     when every one lists its triple in sorted order, as the writer does.
     """
     lines = text.splitlines()
@@ -228,23 +231,22 @@ def parse_scheme(text: str) -> EmbeddingScheme:
             raise FormatError(f"unexpected line {line!r}", i + 1)
 
     x_labels = []
-    m_mult = 1
     for head, i in rot_at.items():
         if not head.startswith("e"):
             try:
                 x_labels.append(int(head))
             except ValueError as exc:
                 raise FormatError(f"bad vertex name: {exc}", i + 1) from None
-        elif "#" in head and (match := _Y_NAME.match(head)) and match.group(2):
-            m_mult = max(m_mult, _digits(match.group(2), i + 1) + 1)
     x_labels.sort()
     n = len(x_labels)
     if x_labels != list(range(1, n + 1)):
         raise FormatError(f"rot lines must cover vertices 1..n, got {x_labels}")
     if n < 4:
         raise FormatError(f"need rot lines for vertices 1..n with n >= 4, got n={n}")
-    # Checked before the table is built, whose size the copy indices set.
-    if len(rot_at) != n + m_mult * comb(n, 3):
+    # One rot line per Levi vertex: the count fixes m before the table,
+    # whose size m sets, is built.  A head naming a copy >= m is no vertex.
+    m_mult, extra = divmod(len(rot_at) - n, comb(n, 3))
+    if extra or m_mult < 1:
         raise FormatError("rot lines do not match the Levi graph of the inferred (n, m)")
     table = levi_edges(n, m_mult)
     graph, count = table.graph, len(table.x_end)

@@ -25,12 +25,14 @@ embeddings of the Levi graph and pairwise-compatible circuit families:
 from traversal directions, `scheme_to_set` recovers the circuits from the
 rotations around the vertex side.  `verify_family` checks a family once and
 certifies it, through its scheme, as a minimum-genus embedding or not.
+Whether a family is valid, its copy labels included, is decided by the
+checks of `circuits` alone; the family front end only converts.
 """
 
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from operator import xor
 from types import MappingProxyType
 
@@ -42,7 +44,6 @@ from .circuits import (
     is_embedding_set,
 )
 from .exceptions import (
-    CopyResolutionError,
     Disconnected,
     GraphMismatch,
     NotAnEmbeddingSet,
@@ -364,37 +365,21 @@ def is_orientable(sch: EmbeddingScheme) -> bool:
 # circuits -> scheme
 
 
-def _label_failure(c: Circuit) -> str:
-    """Why the copy labels of an Eulerian circuit, which traverses every pair
-    m times, do not give the m traversals of each pair the copies 0..m-1;
-    "" when they do."""
-    seq, labels, m = c.seq, c.copy_labels, c.m
-    if len(labels) != len(seq):
-        return f"{len(labels)} copy labels for {len(seq)} edges"
-    taken = set()
-    for u, v, copy in zip(seq, seq[1:] + seq[:1], labels):
-        if not 0 <= copy < m:
-            return f"copy label {copy} outside 0..{m - 1}"
-        key = (u, v, copy) if u < v else (v, u, copy)
-        if key in taken:
-            return f"pair {{{key[0]},{key[1]}}} takes copy {copy} twice"
-        taken.add(key)
-    return ""
-
-
-def _family_scheme(s: EmbeddingSet, labelled: list[tuple[int, ...]]) -> EmbeddingScheme:
+def _family_scheme(s: EmbeddingSet) -> EmbeddingScheme:
     """The family front end: the scheme a valid family encodes, on edge ids.
 
-    Circuit i, with its copy labels, gives the rotation at vertex i; every
-    Y rotation is the sorted order of its triple.
+    Circuit i, with its copy labels (copy 0 throughout when m = 1), gives
+    the rotation at vertex i; every Y rotation is the sorted order of its
+    triple.  The family checks have passed the labels, so it only converts.
     """
     table = levi_edges(s.n, s.m)
     first_ids = table.first_ids
     bit = [1 << v for v in range(s.n + 1)]
     negative = bytearray(len(table.x_end))
     x_rotations = []
-    for i, c, labels in zip(range(1, s.n + 1), s.circuits, labelled):
+    for i, c in enumerate(s.circuits, 1):
         seq, bit_i = c.seq, bit[i]
+        labels = c.copy_labels if s.m > 1 else repeat(0)
         rot = []
         for u, v, copy in zip(seq, seq[1:] + seq[:1], labels):
             # i sits at slot (i > u) + (i > v) of the sorted triple.
@@ -408,26 +393,6 @@ def _family_scheme(s: EmbeddingSet, labelled: list[tuple[int, ...]]) -> Embeddin
     return EmbeddingScheme.from_ids(table, x_rotations, None, negative)
 
 
-def _copy_labels(s: EmbeddingSet) -> list[tuple[int, ...]]:
-    """Copy labels of every circuit of an Eulerian family.
-
-    All zeros for m = 1; otherwise the circuits' own labels, checked.  They
-    are data: raises CopyResolutionError naming the first circuit that has
-    none, or whose labels do not tell the parallel copies apart, and why.
-    """
-    if s.m == 1:
-        return [(0,) * len(c.seq) for c in s.circuits]
-    for c in s.circuits:
-        if c.copy_labels is None:
-            raise CopyResolutionError(
-                f"circuit {c.excluded}: no copy labels, which m={s.m} requires"
-            )
-        failure = _label_failure(c)
-        if failure:
-            raise CopyResolutionError(f"circuit {c.excluded}: {failure}")
-    return [c.copy_labels for c in s.circuits]
-
-
 def set_to_scheme(s: EmbeddingSet) -> EmbeddingScheme:
     """Rotation and signature of the quadrilateral embedding encoded by a family.
 
@@ -439,12 +404,13 @@ def set_to_scheme(s: EmbeddingSet) -> EmbeddingScheme:
 
     For m > 1 the parallel copies are told apart by the circuits' copy
     labels, which every circuit must carry.  Raises NotAnEmbeddingSet for an
-    invalid family and CopyResolutionError for missing or bad labels.
+    invalid family, missing or bad copy labels included, with the first
+    failure of `is_embedding_set`.
     """
     report = is_embedding_set(s, require_strong=False)
     if not report:
         raise NotAnEmbeddingSet(report.first())
-    return _family_scheme(s, _copy_labels(s))
+    return _family_scheme(s)
 
 
 @dataclass(frozen=True)
@@ -483,7 +449,7 @@ def verify_family(s: EmbeddingSet) -> FamilyReport:
     eulerian, compatible, strong = check_family(s)
     scheme = faces = expected_genus = None
     if compatible:
-        scheme = _family_scheme(s, _copy_labels(s))
+        scheme = _family_scheme(s)
         faces = trace_faces(scheme)
         expected_genus = euler_genus_lower_bound(HypergraphSpec(s.n, s.m))
     return FamilyReport(eulerian, compatible, strong, scheme, faces, expected_genus)

@@ -2,18 +2,21 @@
 
 Family, scheme and census files written by the library are mutated line-
 and token-wise (dropped, duplicated, corrupted or shuffled).  The library
-must read and check each one or refuse it with a `Kn3Error`.  `verify`
-must exit 0 or 1 for a family file that parses, 2 for one that `parse_set`
-refuses with `FormatError`, and 1 for any other refusal.  `genus` must exit
-0 for a scheme file that parses and 2 for one that `parse_scheme` refuses.
-`parse_census` refuses a census file with nothing but `FormatError`.
+must read and check each one or refuse it with a `Kn3Error`.  Every family
+file that parses gets a report: `verify_family` raises nothing, and `verify
+--json` exits 0 or 1 and prints one JSON object whose `pass` matches the
+exit code.  `verify` exits 2 for a file that `parse_set` refuses.  `genus`
+must exit 0 for a scheme file that parses and 2 for one that `parse_scheme`
+refuses.  `parse_census` refuses a census file with nothing but
+`FormatError`.
 """
 
 import io
+import json
 from contextlib import redirect_stderr, redirect_stdout, suppress
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kn3genus import (
@@ -99,24 +102,30 @@ def file_path(tmp_path_factory):
     return tmp_path_factory.mktemp("boundary") / "mutated.txt"
 
 
-def run_cli(*argv) -> int:
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        return main(list(argv))
+def run_cli(*argv) -> tuple[int, str]:
+    """Exit code and stdout of the CLI."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
 
 
 @settings(max_examples=60, deadline=None)
 @given(text=mutated(SEEDS, TOKENS))
+@example(text=SEEDS[1].replace("L 1: 0 0 1 1 0 1", "L 1: 0 0 0 0 0 0"))
 def test_mutated_family_files_are_accepted_or_refused(file_path, text):
-    refused = None
     try:
-        verify_family(parse_set(text))
+        s = parse_set(text)
     except FormatError:
-        refused = FormatError
-    except Kn3Error:
-        refused = Kn3Error
+        s = None
     file_path.write_text(text)
-    code = run_cli("verify", str(file_path))
-    assert code in {None: (0, 1), FormatError: (2,), Kn3Error: (1,)}[refused]
+    if s is None:
+        assert run_cli("verify", "--json", str(file_path)) == (2, "")
+        return
+    verify_family(s)
+    code, out = run_cli("verify", "--json", str(file_path))
+    assert code in (0, 1)
+    assert json.loads(out)["pass"] == (code == 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,7 +140,7 @@ def test_mutated_scheme_files_are_accepted_or_refused(file_path, text):
         with suppress(Kn3Error):
             scheme_to_set(sch)
     file_path.write_text(text)
-    assert run_cli("genus", str(file_path)) == (2 if sch is None else 0)
+    assert run_cli("genus", str(file_path))[0] == (2 if sch is None else 0)
 
 
 @settings(max_examples=60, deadline=None)

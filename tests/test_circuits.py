@@ -273,16 +273,43 @@ def pairwise(s, require_strong):
 def test_is_embedding_set_matches_pairwise_check():
     seen = set()
     for s in family_cases():
-        eulerian = all(validate_eulerian(c) for c in s.circuits)
+        bad = next((c for c in s.circuits if not validate_eulerian(c)), None)
         for require_strong in (False, True):
             report = is_embedding_set(s, require_strong=require_strong)
-            if not eulerian:
-                assert not report.ok and "not Eulerian" in report.first()
+            if bad is not None:
+                failure = f"circuit {bad.excluded}: {validate_eulerian(bad).first()}"
+                assert (report.ok, report.first()) == (False, failure)
                 continue
             expected = pairwise(s, require_strong)
             assert (report.ok, report.first()) == (not expected, expected)
             seen.add(expected.partition(") ")[2].partition(" at ")[0])
     assert seen == {"", "not compatible", "not strongly compatible"}
+
+
+def label_mutants(s):
+    """s with the copy labels of its first circuit missing, repeating a copy,
+    one short, or one out of range (m = 1 ignores them)."""
+    c = s.circuits[0]
+    labels = c.copy_labels or (0,) * len(c.seq)
+    for new in (None, (0,) * len(labels), labels[:-1], labels[:-1] + (s.m,)):
+        yield EmbeddingSet(
+            s.n, s.m, (Circuit(c.excluded, c.n, c.m, c.seq, new),) + s.circuits[1:], s.strong
+        )
+
+
+def test_set_to_scheme_refuses_exactly_what_the_family_check_refuses():
+    verdicts = set()
+    for s in family_cases():
+        for t in (s, *label_mutants(s)):
+            valid = is_embedding_set(t, require_strong=False).ok
+            try:
+                set_to_scheme(t)
+                converted = True
+            except Kn3Error:
+                converted = False
+            assert valid == converted
+            verdicts.add((t.m > 1, valid))
+    assert verdicts == {(False, True), (False, False), (True, True), (True, False)}
 
 
 def test_pairwise_functions_match_pair_verdict():

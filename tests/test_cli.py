@@ -146,21 +146,31 @@ def test_verify_refuses_multi_build_without_label_lines(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "labels,code,err",
+    "labels,code,out,err",
     [
-        ("0 0 1 1 0 5", 2, "error: line 7: L 1: copy label 5 outside 0..1\n"),
-        ("0 0 0 0 0 0", 1, "error: circuit 1: pair {2,4} takes copy 0 twice\n"),
+        ("0 0 1 1 0 5", 2, "", "error: line 7: L 1: copy label 5 outside 0..1\n"),
+        (
+            "0 0 0 0 0 0",
+            1,
+            "eulerian: FAIL (circuit 1: pair {2,4} takes copy 0 twice)\n"
+            "compatible: FAIL (skipped)\n"
+            "strong: FAIL (skipped)\n"
+            "quadrilateral: FAIL (skipped)\n"
+            "genus: FAIL (skipped)\n"
+            "result: FAIL\n",
+            "",
+        ),
     ],
     ids=["out-of-range", "repeated"],
 )
-def test_verify_refuses_bad_copy_labels(tmp_path, capsys, labels, code, err):
+def test_verify_refuses_bad_copy_labels(tmp_path, capsys, labels, code, out, err):
     path = tmp_path / "multi.kn3set"
     argv = ("--n", "4", "--multiplicity", "2", "--nonorientable", "--out", str(path))
     assert run(capsys, "build", *argv)[0] == 0
     text = path.read_text()
     assert "\nL 1: 0 0 1 1 0 1\n" in text
     path.write_text(text.replace("L 1: 0 0 1 1 0 1", f"L 1: {labels}"))
-    assert run(capsys, "verify", str(path))[::2] == (code, err)
+    assert run(capsys, "verify", str(path)) == (code, out, err)
 
 
 def test_verify_missing_file(capsys):

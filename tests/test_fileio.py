@@ -11,6 +11,7 @@ from kn3genus import (
     EmbeddingSet,
     FormatError,
     GraphMismatch,
+    NotAnEmbeddingSet,
     build_even,
     build_multi,
     fixture_set,
@@ -67,10 +68,10 @@ def test_parse_set_refuses_copy_labels_out_of_range(klein4x2):
     with pytest.raises(FormatError) as err:
         parse_set(text.replace("L 1: 0 0 1 1 0 1", "L 1: 0 0 1 1 0 5"))
     assert str(err.value) == "line 7: L 1: copy label 5 outside 0..1"
-    # Labels in range that give one pair a copy twice parse, and are refused
-    # when the family is read as a scheme.
+    # Labels in range that give one pair a copy twice parse, and the family
+    # checks refuse them, so the family has no scheme.
     repeated = parse_set(text.replace("L 1: 0 0 1 1 0 1", "L 1: 0 0 0 0 0 0"))
-    with pytest.raises(CopyResolutionError) as err:
+    with pytest.raises(NotAnEmbeddingSet) as err:
         set_to_scheme(repeated)
     assert str(err.value) == "circuit 1: pair {2,4} takes copy 0 twice"
 
@@ -229,6 +230,19 @@ def test_parse_scheme_refuses_a_copy_index_its_rot_lines_cannot_hold(strong6):
         parse_scheme(text)
     assert str(err.value) == "rot lines do not match the Levi graph of the inferred (n, m)"
     assert levi_edges.cache_info().currsize == tables
+
+
+def test_parse_scheme_refuses_a_head_past_the_copies_its_line_count_fixes(klein4x2):
+    # The rot lines fix m = 2, so a head naming copy 5 is no Levi vertex.
+    text = format_scheme(set_to_scheme(klein4x2))
+    lines = text.splitlines(keepends=True)
+    at = next(i for i, l in enumerate(lines) if l.startswith("rot e{1,2,3}#1:"))
+    lines[at] = lines[at].replace("e{1,2,3}#1", "e{1,2,3}#5")
+    with pytest.raises(FormatError) as err:
+        parse_scheme("".join(lines))
+    assert str(err.value) == (
+        f"line {at + 1}: rot line for 'e{{1,2,3}}#5': not a Levi vertex, or given twice"
+    )
 
 
 def _blocks(text):

@@ -27,7 +27,13 @@ from kn3genus import (
     set_to_scheme,
     trace_faces,
 )
-from kn3genus.circuits import Circuit, EmbeddingSet, canonical_set_key
+from kn3genus.circuits import (
+    Circuit,
+    EmbeddingSet,
+    ValidationReport,
+    canonical_set_key,
+    check_family,
+)
 from kn3genus.levi import levi_edges
 from kn3genus.scheme import verify_family
 
@@ -288,39 +294,27 @@ def test_trace_rejects_disconnected(planar4):
 
 
 @pytest.mark.parametrize(
-    "refuse", [set_to_scheme, verify_family], ids=["set_to_scheme", "verify_family"]
-)
-def test_copy_resolution_requires_labels(refuse):
-    from kn3genus import Circuit, CopyResolutionError
-
-    s = build_multi(6, 2, orientable=True)
-    stripped = EmbeddingSet(
-        s.n,
-        s.m,
-        tuple(Circuit(c.excluded, c.n, c.m, c.seq) for c in s.circuits),
-        s.strong,
-    )
-    with pytest.raises(CopyResolutionError) as err:
-        refuse(stripped)
-    assert str(err.value) == "circuit 1: no copy labels, which m=2 requires"
-
-
-@pytest.mark.parametrize(
     "labels,why",
     [
+        (None, "no copy labels, which m=2 requires"),
         ((0, 0, 0, 0, 0, 0), "pair {2,4} takes copy 0 twice"),
         ((0, 0, 1, 1, 0), "5 copy labels for 6 edges"),
         ((0, 0, 1, 1, 0, 2), "copy label 2 outside 0..1"),
     ],
-    ids=["repeated", "short", "out-of-range"],
+    ids=["missing", "repeated", "short", "out-of-range"],
 )
 def test_copy_resolution_refuses_bad_labels(klein4x2, labels, why):
-    from kn3genus import CopyResolutionError
-
+    # Bad copy labels make a circuit not Eulerian: every check gives the
+    # one verdict, and the conversion refuses the family with it.
     c = klein4x2.circuit(1)
     circuits = (Circuit(1, c.n, c.m, c.seq, labels),) + klein4x2.circuits[1:]
-    with pytest.raises(CopyResolutionError) as err:
-        set_to_scheme(EmbeddingSet(klein4x2.n, klein4x2.m, circuits, klein4x2.strong))
+    bad = EmbeddingSet(klein4x2.n, klein4x2.m, circuits, klein4x2.strong)
+    failure = ValidationReport(False, [f"circuit 1: {why}"])
+    assert is_embedding_set(bad, require_strong=False) == failure
+    assert check_family(bad) == (failure, None, None)
+    assert verify_family(bad).eulerian == failure
+    with pytest.raises(NotAnEmbeddingSet) as err:
+        set_to_scheme(bad)
     assert str(err.value) == f"circuit 1: {why}"
 
 
