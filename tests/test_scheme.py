@@ -293,15 +293,40 @@ def test_trace_rejects_disconnected(planar4):
     assert str(err.value) == "vertex ((1, 2, 3), 9) has no incident edges"
 
 
+def _scheme_refusal(s):
+    with pytest.raises(NotAnEmbeddingSet) as err:
+        set_to_scheme(s)
+    return str(err.value)
+
+
+def _verify_refusal(s):
+    report = verify_family(s).eulerian
+    assert not report.ok
+    return report.first()
+
+
+@pytest.mark.parametrize(
+    "refuse", [_scheme_refusal, _verify_refusal], ids=["set_to_scheme", "verify_family"]
+)
+def test_copy_resolution_requires_labels(refuse):
+    s = build_multi(6, 2, orientable=True)
+    stripped = EmbeddingSet(
+        s.n,
+        s.m,
+        tuple(Circuit(c.excluded, c.n, c.m, c.seq) for c in s.circuits),
+        s.strong,
+    )
+    assert refuse(stripped) == "circuit 1: no copy labels, which m=2 requires"
+
+
 @pytest.mark.parametrize(
     "labels,why",
     [
-        (None, "no copy labels, which m=2 requires"),
         ((0, 0, 0, 0, 0, 0), "pair {2,4} takes copy 0 twice"),
         ((0, 0, 1, 1, 0), "5 copy labels for 6 edges"),
         ((0, 0, 1, 1, 0, 2), "copy label 2 outside 0..1"),
     ],
-    ids=["missing", "repeated", "short", "out-of-range"],
+    ids=["repeated", "short", "out-of-range"],
 )
 def test_copy_resolution_refuses_bad_labels(klein4x2, labels, why):
     # Bad copy labels make a circuit not Eulerian: every check gives the
