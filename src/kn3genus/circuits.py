@@ -261,17 +261,23 @@ def transitions_through(c: Circuit, j: int) -> list[Transition]:
 
 
 def _two_circuit_failures(t_i: Circuit, t_j: Circuit) -> tuple[str, str]:
-    """`_pair_failures` of T_i and T_j, refusing circuits that cannot pair."""
+    """`_pair_failures` of T_i and T_j, refusing circuits that cannot pair.
+
+    Only the passes that pair are indexed: those of T_i through j and of T_j
+    through i, in scan order.
+    """
     if t_i.n != t_j.n or t_i.m != t_j.m:
         raise MismatchedAmbient(
             f"(n={t_i.n}, m={t_i.m}) vs (n={t_j.n}, m={t_j.m})"
         )
     if t_i.excluded == t_j.excluded:
         raise InvalidParameter("compatibility is defined for circuits excluding distinct vertices")
+    index: Counter = Counter()
     for c, v in ((t_i, t_j.excluded), (t_j, t_i.excluded)):
         if v not in c.seq:
             raise VertexAbsent(f"vertex {v} does not occur in the circuit")
-    return _pair_failures((t_i, t_j))
+        index.update((c.excluded, v, a, b) for a, b, _ in transition_positions(c.seq, v))
+    return _pair_failures(index, {t_i.excluded, t_j.excluded})
 
 
 def is_compatible(t_i: Circuit, t_j: Circuit) -> bool:
@@ -314,20 +320,19 @@ def _transition_index(circuits) -> Counter:
     return index
 
 
-def _pair_failures(circuits) -> tuple[str, str]:
+def _pair_failures(index: Counter, given: set[int]) -> tuple[str, str]:
     """Failures of the first incompatible and the first not strongly
-    compatible pair among the given circuits ("" for none), from one
-    transition index.  Only passes through a vertex that some given circuit
-    excludes, other than the circuit's own, are paired.
+    compatible pair ("" for none), read off a transition index keyed as
+    `_transition_index` keys it, each circuit's keys in its scan order.
+    Only passes through a vertex in `given`, the excluded vertices of the
+    indexed circuits, other than the circuit's own, are paired.
 
     An incompatible pair also fails the strong test on the keys that break
     it, so only those keys need the compatibility test, and the first pair
     failing the strong test is incompatible iff it is also the first
     incompatible pair.
     """
-    index = _transition_index(circuits)
     get = index.get
-    given = {c.excluded for c in circuits}
     mismatched = [
         ((i, j) if i < j else (j, i), i, j, a, b, count)
         for (i, j, a, b), count in index.items()
@@ -353,6 +358,11 @@ def _pair_failures(circuits) -> tuple[str, str]:
     return weak_failure, f"pair ({i},{j}) not strongly compatible at transition ({a},{j},{b})"
 
 
+def _family_pair_failures(s: EmbeddingSet) -> tuple[str, str]:
+    """`_pair_failures` of a family, from the index of all its transitions."""
+    return _pair_failures(_transition_index(s.circuits), {c.excluded for c in s.circuits})
+
+
 def _report(failure: str) -> ValidationReport:
     return ValidationReport(not failure, [failure] if failure else [])
 
@@ -371,7 +381,7 @@ def is_embedding_set(s: EmbeddingSet, require_strong: bool | None = None) -> Val
     failures = _circuit_failures(s)
     if failures:
         return ValidationReport(False, failures)
-    weak_failure, strong_failure = _pair_failures(s.circuits)
+    weak_failure, strong_failure = _family_pair_failures(s)
     return _report(strong_failure if require_strong else weak_failure)
 
 
@@ -388,7 +398,7 @@ def check_family(
     failures = _circuit_failures(s)
     if failures:
         return ValidationReport(False, failures), None, None
-    weak_failure, strong_failure = _pair_failures(s.circuits)
+    weak_failure, strong_failure = _family_pair_failures(s)
     strong = None if weak_failure else _report(strong_failure)
     return ValidationReport(True, []), _report(weak_failure), strong
 

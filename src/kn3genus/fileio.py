@@ -93,6 +93,8 @@ def parse_set(text: str) -> EmbeddingSet:
     orientable = _meta_int(fields, "orientable", 2)
     if n < 4 or m < 1:
         raise FormatError(f"need n >= 4 and m >= 1, got n={n} m={m}", 2)
+    if orientable not in (0, 1):
+        raise FormatError(f"orientable must be 0 or 1, got {orientable}", 2)
 
     seqs: dict[int, tuple[int, ...]] = {}
     labels: dict[int, tuple[int, ...]] = {}

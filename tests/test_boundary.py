@@ -1,7 +1,8 @@
 """The file boundary: every mutated file is accepted or refused cleanly.
 
 Family, scheme and census files written by the library are mutated line-
-and token-wise (dropped, duplicated, corrupted or shuffled).  The library
+and token-wise (dropped, duplicated, corrupted or shuffled); scheme files
+also take edits that keep them valid, so that some of them parse.  The library
 must read and check each one or refuse it with a `Kn3Error`.  Every family
 file that parses gets a report: `verify_family` raises nothing, and `verify
 --json` exits 0 or 1 and prints one JSON object whose `pass` matches the
@@ -66,15 +67,34 @@ CENSUS_TOKENS = TOKENS + ["record", "sha256=0", "record sha256=" + "0" * 64]
 
 
 @st.composite
-def mutated(draw, seeds, pool):
-    """A file of `seeds` with 1 to 4 line or token edits, new tokens from `pool`."""
+def mutated(draw, seeds, pool, keeping=False):
+    """A file of `seeds` with 1 to 4 line or token edits, new tokens from `pool`.
+
+    With `keeping`, an edit may also be one that keeps a scheme file valid:
+    permute the three vertices of a Y rot line, rotate the edges of an X rot
+    line, or flip a sig value.  Half of those files take no other edit.
+    """
     lines = [line.split(" ") for line in draw(st.sampled_from(seeds)).splitlines()]
+    kinds = ["drop", "duplicate", "shuffle", "token"]
+    if keeping:
+        kinds = draw(st.sampled_from([["keep"], kinds + ["keep"]]))
     for _ in range(draw(st.integers(1, 4))):
         if not lines:
             break
-        kind = draw(st.sampled_from(["drop", "duplicate", "shuffle", "token"]))
+        kind = draw(st.sampled_from(kinds))
         at = draw(st.integers(0, len(lines) - 1))
-        if kind == "drop":
+        if kind == "keep":
+            tokens = lines[at]
+            if len(tokens) < 3:  # the header, or a line an earlier edit cut short
+                continue
+            if tokens[0] == "sig":
+                tokens[-1] = {"+1": "-1", "-1": "+1"}.get(tokens[-1], tokens[-1])
+            elif tokens[0] == "rot" and tokens[1].startswith("e{"):
+                tokens[2:] = draw(st.permutations(tokens[2:]))
+            elif tokens[0] == "rot":
+                k = draw(st.integers(0, len(tokens) - 3))
+                tokens[2:] = tokens[2 + k:] + tokens[2:2 + k]
+        elif kind == "drop":
             del lines[at]
         elif kind == "duplicate":
             lines.insert(at, list(lines[at]))
@@ -129,7 +149,8 @@ def test_mutated_family_files_are_accepted_or_refused(file_path, text):
 
 
 @settings(max_examples=60, deadline=None)
-@given(text=mutated(SCHEME_SEEDS, SCHEME_TOKENS))
+@given(text=mutated(SCHEME_SEEDS, SCHEME_TOKENS, keeping=True))
+@example(text=SCHEME_SEEDS[0].replace("rot e{1,2,3}: 1 2 3", "rot e{1,2,3}: 2 1 3"))
 def test_mutated_scheme_files_are_accepted_or_refused(file_path, text):
     try:
         sch = parse_scheme(text)

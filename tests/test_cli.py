@@ -315,6 +315,17 @@ def test_verify_rejects_degenerate_order_or_multiplicity(tmp_path, capsys, meta)
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("argv", [(), ("--strict-strong",), ("--json",)])
+def test_verify_refuses_an_orientable_flag_other_than_0_or_1(tmp_path, capsys, argv):
+    lines = fileio.format_set(fixture_set("strong_6")).splitlines()
+    lines[1] = "n=6 m=1 orientable=7"
+    path = tmp_path / "bad.kn3set"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "verify", *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 2: orientable must be 0 or 1, got 7\n"
+
+
 @pytest.mark.parametrize("command", ["genus", "verify"])
 def test_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
     path = tmp_path / "binary"

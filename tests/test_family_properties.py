@@ -20,6 +20,7 @@ quadrilateral.  So the strong verdict must not be read off the parity alone.
 """
 
 from functools import cache
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,12 +33,14 @@ from kn3genus import (
     NotAnEmbeddingSet,
     build_multi,
     euler_genus_lower_bound,
+    is_compatible,
+    is_strongly_compatible,
     scheme_to_set,
     set_to_scheme,
 )
 from kn3genus.scheme import verify_family
 
-from oracle import brute_cyclically_equal, naive_face_trace, pairwise_first_failure
+from oracle import brute_cyclically_equal, naive_face_trace, pair_verdict, pairwise_first_failure
 
 
 @cache
@@ -156,3 +159,11 @@ def test_verify_family_matches_the_oracle_on_eulerian_families(s):
         # Each circuit reads back up to rotation, its copy labels included.
         for b, c in zip(back.circuits, s.circuits):
             assert brute_cyclically_equal(steps(b), steps(c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=eulerian_families())
+def test_two_circuit_verdicts_match_the_oracle(s):
+    for a, b in combinations(s.circuits, 2):
+        expected = pair_verdict(a.excluded, a.seq, b.excluded, b.seq)
+        assert (is_compatible(a, b), is_strongly_compatible(a, b)) == expected

@@ -92,6 +92,15 @@ def test_parse_set_rejects_unknown_version():
     assert "header" in str(err.value)
 
 
+@pytest.mark.parametrize("flag", ["7", "-1", "2"])
+def test_parse_set_refuses_an_orientable_flag_other_than_0_or_1(strong6, flag):
+    lines = format_set(strong6).splitlines()
+    lines[1] = f"n=6 m=1 orientable={flag}"
+    with pytest.raises(FormatError) as err:
+        parse_set("\n".join(lines))
+    assert str(err.value) == f"line 2: orientable must be 0 or 1, got {flag}"
+
+
 def test_parse_set_rejects_corrupted_line(strong6):
     lines = format_set(strong6).splitlines()
     lines[3] = "T 2: 4 3 oops 6"
