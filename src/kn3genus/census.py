@@ -19,7 +19,6 @@ from .circuits import (
     canonical_set_key,
     is_embedding_set,
     least_rotation,
-    least_written,
     relabel,
 )
 from .exceptions import InvalidParameter, OddOrder
@@ -39,6 +38,28 @@ def canonicalize(s: EmbeddingSet) -> CanonicalSet:
     return CanonicalSet(n=s.n, m=s.m, circuits=canonical_set_key(s))
 
 
+def _least_forms(s: EmbeddingSet) -> list[tuple]:
+    """Per circuit, the least rotation of its sequence and of its reverse,
+    each written out and with its offset (`least_rotation`)."""
+    forms = []
+    for c in s.circuits:
+        seq, back = c.seq, c.seq[::-1]
+        a, b = least_rotation(seq), least_rotation(back)
+        forms.append((seq[a:] + seq[:a], a, back[b:] + back[:b], b))
+    return forms
+
+
+def _rewrite(s: EmbeddingSet, forms) -> EmbeddingSet:
+    """`canonical_rewrite` of s, given its `_least_forms`."""
+    # The first circuit whose two least forms differ decides the direction.
+    reverse = next((back < ahead for ahead, _, back, _ in forms if ahead != back), False)
+    circuits = tuple(
+        c.reversed_().rotated(b) if reverse else c.rotated(a)
+        for c, (_, a, _, b) in zip(s.circuits, forms)
+    )
+    return EmbeddingSet(s.n, s.m, circuits, s.strong)
+
+
 def canonical_rewrite(s: EmbeddingSet) -> EmbeddingSet:
     """Equivalent, deterministically written form of a family.
 
@@ -48,16 +69,9 @@ def canonical_rewrite(s: EmbeddingSet) -> EmbeddingSet:
     globally rather than per circuit because reversing circuits one at a
     time destroys the strong-compatibility presentation of orientable
     families (only rotations and simultaneous reversal preserve it); copy
-    labels ride along.
+    labels ride along.  Rewriting a rewritten family changes nothing.
     """
-    forms = ((least_written(c.seq), least_written(c.seq[::-1])) for c in s.circuits)
-    # The first circuit whose two least forms differ decides the direction.
-    reverse = next((back < ahead for ahead, back in forms if ahead != back), False)
-    circuits = []
-    for c in s.circuits:
-        c = c.reversed_() if reverse else c
-        circuits.append(c.rotated(least_rotation(c.seq)))
-    return EmbeddingSet(s.n, s.m, tuple(circuits), s.strong)
+    return _rewrite(s, _least_forms(s))
 
 
 def sets_isomorphic(a: EmbeddingSet, b: EmbeddingSet) -> dict[int, int] | None:
@@ -89,6 +103,9 @@ def sets_isomorphic(a: EmbeddingSet, b: EmbeddingSet) -> dict[int, int] | None:
 
 @dataclass
 class EnumerationResult:
+    """The families found, each in its canonical written form
+    (`canonical_rewrite`), and whether the attempts ran out first."""
+
     families: list[EmbeddingSet]
     budget_exhausted: bool
 
@@ -108,8 +125,10 @@ def enumerate_variants(
     Runs the seeded builder repeatedly, deduping by canonical form and
     verifying each new candidate once (`verify_family`: valid family, all
     faces quadrilateral, Euler genus equal to the lower bound, requested
-    orientability).  Stops early with `budget_exhausted` set once
-    ATTEMPTS_PER_FAMILY * count attempts have been spent.
+    orientability).  Each family found is kept in its canonical written
+    form, made from the least forms its canonical key was taken from.
+    Stops early with `budget_exhausted` set once ATTEMPTS_PER_FAMILY * count
+    attempts have been spent.
     """
     rng = Random(seed)
     found: dict[CanonicalSet, EmbeddingSet] = {}
@@ -118,10 +137,11 @@ def enumerate_variants(
     while len(found) < count and attempts < budget:
         attempts += 1
         s = build_even(n, orientable, seed=rng.randrange(2**63))
-        key = canonicalize(s)
+        forms = _least_forms(s)
+        key = CanonicalSet(n, s.m, tuple([min(ahead, back) for ahead, _, back, _ in forms]))
         if key in found or not verify_family(s).is_minimum(orientable):
             continue
-        found[key] = s
+        found[key] = _rewrite(s, forms)
     return EnumerationResult(
         families=list(found.values()), budget_exhausted=len(found) < count
     )

@@ -5,7 +5,9 @@ the wrap-around, is one traversed edge.  The circuit excluding vertex i must
 traverse every pair of the remaining labels exactly m times, and for m > 1
 its copy labels must give those traversals the copies 0..m-1 (an Eulerian
 circuit of the m-fold complete graph minus i).  `validate_eulerian` decides
-both, so the checks here alone decide whether a family is valid.
+both and names the first violation.  `scheme`'s family front end decides
+the same from the edge ids, and leaves a family it refuses to the checks
+here, which say why.
 
 Two circuits interlock through *transitions*: the two consecutive edges
 a-j, j-b of a circuit form the transition (a, j, b).  Circuits T_i and T_j
@@ -17,11 +19,15 @@ surface embedding of the Levi graph (see `scheme`), with strong families
 corresponding to the orientable embeddings.
 
 Compatibility has one rule, `_pair_failures`, behind both the family
-checks and the two-circuit `is_compatible`/`is_strongly_compatible`: a
-single scan of the given circuits counts each ordered transition (a, j, b)
-of T_i under the key (i, j, a, b).  T_i and T_j are strongly compatible iff
-every key's count equals that of (j, i, b, a), and compatible iff the same
-holds once outer pairs are sorted: (i, j, a, b) and (i, j, b, a) together
+checks and the two-circuit `is_compatible`/`is_strongly_compatible`: an
+index counts each ordered transition (a, j, b) of T_i under the key
+(i, j, a, b), scanning every circuit of a family whole, but for two
+circuits only the passes of each through the other's excluded vertex.
+`scheme` certifies a valid family without the index (its lemmas 1 and 2),
+so the index is built to explain a failure, or to decide strength where no
+sign pattern does.  T_i and T_j are strongly compatible iff every key's
+count equals that of (j, i, b, a), and compatible iff the same holds once
+outer pairs are sorted: (i, j, a, b) and (i, j, b, a) together
 count as often as (j, i, a, b) and (j, i, b, a).  The passes through one
 vertex, with their positions, come from one scanner, `transition_positions`,
 which `transitions_through` and the builder share.  Rotation-invariant
@@ -29,6 +35,7 @@ forms of circuits all come from one routine, `least_rotation`.
 """
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import repeat
 from math import comb
@@ -163,6 +170,27 @@ class EmbeddingSet:
 class ValidationReport:
     ok: bool
     failures: list[str]
+
+    @classmethod
+    def later(
+        cls, work: Callable[[], "ValidationReport"], ok: bool | None = None
+    ) -> "ValidationReport":
+        """A report whose fields `work()`, which returns the whole report,
+        fills in when one of them is first read; `ok` is set now if given."""
+        report = cls.__new__(cls)
+        report._work = work
+        if ok is not None:
+            report.ok = ok
+        return report
+
+    def __getattr__(self, name: str):
+        # Reached only for a field that a `later` report has not filled in.
+        if name not in ("ok", "failures") or "_work" not in self.__dict__:
+            raise AttributeError(name)
+        done = self.__dict__.pop("_work")()
+        self.__dict__.setdefault("ok", done.ok)
+        self.failures = done.failures
+        return getattr(self, name)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -101,41 +101,54 @@ def cmd_verify(args) -> int:
     from .scheme import verify_family
 
     verified = verify_family(fileio.parse_set(_read(args.path)))
-    eulerian, compat, strong = verified.eulerian, verified.compatible, verified.strong
     faces, expected = verified.faces, verified.expected_genus
-    rows: list[tuple[str, bool, str]] = [
-        ("eulerian", eulerian.ok, eulerian.first()),
-        ("compatible", bool(compat), compat.first() if compat is not None else "skipped"),
-        ("strong", bool(strong), strong.first() if strong is not None else "skipped"),
-        ("quadrilateral", False, "skipped"),
-        ("genus", False, "skipped"),
-    ]
-    if faces is not None:
-        hist = dict(sorted(faces.length_histogram().items()))
-        rows[3:] = [
-            ("quadrilateral", faces.all_quadrilateral, f"{faces.face_count} faces, lengths {hist}"),
-            ("genus", faces.euler_genus == expected,
-             f"euler genus {faces.euler_genus}, lower bound {expected}, "
-             + ("orientable" if faces.orientable else "non-orientable")),
-        ]
-
+    passed = {
+        "eulerian": verified.eulerian.ok,
+        "compatible": bool(verified.compatible),
+        "strong": bool(verified.strong),
+        "quadrilateral": faces is not None and faces.all_quadrilateral,
+        "genus": faces is not None and faces.euler_genus == expected,
+    }
     required = ["eulerian", "compatible", "quadrilateral", "genus"]
     if args.strict_strong:
         required.append("strong")
-    ok = all(passed for name, passed, _ in rows if name in required)
-    payload = {name: passed for name, passed, _ in rows}
-    payload.update({
+    ok = all(passed[name] for name in required)
+    payload = {
+        **passed,
         "euler_genus": faces.euler_genus if faces else None,
         "orientable": faces.orientable if faces else None,
         "pass": ok,
-    })
+    }
+    # The failure messages are worked out only for the text report.
+    _emit(args, payload, [] if args.json else _verify_lines(verified, passed, ok))
+    return 0 if ok else 1
+
+
+def _verify_lines(verified, passed: dict[str, bool], ok: bool) -> list[str]:
+    """The text report of `verify`: one line per check, then the result."""
+    faces, expected = verified.faces, verified.expected_genus
+    details = {
+        name: report.first() if report is not None else "skipped"
+        for name, report in (
+            ("eulerian", verified.eulerian),
+            ("compatible", verified.compatible),
+            ("strong", verified.strong),
+        )
+    }
+    details["quadrilateral"] = details["genus"] = "skipped"
+    if faces is not None:
+        hist = dict(sorted(faces.length_histogram().items()))
+        details["quadrilateral"] = f"{faces.face_count} faces, lengths {hist}"
+        details["genus"] = (
+            f"euler genus {faces.euler_genus}, lower bound {expected}, "
+            + ("orientable" if faces.orientable else "non-orientable")
+        )
     lines = [
-        f"{name}: {'PASS' if passed else 'FAIL'}" + (f" ({detail})" if detail else "")
-        for name, passed, detail in rows
+        f"{name}: {'PASS' if passed[name] else 'FAIL'}" + (f" ({detail})" if detail else "")
+        for name, detail in details.items()
     ]
     lines.append(f"result: {'PASS' if ok else 'FAIL'}")
-    _emit(args, payload, lines)
-    return 0 if ok else 1
+    return lines
 
 
 def cmd_genus(args) -> int:
@@ -165,15 +178,10 @@ def cmd_genus(args) -> int:
 
 def cmd_enumerate(args) -> int:
     from . import fileio
-    from .census import (
-        canonical_rewrite,
-        count_lower_bound,
-        count_upper_bound,
-        enumerate_variants,
-    )
+    from .census import count_lower_bound, count_upper_bound, enumerate_variants
 
     result = enumerate_variants(args.n, args.orientable, args.count, seed=args.seed)
-    text = fileio.format_census(canonical_rewrite(s) for s in result.families)
+    text = fileio.format_census(result.families)
     if args.out:
         Path(args.out).write_text(text)
     payload = {

@@ -25,15 +25,72 @@ embeddings of the Levi graph and pairwise-compatible circuit families:
 from traversal directions, `scheme_to_set` recovers the circuits from the
 rotations around the vertex side.  `verify_family` checks a family once and
 certifies it, through its scheme, as a minimum-genus embedding or not.
-Whether a family is valid, its copy labels included, is decided by the
-checks of `circuits` alone; the family front end only converts.
+
+Certifying a family.  The family front end decides from the edge ids
+whether every circuit is Eulerian with valid copy labels, refusing exactly
+what `circuits.check_family` refuses.  Compatibility and strength then
+follow from two lemmas, so the transition index of `circuits` is built only
+to name a failure in the same words, or where m > 1 to decide strength the
+signs leave open.
+
+In the scheme of a family, the corner of X vertex i between the edges of
+steps p-1 and p of T_i is the pass (a, j, b) of T_i through j = seq[p]; its
+two Y vertices Y = {i, a, j} and Y' = {i, j, b} (with their copies) hold
+both i and j.  The corners are *paired* when every corner of T_i through j
+has a partner, a corner of T_j through i between the same Y and Y'.  The
+partner's outer pair is then {a, b} too, so paired corners make the family
+compatible.
+
+Lemma 1.  A family of Eulerian circuits with valid labels whose scheme has
+only quadrilateral faces has paired corners.  The signs and the Y orders
+play no part, so this holds for every scheme with the same X rotations.
+Proof.  A quadrilateral face runs i, Y, x, Y' with x != i, as Y has one
+edge to i; its corners at i and at x lie between Y and Y', so x is in both.
+The two sides of the edge iY join the two corners of i beside it to the
+two corners of Y beside it, which lead on to the two other vertices of Y;
+so the faces at the two corners of i beside Y reach distinct vertices.  Let
+T_i step j -> b on Y = {i, j, b}: the corner before the step passes
+through j and the one after it through b.  If the face at the corner before
+reaches j, the face at the corner after reaches b, again the vertex the
+corner passes through, and so on around T_i.  If it reaches b, then b is in
+the Y before too, T_i runs b -> j -> b, and the face at the corner after
+reaches j where that corner passes through b: then every corner of T_i
+misses, and T_i would alternate between two vertices, which an Eulerian
+circuit of K_{n-1}, n >= 4, does not.  So the face at a corner of T_i
+through j is i, Y, j, Y', and, by the same argument at j, its corner at j
+is a pass of T_j through i between Y and Y'.
+
+Lemma 2.  A family with paired corners whose every Y vertex has one sign
+on its three edges (the parity of `_parities` that is 0 on every X vertex)
+is strongly compatible; for m = 1 the converse holds too.
+Proof.  By the sign rule, T_i and T_j give their common Y = {i, j, a} the
+same sign iff a is the tail of exactly one of their steps over Y.  Let T_i
+pass a -> j -> b over Y, then Y', and T_j pass through i over the same two.
+The signs of i and j agree at Y, and likewise at Y', iff T_j runs b -> i ->
+a from Y' to Y, the reversed transition.  Every two ends of a Y vertex meet
+in a pair of partners, so one sign per Y vertex reverses every partner, and
+the family is strongly compatible.  For m = 1 a circuit passes j once with
+each outer pair and never as a -> j -> a, so strong compatibility reverses
+the one partner there is.  For m > 1 it does not: a pass a -> j -> a can
+have its partner counted as reversed while it runs from Y to Y' (the
+order-4 families in tests/test_family_properties.py).  There the verdict
+comes from the transition index.
+
+So `verify_family` traces the faces, which it reports anyway: all of them
+quadrilateral certifies compatibility, and one sign per Y vertex strength.
+`set_to_scheme` checks the pairing itself (`_corners_paired`), which costs
+less than a trace, and `scheme_to_set` reads compatibility off the faces of
+the scheme it reads, and strength off the signs the family's own scheme
+gives.  Any family these do not certify is checked by `circuits`, whose
+reports and messages are the ones the commands print.
 """
 
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, repeat
-from operator import xor
+from operator import add, mul, xor
 from types import MappingProxyType
 
 from .circuits import (
@@ -365,32 +422,85 @@ def is_orientable(sch: EmbeddingScheme) -> bool:
 # circuits -> scheme
 
 
-def _family_scheme(s: EmbeddingSet) -> EmbeddingScheme:
-    """The family front end: the scheme a valid family encodes, on edge ids.
+def _family_scheme(s: EmbeddingSet) -> EmbeddingScheme | None:
+    """The family front end: the scheme of a family on edge ids, or None
+    when some circuit is not Eulerian with valid copy labels.
 
     Circuit i, with its copy labels (copy 0 throughout when m = 1), gives
     the rotation at vertex i; every Y rotation is the sorted order of its
-    triple.  The family checks have passed the labels, so it only converts.
+    triple.  The family is refused where `check_family` refuses it, from
+    the ids alone: the circuits are T_1..T_n of its ambient, each of
+    length m*C(n-1,2) on the vertices 1..n, with labels in 0..m-1 when
+    m > 1; each step's triple {i, u, v} is a triple (so u, v and i are
+    distinct); and the ids of each circuit are distinct, so it takes every
+    pair m times, each copy once.  Raises InvalidParameter (from the edge
+    table) for an order below 4 or a multiplicity below 1.
     """
-    table = levi_edges(s.n, s.m)
+    n, m = s.n, s.m
+    if len(s.circuits) != n:
+        return None
+    table = levi_edges(n, m)
     first_ids = table.first_ids
-    bit = [1 << v for v in range(s.n + 1)]
     negative = bytearray(len(table.x_end))
+    degree = len(negative) // n
+    bit = [1 << v for v in range(n + 1)]
     x_rotations = []
     for i, c in enumerate(s.circuits, 1):
         seq, bit_i = c.seq, bit[i]
-        labels = c.copy_labels if s.m > 1 else repeat(0)
+        if c.excluded != i or c.n != n or c.m != m or len(seq) != degree:
+            return None
+        if min(seq) < 1 or max(seq) > n:
+            return None
+        labels = c.copy_labels if m > 1 else repeat(0)
+        if m > 1 and (
+            labels is None or len(labels) != degree or min(labels) < 0 or max(labels) >= m
+        ):
+            return None
         rot = []
-        for u, v, copy in zip(seq, seq[1:] + seq[:1], labels):
-            # i sits at slot (i > u) + (i > v) of the sorted triple.
-            k = first_ids[bit_i | bit[u] | bit[v]] + 3 * copy + (i > u) + (i > v)
-            rot.append(k)
-            # Positive signature iff the traversal runs u -> v where (u, v)
-            # follows i cyclically in the sorted triple, i.e. iff exactly one
-            # of i > u, u > v, v > i holds.
-            negative[k] = (i > u) + (u > v) + (v > i) != 1
+        try:
+            for u, v, copy in zip(seq, seq[1:] + seq[:1], labels):
+                # i sits at slot (i > u) + (i > v) of the sorted triple.
+                k = first_ids[bit_i | bit[u] | bit[v]] + 3 * copy + (i > u) + (i > v)
+                rot.append(k)
+                # Positive signature iff the traversal runs u -> v where (u, v)
+                # follows i cyclically in the sorted triple, i.e. iff exactly
+                # one of i > u, u > v, v > i holds.
+                negative[k] = (i > u) + (u > v) + (v > i) != 1
+        except KeyError:  # u, v and i are not three distinct vertices
+            return None
+        if len(set(rot)) != degree:
+            return None
         x_rotations.append(rot)
     return EmbeddingScheme.from_ids(table, x_rotations, None, negative)
+
+
+def _corners_paired(s: EmbeddingSet, sch: EmbeddingScheme) -> bool:
+    """Whether every corner of T_i through j has its partner, a corner of
+    T_j through i between the same two Y vertices (lemma 1).
+
+    A corner is keyed by its two Y vertices, as their product and sum, and
+    by the sum i + j, which tells the pair {i, j} apart from the other two
+    pairs of a triple.  Only i and j give a corner that key, once each, so
+    the corners are paired iff there are half as many keys as corners.
+    """
+    keys = set()
+    for i, c, rot in zip(range(1, s.n + 1), s.circuits, sch.x_rotations):
+        ys = [k // 3 for k in rot]
+        before = ys[-1:] + ys[:-1]
+        # The corner before step p passes through its first vertex, c.seq[p].
+        keys.update(zip(map(mul, before, ys), map(add, before, ys), map(add, c.seq, repeat(i))))
+    return 2 * len(keys) == len(sch.negative)
+
+
+def _signs_agree(negative: bytearray) -> bool:
+    """Whether the three edges of every Y vertex have one signature: the
+    parity of `_parities` that is 0 on every X vertex (lemma 2)."""
+    return negative[0::3] == negative[1::3] == negative[2::3]
+
+
+def _strong_report(s: EmbeddingSet) -> ValidationReport:
+    """The strong report of an Eulerian, compatible family, from the index."""
+    return check_family(s)[2]
 
 
 def set_to_scheme(s: EmbeddingSet) -> EmbeddingScheme:
@@ -403,14 +513,20 @@ def set_to_scheme(s: EmbeddingSet) -> EmbeddingScheme:
     of the sorted triple.
 
     For m > 1 the parallel copies are told apart by the circuits' copy
-    labels, which every circuit must carry.  Raises NotAnEmbeddingSet for an
-    invalid family, missing or bad copy labels included, with the first
-    failure of `is_embedding_set`.
+    labels, which every circuit must carry.  A family whose ids pass the
+    front end and whose corners are paired is compatible (lemma 1); any
+    other is checked by `is_embedding_set`.  Raises NotAnEmbeddingSet for
+    an invalid family, missing or bad copy labels included, with its first
+    failure.
     """
+    sch = _family_scheme(s)
+    if sch is not None and _corners_paired(s, sch):
+        return sch
     report = is_embedding_set(s, require_strong=False)
     if not report:
         raise NotAnEmbeddingSet(report.first())
-    return _family_scheme(s)
+    # Compatible, but with copy labels that leave some corner unpaired.
+    return sch
 
 
 @dataclass(frozen=True)
@@ -437,7 +553,7 @@ class FamilyReport:
         faces = self.faces
         return bool(
             self.compatible
-            and (self.strong or not orientable)
+            and (not orientable or self.strong)
             and faces.all_quadrilateral
             and faces.euler_genus == self.expected_genus
             and faces.orientable == orientable
@@ -445,13 +561,30 @@ class FamilyReport:
 
 
 def verify_family(s: EmbeddingSet) -> FamilyReport:
-    """Check a family once and, when it is compatible, trace its scheme."""
+    """Check a family once and, when it is compatible, trace its scheme.
+
+    A family that passes the front end and whose scheme has only
+    quadrilateral faces is certified by the trace: it is compatible (lemma
+    1), and strong when the signs agree at every Y vertex (lemma 2).  When
+    they do not, the strong report is worked out from the transition index
+    when first read; for m = 1 it is known to fail.  Any other family gets
+    the reports of `check_family`.
+    """
+    scheme = _family_scheme(s)
+    faces = None if scheme is None else trace_faces(scheme)
+    if faces is not None and faces.all_quadrilateral:
+        if _signs_agree(scheme.negative):
+            strong = ValidationReport(True, [])
+        else:
+            strong = ValidationReport.later(partial(_strong_report, s), False if s.m == 1 else None)
+        return FamilyReport(
+            ValidationReport(True, []), ValidationReport(True, []), strong,
+            scheme, faces, euler_genus_lower_bound(HypergraphSpec(s.n, s.m)),
+        )
     eulerian, compatible, strong = check_family(s)
-    scheme = faces = expected_genus = None
-    if compatible:
-        scheme = _family_scheme(s)
-        faces = trace_faces(scheme)
-        expected_genus = euler_genus_lower_bound(HypergraphSpec(s.n, s.m))
+    if not compatible:
+        return FamilyReport(eulerian, compatible, strong, None, None, None)
+    expected_genus = euler_genus_lower_bound(HypergraphSpec(s.n, s.m))
     return FamilyReport(eulerian, compatible, strong, scheme, faces, expected_genus)
 
 
@@ -496,8 +629,12 @@ def scheme_to_set(sch: EmbeddingScheme) -> EmbeddingSet:
     Each circuit is read off the ids of an X rotation.  Raises
     NotQuadrilateral when some face has length != 4, and OddOrder for odd n
     (the vertex-deleted complete graph has odd degrees then, so no
-    quadrilateral embedding exists).  Validity and the `strong` flag come
-    from one transition index (`check_family`).
+    quadrilateral embedding exists).  The circuits read back are Eulerian
+    with valid copy labels, as each X rotation lists every edge at its
+    vertex once, and compatible, as the faces are quadrilaterals (lemma 1).
+    The `strong` flag is read off the signs the family's own scheme gives
+    its edges (lemma 2), and from the transition index when they do not
+    agree and m > 1.
     """
     n, m = sch.graph.n, sch.graph.m
     if n % 2 != 0:
@@ -509,13 +646,11 @@ def scheme_to_set(sch: EmbeddingScheme) -> EmbeddingSet:
     circuits = tuple(
         _read_circuit(sch.graph, i, rot) for i, rot in enumerate(sch.x_rotations, 1)
     )
-    eulerian, compatible, strong = check_family(
-        EmbeddingSet(n=n, m=m, circuits=circuits, strong=False)
-    )
-    if not compatible:
-        failed = compatible if compatible is not None else eulerian
-        raise NotQuadrilateral(f"recovered family invalid: {failed.first()}")
-    return EmbeddingSet(n=n, m=m, circuits=circuits, strong=strong.ok)
+    family = EmbeddingSet(n=n, m=m, circuits=circuits, strong=False)
+    strong = _signs_agree(_family_scheme(family).negative)
+    if not strong and m > 1:
+        strong = _strong_report(family).ok
+    return EmbeddingSet(n=n, m=m, circuits=circuits, strong=strong)
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,12 @@ from functools import cache
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kn3genus import (
     Circuit,
+    EmbeddingScheme,
     EmbeddingSet,
     HypergraphSpec,
     NotAnEmbeddingSet,
@@ -37,6 +38,7 @@ from kn3genus import (
     is_strongly_compatible,
     scheme_to_set,
     set_to_scheme,
+    trace_faces,
 )
 from kn3genus.scheme import verify_family
 
@@ -69,17 +71,21 @@ def swap_labels(c: Circuit, p: int, q: int) -> Circuit:
     return Circuit(c.excluded, c.n, c.m, c.seq, tuple(labels))
 
 
+# (10, 2) is left out: test_scheme needs its edge table without the dict
+# views, which the naive tracer builds.
+ORDERS = [(n, m) for n in (4, 6, 8, 10) for m in (1, 2, 3) if (n, m) != (10, 2)]
+
+
 @st.composite
 def eulerian_families(draw) -> EmbeddingSet:
-    n = draw(st.sampled_from([4, 6, 8, 10]))
-    m = draw(st.integers(1, 3))
+    n, m = draw(st.sampled_from(ORDERS))
     orientable = draw(st.booleans()) if (n, m) != (4, 1) else True
     s = built(n, m, orientable, draw(st.integers(0, 3)))
     circuits = list(s.circuits)
     for _ in range(draw(st.integers(0, 4))):
         at = draw(st.integers(0, n - 1))
         c = circuits[at]
-        move = draw(st.sampled_from(["reverse", "subtrail", "swap"] if m > 1 else ["reverse", "subtrail"]))
+        move = draw(st.sampled_from(["reverse", "subtrail", "swap"][: 3 if m > 1 else 2]))
         if move == "reverse":
             circuits[at] = c.reversed_()
             continue
@@ -167,3 +173,23 @@ def test_two_circuit_verdicts_match_the_oracle(s):
     for a, b in combinations(s.circuits, 2):
         expected = pair_verdict(a.excluded, a.seq, b.excluded, b.seq)
         assert (is_compatible(a, b), is_strongly_compatible(a, b)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=eulerian_families(), data=st.data())
+def test_switched_quadrilateral_schemes_read_back_as_the_oracle_says(s, data):
+    # Switching a vertex set keeps the faces but reverses rotations, so the
+    # family read back may differ from s, in strength too.
+    assume(not pairwise_first_failure([(c.excluded, c.seq) for c in s.circuits], False))
+    sch = set_to_scheme(s)
+    assume(trace_faces(sch).all_quadrilateral)
+    switched = data.draw(st.sets(st.sampled_from(list(sch.rotation))))
+    rotation = {v: rot[::-1] if v in switched else rot for v, rot in sch.rotation.items()}
+    signature = {
+        (x, y): -sign if (x in switched) != (y in switched) else sign
+        for (x, y), sign in sch.signature.items()
+    }
+    back = scheme_to_set(EmbeddingScheme(sch.graph, rotation, signature))
+    pairs = [(c.excluded, c.seq) for c in back.circuits]
+    assert pairwise_first_failure(pairs, require_strong=False) == ""
+    assert back.strong == (pairwise_first_failure(pairs, require_strong=True) == "")

@@ -16,6 +16,7 @@ from kn3genus import (
     build_even,
     build_levi,
     build_multi,
+    enumerate_variants,
     euler_genus_lower_bound,
     fixture_set,
     format_scheme,
@@ -27,6 +28,7 @@ from kn3genus import (
     set_to_scheme,
     trace_faces,
 )
+from kn3genus import circuits
 from kn3genus.circuits import (
     Circuit,
     EmbeddingSet,
@@ -384,6 +386,40 @@ def test_verify_family_stops_at_the_first_failed_check(strong6):
     report = verify_family(EmbeddingSet(3, 1, (), False))
     assert report.eulerian.failures == ["0 circuits for order 3"]
     assert report.expected_genus is None and not report.is_minimum(True)
+
+
+def _consulted(*args, **kwargs):
+    raise AssertionError("the transition index or the Eulerian check was consulted")
+
+
+@pytest.mark.parametrize("orientable", [True, False], ids=["orientable", "nonorientable"])
+@pytest.mark.parametrize("m", [1, 3])
+def test_valid_families_are_certified_without_the_index(monkeypatch, m, orientable):
+    s = build_multi(8, m, orientable=orientable, seed=1)
+    with monkeypatch.context() as guard:
+        guard.setattr(circuits, "_transition_index", _consulted)
+        guard.setattr(circuits, "validate_eulerian", _consulted)
+        report = verify_family(s)
+        assert report.eulerian.ok and report.compatible.ok
+        assert report.is_minimum(orientable) and report.faces.orientable == orientable
+        sch = set_to_scheme(s)
+        if orientable or m == 1:
+            # For m > 1 a non-strong family's flag needs the index: no sign
+            # pattern tells it (see tests/test_family_properties.py).
+            assert scheme_to_set(sch).strong == orientable
+        assert len(enumerate_variants(8, orientable, 20, seed=1)) == 20
+    assert report.strong == check_family(s)[2] and report.strong.ok == orientable
+    assert scheme_to_set(sch).strong == orientable
+
+    # Families that fail a check get the reports of check_family.
+    t1 = s.circuit(1)
+    swapped = tuple({2: 4, 4: 2}.get(v, v) for v in t1.seq)
+    repeated = (t1.seq[0],) + t1.seq[:-1]
+    for seq in (swapped, repeated):
+        first = Circuit(1, s.n, m, seq, t1.copy_labels)
+        bad = EmbeddingSet(s.n, m, (first,) + s.circuits[1:], s.strong)
+        report = verify_family(bad)
+        assert (report.eulerian, report.compatible, report.strong) == check_family(bad)
 
 
 def test_multi_scheme_has_expected_size():
