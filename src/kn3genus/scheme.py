@@ -536,7 +536,8 @@ class FamilyReport:
     `compatible` is None when `eulerian` fails and `strong` is None when
     `compatible` fails; the scheme, its faces and the Euler genus they must
     reach (the lower bound) are present exactly when the family is
-    compatible.
+    compatible.  A `strong` report that the signs do not settle is worked
+    out from the transition index when first read (`ValidationReport.later`).
     """
 
     eulerian: ValidationReport
@@ -551,6 +552,8 @@ class FamilyReport:
         (strongly, if orientable), all faces quadrilateral, Euler genus at the
         lower bound, and traced orientability as requested."""
         faces = self.faces
+        # A strong report the signs did not settle builds the transition
+        # index when read, so it is read only for an orientable request.
         return bool(
             self.compatible
             and (not orientable or self.strong)

@@ -11,12 +11,15 @@ but may break compatibility, strength or face consistency:
 On every such family the verdicts of `verify_family` must be those of the
 pair-by-pair oracle, its faces those of the naive tracer, and
 `set_to_scheme` must refuse it exactly when the oracle finds a pair that is
-not compatible.
+not compatible.  `is_compatible` and `is_strongly_compatible` must give the
+oracle's verdict on every pair, and a quadrilateral scheme, switched or
+not, must read back as a family with the oracle's strong verdict.
 
 For m > 1 a family can be strongly compatible by its transition counts
-while its scheme has no vertex parity that is 0 on every X vertex, or none
-at all: the two order-4 families pinned below are both, and both are
-quadrilateral.  So the strong verdict must not be read off the parity alone.
+while its scheme has no vertex parity that is 0 on every X vertex.  Of the
+two quadrilateral order-4 families pinned below, the first has a parity
+that is not, the second none at all.  So for m > 1 the strong verdict must
+not be read off the parity alone.
 """
 
 from functools import cache
