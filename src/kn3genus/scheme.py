@@ -286,7 +286,7 @@ class FaceReport:
 
     @property
     def all_quadrilateral(self) -> bool:
-        return all(length == 4 for length in self.face_lengths)
+        return self.face_lengths.count(4) == len(self.face_lengths)
 
     def length_histogram(self) -> Counter:
         return Counter(self.face_lengths)
