@@ -407,7 +407,8 @@ def test_valid_families_are_certified_without_the_index(monkeypatch, m, orientab
             # For m > 1 a non-strong family's flag needs the index: no sign
             # pattern tells it (see tests/test_family_properties.py).
             assert scheme_to_set(sch).strong == orientable
-        assert len(enumerate_variants(8, orientable, 20, seed=1)) == 20
+        if m == 1:  # the census builds m = 1 families whatever m is here
+            assert len(enumerate_variants(8, orientable, 20, seed=1)) == 20
     assert report.strong == check_family(s)[2] and report.strong.ok == orientable
     assert scheme_to_set(sch).strong == orientable
 
