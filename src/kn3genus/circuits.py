@@ -15,29 +15,25 @@ are compatible when every transition (a, j, b) of T_i is matched, with
 multiplicity, by transitions (a, i, b) or (b, i, a) of T_j; they are
 strongly compatible when the match is always the reversed form (b, i, a).
 A family {T_1..T_n} that is pairwise compatible encodes a quadrilateral
-surface embedding of the Levi graph (see `scheme`), with strong families
-corresponding to the orientable embeddings.
+surface embedding of the Levi graph (see `scheme`).  For m = 1 the strong
+families are the orientable ones; for m > 1 strength ignores copy labels,
+so a strong family can be non-orientable (`STRONG_WITHOUT_PARITY` in
+tests/test_family_properties.py), and only the traced faces tell.
 
-Compatibility has one rule, `_pair_failures`, behind both the family
-checks and the two-circuit `is_compatible`/`is_strongly_compatible`: an
-index counts each ordered transition (a, j, b) of T_i under the key
-(i, j, a, b), scanning every circuit of a family whole, but for two
-circuits only the passes of each through the other's excluded vertex.
-`scheme` certifies a valid family without the index (its lemmas 1 and 2),
-so the index is built to explain a failure, or to decide strength where no
-sign pattern does.  T_i and T_j are strongly compatible iff every key's
-count equals that of (j, i, b, a), and compatible iff the same holds once
-outer pairs are sorted: (i, j, a, b) and (i, j, b, a) together
-count as often as (j, i, a, b) and (j, i, b, a).  The passes through one
-vertex, with their positions, come from one scanner, `transition_positions`,
-which `transitions_through` and the builder share.  Rotation-invariant
-forms of circuits all come from one routine, `least_rotation`.
+Compatibility has one rule, `_pair_failures`, on the passes (a, b) of T_i
+through j and of T_j through i, which the family checks group by middle
+vertex (`_transition_index`).  `scheme` certifies a valid family without
+it (its lemmas 1 and 2), so it runs to name a failure, or to decide
+strength where no sign pattern does.  The passes through one vertex, with
+their positions, come from one scanner, `transition_positions`, which the
+two-circuit checks, `transitions_through` and the builder share.
+Rotation-invariant forms of circuits all come from `least_rotation`.
 """
 
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import combinations
 from math import comb
 from operator import eq
 
@@ -289,23 +285,20 @@ def transitions_through(c: Circuit, j: int) -> list[Transition]:
 
 
 def _two_circuit_failures(t_i: Circuit, t_j: Circuit) -> tuple[str, str]:
-    """`_pair_failures` of T_i and T_j, refusing circuits that cannot pair.
-
-    Only the passes that pair are indexed: those of T_i through j and of T_j
-    through i, in scan order.
-    """
+    """`_pair_failures` of T_i and T_j, refusing circuits that cannot pair."""
     if t_i.n != t_j.n or t_i.m != t_j.m:
         raise MismatchedAmbient(
             f"(n={t_i.n}, m={t_i.m}) vs (n={t_j.n}, m={t_j.m})"
         )
-    if t_i.excluded == t_j.excluded:
+    i, j = t_i.excluded, t_j.excluded
+    if i == j:
         raise InvalidParameter("compatibility is defined for circuits excluding distinct vertices")
-    index: Counter = Counter()
-    for c, v in ((t_i, t_j.excluded), (t_j, t_i.excluded)):
+    passes = []
+    for c, v in ((t_i, j), (t_j, i)):
         if v not in c.seq:
             raise VertexAbsent(f"vertex {v} does not occur in the circuit")
-        index.update((c.excluded, v, a, b) for a, b, _ in transition_positions(c.seq, v))
-    return _pair_failures(index, {t_i.excluded, t_j.excluded})
+        passes.append([(a, b) for a, b, _ in transition_positions(c.seq, v)])
+    return _pair_failures(i, j, *passes)
 
 
 def is_compatible(t_i: Circuit, t_j: Circuit) -> bool:
@@ -339,56 +332,50 @@ def _circuit_failures(s: EmbeddingSet) -> list[str]:
     return failures
 
 
-def _transition_index(circuits) -> Counter:
-    """Counts of every transition (a, j, b) of every T_i, keyed (i, j, a, b)."""
-    index: Counter = Counter()
-    for c in circuits:
-        s = c.seq
-        index.update(zip(repeat(c.excluded), s, s[-1:] + s[:-1], s[1:] + s[:1]))
+def _transition_index(c: Circuit) -> dict[int, list[tuple[int, int]]]:
+    """The passes (a, b) of c through each vertex j, grouped by j, each
+    group in scan order."""
+    index: dict[int, list[tuple[int, int]]] = {}
+    s = c.seq
+    for a, j, b in zip(s[-1:] + s[:-1], s, s[1:] + s[:1]):
+        index.setdefault(j, []).append((a, b))
     return index
 
 
-def _pair_failures(index: Counter, given: set[int]) -> tuple[str, str]:
-    """Failures of the first incompatible and the first not strongly
-    compatible pair ("" for none), read off a transition index keyed as
-    `_transition_index` keys it, each circuit's keys in its scan order.
-    Only passes through a vertex in `given`, the excluded vertices of the
-    indexed circuits, other than the circuit's own, are paired.
+def _pair_failures(i: int, j: int, ours, theirs) -> tuple[str, str]:
+    """Failures of T_i and T_j as not compatible and as not strongly
+    compatible ("" for none), from the passes (a, b) of T_i through j and
+    of T_j through i, each in scan order.
 
-    An incompatible pair also fails the strong test on the keys that break
-    it, so only those keys need the compatibility test, and the first pair
-    failing the strong test is incompatible iff it is also the first
-    incompatible pair.
+    Strong: the passes agree as multisets once those of T_j are reversed;
+    the failure names T_i's first pass whose count differs from that of
+    its reverse in T_j.  Compatible: they agree as multisets of unordered
+    pairs.  A pair that is not compatible fails both tests with one message.
     """
-    get = index.get
-    mismatched = [
-        ((i, j) if i < j else (j, i), i, j, a, b, count)
-        for (i, j, a, b), count in index.items()
-        if get((j, i, b, a), 0) != count and j in given and j != i
-    ]
-    if not mismatched:
+    back = [(b, a) for a, b in theirs]
+    if sorted(ours) == sorted(back):
         return "", ""
-    incompatible = [
-        pair
-        for pair, i, j, a, b, count in mismatched
-        if count + get((i, j, b, a), 0) != get((j, i, a, b), 0) + get((j, i, b, a), 0)
-    ]
-    first = min(incompatible, default=None)
-    weak_failure = f"pair ({first[0]},{first[1]}) not compatible" if first else ""
-    i, j = min(mismatched)[0]
-    if (i, j) == first:
-        return weak_failure, weak_failure
-    # The keys of T_i enter the index in its scan order, so the first
-    # mismatched key (i, j, a, b) is its first transition through j whose
-    # reversed form T_j lacks.  One exists: T_i passes j as often as T_j
-    # passes i, so if every key of T_i matched, so would every key of T_j.
-    a, b = next((a, b) for _, ki, kj, a, b, _ in mismatched if ki == i and kj == j)
-    return weak_failure, f"pair ({i},{j}) not strongly compatible at transition ({a},{j},{b})"
+    if sorted(map(sorted, ours)) != sorted(map(sorted, theirs)):
+        failure = f"pair ({i},{j}) not compatible"
+        return failure, failure
+    # Compatible, so both lists are as long and some pass of T_i differs.
+    counts, back_counts = Counter(ours), Counter(back)
+    a, b = next(p for p in ours if counts[p] != back_counts[p])
+    return "", f"pair ({i},{j}) not strongly compatible at transition ({a},{j},{b})"
 
 
 def _family_pair_failures(s: EmbeddingSet) -> tuple[str, str]:
-    """`_pair_failures` of a family, from the index of all its transitions."""
-    return _pair_failures(_transition_index(s.circuits), {c.excluded for c in s.circuits})
+    """The failures of the lexicographically first pair i < j that is not
+    compatible and of the first that is not strongly compatible, from each
+    circuit's passes through the other's position in the family."""
+    strong_failure = ""
+    indexes = [_transition_index(c) for c in s.circuits]
+    for (i, ours), (j, theirs) in combinations(enumerate(indexes, 1), 2):
+        weak, strong = _pair_failures(i, j, ours.get(j, ()), theirs.get(i, ()))
+        strong_failure = strong_failure or strong
+        if weak:
+            return weak, strong_failure
+    return "", strong_failure
 
 
 def _report(failure: str) -> ValidationReport:
@@ -398,11 +385,11 @@ def _report(failure: str) -> ValidationReport:
 def is_embedding_set(s: EmbeddingSet, require_strong: bool | None = None) -> ValidationReport:
     """Validate every circuit Eulerian and every pair (strongly) compatible.
 
-    A circuit fails as in `check_family`, copy labels included.  All pairs
-    are read off one transition index (see the module docstring); the
-    report names the lexicographically first failing pair, and for a
-    pair that is compatible but not strongly so, a transition of T_i whose
-    reversed form T_j lacks.  `require_strong=None` uses the set's own flag.
+    A circuit fails as in `check_family`, copy labels included.  The report
+    names the lexicographically first failing pair (`_pair_failures`), and
+    for a pair that is compatible but not strongly so, a transition of T_i
+    whose reversed form T_j lacks.  `require_strong=None` uses the set's
+    own flag.
     """
     if require_strong is None:
         require_strong = s.strong
@@ -413,22 +400,30 @@ def is_embedding_set(s: EmbeddingSet, require_strong: bool | None = None) -> Val
     return _report(strong_failure if require_strong else weak_failure)
 
 
+def pair_reports(s: EmbeddingSet) -> tuple[ValidationReport, ValidationReport | None]:
+    """Compatible and strong reports of an Eulerian family, those of
+    `check_family`; strong is None when compatible fails.  A family that is
+    not Eulerian gets reports too, in which a circuit that misses vertex j
+    has no passes through j to pair with those of the circuit excluding j."""
+    weak_failure, strong_failure = _family_pair_failures(s)
+    return _report(weak_failure), None if weak_failure else _report(strong_failure)
+
+
 def check_family(
     s: EmbeddingSet,
 ) -> tuple[ValidationReport, ValidationReport | None, ValidationReport | None]:
-    """Eulerian, compatible and strong reports of a family, from one pass.
+    """Eulerian, compatible and strong reports of a family.
 
     The Eulerian report names every circuit out of place, of another
     ambient, or not Eulerian ("circuit i: <first violation>").  The pair
-    reports are those of `is_embedding_set`; compatible is None when the
-    Eulerian report fails, and strong is None when compatible fails.
+    reports are those of `pair_reports`, which name the first failing pair
+    as `is_embedding_set` does; compatible is None when the Eulerian report
+    fails, and strong is None when compatible fails.
     """
     failures = _circuit_failures(s)
     if failures:
         return ValidationReport(False, failures), None, None
-    weak_failure, strong_failure = _family_pair_failures(s)
-    strong = None if weak_failure else _report(strong_failure)
-    return ValidationReport(True, []), _report(weak_failure), strong
+    return (ValidationReport(True, []), *pair_reports(s))
 
 
 def relabel(s: EmbeddingSet, perm: dict[int, int]) -> EmbeddingSet:

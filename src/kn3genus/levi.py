@@ -40,10 +40,6 @@ class HypergraphSpec:
     def edge_count(self) -> int:
         return self.m * comb(self.n, 3)
 
-    @property
-    def levi_edge_count(self) -> int:
-        return 3 * self.edge_count
-
 
 @dataclass(frozen=True)
 class LeviGraph:

@@ -29,9 +29,9 @@ certifies it, through its scheme, as a minimum-genus embedding or not.
 Certifying a family.  The family front end decides from the edge ids
 whether every circuit is Eulerian with valid copy labels, refusing exactly
 what `circuits.check_family` refuses.  Compatibility and strength then
-follow from two lemmas, so the transition index of `circuits` is built only
-to name a failure in the same words, or where m > 1 to decide strength the
-signs leave open.
+follow from two lemmas, so the pair checks of `circuits` run only to name
+a failure in the same words, or where m > 1 to decide strength the signs
+leave open.
 
 In the scheme of a family, the corner of X vertex i between the edges of
 steps p-1 and p of T_i is the pass (a, j, b) of T_i through j = seq[p]; its
@@ -74,7 +74,7 @@ each outer pair and never as a -> j -> a, so strong compatibility reverses
 the one partner there is.  For m > 1 it does not: a pass a -> j -> a can
 have its partner counted as reversed while it runs from Y to Y' (the
 order-4 families in tests/test_family_properties.py).  There the verdict
-comes from the transition index.
+comes from the pair checks of `circuits`.
 
 So `verify_family` traces the faces, which it reports anyway: all of them
 quadrilateral certifies compatibility, and one sign per Y vertex strength.
@@ -82,7 +82,8 @@ quadrilateral certifies compatibility, and one sign per Y vertex strength.
 less than a trace, and `scheme_to_set` reads compatibility off the faces of
 the scheme it reads, and strength off the signs the family's own scheme
 gives.  Any family these do not certify is checked by `circuits`, whose
-reports and messages are the ones the commands print.
+reports and messages are the ones the commands print: `check_family` for
+one the front end refuses, `pair_reports` for one it passes.
 """
 
 from collections import Counter
@@ -98,7 +99,7 @@ from .circuits import (
     EmbeddingSet,
     ValidationReport,
     check_family,
-    is_embedding_set,
+    pair_reports,
 )
 from .exceptions import (
     Disconnected,
@@ -499,8 +500,9 @@ def _signs_agree(negative: bytearray) -> bool:
 
 
 def _strong_report(s: EmbeddingSet) -> ValidationReport:
-    """The strong report of an Eulerian, compatible family, from the index."""
-    return check_family(s)[2]
+    """The strong report of a compatible family that passed the front end,
+    from `circuits.pair_reports`."""
+    return pair_reports(s)[1]
 
 
 def set_to_scheme(s: EmbeddingSet) -> EmbeddingScheme:
@@ -514,18 +516,20 @@ def set_to_scheme(s: EmbeddingSet) -> EmbeddingScheme:
 
     For m > 1 the parallel copies are told apart by the circuits' copy
     labels, which every circuit must carry.  A family whose ids pass the
-    front end and whose corners are paired is compatible (lemma 1); any
-    other is checked by `is_embedding_set`.  Raises NotAnEmbeddingSet for
-    an invalid family, missing or bad copy labels included, with its first
-    failure.
+    front end and whose corners are paired is compatible (lemma 1); one
+    with a corner unpaired is checked by `circuits.pair_reports`.  Raises
+    NotAnEmbeddingSet for an invalid family, missing or bad copy labels
+    included, with its first failure (from `check_family` for one the
+    front end refuses).
     """
     sch = _family_scheme(s)
-    if sch is not None and _corners_paired(s, sch):
-        return sch
-    report = is_embedding_set(s, require_strong=False)
-    if not report:
-        raise NotAnEmbeddingSet(report.first())
-    # Compatible, but with copy labels that leave some corner unpaired.
+    if sch is None:
+        raise NotAnEmbeddingSet(check_family(s)[0].first())
+    if not _corners_paired(s, sch):
+        compatible = pair_reports(s)[0]
+        if not compatible:
+            raise NotAnEmbeddingSet(compatible.first())
+        # Compatible, but with copy labels that leave some corner unpaired.
     return sch
 
 
@@ -537,7 +541,7 @@ class FamilyReport:
     `compatible` fails; the scheme, its faces and the Euler genus they must
     reach (the lower bound) are present exactly when the family is
     compatible.  A `strong` report that the signs do not settle is worked
-    out from the transition index when first read (`ValidationReport.later`).
+    out by `circuits.pair_reports` when first read (`ValidationReport.later`).
     """
 
     eulerian: ValidationReport
@@ -552,8 +556,8 @@ class FamilyReport:
         (strongly, if orientable), all faces quadrilateral, Euler genus at the
         lower bound, and traced orientability as requested."""
         faces = self.faces
-        # A strong report the signs did not settle builds the transition
-        # index when read, so it is read only for an orientable request.
+        # A strong report the signs did not settle compares the circuits
+        # pair by pair when read, so it is read only for an orientable request.
         return bool(
             self.compatible
             and (not orientable or self.strong)
@@ -569,24 +573,25 @@ def verify_family(s: EmbeddingSet) -> FamilyReport:
     A family that passes the front end and whose scheme has only
     quadrilateral faces is certified by the trace: it is compatible (lemma
     1), and strong when the signs agree at every Y vertex (lemma 2).  When
-    they do not, the strong report is worked out from the transition index
-    when first read; for m = 1 it is known to fail.  Any other family gets
-    the reports of `check_family`.
+    they do not, the strong report is worked out by `circuits.pair_reports`
+    when first read; for m = 1 it is known to fail.  A family the front end
+    refuses gets the reports of `check_family`, and one with a face of
+    another length those of `pair_reports`.
     """
     scheme = _family_scheme(s)
-    faces = None if scheme is None else trace_faces(scheme)
-    if faces is not None and faces.all_quadrilateral:
+    if scheme is None:
+        return FamilyReport(*check_family(s), None, None, None)
+    eulerian, faces = ValidationReport(True, []), trace_faces(scheme)
+    if faces.all_quadrilateral:
+        compatible = ValidationReport(True, [])
         if _signs_agree(scheme.negative):
             strong = ValidationReport(True, [])
         else:
             strong = ValidationReport.later(partial(_strong_report, s), False if s.m == 1 else None)
-        return FamilyReport(
-            ValidationReport(True, []), ValidationReport(True, []), strong,
-            scheme, faces, euler_genus_lower_bound(HypergraphSpec(s.n, s.m)),
-        )
-    eulerian, compatible, strong = check_family(s)
-    if not compatible:
-        return FamilyReport(eulerian, compatible, strong, None, None, None)
+    else:
+        compatible, strong = pair_reports(s)
+        if not compatible:
+            return FamilyReport(eulerian, compatible, strong, None, None, None)
     expected_genus = euler_genus_lower_bound(HypergraphSpec(s.n, s.m))
     return FamilyReport(eulerian, compatible, strong, scheme, faces, expected_genus)
 
@@ -636,7 +641,7 @@ def scheme_to_set(sch: EmbeddingScheme) -> EmbeddingSet:
     with valid copy labels, as each X rotation lists every edge at its
     vertex once, and compatible, as the faces are quadrilaterals (lemma 1).
     The `strong` flag is read off the signs the family's own scheme gives
-    its edges (lemma 2), and from the transition index when they do not
+    its edges (lemma 2), and from `circuits.pair_reports` when they do not
     agree and m > 1.
     """
     n, m = sch.graph.n, sch.graph.m

@@ -22,7 +22,7 @@ from kn3genus import (
     transitions_through,
     validate_eulerian,
 )
-from kn3genus.circuits import canonical_set_key, least_rotation
+from kn3genus.circuits import canonical_set_key, least_rotation, pair_reports
 
 from oracle import (
     brute_canonical_seq,
@@ -135,6 +135,12 @@ def test_is_embedding_set_rejects_incompatible_family(nonorientable6):
     broken = EmbeddingSet(6, 1, tuple(circuits), strong=False)
     report = is_embedding_set(broken, require_strong=False)
     assert not report.ok
+
+
+def test_pair_reports_answer_a_family_that_is_not_eulerian(strong6):
+    # T_1 misses vertices 4 and 6: a report names the first pair, no KeyError.
+    short = EmbeddingSet(6, 1, (Circuit(1, 6, 1, (2, 3, 5)),) + strong6.circuits[1:], True)
+    assert pair_reports(short)[0].failures == ["pair (1,2) not compatible"]
 
 
 def test_reversal_preserves_weak_compatibility(strong6, nonorientable6):

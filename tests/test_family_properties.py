@@ -8,12 +8,13 @@ but may break compatibility, strength or face consistency:
 - reverse the closed sub-trail between two visits of one vertex;
 - swap the copy labels of two traversals of one pair (m > 1).
 
-On every such family the verdicts of `verify_family` must be those of the
-pair-by-pair oracle, its faces those of the naive tracer, and
-`set_to_scheme` must refuse it exactly when the oracle finds a pair that is
-not compatible.  `is_compatible` and `is_strongly_compatible` must give the
-oracle's verdict on every pair, and a quadrilateral scheme, switched or
-not, must read back as a family with the oracle's strong verdict.
+On every such family the verdicts of `verify_family` and `is_embedding_set`
+must be those of the pair-by-pair oracle, the traced faces those of the
+naive tracer, and `set_to_scheme` must refuse it exactly when the oracle
+finds a pair that is not compatible.  `is_compatible` and
+`is_strongly_compatible` must give the oracle's verdict on every pair, and
+a quadrilateral scheme, switched or not, must read back as a family with
+the oracle's strong verdict.
 
 For m > 1 a family can be strongly compatible by its transition counts
 while its scheme has no vertex parity that is 0 on every X vertex.  Of the
@@ -38,6 +39,7 @@ from kn3genus import (
     build_multi,
     euler_genus_lower_bound,
     is_compatible,
+    is_embedding_set,
     is_strongly_compatible,
     scheme_to_set,
     set_to_scheme,
@@ -139,6 +141,9 @@ def test_verify_family_matches_the_oracle_on_eulerian_families(s):
     weak = pairwise_first_failure(pairs, require_strong=False)
     strong = pairwise_first_failure(pairs, require_strong=True)
     report = verify_family(s)
+    for require_strong, expected in ((False, weak), (True, strong)):
+        checked = is_embedding_set(s, require_strong=require_strong)
+        assert (checked.ok, checked.first()) == (not expected, expected)
 
     assert (report.eulerian.ok, report.eulerian.failures) == (True, [])
     assert (report.compatible.ok, report.compatible.first()) == (not weak, weak)

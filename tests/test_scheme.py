@@ -423,6 +423,30 @@ def test_valid_families_are_certified_without_the_index(monkeypatch, m, orientab
         assert (report.eulerian, report.compatible, report.strong) == check_family(bad)
 
 
+def test_families_the_front_end_passed_are_not_checked_eulerian_again(monkeypatch, strong6):
+    s = build_multi(8, 3, orientable=False, seed=1)
+    reversed_t1 = EmbeddingSet(
+        6, 1, (strong6.circuit(1).reversed_(),) + strong6.circuits[1:], True
+    )
+    # T_1 of strong_6 with its closed sub-trail at positions 0..4 reversed:
+    # Eulerian, not all faces quadrilateral, pair (1,3) not compatible.
+    subtrail = Circuit(1, 6, 1, (3, 5, 2, 4, 3, 6, 4, 5, 6, 2))
+    incompatible = EmbeddingSet(6, 1, (subtrail,) + strong6.circuits[1:], True)
+    with monkeypatch.context() as guard:
+        guard.setattr(circuits, "validate_eulerian", _consulted)
+        strong = verify_family(s).strong.ok
+        read_back = scheme_to_set(set_to_scheme(s)).strong
+        reversed_first = verify_family(reversed_t1).strong.first()
+        report = verify_family(incompatible)
+        with pytest.raises(NotAnEmbeddingSet, match=r"^pair \(1,3\) not compatible$"):
+            set_to_scheme(incompatible)
+    assert strong is read_back is check_family(s)[2].ok is False
+    assert reversed_first == check_family(reversed_t1)[2].first()
+    assert reversed_first == "pair (1,2) not strongly compatible at transition (3,2,6)"
+    assert (report.eulerian, report.compatible, report.strong) == check_family(incompatible)
+    assert report.compatible.failures == ["pair (1,3) not compatible"]
+
+
 def test_multi_scheme_has_expected_size():
     s = build_multi(6, 2, orientable=True)
     sch = set_to_scheme(s)
