@@ -44,7 +44,7 @@ def fixture_set(name: str) -> EmbeddingSet:
     """One of the bundled reference families, parsed from package data."""
     if name not in _FIXTURES:
         raise InvalidParameter(f"unknown fixture {name!r}; have {sorted(_FIXTURES)}")
-    text = resources.files("kn3genus.data").joinpath(_FIXTURES[name]).read_text()
+    text = resources.files("kn3genus.data").joinpath(_FIXTURES[name]).read_text(encoding="utf-8")
     return parse_set(text)
 
 

@@ -7,6 +7,7 @@ parse errors.  `--json` switches every command to machine-readable output.
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .exceptions import FormatError, InvalidParameter, Kn3Error
@@ -33,9 +34,13 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _read(path: str) -> str:
+@contextmanager
+def _reading(path: str):
+    """The file at path, open as UTF-8 text; a decoding fault while it is
+    read is a FormatError."""
     try:
-        return Path(path).read_text()
+        with open(path, encoding="utf-8") as file:
+            yield file
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
 
@@ -69,9 +74,10 @@ def cmd_build(args) -> int:
     report = verified.faces
     text = fileio.format_set(s)
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     if args.scheme_out:
-        Path(args.scheme_out).write_text(fileio.format_scheme(verified.scheme))
+        with open(args.scheme_out, "w", encoding="utf-8") as file:
+            file.writelines(fileio.scheme_chunks(verified.scheme))
     payload = {
         "n": s.n,
         "m": s.m,
@@ -100,7 +106,9 @@ def cmd_verify(args) -> int:
     from . import fileio
     from .scheme import verify_family
 
-    verified = verify_family(fileio.parse_set(_read(args.path)))
+    with _reading(args.path) as file:
+        family = fileio.parse_set(file.read())
+    verified = verify_family(family)
     faces, expected = verified.faces, verified.expected_genus
     passed = {
         "eulerian": verified.eulerian.ok,
@@ -155,7 +163,9 @@ def cmd_genus(args) -> int:
     from . import fileio
     from .scheme import trace_faces
 
-    report = trace_faces(fileio.parse_scheme(_read(args.path)))
+    with _reading(args.path) as file:
+        scheme = fileio.parse_scheme(file)
+    report = trace_faces(scheme)
     hist = dict(sorted(report.length_histogram().items()))
     payload = {
         "face_count": report.face_count,
@@ -183,7 +193,7 @@ def cmd_enumerate(args) -> int:
     result = enumerate_variants(args.n, args.orientable, args.count, seed=args.seed)
     text = fileio.format_census(result.families)
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     payload = {
         "requested": args.count,
         "found": len(result),

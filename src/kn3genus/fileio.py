@@ -14,28 +14,40 @@ order, then `sig <x> <y>: +1|-1` lines.  Edge-side vertices are written
 Levi edge ids an `EmbeddingScheme` holds: `parse_scheme` checks every line
 against the Levi graph and builds the scheme from the ids it reads, and
 `format_scheme` writes the ids of any scheme back, so reading a written
-scheme reproduces it bit-exactly.  Lines may come in any order.  The
-reader makes two passes: the first classifies the lines and keeps only
-the rot heads and where the lines are; once the X heads give n and the
-count of rot lines m, the second turns each line straight into ids, so no
-line's tokens outlive it.
+scheme reproduces it bit-exactly.  Lines may come in any order.  A line
+ends at "\\n", "\\r\\n" or "\\r" and nowhere else, in a text as in a file:
+the other breaks of `str.splitlines` ("\\f", "\\v", "\\x1c" to "\\x1e",
+"\\x85", "\\u2028", "\\u2029") are part of a line, where, as whitespace,
+they may pad a line or separate its words.
 Y rotations that all list their triple in sorted order, as the writer
-does, are read back as None, the form `scheme.trace_faces` reads by
-slicing.  The Y names of one (n, m) are formatted once, by C-level passes,
-when first written or read; only the reader also builds the dict from each
+does, are read back as None, the form `EmbeddingScheme` keeps them in.
+The Y names of one (n, m) are formatted once, by C-level passes, when
+first written or read; only the reader also builds the dict from each
 name to its vertex index.  A token that is not a canonical name (such as
 `e{1,2,3}#0` when m = 1) is parsed on its own, and a bad one, such as a
 digit run too long for an int, is reported with its line.
+
+Scheme files are streamed both ways.  The writer, `scheme_chunks`, yields
+the text a chunk at a time (a line per X vertex, the short Y rot and sig
+lines in batches), and `format_scheme` joins its chunks.  The reader,
+`parse_scheme`, takes the text or an open text file and reads it a chunk
+at a time, twice: the first pass classifies the lines and keeps only the
+rot heads and a kind byte per line; once the X heads give n and the count
+of rot lines m, the second turns each line straight into ids, so no list
+of the lines is held and no line's tokens outlive it.
 
 Census: header line, then per record a `record sha256=<hex>` digest line
 followed by the record's family in the format above.
 """
 
 import re
-from functools import cache
-from itertools import chain, combinations, compress, product, starmap
+from collections import deque
+from collections.abc import Iterator
+from functools import cache, partial
+from itertools import chain, combinations, islice, product, starmap
 from math import comb
 from operator import itemgetter
+from typing import TextIO
 
 from .circuits import Circuit, EmbeddingSet
 from .exceptions import CopyResolutionError, FormatError
@@ -183,62 +195,156 @@ def _parse_vertex(token: str, m: int, lineno: int):
         raise FormatError(f"bad vertex token {token!r}", lineno) from None
 
 
+# The short Y rot and sig lines are written this many to a chunk.
+_LINES_PER_CHUNK = 256
+
+
+def _batches(lines: Iterator[str]) -> Iterator[str]:
+    while chunk := "".join(islice(lines, _LINES_PER_CHUNK)):
+        yield chunk
+
+
+def scheme_chunks(sch: EmbeddingScheme) -> Iterator[str]:
+    """The scheme file of a scheme, written from its ids, as chunks of text:
+    the header, each X rot line, then the Y rot and sig lines in batches.
+    `format_scheme` joins them; `build --scheme-out` writes them to the file
+    one by one, so the whole text is never held."""
+    table = sch.table
+    graph, x_end = table.graph, table.x_end
+    y_names = _y_names(graph.n, graph.m)
+    yield SCHEME_HEADER + "\n"
+    for x, rot in zip(graph.x_vertices, sch.x_rotations):
+        yield f"rot {x}: " + " ".join([y_names[k // 3] for k in rot]) + "\n"
+    if sch.y_rotations is None:
+        # Sorted: the Y vertex y lists the X ends of its edges 3y, 3y+1, 3y+2.
+        ends = iter(x_end)
+        y_rots = zip(y_names, ends, ends, ends)
+    else:
+        y_rots = (
+            (name, *[x_end[k] for k in rot]) for name, rot in zip(y_names, sch.y_rotations)
+        )
+    yield from _batches(map("rot %s: %d %d %d\n".__mod__, y_rots))
+    y_of_edge = chain.from_iterable(zip(y_names, y_names, y_names))
+    signs = map(("+1", "-1").__getitem__, sch.negative)
+    yield from _batches(map("sig %d %s: %s\n".__mod__, zip(x_end, y_of_edge, signs)))
+
+
 def format_scheme(sch: EmbeddingScheme) -> str:
     """The scheme file of a scheme, written from its ids."""
-    table = sch.table
-    graph, x_end, negative = table.graph, table.x_end, sch.negative
-    y_names = _y_names(graph.n, graph.m)
-    lines = [SCHEME_HEADER]
-    for x, rot in zip(graph.x_vertices, sch.x_rotations):
-        lines.append(f"rot {x}: " + " ".join([y_names[k // 3] for k in rot]))
-    for name, rot in zip(y_names, sch.y_lists()):
-        lines.append(f"rot {name}: " + " ".join([str(x_end[k]) for k in rot]))
-    for k, x in enumerate(x_end):
-        lines.append(f"sig {x} {y_names[k // 3]}: {'-1' if negative[k] else '+1'}")
-    return "\n".join(lines) + "\n"
+    return "".join(scheme_chunks(sch))
 
 
-def parse_scheme(text: str) -> EmbeddingScheme:
-    """The scheme of a scheme file; raises FormatError for a malformed one.
+# Characters read from a file, or sliced from a text, at a time.
+_READ_CHARS = 1 << 14
 
-    Lines may come in any order.  The first pass classifies each line,
-    refuses a second rot line for a head or a sig line without exactly two
-    names, and keeps only the rot heads with their line indices and a mark
-    on every sig line.  Once the X heads give n and the count of rot lines
-    gives m, the second pass reads each rot line, then each sig line,
-    straight into ids and signs.  The Y rotations come back as None
-    when every one lists its triple in sorted order, as the writer does.
-    """
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != SCHEME_HEADER:
-        raise FormatError(f"expected header {SCHEME_HEADER!r}", 1 if lines else None)
-    rot_at: dict[str, int] = {}
-    is_sig = bytearray(len(lines))
-    for i in range(1, len(lines)):
-        line = lines[i].strip()
-        if not line:
-            continue
+
+def _lines(source: str | TextIO) -> Iterator[str]:
+    """The lines of a text or of an open text file, without their ends,
+    read a chunk at a time.  A line ends at "\\n", "\\r\\n" or "\\r" and
+    nowhere else, as in a file read with universal newlines."""
+    return chain.from_iterable(_line_blocks(source))
+
+
+def _line_blocks(source: str | TextIO) -> Iterator[list[str]]:
+    """The lines of `_lines`, a list for each chunk read."""
+    if isinstance(source, str):
+        chunks = (source[i:i + _READ_CHARS] for i in range(0, len(source), _READ_CHARS))
+    else:
+        chunks = iter(partial(source.read, _READ_CHARS), "")
+    pending: list[str] = []  # the pieces of a line that spans chunks
+    after_cr = False
+    for chunk in chunks:
+        if after_cr and chunk.startswith("\n"):  # the "\n" of a split "\r\n"
+            chunk = chunk[1:]
+        after_cr = chunk.endswith("\r")
+        if "\r" in chunk:
+            chunk = chunk.replace("\r\n", "\n").replace("\r", "\n")
+        lines = chunk.split("\n")
+        last = lines.pop()
+        if lines:
+            pending.append(lines[0])
+            lines[0] = "".join(pending)
+            pending.clear()
+            yield lines
+        pending.append(last)
+    line = "".join(pending)
+    if line:
+        yield [line]
+
+
+# The kinds of line `_first_pass` tells apart: the header and blank lines,
+# rot lines and sig lines.
+_OTHER, _ROT, _SIG = range(3)
+
+
+def _first_pass(lines: Iterator[str]) -> tuple[int, list[tuple[str, int]], bytearray]:
+    """The first pass of `parse_scheme`: checks the header, classifies every
+    line and refuses a second rot line for a head or a sig line without
+    exactly two names.  Returns the count of rot lines, the heads not
+    starting with "e", the X heads, with their line numbers, and the kind of
+    every line, one byte each."""
+    header = next(lines, None)
+    if header is None or header.strip() != SCHEME_HEADER:
+        raise FormatError(f"expected header {SCHEME_HEADER!r}", None if header is None else 1)
+    heads: set[str] = set()
+    x_heads = []
+    kinds = bytearray([_OTHER])
+    for lineno, line in enumerate(lines, 2):
+        line = line.strip()
         kind = line[:4]
         if kind == "sig ":
             # The head is all but the first word before the first colon.
             if len(line.partition(":")[0].split()) != 3:
-                raise FormatError(f"bad sig line {line!r}", i + 1)
-            is_sig[i] = 1
+                raise FormatError(f"bad sig line {line!r}", lineno)
+            kinds.append(_SIG)
         elif kind == "rot ":
             head = line[4:].partition(":")[0].strip()
-            if head in rot_at:
-                raise FormatError(f"second rot line for {head!r}", i + 1)
-            rot_at[head] = i
+            if head in heads:
+                raise FormatError(f"second rot line for {head!r}", lineno)
+            heads.add(head)
+            if not head.startswith("e"):
+                x_heads.append((head, lineno))
+            kinds.append(_ROT)
+        elif line:
+            raise FormatError(f"unexpected line {line!r}", lineno)
         else:
-            raise FormatError(f"unexpected line {line!r}", i + 1)
+            kinds.append(_OTHER)
+    return len(heads), x_heads, kinds
+
+
+def parse_scheme(source: str | TextIO) -> EmbeddingScheme:
+    """The scheme of a scheme file, given as its text or as a text file open
+    for reading; raises FormatError for a malformed one.
+
+    Lines may come in any order.  The first pass classifies each line,
+    refuses a second rot line for a head or a sig line without exactly two
+    names, and keeps only the rot heads and a kind byte per line.  Once the
+    X heads give n and the count of rot lines gives m, the second pass
+    reads each rot line, then each sig line, straight into ids and signs: a
+    bad sig line is reported only when every rot line has passed.  The Y rotations come back as None
+    when every one lists its triple in sorted order, as the writer does.
+
+    A file is read twice from where it stands, a chunk at a time, so its
+    text is never held whole; one that cannot seek is read into a text
+    first.  A refused file is still read to its end, so that a decoding
+    fault anywhere in it is raised before any FormatError.
+    """
+    if not isinstance(source, str) and not source.seekable():
+        source = source.read()
+    start = None if isinstance(source, str) else source.tell()
+    lines = _lines(source)
+    try:
+        rot_count, x_heads, kinds = _first_pass(lines)
+    except FormatError:
+        deque(lines, maxlen=0)  # a decoding fault further on comes first
+        raise
 
     x_labels = []
-    for head, i in rot_at.items():
-        if not head.startswith("e"):
-            try:
-                x_labels.append(int(head))
-            except ValueError as exc:
-                raise FormatError(f"bad vertex name: {exc}", i + 1) from None
+    for head, lineno in x_heads:
+        try:
+            x_labels.append(int(head))
+        except ValueError as exc:
+            raise FormatError(f"bad vertex name: {exc}", lineno) from None
     x_labels.sort()
     n = len(x_labels)
     if x_labels != list(range(1, n + 1)):
@@ -247,7 +353,7 @@ def parse_scheme(text: str) -> EmbeddingScheme:
         raise FormatError(f"need rot lines for vertices 1..n with n >= 4, got n={n}")
     # One rot line per Levi vertex: the count fixes m before the table,
     # whose size m sets, is built.  A head naming a copy >= m is no vertex.
-    m_mult, extra = divmod(len(rot_at) - n, comb(n, 3))
+    m_mult, extra = divmod(rot_count - n, comb(n, 3))
     if extra or m_mult < 1:
         raise FormatError("rot lines do not match the Levi graph of the inferred (n, m)")
     table = levi_edges(n, m_mult)
@@ -273,15 +379,17 @@ def parse_scheme(text: str) -> EmbeddingScheme:
     seen = bytearray(len(triples))
     x_rotations: list = [None] * n  # each filled once: the heads cover 1..n
     y_turned: dict[int, list[int]] = {}  # by Y index, the rotations not in sorted order
-    for head, i in rot_at.items():
-        lineno = i + 1
+
+    def read_rot(line: str, lineno: int) -> None:
+        head, _, body = line[4:].partition(":")
+        head = head.strip()
         u = index_of.get(head)
         if u is None:
             u = index(_parse_vertex(head, m_mult, lineno))
         if u is None or seen[u]:
             raise FormatError(f"rot line for {head!r}: not a Levi vertex, or given twice", lineno)
         seen[u] = 1
-        tokens = lines[i].partition(":")[2].split()
+        tokens = body.split()
         if u < n:
             x = u + 1
             ws = [index_of.get(t) for t in tokens]
@@ -297,7 +405,7 @@ def parse_scheme(text: str) -> EmbeddingScheme:
             a, b, c = triples[u]
             members = [labels[a], labels[b], labels[c]]
             if tokens == members:  # the order `format_scheme` writes
-                continue
+                return
             if sorted(tokens) != sorted(members):
                 raise FormatError(f"rotation at {head} must list its 3 vertices once each", lineno)
             base = 3 * (u - n)
@@ -305,25 +413,41 @@ def parse_scheme(text: str) -> EmbeddingScheme:
 
     negative = bytearray(count)
     signed = bytearray(count)
-    for i in compress(range(len(lines)), is_sig):
-        head, _, val = lines[i].partition(":")
+
+    def read_sig(line: str, lineno: int) -> None:
+        head, _, val = line.partition(":")
         _, x_tok, y_tok = head.split()
         u, w = index_of.get(x_tok), index_of.get(y_tok)
         if u is None or w is None or u >= n or w < n:
-            x, y = _parse_vertex(x_tok, m_mult, i + 1), _parse_vertex(y_tok, m_mult, i + 1)
+            x, y = _parse_vertex(x_tok, m_mult, lineno), _parse_vertex(y_tok, m_mult, lineno)
             if not isinstance(x, int) or isinstance(y, int):
-                raise FormatError("sig line must name a vertex then an edge name", i + 1)
+                raise FormatError("sig line must name a vertex then an edge name", lineno)
             u, w = index(x), index(y)
         if u is None or w is None or u + 1 not in triples[w]:
-            raise FormatError(f"sig line for {x_tok} {y_tok}: not a Levi edge", i + 1)
+            raise FormatError(f"sig line for {x_tok} {y_tok}: not a Levi edge", lineno)
         k = 3 * (w - n) + triples[w].index(u + 1)
         if signed[k]:
-            raise FormatError(f"second sig line for {x_tok} {y_tok}", i + 1)
+            raise FormatError(f"second sig line for {x_tok} {y_tok}", lineno)
         val = val.strip()
         if val not in ("+1", "-1"):
-            raise FormatError(f"bad signature value {val!r}", i + 1)
+            raise FormatError(f"bad signature value {val!r}", lineno)
         signed[k] = 1
         negative[k] = val == "-1"
+
+    if start is not None:
+        source.seek(start)
+    sig_fault = None  # the first bad sig line, raised once the rot lines pass
+    for lineno, (kind, line) in enumerate(zip(kinds, _lines(source)), 1):
+        if kind == _SIG:
+            if sig_fault is None:
+                try:
+                    read_sig(line, lineno)
+                except FormatError as exc:
+                    sig_fault = exc
+        elif kind == _ROT:
+            read_rot(line.strip(), lineno)
+    if sig_fault is not None:
+        raise sig_fault
     missing = signed.count(0)
     if missing:
         raise FormatError(f"{missing} edges missing a sig line")

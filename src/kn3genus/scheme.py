@@ -223,12 +223,6 @@ class EmbeddingScheme:
     def graph(self) -> LeviGraph:
         return self.table.graph
 
-    def y_lists(self) -> list[list[int]]:
-        """The Y rotations, written out when they are the sorted order."""
-        if self.y_rotations is not None:
-            return self.y_rotations
-        return [[k, k + 1, k + 2] for k in range(0, len(self.negative), 3)]
-
     @property
     def rotation(self) -> Mapping[Vertex, tuple[Edge, ...]]:
         if self._rotation is None:
@@ -246,9 +240,11 @@ class EmbeddingScheme:
         signature in the order the X rotations list the edges."""
         table, negative = self.table, self.negative
         edges, graph = table.edges, table.graph
+        y_rotations = self.y_rotations
+        if y_rotations is None:
+            y_rotations = [[k, k + 1, k + 2] for k in range(0, len(negative), 3)]
         rotation = {
-            y: tuple([edges[k] for k in rot])
-            for y, rot in zip(graph.y_vertices, self.y_lists())
+            y: tuple([edges[k] for k in rot]) for y, rot in zip(graph.y_vertices, y_rotations)
         }
         for x, rot in zip(graph.x_vertices, self.x_rotations):
             rotation[x] = tuple([edges[k] for k in rot])
@@ -329,25 +325,71 @@ def _parities(table: LeviEdges, odd: bytes) -> tuple[list[int], bytes] | None:
     return None
 
 
-# Band pairing of the flags of edge k, as the xor that takes a flag to its
-# partner, indexed by negative[k]: X side s meets Y side 1 - s on a positive
-# edge (f ^ 3) and Y side s on a negative one (f ^ 2).
-_BAND = bytes.maketrans(b"\x00\x01", b"\x03\x02")
+def _hop(j: int) -> bytes:
+    """The translate table from a Y state to the hop of the X flag 6y + j.
+
+    A Y state holds the signs of the edges 3y, 3y+1, 3y+2 (bit s set when
+    slot s is negative) and, in bit 3, whether the rotation at y runs
+    against the sorted order.  The X flag 6y + j, j = 2s + side, crosses
+    its band to Y side t = side ^ 1 ^ neg[s] (f ^ 3 on a positive edge, f ^
+    2 on a negative one).  Side 1 of a slot meets side 0 of the next slot
+    in the rotation, so the Y corner leads to slot s' = s + d on side 0
+    when t = 1 and s' = s - d on side 1 when t = 0, where d is 1 for the
+    sorted order and -1 against it.  The band of s' leads back to its X
+    side t ^ neg[s'].  The hop is the step from flag 2s + side to flag
+    2s' + (t ^ neg[s']), as a signed byte.
+    """
+    s, side = divmod(j, 2)
+    hops = bytearray(256)
+    for state in range(16):
+        neg = [state & 1, state >> 1 & 1, state >> 2 & 1]
+        d = -1 if state & 8 else 1
+        t = side ^ 1 ^ neg[s]
+        s2 = (s + (d if t else -d)) % 3
+        hops[state] = (2 * (s2 - s) + (t ^ neg[s2]) - side) & 0xFF
+    return bytes(hops)
+
+
+_HOPS = tuple(map(_hop, range(6)))
+
+
+def _y_states(sch: EmbeddingScheme) -> bytes:
+    """One state byte per Y vertex, as `_hop` reads it: the signs of its
+    slots in bits 0-2 and a reversed rotation in bit 3."""
+    negative = sch.negative
+    bits = (negative[0::3], negative[1::3], negative[2::3], _y_reversed(sch))
+    # Each byte of each part is 0 or 1, so shifting a part, read as one
+    # number, by up to three bits keeps every bit within its own byte.
+    word = 0
+    for shift, part in enumerate(bits):
+        word |= int.from_bytes(part, "little") << shift
+    return word.to_bytes(len(bits[0]), "little")
 
 
 def trace_faces(sch: EmbeddingScheme) -> FaceReport:
     """Trace the faces of a scheme; decide orientability by vertex parity.
 
     This is the one tracing core, over the scheme's edge ids; `verify_family`
-    calls it on the scheme of a family.  Every edge k has four
-    flags, 4k + 2*end + side, for its X end (end 0) and its Y end (end 1),
-    each with two sides; side 1 touches the corner toward the next edge of
-    the rotation.  Two pairings act on them: the corner pairing
-    (consecutive edge-ends around a vertex), the only one filled from the
-    rotations, and the band pairing (sides matched across an edge, crossed
-    when the signature is negative), which is f ^ 3 on a positive edge and
-    f ^ 2 on a negative one.  Faces are the orbits under corner and band; a
-    face of length L is an orbit of 2L flags.
+    calls it on the scheme of a family.  Every edge k has four flags, one
+    per side at its X end and at its Y end; side 1 touches the corner toward
+    the next edge of the rotation.  Two pairings act on them: the corner
+    pairing (consecutive edge-ends around a vertex) and the band pairing
+    (sides matched across an edge, crossed when the signature is negative:
+    X side s meets Y side 1 - s on a positive edge and Y side s on a
+    negative one).  Faces are the orbits under corner and band; a face of
+    length L is an orbit of 2L flags.
+
+    Its corners alternate between X and Y vertices, so the walk holds only
+    the X flags, 2k + side, and moves from one to the next in two lookups
+    into typed tables (memoryviews of bytearrays, which need no module
+    beyond the interpreter's own):
+    - `corner`, 4 bytes a flag filled from the X rotations, takes a flag to
+      its partner across the corner at its X vertex;
+    - `hop`, a signed byte a flag, takes a flag across its band, the corner
+      at its Y vertex and the band of the next edge there, as a step to the
+      X flag it reaches.  A Y vertex has three edges, so its rotation is one
+      of two cyclic orders, and its hops depend only on that order and its
+      three signs (`_hop`); they are filled six strided slices at a time.
 
     The embedding is orientable iff its signature switches to all-positive,
     i.e. iff `_parities` finds a vertex parity with par[x] xor par[y] =
@@ -355,45 +397,36 @@ def trace_faces(sch: EmbeddingScheme) -> FaceReport:
     """
     table = sch.table
     graph, count = table.graph, len(table.x_end)
-    total = 4 * count
-    corner = [0] * total
-    y_rotations = sch.y_rotations
-    if y_rotations is None:
-        # Slot s of the Y vertex y is edge 3y + s, whose Y flags are
-        # 12y + 4s + 2 + side.
-        for s in range(3):
-            after, next_before = 4 * s + 3, 4 * ((s + 1) % 3) + 2
-            corner[after::12] = range(next_before, total, 12)
-            corner[next_before::12] = range(after, total, 12)
+    corner = memoryview(bytearray(8 * count)).cast("i")
     # Side 1 of each rotation entry meets side 0 of the next, cyclically.
-    for rotations, end in ((sch.x_rotations, 0), (y_rotations or (), 2)):
-        for rot in rotations:
-            prev = 4 * rot[-1] + end + 1
-            for k in rot:
-                f = 4 * k + end
-                corner[prev] = f
-                corner[f] = prev
-                prev = f + 1
+    for rot in sch.x_rotations:
+        prev = 2 * rot[-1] + 1
+        for k in rot:
+            f = 2 * k
+            corner[prev] = f
+            corner[f] = prev
+            prev = f + 1
+    # The X flags of the Y vertex y are 6y + 2s + side.
+    states = _y_states(sch)
+    hop = bytearray(2 * count)
+    for j, hops in enumerate(_HOPS):
+        hop[j::6] = states.translate(hops)
+    hop = memoryview(hop).cast("b")
 
-    negative = sch.negative
-    orientable = _parities(table, negative) is not None
+    orientable = _parities(table, sch.negative) is not None
 
     # Corner and band are fixed-point-free involutions, so each orbit is a
-    # cycle that alternates them.  Its corners alternate between X and Y
-    # vertices, so the walk takes them in pairs and starts only at X flags:
-    # the Y flags count as seen from the outset.
-    band = negative.translate(_BAND)
+    # cycle that alternates them, two corners a step.
     lengths = []
-    seen = bytearray(b"\0\0\1\1") * count
-    start = seen.find(0)
+    seen = bytearray(2 * count)
+    start = 0
     while start != -1:
         size = 0
         f = start
         while True:
             g = corner[f]
             seen[f] = seen[g] = 1
-            f = corner[g ^ band[g >> 2]]
-            f ^= band[f >> 2]
+            f = g + hop[g]
             size += 2
             if f == start:
                 break
@@ -402,9 +435,10 @@ def trace_faces(sch: EmbeddingScheme) -> FaceReport:
 
     f_count = len(lengths)
     genus = 2 - (graph.vertex_count - graph.edge_count + f_count)
+    lengths.sort()
     return FaceReport(
         face_count=f_count,
-        face_lengths=tuple(sorted(lengths)),
+        face_lengths=tuple(lengths),
         euler_genus=genus,
         orientable=orientable,
     )

@@ -1,12 +1,17 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kn3genus import fileio, fixture_set
+import kn3genus
+from kn3genus import FormatError, build_multi, fileio, fixture_set, set_to_scheme, trace_faces
 from kn3genus.cli import main
 
 
@@ -326,17 +331,92 @@ def test_verify_refuses_an_orientable_flag_other_than_0_or_1(tmp_path, capsys, a
     assert err == "error: line 2: orientable must be 0 or 1, got 7\n"
 
 
-@pytest.mark.parametrize("command", ["genus", "verify"])
-def test_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
-    path = tmp_path / "binary"
-    path.write_bytes(b"\xff\xfe\x00")
-    code, _, err = run(capsys, command, str(path))
-    assert code == 2
-    assert err.startswith("error: ") and "UTF-8" in err
+def _scheme_with_a_late_byte(refused: bool) -> bytes:
+    """A (16, 1) scheme file whose only byte that is not UTF-8 ends its last
+    line, past the first chunk the reader reads; with `refused`, its second
+    line is malformed too."""
+    lines = fileio.format_scheme(set_to_scheme(build_multi(16, 1, seed=1))).splitlines()
+    if refused:
+        lines[1] = "bogus"
+    data = "\n".join(lines).encode() + b"\xff\n"
+    assert len(data) > 2 * fileio._READ_CHARS
+    return data
 
 
 @pytest.mark.parametrize(
-    "argv", [("genus", "{dir}"), ("build", "--n", "6", "--out", "{dir}")], ids=["genus", "build"]
+    "command,late",
+    [("genus", None), ("verify", None), ("genus", "valid"), ("genus", "refused")],
+    ids=["genus", "verify", "genus-late-byte", "genus-late-byte-after-a-bad-line"],
+)
+def test_file_that_is_not_utf8_exits_2(tmp_path, capsys, command, late):
+    # A scheme file is read a chunk at a time, and still read to its end
+    # when a line is refused, so a decoding fault anywhere is reported.
+    path = tmp_path / "binary"
+    if late is None:
+        path.write_bytes(b"\xff\xfe\x00")
+    else:
+        path.write_bytes(_scheme_with_a_late_byte(refused=late == "refused"))
+    code, _, err = run(capsys, command, str(path))
+    assert code == 2
+    assert err.startswith(f"error: {path} is not UTF-8 text: ")
+
+
+@pytest.mark.parametrize(
+    "command,line", [("genus", "rot 1:"), ("verify", "T 1:")], ids=["genus", "verify"]
+)
+def test_files_are_read_as_utf8_in_any_locale(tmp_path, command, line):
+    # In the C locale, with UTF-8 mode and locale coercion off, the locale's
+    # encoding is ASCII: a file read in it would refuse the "é" below as
+    # not UTF-8, where the head that holds it is what is wrong.
+    if command == "genus":
+        text = fileio.format_scheme(set_to_scheme(fixture_set("strong_6")))
+    else:
+        text = fileio.format_set(fixture_set("strong_6"))
+    lines = text.splitlines()
+    at = next(i for i, l in enumerate(lines) if l.startswith(line))
+    lines[at] = lines[at].replace(line, line[:-1] + "\u00e9:", 1)
+    path = tmp_path / "accented"
+    path.write_bytes("\n".join(lines).encode())
+    src = str(Path(kn3genus.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", LC_ALL="C",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kn3genus", command, str(path)],
+        env=env, capture_output=True, text=True, encoding="ascii", errors="replace",
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: line {at + 1}: bad ")
+    assert "UTF-8" not in proc.stderr
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r", "\f", "\u2028"], ids=["crlf", "cr", "ff", "ls"])
+def test_genus_on_a_file_splits_lines_as_parse_scheme_does(tmp_path, capsys, ending):
+    # Lines end at "\n", "\r\n" and "\r", in a text as in a file: the form
+    # feed and the line separator end no line, so the text is one line.
+    text = ending.join(fileio.format_scheme(set_to_scheme(fixture_set("strong_6"))).splitlines())
+    path = tmp_path / "scheme"
+    path.write_bytes(text.encode())
+    code, out, err = run(capsys, "genus", "--json", str(path))
+    try:
+        report = trace_faces(fileio.parse_scheme(text))
+    except FormatError as exc:
+        assert (code, out, err) == (2, "", f"error: {exc}\n")
+        assert ending in ("\f", "\u2028")
+    else:
+        assert (code, err) == (0, "")
+        assert json.loads(out)["face_count"] == report.face_count
+        assert ending in ("\r\n", "\r")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("genus", "{dir}"),
+        ("build", "--n", "6", "--out", "{dir}"),
+        ("build", "--n", "6", "--scheme-out", "{dir}"),
+    ],
+    ids=["genus", "build", "build-scheme-out"],
 )
 def test_directory_in_place_of_a_file_exits_2(tmp_path, capsys, argv):
     code, _, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))

@@ -1,5 +1,7 @@
 import hashlib
+import io
 import tracemalloc
+from collections import deque
 from importlib import resources
 
 import pytest
@@ -23,8 +25,11 @@ from kn3genus import (
     parse_set,
     set_to_scheme,
 )
+from kn3genus import fileio
 from kn3genus.circuits import canonical_set_key
 from kn3genus.levi import levi_edges
+
+from peaks import peak_bytes
 
 
 def test_set_round_trip_exact(strong6):
@@ -284,6 +289,18 @@ def test_parse_scheme_reports_a_bad_rot_line_before_an_earlier_bad_sig_line(stro
     assert str(err.value) == f"line {len(sig) + 2}: rotation at 1 must list its 10 edges once each"
 
 
+@pytest.mark.parametrize(
+    "bare", ["sig \t", "rot  ", " sig"], ids=["sig-tab", "rot-spaces", "indented-sig"]
+)
+def test_parse_scheme_classifies_a_line_once_stripped(strong6, bare):
+    # A kind word with only whitespace after it starts no rot or sig line.
+    lines = format_scheme(set_to_scheme(strong6)).splitlines()
+    lines.insert(3, bare)
+    with pytest.raises(FormatError) as err:
+        parse_scheme("\n".join(lines))
+    assert str(err.value) == f"line 4: unexpected line {bare.strip()!r}"
+
+
 def test_parse_scheme_keeps_sorted_y_rotations_implicit(strong6):
     text = format_scheme(set_to_scheme(strong6))
     assert parse_scheme(text).y_rotations is None
@@ -320,6 +337,56 @@ def test_parse_scheme_keeps_no_tokens_per_line():
         if not tracing:
             tracemalloc.stop()
     assert peak < 10 * len(text)
+
+
+def test_scheme_writer_holds_a_small_part_of_the_text():
+    # `build --scheme-out` writes the chunks as they come; here a sink that
+    # keeps nothing takes them.
+    sch = set_to_scheme(build_multi(20, 3, orientable=False, seed=1))
+    text = format_scheme(sch)
+    assert "".join(fileio.scheme_chunks(sch)) == text
+    assert peak_bytes(lambda: deque(fileio.scheme_chunks(sch), maxlen=0)) < len(text) / 4
+
+
+def test_parse_scheme_reads_an_open_file_in_less_than_three_times_its_size(tmp_path):
+    path = tmp_path / "20_3.kn3scheme"
+    path.write_text(format_scheme(set_to_scheme(build_multi(20, 3, seed=1))), encoding="utf-8")
+
+    def parse_file():
+        with open(path, encoding="utf-8") as file:
+            return parse_scheme(file)
+
+    assert peak_bytes(parse_file) < 3 * path.stat().st_size
+
+
+class _Unseekable(io.StringIO):
+    def seekable(self):
+        return False
+
+
+def test_parse_scheme_reads_an_open_file_as_its_text(tmp_path):
+    text = format_scheme(set_to_scheme(build_multi(10, 3, orientable=False, seed=1)))
+    path = tmp_path / "10_3.kn3scheme"
+    path.write_text("preamble\n" + text, encoding="utf-8")
+    with open(path, encoding="utf-8") as file:
+        file.readline()  # read from where the file stands
+        assert parse_scheme(file) == parse_scheme(text)
+    assert parse_scheme(_Unseekable(text)) == parse_scheme(text)
+
+
+def test_parse_scheme_joins_a_crlf_split_between_read_chunks(tmp_path):
+    text = format_scheme(set_to_scheme(build_multi(10, 1, seed=1)))
+    header, rest = text.split("\n", 1)
+    # A blank line whose "\r" ends the first chunk read and whose "\n"
+    # starts the second.
+    blank = " " * (fileio._READ_CHARS - len(header) - 3)
+    crlf = "\r\n".join([header, blank, *rest.splitlines()]) + "\r\n"
+    assert crlf[fileio._READ_CHARS - 1 : fileio._READ_CHARS + 1] == "\r\n"
+    assert parse_scheme(crlf) == parse_scheme(text)
+    path = tmp_path / "crlf.kn3scheme"
+    path.write_bytes(crlf.encode())
+    with open(path, encoding="utf-8", newline="") as file:  # no newline translation
+        assert parse_scheme(file) == parse_scheme(text)
 
 
 LONG_RUN = "9" * 5000  # past Python's 4300-digit limit for int()

@@ -40,6 +40,7 @@ from kn3genus.levi import levi_edges
 from kn3genus.scheme import verify_family
 
 from oracle import brute_force_equivalent, naive_face_trace
+from peaks import peak_bytes
 
 
 def switch(sch, subset):
@@ -293,6 +294,13 @@ def test_trace_rejects_disconnected(planar4):
     with pytest.raises(Disconnected) as err:
         trace_faces(EmbeddingScheme(Stub, rotation, sch.signature))
     assert str(err.value) == "vertex ((1, 2, 3), 9) has no incident edges"
+
+
+def test_trace_faces_holds_a_few_bytes_per_edge():
+    # The walk holds typed tables over the X flags: about 21 bytes per Levi
+    # edge, with the face lengths.
+    sch = set_to_scheme(build_multi(20, 3, orientable=False, seed=1))
+    assert peak_bytes(trace_faces, sch) < 48 * len(sch.negative)
 
 
 def _scheme_refusal(s):
