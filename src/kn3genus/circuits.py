@@ -9,33 +9,33 @@ both and names the first violation.  `scheme`'s family front end decides
 the same from the edge ids, and leaves a family it refuses to the checks
 here, which say why.
 
-Two circuits interlock through *transitions*: the two consecutive edges
-a-j, j-b of a circuit form the transition (a, j, b).  Circuits T_i and T_j
-are compatible when every transition (a, j, b) of T_i is matched, with
-multiplicity, by transitions (a, i, b) or (b, i, a) of T_j; they are
-strongly compatible when the match is always the reversed form (b, i, a).
-A family {T_1..T_n} that is pairwise compatible encodes a quadrilateral
-surface embedding of the Levi graph (see `scheme`).  For m = 1 the strong
-families are the orientable ones; for m > 1 strength ignores copy labels,
-so a strong family can be non-orientable (`STRONG_WITHOUT_PARITY` in
-tests/test_family_properties.py), and only the traced faces tell.
+Two circuits interlock through *passes*: the steps a -> j and j -> b of a
+circuit make its pass through j, whose ends are a and b with the copies of
+those steps.  Circuits T_i and T_j are compatible when the passes of T_i
+through j and of T_j through i agree as multisets of unordered pairs of
+ends, and strongly compatible when they agree once those of T_j are
+reversed.  For m = 1 every copy is 0 and a pass is the transition (a, j,
+b).  A pass is a corner of the family's scheme, between two Y vertices with
+those copies, so for every m a pairwise-compatible family encodes a
+quadrilateral surface embedding of the Levi graph, and a strong one an
+orientable embedding (see `scheme`).
 
-Compatibility has one rule, `_pair_failures`, on the passes (a, b) of T_i
-through j and of T_j through i, which the family checks group by middle
-vertex (`_transition_index`).  `scheme` certifies a valid family without
-it (its lemmas 1 and 2), so it runs to name a failure, or to decide
-strength where no sign pattern does.  The passes through one vertex, with
-their positions, come from one scanner, `transition_positions`, which the
-two-circuit checks, `transitions_through` and the builder share.
-Rotation-invariant forms of circuits all come from `least_rotation`.
+Compatibility has one rule, `_pair_failures`, on the passes of T_i through
+j and of T_j through i as pairs of ends (`_step_ends`), which the family
+checks group by middle vertex (`_transition_index`).  `scheme` certifies a
+valid family without it (its lemmas), so it runs to name a failure.  The
+passes through one vertex, with their positions, come from one scanner,
+`transition_positions`, which the two-circuit checks, `transitions_through`
+and the builder share.  Rotation-invariant forms of circuits all come from
+`least_rotation`.
 """
 
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
-from operator import eq
+from operator import add, eq, mul
 
 from .exceptions import InvalidParameter, MismatchedAmbient, VertexAbsent
 
@@ -149,8 +149,9 @@ class Circuit:
 class EmbeddingSet:
     """Circuits T_1..T_n, T_i excluding i, pairwise compatible.
 
-    `strong` records whether all pairs are strongly compatible (which is
-    what the orientable constructions produce); `is_embedding_set` checks it.
+    `strong` records whether all pairs are strongly compatible, copies
+    included (which is what the orientable constructions produce); then the
+    embedding is orientable, for every m.  `is_embedding_set` checks it.
     """
 
     n: int
@@ -167,27 +168,6 @@ class ValidationReport:
     ok: bool
     failures: list[str]
 
-    @classmethod
-    def later(
-        cls, work: Callable[[], "ValidationReport"], ok: bool | None = None
-    ) -> "ValidationReport":
-        """A report whose fields `work()`, which returns the whole report,
-        fills in when one of them is first read; `ok` is set now if given."""
-        report = cls.__new__(cls)
-        report._work = work
-        if ok is not None:
-            report.ok = ok
-        return report
-
-    def __getattr__(self, name: str):
-        # Reached only for a field that a `later` report has not filled in.
-        if name not in ("ok", "failures") or "_work" not in self.__dict__:
-            raise AttributeError(name)
-        done = self.__dict__.pop("_work")()
-        self.__dict__.setdefault("ok", done.ok)
-        self.failures = done.failures
-        return getattr(self, name)
-
     def __bool__(self) -> bool:
         return self.ok
 
@@ -195,24 +175,40 @@ class ValidationReport:
         return self.failures[0] if self.failures else ""
 
 
-def _label_failure(c: Circuit) -> str:
-    """Why the copy labels of a circuit that traverses each of its pairs m
-    times do not give the m traversals of each pair the copies 0..m-1; ""
-    when they do."""
+def _unusable_labels(c: Circuit) -> str:
+    """Why the copy labels of a circuit cannot give each of its steps one of
+    the copies 0..m-1: missing, not one per step, not ints or out of range;
+    "" when they can."""
     seq, labels, m = c.seq, c.copy_labels, c.m
     if labels is None:
         return f"no copy labels, which m={m} requires"
     if len(labels) != len(seq):
         return f"{len(labels)} copy labels for {len(seq)} edges"
-    taken = set()
-    for u, v, copy in zip(seq, seq[1:] + seq[:1], labels):
-        if not 0 <= copy < m:
-            return f"copy label {copy} outside 0..{m - 1}"
+    if not all(map(isinstance, labels, repeat(int))):
+        return f"copy label {_not_int(labels)!r} is not an integer"
+    if labels and (min(labels) < 0 or max(labels) >= m):
+        return f"copy label {next(k for k in labels if not 0 <= k < m)} outside 0..{m - 1}"
+    return ""
+
+
+def _label_failure(c: Circuit) -> str:
+    """Why the copy labels of a circuit that traverses each of its pairs m
+    times do not give the m traversals of each pair the copies 0..m-1; ""
+    when they do."""
+    if failure := _unusable_labels(c):
+        return failure
+    seq, taken = c.seq, set()
+    for u, v, copy in zip(seq, seq[1:] + seq[:1], c.copy_labels):
         key = (u, v, copy) if u < v else (v, u, copy)
         if key in taken:
             return f"pair {{{key[0]},{key[1]}}} takes copy {copy} twice"
         taken.add(key)
     return ""
+
+
+def _not_int(values) -> object:
+    """The first of values that is not an int."""
+    return next(v for v in values if not isinstance(v, int))
 
 
 def validate_eulerian(c: Circuit) -> ValidationReport:
@@ -221,6 +217,7 @@ def validate_eulerian(c: Circuit) -> ValidationReport:
     The tests run in order: length, vertices and immediate repetitions as
     scans in C, pair counts in one Counter and, for m > 1 only, the copy
     labels in one pass.  A message is worked out only for a test that fails.
+    A vertex or copy label that is not an int is named, and ends the check.
     """
     failures: list[str] = []
     seq, n, m = c.seq, c.n, c.m
@@ -230,6 +227,9 @@ def validate_eulerian(c: Circuit) -> ValidationReport:
             f"length {len(seq)} != expected {c.expected_length} "
             f"(m*C(n-1,2) with n={n}, m={m})"
         )
+    if not all(map(isinstance, seq, repeat(int))):
+        failures.append(f"vertex {_not_int(seq)!r} is not an integer")
+        return ValidationReport(False, failures)
     if seq and (c.excluded in seq or min(seq) < 1 or max(seq) > n):
         v = next(v for v in seq if v == c.excluded or not 1 <= v <= n)
         failures.append(
@@ -297,19 +297,23 @@ def _two_circuit_failures(t_i: Circuit, t_j: Circuit) -> tuple[str, str]:
     for c, v in ((t_i, j), (t_j, i)):
         if v not in c.seq:
             raise VertexAbsent(f"vertex {v} does not occur in the circuit")
-        passes.append([(a, b) for a, b, _ in transition_positions(c.seq, v)])
-    return _pair_failures(i, j, *passes)
+        tails, heads = _step_ends(c)
+        passes.append([(tails[p - 1], heads[p]) for _, _, p in transition_positions(c.seq, v)])
+    return _pair_failures(i, j, t_i.m, *passes)
 
 
 def is_compatible(t_i: Circuit, t_j: Circuit) -> bool:
-    """Every transition (a, j, b) of T_i is matched by (a, i, b) or (b, i, a)
-    of T_j, with multiplicity."""
+    """Every pass of T_i through j is matched by a pass of T_j through i with
+    the same two ends, copies included, in either order, with multiplicity.
+    Raises InvalidParameter for an m > 1 circuit without one copy label in
+    0..m-1 per step."""
     return not _two_circuit_failures(t_i, t_j)[0]
 
 
 def is_strongly_compatible(t_i: Circuit, t_j: Circuit) -> bool:
-    """Every transition (a, j, b) of T_i is matched by (b, i, a) of T_j,
-    with multiplicity."""
+    """Every pass a -> j -> b of T_i is matched by the reversed pass b -> i
+    -> a of T_j, copies included, with multiplicity.  Raises
+    InvalidParameter as `is_compatible` does."""
     return not _two_circuit_failures(t_i, t_j)[1]
 
 
@@ -332,25 +336,45 @@ def _circuit_failures(s: EmbeddingSet) -> list[str]:
     return failures
 
 
+def _step_ends(c: Circuit) -> tuple[Sequence[int], Sequence[int]]:
+    """The ends of the steps of c, indexed by step: step p, u -> v with copy
+    k, has the tail end m*u + k and the head end m*v + k, which are u and v
+    for m = 1.  The pass of c through seq[p] is (tails[p-1], heads[p]).
+
+    Raises InvalidParameter when m > 1 and the copy labels are not one per
+    step in 0..m-1 (so that the ends of distinct copies differ).
+    """
+    seq, m, labels = c.seq, c.m, c.copy_labels
+    tails, heads = seq, seq[1:] + seq[:1]
+    if m == 1:
+        return tails, heads
+    if failure := _unusable_labels(c):
+        raise InvalidParameter(f"circuit {c.excluded}: {failure}")
+    tails = list(map(add, map(mul, tails, repeat(m)), labels))
+    heads = list(map(add, map(mul, heads, repeat(m)), labels))
+    return tails, heads
+
+
 def _transition_index(c: Circuit) -> dict[int, list[tuple[int, int]]]:
-    """The passes (a, b) of c through each vertex j, grouped by j, each
-    group in scan order."""
+    """The passes of c through each vertex j, as pairs of ends
+    (`_step_ends`), grouped by j, each group in scan order."""
+    tails, heads = _step_ends(c)
     index: dict[int, list[tuple[int, int]]] = {}
-    s = c.seq
-    for a, j, b in zip(s[-1:] + s[:-1], s, s[1:] + s[:1]):
+    for a, j, b in zip(tails[-1:] + tails[:-1], c.seq, heads):
         index.setdefault(j, []).append((a, b))
     return index
 
 
-def _pair_failures(i: int, j: int, ours, theirs) -> tuple[str, str]:
+def _pair_failures(i: int, j: int, m: int, ours, theirs) -> tuple[str, str]:
     """Failures of T_i and T_j as not compatible and as not strongly
-    compatible ("" for none), from the passes (a, b) of T_i through j and
-    of T_j through i, each in scan order.
+    compatible ("" for none), from the passes of T_i through j and of T_j
+    through i, each in scan order, as pairs of ends (`_step_ends`).
 
     Strong: the passes agree as multisets once those of T_j are reversed;
-    the failure names T_i's first pass whose count differs from that of
-    its reverse in T_j.  Compatible: they agree as multisets of unordered
-    pairs.  A pair that is not compatible fails both tests with one message.
+    the failure names, as the transition of its vertices, T_i's first pass
+    whose count differs from that of its reverse in T_j.  Compatible: they
+    agree as multisets of unordered pairs.  A pair that is not compatible
+    fails both tests with one message.
     """
     back = [(b, a) for a, b in theirs]
     if sorted(ours) == sorted(back):
@@ -361,7 +385,7 @@ def _pair_failures(i: int, j: int, ours, theirs) -> tuple[str, str]:
     # Compatible, so both lists are as long and some pass of T_i differs.
     counts, back_counts = Counter(ours), Counter(back)
     a, b = next(p for p in ours if counts[p] != back_counts[p])
-    return "", f"pair ({i},{j}) not strongly compatible at transition ({a},{j},{b})"
+    return "", f"pair ({i},{j}) not strongly compatible at transition ({a // m},{j},{b // m})"
 
 
 def _family_pair_failures(s: EmbeddingSet) -> tuple[str, str]:
@@ -371,7 +395,7 @@ def _family_pair_failures(s: EmbeddingSet) -> tuple[str, str]:
     strong_failure = ""
     indexes = [_transition_index(c) for c in s.circuits]
     for (i, ours), (j, theirs) in combinations(enumerate(indexes, 1), 2):
-        weak, strong = _pair_failures(i, j, ours.get(j, ()), theirs.get(i, ()))
+        weak, strong = _pair_failures(i, j, s.m, ours.get(j, ()), theirs.get(i, ()))
         strong_failure = strong_failure or strong
         if weak:
             return weak, strong_failure
@@ -387,8 +411,8 @@ def is_embedding_set(s: EmbeddingSet, require_strong: bool | None = None) -> Val
 
     A circuit fails as in `check_family`, copy labels included.  The report
     names the lexicographically first failing pair (`_pair_failures`), and
-    for a pair that is compatible but not strongly so, a transition of T_i
-    whose reversed form T_j lacks.  `require_strong=None` uses the set's
+    for a pair that is compatible but not strongly so, the transition of a
+    pass of T_i whose reverse, copies included, T_j lacks.  `require_strong=None` uses the set's
     own flag.
     """
     if require_strong is None:
@@ -404,7 +428,9 @@ def pair_reports(s: EmbeddingSet) -> tuple[ValidationReport, ValidationReport | 
     """Compatible and strong reports of an Eulerian family, those of
     `check_family`; strong is None when compatible fails.  A family that is
     not Eulerian gets reports too, in which a circuit that misses vertex j
-    has no passes through j to pair with those of the circuit excluding j."""
+    has no passes through j to pair with those of the circuit excluding j;
+    for m > 1 each circuit needs one copy label in 0..m-1 per step, or
+    InvalidParameter is raised."""
     weak_failure, strong_failure = _family_pair_failures(s)
     return _report(weak_failure), None if weak_failure else _report(strong_failure)
 

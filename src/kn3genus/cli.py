@@ -113,7 +113,7 @@ def cmd_verify(args) -> int:
     passed = {
         "eulerian": verified.eulerian.ok,
         "compatible": bool(verified.compatible),
-        "strong": bool(verified.strong),
+        "strong": verified.is_strong,
         "quadrilateral": faces is not None and faces.all_quadrilateral,
         "genus": faces is not None and faces.euler_genus == expected,
     }

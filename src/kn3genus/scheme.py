@@ -29,67 +29,78 @@ certifies it, through its scheme, as a minimum-genus embedding or not.
 Certifying a family.  The family front end decides from the edge ids
 whether every circuit is Eulerian with valid copy labels, refusing exactly
 what `circuits.check_family` refuses.  Compatibility and strength then
-follow from two lemmas, so the pair checks of `circuits` run only to name
-a failure in the same words, or where m > 1 to decide strength the signs
-leave open.
+follow from two lemmas, for every m, and `circuits` runs only to name a
+failure: `check_family` for a family the front end refuses, `pair_reports`
+for one it passes.
 
 In the scheme of a family, the corner of X vertex i between the edges of
 steps p-1 and p of T_i is the pass (a, j, b) of T_i through j = seq[p]; its
-two Y vertices Y = {i, a, j} and Y' = {i, j, b} (with their copies) hold
-both i and j.  The corners are *paired* when every corner of T_i through j
-has a partner, a corner of T_j through i between the same Y and Y'.  The
-partner's outer pair is then {a, b} too, so paired corners make the family
-compatible.
+two Y vertices Y = {i, a, j} and Y' = {i, j, b}, with the copies of the two
+steps, hold both i and j, and differ, as T_i takes each edge once.  The
+corners are *paired* when every corner of T_i through j has a partner, a
+corner of T_j through i between the same Y and Y'.  A Y vertex {i, j, x}
+lies on one step of T_i, over {j, x}, so on one corner of T_i through j:
+the corners are paired iff the passes of T_i through j and of T_j through
+i, ends and copies included, agree as multisets of unordered pairs, which
+is what `circuits` calls compatible.
 
-Lemma 1.  A family of Eulerian circuits with valid labels whose scheme has
-only quadrilateral faces has paired corners.  The signs and the Y orders
-play no part, so this holds for every scheme with the same X rotations.
-Proof.  A quadrilateral face runs i, Y, x, Y' with x != i, as Y has one
-edge to i; its corners at i and at x lie between Y and Y', so x is in both.
-The two sides of the edge iY join the two corners of i beside it to the
-two corners of Y beside it, which lead on to the two other vertices of Y;
-so the faces at the two corners of i beside Y reach distinct vertices.  Let
-T_i step j -> b on Y = {i, j, b}: the corner before the step passes
-through j and the one after it through b.  If the face at the corner before
-reaches j, the face at the corner after reaches b, again the vertex the
-corner passes through, and so on around T_i.  If it reaches b, then b is in
-the Y before too, T_i runs b -> j -> b, and the face at the corner after
-reaches j where that corner passes through b: then every corner of T_i
-misses, and T_i would alternate between two vertices, which an Eulerian
-circuit of K_{n-1}, n >= 4, does not.  So the face at a corner of T_i
-through j is i, Y, j, Y', and, by the same argument at j, its corner at j
-is a pass of T_j through i between Y and Y'.
+Lemma 1.  A family of Eulerian circuits with valid labels has paired
+corners iff its scheme has only quadrilateral faces.
+Proof.  (If; the signs and the Y orders play no part, so this holds for
+every scheme with the same X rotations.)  A quadrilateral face runs i, Y,
+x, Y' with x != i, as Y has one edge to i; its corners at i and at x lie
+between Y and Y', so x is in both.  The two sides of the edge iY join the
+two corners of i beside it to the two corners of Y beside it, which lead
+on to the two other vertices of Y; so the faces at the two corners of i
+beside Y reach distinct vertices.  Let T_i step j -> b on Y = {i, j, b}:
+the corner before the step passes through j and the one after it through
+b.  If the face at the corner before reaches j, the face at the corner
+after reaches b, again the vertex the corner passes through, and so on
+around T_i.  If it reaches b, then b is in the Y before too, T_i runs b ->
+j -> b, and the face at the corner after reaches j where that corner
+passes through b: then every corner of T_i misses, and T_i would alternate
+between two vertices, which an Eulerian circuit of K_{n-1}, n >= 4, does
+not.  So the face at a corner of T_i through j is i, Y, j, Y', and, by the
+same argument at j, its corner at j is a pass of T_j through i between Y
+and Y'.
+(Only if.)  Let T_i step j -> b over Y' = {i, j, b}.  By the sign rule the
+edge iY' is positive iff j follows i in the sorted cyclic order of Y'; a
+face leaving i forward along iY' goes on at Y' to the vertex after i when
+the edge is positive and before i when it is negative, so to j either way,
+and one leaving i backward along the edge of the step a -> j before it
+reaches j likewise.  The same count at j puts the face on the corner of
+T_j through i at Y', and from there it goes on to i.  So the face at a
+corner of T_i through j runs i, Y', j, along the corner of T_j through i
+at Y' to its other Y vertex, and back to i, at the one corner of i through
+j on that edge.  With paired corners that corner of T_j is the partner,
+between Y' and Y, and the face is i, Y', j, Y.  The copies ride in the Y
+vertices, so this holds for every m.
 
-Lemma 2.  A family with paired corners whose every Y vertex has one sign
-on its three edges (the parity of `_parities` that is 0 on every X vertex)
-is strongly compatible; for m = 1 the converse holds too.
+Lemma 2.  A family with paired corners is strongly compatible, copies
+included, iff every Y vertex has one sign on its three edges (the parity
+of `_parities` that is 0 on every X vertex); so a strong family is
+orientable, for every m.
 Proof.  By the sign rule, T_i and T_j give their common Y = {i, j, a} the
 same sign iff a is the tail of exactly one of their steps over Y.  Let T_i
-pass a -> j -> b over Y, then Y', and T_j pass through i over the same two.
-The signs of i and j agree at Y, and likewise at Y', iff T_j runs b -> i ->
-a from Y' to Y, the reversed transition.  Every two ends of a Y vertex meet
-in a pair of partners, so one sign per Y vertex reverses every partner, and
-the family is strongly compatible.  For m = 1 a circuit passes j once with
-each outer pair and never as a -> j -> a, so strong compatibility reverses
-the one partner there is.  For m > 1 it does not: a pass a -> j -> a can
-have its partner counted as reversed while it runs from Y to Y' (the
-order-4 families in tests/test_family_properties.py).  There the verdict
-comes from the pair checks of `circuits`.
+pass a -> j -> b over Y, then Y'; its partner runs between the same two.
+The signs of i and j agree at Y, and likewise at Y', iff the partner runs
+b -> i -> a from Y' to Y, the reversed pass.  Every two ends of a Y vertex
+meet in a pair of partners, so one sign per Y vertex holds iff every
+partner is reversed, which, as each pair of Y vertices holds one corner of
+T_i through j, is strength.  (Without the copies this fails for m > 1: a
+pass a -> j -> a has the ends a and a, and its partner counts as reversed
+while it runs from Y to Y'.)
 
-So `verify_family` traces the faces, which it reports anyway: all of them
-quadrilateral certifies compatibility, and one sign per Y vertex strength.
-`set_to_scheme` checks the pairing itself (`_corners_paired`), which costs
-less than a trace, and `scheme_to_set` reads compatibility off the faces of
-the scheme it reads, and strength off the signs the family's own scheme
-gives.  Any family these do not certify is checked by `circuits`, whose
-reports and messages are the ones the commands print: `check_family` for
-one the front end refuses, `pair_reports` for one it passes.
+So `verify_family` reads compatibility off the faces it traces anyway,
+`set_to_scheme` off the pairing (`_corners_paired`, cheaper than a trace),
+and `scheme_to_set` off the faces of the scheme it reads; the first and
+the last read strength off the signs of the family's own scheme.
 """
 
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, repeat
 from operator import add, mul, xor
 from types import MappingProxyType
@@ -466,9 +477,9 @@ def _family_scheme(s: EmbeddingSet) -> EmbeddingScheme | None:
     triple.  The family is refused where `check_family` refuses it, from
     the ids alone: the circuits are T_1..T_n of its ambient, each of
     length m*C(n-1,2) on the vertices 1..n, with labels in 0..m-1 when
-    m > 1; each step's triple {i, u, v} is a triple (so u, v and i are
-    distinct); and the ids of each circuit are distinct, so it takes every
-    pair m times, each copy once.  Raises InvalidParameter (from the edge
+    m > 1, all of them ints; each step's triple {i, u, v} is a triple (so
+    u, v and i are distinct); and the ids of each circuit are distinct, so
+    it takes every pair m times, each copy once.  Raises InvalidParameter (from the edge
     table) for an order below 4 or a multiplicity below 1.
     """
     n, m = s.n, s.m
@@ -484,15 +495,15 @@ def _family_scheme(s: EmbeddingSet) -> EmbeddingScheme | None:
         seq, bit_i = c.seq, bit[i]
         if c.excluded != i or c.n != n or c.m != m or len(seq) != degree:
             return None
-        if min(seq) < 1 or max(seq) > n:
-            return None
         labels = c.copy_labels if m > 1 else repeat(0)
-        if m > 1 and (
-            labels is None or len(labels) != degree or min(labels) < 0 or max(labels) >= m
-        ):
-            return None
         rot = []
         try:
+            if min(seq) < 1 or max(seq) > n:
+                return None
+            if m > 1 and (
+                labels is None or len(labels) != degree or min(labels) < 0 or max(labels) >= m
+            ):
+                return None
             for u, v, copy in zip(seq, seq[1:] + seq[:1], labels):
                 # i sits at slot (i > u) + (i > v) of the sorted triple.
                 k = first_ids[bit_i | bit[u] | bit[v]] + 3 * copy + (i > u) + (i > v)
@@ -501,7 +512,9 @@ def _family_scheme(s: EmbeddingSet) -> EmbeddingScheme | None:
                 # follows i cyclically in the sorted triple, i.e. iff exactly
                 # one of i > u, u > v, v > i holds.
                 negative[k] = (i > u) + (u > v) + (v > i) != 1
-        except KeyError:  # u, v and i are not three distinct vertices
+        # KeyError: u, v and i are not three distinct vertices; TypeError: a
+        # vertex or a copy label that is not an int.
+        except (KeyError, TypeError):
             return None
         if len(set(rot)) != degree:
             return None
@@ -511,7 +524,8 @@ def _family_scheme(s: EmbeddingSet) -> EmbeddingScheme | None:
 
 def _corners_paired(s: EmbeddingSet, sch: EmbeddingScheme) -> bool:
     """Whether every corner of T_i through j has its partner, a corner of
-    T_j through i between the same two Y vertices (lemma 1).
+    T_j through i between the same two Y vertices: whether the family is
+    compatible, and its faces all quadrilaterals (lemma 1).
 
     A corner is keyed by its two Y vertices, as their product and sum, and
     by the sum i + j, which tells the pair {i, j} apart from the other two
@@ -533,12 +547,6 @@ def _signs_agree(negative: bytearray) -> bool:
     return negative[0::3] == negative[1::3] == negative[2::3]
 
 
-def _strong_report(s: EmbeddingSet) -> ValidationReport:
-    """The strong report of a compatible family that passed the front end,
-    from `circuits.pair_reports`."""
-    return pair_reports(s)[1]
-
-
 def set_to_scheme(s: EmbeddingSet) -> EmbeddingScheme:
     """Rotation and signature of the quadrilateral embedding encoded by a family.
 
@@ -550,20 +558,17 @@ def set_to_scheme(s: EmbeddingSet) -> EmbeddingScheme:
 
     For m > 1 the parallel copies are told apart by the circuits' copy
     labels, which every circuit must carry.  A family whose ids pass the
-    front end and whose corners are paired is compatible (lemma 1); one
-    with a corner unpaired is checked by `circuits.pair_reports`.  Raises
-    NotAnEmbeddingSet for an invalid family, missing or bad copy labels
-    included, with its first failure (from `check_family` for one the
-    front end refuses).
+    front end is compatible iff its corners are paired, and then every face
+    of the scheme is a quadrilateral (lemma 1).  Raises NotAnEmbeddingSet
+    for an invalid family, missing or bad copy labels included, with its
+    first failure: that of `check_family` for one the front end refuses,
+    and of `circuits.pair_reports` for one with a corner unpaired.
     """
     sch = _family_scheme(s)
     if sch is None:
         raise NotAnEmbeddingSet(check_family(s)[0].first())
     if not _corners_paired(s, sch):
-        compatible = pair_reports(s)[0]
-        if not compatible:
-            raise NotAnEmbeddingSet(compatible.first())
-        # Compatible, but with copy labels that leave some corner unpaired.
+        raise NotAnEmbeddingSet(pair_reports(s)[0].first())
     return sch
 
 
@@ -571,31 +576,42 @@ def set_to_scheme(s: EmbeddingSet) -> EmbeddingScheme:
 class FamilyReport:
     """Everything that certifies a family as a minimum-genus embedding.
 
-    `compatible` is None when `eulerian` fails and `strong` is None when
-    `compatible` fails; the scheme, its faces and the Euler genus they must
-    reach (the lower bound) are present exactly when the family is
-    compatible.  A `strong` report that the signs do not settle is worked
-    out by `circuits.pair_reports` when first read (`ValidationReport.later`).
+    `compatible` is None when `eulerian` fails; the scheme, its faces and
+    the Euler genus they must reach (the lower bound) are present exactly
+    when the family is compatible, and then every face is a quadrilateral
+    (lemma 1).  `is_strong` tells whether it is strongly compatible, which
+    is one sign at every Y vertex (lemma 2), and `strong` is its report,
+    None when `compatible` fails; a failed one names its pair through
+    `circuits.pair_reports` when first read, which no verdict needs.
     """
 
     eulerian: ValidationReport
     compatible: ValidationReport | None
-    strong: ValidationReport | None
     scheme: EmbeddingScheme | None
     faces: FaceReport | None
     expected_genus: int | None
+    family: EmbeddingSet = field(repr=False, compare=False)
+
+    @property
+    def is_strong(self) -> bool:
+        return self.scheme is not None and _signs_agree(self.scheme.negative)
+
+    @cached_property
+    def strong(self) -> ValidationReport | None:
+        if self.scheme is None:
+            return None
+        if self.is_strong:
+            return ValidationReport(True, [])
+        return pair_reports(self.family)[1]
 
     def is_minimum(self, orientable: bool) -> bool:
         """A minimum-genus embedding of the requested orientability: compatible
-        (strongly, if orientable), all faces quadrilateral, Euler genus at the
-        lower bound, and traced orientability as requested."""
+        (strongly, if orientable), so all faces quadrilateral, Euler genus at
+        the lower bound, and traced orientability as requested."""
         faces = self.faces
-        # A strong report the signs did not settle compares the circuits
-        # pair by pair when read, so it is read only for an orientable request.
         return bool(
             self.compatible
-            and (not orientable or self.strong)
-            and faces.all_quadrilateral
+            and (not orientable or self.is_strong)
             and faces.euler_genus == self.expected_genus
             and faces.orientable == orientable
         )
@@ -604,30 +620,20 @@ class FamilyReport:
 def verify_family(s: EmbeddingSet) -> FamilyReport:
     """Check a family once and, when it is compatible, trace its scheme.
 
-    A family that passes the front end and whose scheme has only
-    quadrilateral faces is certified by the trace: it is compatible (lemma
-    1), and strong when the signs agree at every Y vertex (lemma 2).  When
-    they do not, the strong report is worked out by `circuits.pair_reports`
-    when first read; for m = 1 it is known to fail.  A family the front end
+    A family that passes the front end is compatible iff its scheme has
+    only quadrilateral faces (lemma 1), and then strong iff its signs agree
+    at every Y vertex (lemma 2), for every m.  A family the front end
     refuses gets the reports of `check_family`, and one with a face of
-    another length those of `pair_reports`.
+    another length the compatible report of `pair_reports`.
     """
     scheme = _family_scheme(s)
-    if scheme is None:
-        return FamilyReport(*check_family(s), None, None, None)
+    if scheme is None:  # so the Eulerian report fails
+        return FamilyReport(check_family(s)[0], None, None, None, None, s)
     eulerian, faces = ValidationReport(True, []), trace_faces(scheme)
-    if faces.all_quadrilateral:
-        compatible = ValidationReport(True, [])
-        if _signs_agree(scheme.negative):
-            strong = ValidationReport(True, [])
-        else:
-            strong = ValidationReport.later(partial(_strong_report, s), False if s.m == 1 else None)
-    else:
-        compatible, strong = pair_reports(s)
-        if not compatible:
-            return FamilyReport(eulerian, compatible, strong, None, None, None)
+    if not faces.all_quadrilateral:
+        return FamilyReport(eulerian, pair_reports(s)[0], None, None, None, s)
     expected_genus = euler_genus_lower_bound(HypergraphSpec(s.n, s.m))
-    return FamilyReport(eulerian, compatible, strong, scheme, faces, expected_genus)
+    return FamilyReport(eulerian, ValidationReport(True, []), scheme, faces, expected_genus, s)
 
 
 # ---------------------------------------------------------------------------
@@ -675,8 +681,7 @@ def scheme_to_set(sch: EmbeddingScheme) -> EmbeddingSet:
     with valid copy labels, as each X rotation lists every edge at its
     vertex once, and compatible, as the faces are quadrilaterals (lemma 1).
     The `strong` flag is read off the signs the family's own scheme gives
-    its edges (lemma 2), and from `circuits.pair_reports` when they do not
-    agree and m > 1.
+    its edges (lemma 2), for every m.
     """
     n, m = sch.graph.n, sch.graph.m
     if n % 2 != 0:
@@ -690,8 +695,6 @@ def scheme_to_set(sch: EmbeddingScheme) -> EmbeddingSet:
     )
     family = EmbeddingSet(n=n, m=m, circuits=circuits, strong=False)
     strong = _signs_agree(_family_scheme(family).negative)
-    if not strong and m > 1:
-        strong = _strong_report(family).ok
     return EmbeddingSet(n=n, m=m, circuits=circuits, strong=strong)
 
 

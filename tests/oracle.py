@@ -14,7 +14,10 @@ Switching equivalence is decided by brute force over every set of switched
 vertices, so it only suits the smallest graphs.
 
 Least rotations are found by trying every offset, and family compatibility
-by scanning each pair of circuits on its own.
+by scanning each pair of circuits on its own.  Compatibility is copy-aware
+when copy labels are given: each end of a pass is then a vertex with the
+copy of the step that meets it there, so the passes of an m-fold family
+tell its parallel copies apart.
 """
 
 from collections import Counter
@@ -135,19 +138,35 @@ def brute_cyclically_equal(a, b):
     return len(a) == len(b) and any(a[i:] + a[:i] == b for i in range(len(a)))
 
 
-def _through(seq, j):
+def rows(family):
+    """(excluded vertex, sequence, copy labels) of each circuit of a family,
+    as `pairwise_first_failure` takes them; the labels are None for m = 1."""
+    return [(c.excluded, c.seq, c.copy_labels if c.m > 1 else None) for c in family.circuits]
+
+
+def _through(seq, j, labels=None):
+    """The passes of seq through j in scan order, as (in end, out end): the
+    vertices before and after, each with the copy of its step if labelled."""
     k = len(seq)
-    return [(seq[p - 1], seq[(p + 1) % k]) for p in range(k) if seq[p] == j]
+    ends = [(seq[p - 1], seq[(p + 1) % k], p) for p in range(k) if seq[p] == j]
+    if labels is None:
+        return [(a, b) for a, b, _ in ends]
+    return [((a, labels[p - 1]), (b, labels[p])) for a, b, p in ends]
 
 
-def pair_verdict(i, seq_i, j, seq_j):
+def _vertex(end):
+    return end[0] if isinstance(end, tuple) else end
+
+
+def pair_verdict(i, seq_i, j, seq_j, labels_i=None, labels_j=None):
     """(compatible, strongly compatible) for the circuits T_i and T_j.
 
-    Compatible: the outer pairs of the transitions through j in T_i and
-    through i in T_j agree as unordered pairs, with multiplicity.  Strong:
-    they agree once those of T_j are reversed.
+    Compatible: the passes through j in T_i and through i in T_j agree as
+    unordered pairs of ends, with multiplicity.  Strong: they agree once
+    those of T_j are reversed.  Copy-aware when both circuits' copy labels
+    are given.
     """
-    mine, theirs = _through(seq_i, j), _through(seq_j, i)
+    mine, theirs = _through(seq_i, j, labels_i), _through(seq_j, i, labels_j)
     compatible = Counter(map(frozenset, mine)) == Counter(map(frozenset, theirs))
     return compatible, Counter(mine) == Counter((b, a) for a, b in theirs)
 
@@ -155,25 +174,28 @@ def pair_verdict(i, seq_i, j, seq_j):
 def pairwise_first_failure(circuits, require_strong):
     """First failing pair of a family of Eulerian circuits, checked pair by pair.
 
-    `circuits` lists (excluded vertex, sequence) for the excluded vertices
-    1..n in order.  Returns "" when every pair passes, else the message of
-    the lexicographically first pair (i, j) that is not compatible or, with
-    `require_strong`, not strongly compatible; the latter names the first
-    transition (a, j, b) of T_i, in scan order, whose reversed outer pair
-    occurs a different number of times through i in T_j.
+    `circuits` lists (excluded vertex, sequence) or (excluded vertex,
+    sequence, copy labels) for the excluded vertices 1..n in order; labels
+    that are not None make the check copy-aware.  Returns "" when every pair
+    passes, else the message of the lexicographically first pair (i, j)
+    that is not compatible or, with `require_strong`, not strongly
+    compatible; the latter names the transition (a, j, b) of the first pass
+    of T_i, in scan order, whose reverse occurs a different number of times
+    through i in T_j.
     """
-    seqs = dict(circuits)
-    n = len(seqs)
+    rows = {row[0]: (row[1], row[2] if len(row) > 2 else None) for row in circuits}
+    n = len(rows)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            compatible, strong = pair_verdict(i, seqs[i], j, seqs[j])
+            (seq_i, labels_i), (seq_j, labels_j) = rows[i], rows[j]
+            compatible, strong = pair_verdict(i, seq_i, j, seq_j, labels_i, labels_j)
             if not compatible:
                 return f"pair ({i},{j}) not compatible"
             if require_strong and not strong:
-                mine = _through(seqs[i], j)
+                mine = _through(seq_i, j, labels_i)
                 fwd = Counter(mine)
-                back = Counter((b, a) for a, b in _through(seqs[j], i))
+                back = Counter((b, a) for a, b in _through(seq_j, i, labels_j))
                 t = next(((a, b) for a, b in mine if fwd[(a, b)] != back[(a, b)]), None)
-                where = f" at transition ({t[0]},{j},{t[1]})" if t else ""
+                where = f" at transition ({_vertex(t[0])},{j},{_vertex(t[1])})" if t else ""
                 return f"pair ({i},{j}) not strongly compatible{where}"
     return ""

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from kn3genus import (
     Circuit,
     EmbeddingSet,
+    InvalidParameter,
     Kn3Error,
     MismatchedAmbient,
-    NotQuadrilateral,
     VertexAbsent,
     build_even,
     build_multi,
@@ -30,6 +30,7 @@ from oracle import (
     brute_least_rotation,
     pair_verdict,
     pairwise_first_failure,
+    rows,
 )
 
 
@@ -273,7 +274,7 @@ def family_cases():
 
 
 def pairwise(s, require_strong):
-    return pairwise_first_failure([(c.excluded, c.seq) for c in s.circuits], require_strong)
+    return pairwise_first_failure(rows(s), require_strong)
 
 
 def test_is_embedding_set_matches_pairwise_check():
@@ -321,13 +322,31 @@ def test_set_to_scheme_refuses_exactly_what_the_family_check_refuses():
 def test_pairwise_functions_match_pair_verdict():
     verdicts = set()
     for s in family_cases():
+        labels = [row[2] for row in rows(s)]
         for i in range(1, s.n + 1):
             for j in range(i + 1, s.n + 1):
                 a, b = s.circuit(i), s.circuit(j)
-                expected = pair_verdict(i, a.seq, j, b.seq)
+                if s.m > 1 and None in (labels[i - 1], labels[j - 1]):
+                    continue  # an unlabelled mutant: the check refuses it
+                expected = pair_verdict(i, a.seq, j, b.seq, labels[i - 1], labels[j - 1])
                 assert (is_compatible(a, b), is_strongly_compatible(a, b)) == expected
                 verdicts.add(expected)
     assert verdicts == {(True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize("check", [is_compatible, is_strongly_compatible])
+@pytest.mark.parametrize(
+    "labels", [None, (0, 1, 1, 0, 1), (0, 1, 1, 0, 1, 2)], ids=["none", "short", "out-of-range"]
+)
+def test_two_circuit_checks_refuse_multi_circuits_without_their_copies(klein4x2, check, labels):
+    # Without one copy label in 0..m-1 per step, a pass has no ends to pair.
+    c = klein4x2.circuit(1)
+    unlabelled = Circuit(1, 4, 2, c.seq, labels)
+    for pair in ((unlabelled, klein4x2.circuit(2)), (klein4x2.circuit(2), unlabelled)):
+        with pytest.raises(InvalidParameter, match="copy label"):
+            check(*pair)
+    with pytest.raises(InvalidParameter):
+        check(Circuit(1, 4, 2, (2, 3, 4, 3, 2, 4), None), klein4x2.circuit(2))
 
 
 def test_scheme_to_set_strong_matches_pairwise_check():
@@ -336,12 +355,8 @@ def test_scheme_to_set_strong_matches_pairwise_check():
         if not is_embedding_set(s, require_strong=False):
             continue  # invalid mutants have no scheme
         sch = set_to_scheme(s)
-        if not trace_faces(sch).all_quadrilateral:
-            # The copy labels the relabelled Klein mutant keeps do not
-            # close its faces, so no family can be recovered from them.
-            with pytest.raises(NotQuadrilateral):
-                scheme_to_set(sch)
-            continue
+        # Compatible, copies included, so every face is a quadrilateral.
+        assert trace_faces(sch).all_quadrilateral
         back = scheme_to_set(sch)
         assert back.strong == (pairwise(back, True) == "")
         strengths.add(back.strong)

@@ -126,6 +126,78 @@ def test_verify_names_the_incompatible_pair(tmp_path, capsys):
     ]
 
 
+# Its passes pair up when their copies are left out, but the copies leave
+# the corners of T_3 and T_4 unpaired: not compatible, and its scheme has a
+# face of length 8.
+UNPAIRED_COPIES = """\
+# kn3-embedding-set v1
+n=4 m=2 orientable=1
+T 1: 2 3 4 3 2 4
+T 2: 1 3 4 1 3 4
+T 3: 1 2 4 1 2 4
+T 4: 1 2 3 1 3 2
+L 1: 0 1 0 1 0 1
+L 2: 1 1 1 0 0 0
+L 3: 1 1 1 0 0 0
+L 4: 1 1 0 1 0 0
+"""
+
+# STRONG_WITHOUT_PARITY of tests/test_family_properties.py: quadrilateral
+# and non-orientable, strong only when the copies are left out.
+STRONG_WITHOUT_COPIES = """\
+# kn3-embedding-set v1
+n=4 m=2 orientable=0
+T 1: 2 3 2 4 3 4
+T 2: 1 4 1 3 4 3
+T 3: 4 2 1 2 4 1
+T 4: 3 1 2 1 3 2
+L 1: 0 1 1 0 1 0
+L 2: 1 0 0 0 1 1
+L 3: 0 0 1 1 1 0
+L 4: 0 1 0 1 1 0
+"""
+
+
+def test_verify_fails_copies_that_leave_corners_unpaired(tmp_path, capsys):
+    path = tmp_path / "unpaired.kn3set"
+    path.write_text(UNPAIRED_COPIES)
+    assert run(capsys, "verify", str(path)) == (1, (
+        "eulerian: PASS\n"
+        "compatible: FAIL (pair (3,4) not compatible)\n"
+        "strong: FAIL (skipped)\n"
+        "quadrilateral: FAIL (skipped)\n"
+        "genus: FAIL (skipped)\n"
+        "result: FAIL\n"
+    ), "")
+    code, out, _ = run(capsys, "verify", str(path), "--json")
+    assert code == 1
+    assert json.loads(out) == {
+        "eulerian": True, "compatible": False, "strong": False, "quadrilateral": False,
+        "genus": False, "euler_genus": None, "orientable": None, "pass": False,
+    }
+
+
+def test_verify_strict_strong_fails_a_family_strong_only_without_copies(tmp_path, capsys):
+    path = tmp_path / "strong-without-copies.kn3set"
+    path.write_text(STRONG_WITHOUT_COPIES)
+    code, out, _ = run(capsys, "verify", str(path), "--strict-strong")
+    assert code == 1
+    assert out.splitlines() == [
+        "eulerian: PASS",
+        "compatible: PASS",
+        "strong: FAIL (pair (1,2) not strongly compatible at transition (4,2,3))",
+        "quadrilateral: PASS (12 faces, lengths {4: 12})",
+        "genus: PASS (euler genus 2, lower bound 2, non-orientable)",
+        "result: FAIL",
+    ]
+    code, out, _ = run(capsys, "verify", str(path), "--strict-strong", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert (payload["strong"], payload["orientable"], payload["pass"]) == (False, False, False)
+    # Without --strict-strong the non-orientable family verifies.
+    assert run(capsys, "verify", str(path))[0] == 0
+
+
 def test_verify_corrupted_file(tmp_path, capsys):
     path = tmp_path / "bad.kn3set"
     path.write_text("# kn3-embedding-set v1\nn=4 m=1 orientable=1\nT 1: 2 zz 4\n")

@@ -9,18 +9,20 @@ but may break compatibility, strength or face consistency:
 - swap the copy labels of two traversals of one pair (m > 1).
 
 On every such family the verdicts of `verify_family` and `is_embedding_set`
-must be those of the pair-by-pair oracle, the traced faces those of the
-naive tracer, and `set_to_scheme` must refuse it exactly when the oracle
-finds a pair that is not compatible.  `is_compatible` and
+must be those of the pair-by-pair oracle, copy-aware, the traced faces
+those of the naive tracer, and `set_to_scheme` must refuse it exactly when
+the oracle finds a pair that is not compatible.  `is_compatible` and
 `is_strongly_compatible` must give the oracle's verdict on every pair, and
 a quadrilateral scheme, switched or not, must read back as a family with
-the oracle's strong verdict.
+the oracle's strong verdict.  For every m, a family is compatible iff every
+face of its scheme is a quadrilateral, and strong iff moreover every Y
+vertex has one sign, so a strong family is orientable.
 
-For m > 1 a family can be strongly compatible by its transition counts
-while its scheme has no vertex parity that is 0 on every X vertex.  Of the
-two quadrilateral order-4 families pinned below, the first has a parity
-that is not, the second none at all.  So for m > 1 the strong verdict must
-not be read off the parity alone.
+Two quadrilateral order-4 families are pinned below.  Their passes match
+once reversed when the copy labels are left out, but not with them: both
+are compatible and not strong.  The scheme of the first has a vertex
+parity that is not 0 on every X vertex (a torus), the second none at all
+(a Klein bottle).
 """
 
 from functools import cache
@@ -45,9 +47,15 @@ from kn3genus import (
     set_to_scheme,
     trace_faces,
 )
-from kn3genus.scheme import verify_family
+from kn3genus.scheme import _family_scheme, _signs_agree, verify_family
 
-from oracle import brute_cyclically_equal, naive_face_trace, pair_verdict, pairwise_first_failure
+from oracle import (
+    brute_cyclically_equal,
+    naive_face_trace,
+    pair_verdict,
+    pairwise_first_failure,
+    rows,
+)
 
 
 @cache
@@ -116,8 +124,9 @@ def labelled(n: int, m: int, rows) -> EmbeddingSet:
     return EmbeddingSet(n, m, circuits, False)
 
 
-# Strong by counts, quadrilateral; the parity of the first is not 0 on
-# every X vertex (a torus), the second has none (a Klein bottle).
+# Strong by counts without the copies, compatible and not strong with them;
+# the parity of the first is not 0 on every X vertex (a torus), the second
+# has none (a Klein bottle).
 STRONG_WITHOUT_ZERO_PARITY = labelled(4, 2, [
     ((3, 4, 3, 2, 4, 2), (1, 0, 0, 1, 0, 1)),
     ((1, 4, 3, 4, 1, 3), (1, 0, 1, 0, 1, 0)),
@@ -137,7 +146,7 @@ STRONG_WITHOUT_PARITY = labelled(4, 2, [
 @example(s=STRONG_WITHOUT_ZERO_PARITY)
 @example(s=STRONG_WITHOUT_PARITY)
 def test_verify_family_matches_the_oracle_on_eulerian_families(s):
-    pairs = [(c.excluded, c.seq) for c in s.circuits]
+    pairs = rows(s)
     weak = pairwise_first_failure(pairs, require_strong=False)
     strong = pairwise_first_failure(pairs, require_strong=True)
     report = verify_family(s)
@@ -164,22 +173,57 @@ def test_verify_family_matches_the_oracle_on_eulerian_families(s):
     )
     bound = euler_genus_lower_bound(HypergraphSpec(s.n, s.m))
     assert report.expected_genus == bound
+    assert set(lengths) == {4} and genus == bound
     for want in (True, False):
-        minimum = set(lengths) == {4} and genus == bound and orientable == want
-        assert report.is_minimum(want) == (minimum and (not strong or not want))
-    if set(lengths) == {4}:
-        back = scheme_to_set(sch)
-        assert back.strong == (not strong)
-        # Each circuit reads back up to rotation, its copy labels included.
-        for b, c in zip(back.circuits, s.circuits):
-            assert brute_cyclically_equal(steps(b), steps(c))
+        assert report.is_minimum(want) == (orientable == want and (not strong or not want))
+    back = scheme_to_set(sch)
+    assert back.strong == (not strong)
+    # Each circuit reads back up to rotation, its copy labels included.
+    for b, c in zip(back.circuits, s.circuits):
+        assert brute_cyclically_equal(steps(b), steps(c))
+
+
+@settings(max_examples=120, deadline=None)
+@given(s=eulerian_families())
+@example(s=STRONG_WITHOUT_ZERO_PARITY)
+@example(s=STRONG_WITHOUT_PARITY)
+def test_compatible_means_quadrilateral_and_strong_means_one_sign_per_y_vertex(s):
+    # Every drawn family passes the front end, so its scheme has faces to
+    # compare with whatever the pair checks say.
+    sch = _family_scheme(s)
+    faces = trace_faces(sch)
+    strong = faces.all_quadrilateral and _signs_agree(sch.negative)
+    report = verify_family(s)
+    assert report.compatible.ok == faces.all_quadrilateral
+    assert is_embedding_set(s, require_strong=False).ok == faces.all_quadrilateral
+    assert report.is_strong == is_embedding_set(s, require_strong=True).ok == strong
+    if strong:
+        assert faces.orientable and report.strong.ok
+
+
+def test_pinned_families_are_compatible_and_not_strong():
+    for s, transition, orientable in (
+        (STRONG_WITHOUT_ZERO_PARITY, "(3,2,4)", True),
+        (STRONG_WITHOUT_PARITY, "(4,2,3)", False),
+    ):
+        failure = f"pair (1,2) not strongly compatible at transition {transition}"
+        report = verify_family(s)
+        assert report.compatible.ok and report.faces.all_quadrilateral
+        assert report.faces.orientable == orientable
+        assert not report.is_strong and report.strong.failures == [failure]
+        assert is_embedding_set(s, require_strong=True).failures == [failure]
+        assert pairwise_first_failure(rows(s), require_strong=True) == failure
+        assert not scheme_to_set(set_to_scheme(s)).strong
 
 
 @settings(max_examples=60, deadline=None)
 @given(s=eulerian_families())
 def test_two_circuit_verdicts_match_the_oracle(s):
+    labels = {i: row_labels for i, _, row_labels in rows(s)}
     for a, b in combinations(s.circuits, 2):
-        expected = pair_verdict(a.excluded, a.seq, b.excluded, b.seq)
+        expected = pair_verdict(
+            a.excluded, a.seq, b.excluded, b.seq, labels[a.excluded], labels[b.excluded]
+        )
         assert (is_compatible(a, b), is_strongly_compatible(a, b)) == expected
 
 
@@ -188,9 +232,8 @@ def test_two_circuit_verdicts_match_the_oracle(s):
 def test_switched_quadrilateral_schemes_read_back_as_the_oracle_says(s, data):
     # Switching a vertex set keeps the faces but reverses rotations, so the
     # family read back may differ from s, in strength too.
-    assume(not pairwise_first_failure([(c.excluded, c.seq) for c in s.circuits], False))
+    assume(not pairwise_first_failure(rows(s), False))
     sch = set_to_scheme(s)
-    assume(trace_faces(sch).all_quadrilateral)
     switched = data.draw(st.sets(st.sampled_from(list(sch.rotation))))
     rotation = {v: rot[::-1] if v in switched else rot for v, rot in sch.rotation.items()}
     signature = {
@@ -198,6 +241,6 @@ def test_switched_quadrilateral_schemes_read_back_as_the_oracle_says(s, data):
         for (x, y), sign in sch.signature.items()
     }
     back = scheme_to_set(EmbeddingScheme(sch.graph, rotation, signature))
-    pairs = [(c.excluded, c.seq) for c in back.circuits]
+    pairs = rows(back)
     assert pairwise_first_failure(pairs, require_strong=False) == ""
     assert back.strong == (pairwise_first_failure(pairs, require_strong=True) == "")

@@ -1,5 +1,6 @@
 import pickle
 import random
+import re
 from functools import partial
 
 import pytest
@@ -37,9 +38,9 @@ from kn3genus.circuits import (
     check_family,
 )
 from kn3genus.levi import levi_edges
-from kn3genus.scheme import verify_family
+from kn3genus.scheme import _family_scheme, verify_family
 
-from oracle import brute_force_equivalent, naive_face_trace
+from oracle import brute_force_equivalent, naive_face_trace, pairwise_first_failure, rows
 from peaks import peak_bytes
 
 
@@ -353,6 +354,36 @@ def test_copy_resolution_refuses_bad_labels(klein4x2, labels, why):
     assert str(err.value) == f"circuit 1: {why}"
 
 
+@pytest.mark.parametrize(
+    "value,where,why",
+    [
+        (0.0, "label", "copy label 0.0 is not an integer"),
+        ("x", "label", "copy label 'x' is not an integer"),
+        (2.0, "vertex", "vertex 2.0 is not an integer"),
+        ("x", "vertex", "vertex 'x' is not an integer"),
+    ],
+    ids=["label-0.0", "label-x", "vertex-2.0", "vertex-x"],
+)
+def test_values_that_are_not_ints_are_refused_by_name(value, where, why):
+    # 0.0 and 2.0 compare equal to ints, so only their type tells them apart.
+    s = build_multi(6, 2, orientable=True)
+    c = s.circuit(1)
+    seq, labels = list(c.seq), list(c.copy_labels)
+    if where == "label":
+        labels[labels.index(0)] = value
+    else:
+        seq[seq.index(2)] = value
+    first = Circuit(1, c.n, c.m, tuple(seq), tuple(labels))
+    bad = EmbeddingSet(s.n, s.m, (first,) + s.circuits[1:], s.strong)
+    failure = ValidationReport(False, [f"circuit 1: {why}"])
+    assert check_family(bad) == (failure, None, None)
+    assert is_embedding_set(bad, require_strong=False) == failure
+    report = verify_family(bad)
+    assert (report.eulerian, report.compatible, report.strong) == (failure, None, None)
+    with pytest.raises(NotAnEmbeddingSet, match=f"^{re.escape(failure.first())}$"):
+        set_to_scheme(bad)
+
+
 def test_klein_fixture_labels_trace_klein_bottle(klein4x2):
     assert all(c.copy_labels is not None for c in klein4x2.circuits)
     report = trace_faces(set_to_scheme(klein4x2))
@@ -410,11 +441,9 @@ def test_valid_families_are_certified_without_the_index(monkeypatch, m, orientab
         report = verify_family(s)
         assert report.eulerian.ok and report.compatible.ok
         assert report.is_minimum(orientable) and report.faces.orientable == orientable
+        assert report.is_strong == orientable
         sch = set_to_scheme(s)
-        if orientable or m == 1:
-            # For m > 1 a non-strong family's flag needs the index: no sign
-            # pattern tells it (see tests/test_family_properties.py).
-            assert scheme_to_set(sch).strong == orientable
+        assert scheme_to_set(sch).strong == orientable
         if m == 1:  # the census builds m = 1 families whatever m is here
             assert len(enumerate_variants(8, orientable, 20, seed=1)) == 20
     assert report.strong == check_family(s)[2] and report.strong.ok == orientable
@@ -599,7 +628,8 @@ def test_trace_agrees_with_oracle_on_builds(n, m, orientable):
 
 def exchange_copies(s, i):
     """The family with the copy labels of the first parallel pair of circuit
-    i exchanged: still compatible, but no longer quadrilateral."""
+    i exchanged: its passes pair up without their copies, but not with
+    them, so it is not compatible."""
     c = s.circuit(i)
     first = {}
     for p, (u, v) in enumerate(c.steps()):
@@ -617,18 +647,27 @@ def exchange_copies(s, i):
 @pytest.mark.parametrize("n,m", [(8, 1), (10, 1), (6, 2), (6, 3)])
 def test_verify_family_agrees_with_oracle(n, m, orientable):
     s = build_multi(n, m, orientable=orientable, seed=1)
-    families = [s] if m == 1 else [s, exchange_copies(s, 1)]
-    for family in families:
-        report = verify_family(family)
-        faces = report.faces
-        assert naive_face_trace(set_to_scheme(family)) == (
-            faces.face_count,
-            faces.face_lengths,
-            faces.euler_genus,
-            faces.orientable,
-        )
-        assert report.is_minimum(orientable) is (family is s)
-        assert faces.all_quadrilateral is (family is s)
+    report = verify_family(s)
+    faces = report.faces
+    assert naive_face_trace(set_to_scheme(s)) == (
+        faces.face_count,
+        faces.face_lengths,
+        faces.euler_genus,
+        faces.orientable,
+    )
+    assert report.is_minimum(orientable) and faces.all_quadrilateral
+    if m > 1:
+        exchanged = exchange_copies(s, 1)
+        failure = pairwise_first_failure(rows(exchanged), require_strong=False)
+        assert failure.endswith(" not compatible")
+        assert pairwise_first_failure([row[:2] for row in rows(exchanged)], False) == ""
+        report = verify_family(exchanged)
+        assert report.compatible.failures == [failure]
+        assert report.strong is report.scheme is report.faces is None
+        assert not report.is_minimum(orientable)
+        assert not trace_faces(_family_scheme(exchanged)).all_quadrilateral
+        with pytest.raises(NotAnEmbeddingSet, match=f"^{re.escape(failure)}$"):
+            set_to_scheme(exchanged)
 
 
 def test_trace_and_equivalence_reject_signs_other_than_one(strong6):
