@@ -2,10 +2,11 @@
 
 Two circuit families are equivalent when they agree circuit by circuit up
 to rotation and reversal; `canonicalize` produces an invariant normal form
-deciding that.  Isomorphism additionally allows relabelling the vertices.
-The enumerator replays the inductive construction with randomized choices
-(transition picks, vertex pairings, role swaps, apex exchange) and dedupes
-by canonical form, which realizes the counting lower bound in practice.
+deciding that, copy labels left out.  Isomorphism additionally allows
+relabelling the vertices.  The enumerator replays the inductive construction
+with randomized choices (transition picks, vertex pairings, role swaps, apex
+exchange) and dedupes by canonical form, which realizes the counting lower
+bound in practice.
 """
 
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .scheme import verify_family
 
 @dataclass(frozen=True)
 class CanonicalSet:
-    """Rotation/reversal-invariant normal form of a circuit family."""
+    """Rotation/reversal-invariant normal form of a family, labels left out."""
 
     n: int
     m: int
@@ -35,6 +36,7 @@ class CanonicalSet:
 
 
 def canonicalize(s: EmbeddingSet) -> CanonicalSet:
+    """The normal form of a family's `canonical_set_key`, labels left out."""
     return CanonicalSet(n=s.n, m=s.m, circuits=canonical_set_key(s))
 
 
@@ -80,7 +82,8 @@ def sets_isomorphic(a: EmbeddingSet, b: EmbeddingSet) -> dict[int, int] | None:
     Any isomorphism must align the circuit missing vertex 1 of `a` with
     some circuit of `b` (forwards or reversed, at some rotation), and that
     alignment already determines the whole permutation; so only n * 2 * N
-    candidates need checking rather than n! relabellings.
+    candidates need checking rather than n! relabellings.  Copy labels are
+    not compared (see `canonical_set_key`).
     """
     if a.n != b.n or a.m != b.m:
         raise InvalidParameter("families must share n and m to be compared")

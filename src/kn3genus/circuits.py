@@ -86,7 +86,10 @@ class Circuit:
     seq[p], seq[p+1]) to one of the m parallel copies.  For m > 1 it is data
     that every circuit must carry: the builders fill it in, family files
     hold it as `L` lines, and `validate_eulerian` refuses a circuit without
-    it or whose labels repeat a copy.  It is ignored for m=1.
+    it or whose labels repeat a copy.  It is ignored for m=1, and left out
+    of equality and of `canonical_set_key` for every m: families that differ
+    only in their labels compare equal, though one may be compatible and the
+    other not.
     """
 
     excluded: int
@@ -472,5 +475,7 @@ def relabel(s: EmbeddingSet, perm: dict[int, int]) -> EmbeddingSet:
 
 
 def canonical_set_key(s: EmbeddingSet) -> tuple[tuple[int, ...], ...]:
-    """Rotation/reversal-invariant key; equal keys mean equivalent families."""
+    """Rotation/reversal-invariant key of the circuits' vertex sequences.
+    It leaves copy labels out: for m > 1, families with one key may differ
+    in their labels, and then one may be compatible and the other not."""
     return tuple(c.canonical_seq() for c in s.circuits)

@@ -46,12 +46,11 @@ from collections.abc import Iterator
 from functools import cache, partial
 from itertools import chain, combinations, islice, product, starmap
 from math import comb
-from operator import itemgetter
 from typing import TextIO
 
 from .circuits import Circuit, EmbeddingSet
 from .exceptions import CopyResolutionError, FormatError
-from .levi import YVertex, levi_edges
+from .levi import HypergraphSpec, YVertex, build_levi
 from .scheme import EmbeddingScheme
 
 SET_HEADER = "# kn3-embedding-set v1"
@@ -131,11 +130,12 @@ def parse_set(text: str) -> EmbeddingSet:
             raise FormatError(f"duplicate {kind} line for {idx}", lineno)
         target[idx] = values
 
-    if sorted(seqs) != list(range(1, n + 1)):
+    # The counts first: the list 1..n is as long as the metadata line says.
+    if len(seqs) != n or sorted(seqs) != list(range(1, n + 1)):
         raise FormatError(f"expected T lines for 1..{n}, got {sorted(seqs)}")
     if m > 1 and not labels:
         raise FormatError(f"m={m} needs L lines, the copy label of every traversed edge", 2)
-    if labels and sorted(labels) != list(range(1, n + 1)):
+    if labels and (len(labels) != n or sorted(labels) != list(range(1, n + 1))):
         raise FormatError("L lines must cover all circuits or none")
     circuits = []
     for i in range(1, n + 1):
@@ -209,8 +209,8 @@ def scheme_chunks(sch: EmbeddingScheme) -> Iterator[str]:
     the header, each X rot line, then the Y rot and sig lines in batches.
     `format_scheme` joins them; `build --scheme-out` writes them to the file
     one by one, so the whole text is never held."""
-    table = sch.table
-    graph, x_end = table.graph, table.x_end
+    graph = sch.graph
+    x_end = graph.x_end
     y_names = _y_names(graph.n, graph.m)
     yield SCHEME_HEADER + "\n"
     for x, rot in zip(graph.x_vertices, sch.x_rotations):
@@ -351,18 +351,19 @@ def parse_scheme(source: str | TextIO) -> EmbeddingScheme:
         raise FormatError(f"rot lines must cover vertices 1..n, got {x_labels}")
     if n < 4:
         raise FormatError(f"need rot lines for vertices 1..n with n >= 4, got n={n}")
-    # One rot line per Levi vertex: the count fixes m before the table,
+    # One rot line per Levi vertex: the count fixes m before the Levi graph,
     # whose size m sets, is built.  A head naming a copy >= m is no vertex.
     m_mult, extra = divmod(rot_count - n, comb(n, 3))
     if extra or m_mult < 1:
         raise FormatError("rot lines do not match the Levi graph of the inferred (n, m)")
-    table = levi_edges(n, m_mult)
-    graph, count = table.graph, len(table.x_end)
+    graph = build_levi(HypergraphSpec(n, m_mult))
+    count = graph.edge_count
     index_of = _index_of(n, m_mult)
     # triples[u] is the triple of the Y vertex with index u, and empty for an
     # X vertex, which meets no other X vertex.
     triples = [()] * n
-    triples += map(itemgetter(0), graph.y_vertices)
+    ends = iter(graph.x_end)
+    triples += zip(ends, ends, ends)
     labels = [str(x) for x in range(n + 1)]
 
     # Written names are looked up; any other token is parsed, and may still
@@ -454,7 +455,7 @@ def parse_scheme(source: str | TextIO) -> EmbeddingScheme:
     y_rotations = None
     if y_turned:
         y_rotations = [y_turned.get(k // 3) or [k, k + 1, k + 2] for k in range(0, count, 3)]
-    return EmbeddingScheme.from_ids(table, x_rotations, y_rotations, negative)
+    return EmbeddingScheme.from_ids(graph, x_rotations, y_rotations, negative)
 
 
 def _digest(record: str) -> str:

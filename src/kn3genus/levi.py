@@ -3,16 +3,17 @@
 The hypergraph of order n with multiplicity m has every 3-element subset of
 {1..n} as an edge, repeated m times.  Its Levi graph is the bipartite
 incidence graph: one side is the n vertices, the other the m*C(n,3) edge
-copies, and each edge copy is joined to its three elements.
+copies, and each edge copy is joined to its three elements.  One
+`LeviGraph` per (n, m) numbers its edges; every scheme reads those ids,
+and the vertex tuples are built only for the dict form of a scheme.
 
 All arithmetic here is exact integer arithmetic.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import chain, combinations, product
+from itertools import chain, combinations, product, repeat
 from math import comb
-from operator import itemgetter
 
 from .exceptions import InvalidParameter, OddOrder, UnsupportedCase
 
@@ -41,18 +42,33 @@ class HypergraphSpec:
         return self.m * comb(self.n, 3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeviGraph:
     """Bipartite incidence graph of the complete 3-uniform hypergraph.
 
     Side X carries the vertex labels 1..n.  Side Y carries one vertex per
-    edge copy, written as a sorted triple plus a copy index.  Every Y-vertex
-    has degree 3; every X-vertex has degree m*C(n-1,2).
+    edge copy, written as a sorted triple plus a copy index; the Y vertex at
+    index y is copy y % m of the triple of rank y // m in lexicographic
+    order.  Every Y-vertex has degree 3; every X-vertex has degree
+    m*C(n-1,2).
+
+    Edge id 3*y + slot joins the Y vertex at index y to the element at
+    position `slot` of its sorted triple.  `x_end[id]` is the X end of an
+    edge, and `first_ids[1 << a | 1 << b | 1 << c]` the id of copy 0 of the
+    triple {a, b, c} at its smallest element; copy c at slot s adds 3*c + s.
+    The counts follow from n and m.  The tuple `y_vertices`, the (x, y)
+    pairs `edges` in id order and the inverse dict `id_of` serve only the
+    dict form of a scheme, so each is built when first read.
+
+    There is one graph per (n, m), from `build_levi`, shared by every
+    caller: read it, never change it.  Two graphs are equal when they are
+    the same object.
     """
 
     n: int
     m: int
-    y_vertices: tuple[YVertex, ...]
+    x_end: tuple[int, ...] = field(repr=False)
+    first_ids: dict[int, int] = field(repr=False)
 
     @property
     def x_vertices(self) -> range:
@@ -60,81 +76,50 @@ class LeviGraph:
 
     @property
     def vertex_count(self) -> int:
-        return self.n + len(self.y_vertices)
+        return self.n + len(self.x_end) // 3
 
     @property
     def edge_count(self) -> int:
-        return 3 * len(self.y_vertices)
-
-    def edges(self):
-        """All incidence edges as (x, y) pairs, x listed first."""
-        for y in self.y_vertices:
-            for x in y[0]:
-                yield (x, y)
+        return len(self.x_end)
 
     def x_degree(self) -> int:
         return self.m * comb(self.n - 1, 2)
 
-
-@cache
-def build_levi(spec: HypergraphSpec) -> LeviGraph:
-    """Construct the Levi graph with triples sorted and copies indexed.
-
-    The Y vertices run through the triples in lexicographic order, the
-    copies of each triple in turn.  Built once per spec; every caller
-    shares the (immutable) result.
-    """
-    ys = tuple(product(combinations(range(1, spec.n + 1), 3), range(spec.m)))
-    return LeviGraph(n=spec.n, m=spec.m, y_vertices=ys)
-
-
-@dataclass(frozen=True, eq=False)
-class LeviEdges:
-    """Integer ids for the edges of one Levi graph.
-
-    Edge id 3*y + slot joins the Y vertex at index y of `graph.y_vertices`
-    to the element at position `slot` of its sorted triple, so ids run in
-    the order of `graph.edges()`.  `x_end[id]` is the X end of an edge, and
-    `first_ids[1 << a | 1 << b | 1 << c]` the id of copy 0 of the triple
-    {a, b, c} at its smallest element; copy c at slot s adds 3*c + s.  Both
-    are built by C-level iterator passes, never a Python loop per triple.
-    The (x, y) pairs `edges[id]` and the inverse dict `id_of` serve only the
-    dict form of a scheme, so each is built when first read.  The table is
-    shared by every caller: read it, never change it.
-    """
-
-    graph: LeviGraph
-    x_end: tuple[int, ...]
-    first_ids: dict[int, int]
+    @cached_property
+    def y_vertices(self) -> tuple[YVertex, ...]:
+        return tuple(product(combinations(self.x_vertices, 3), range(self.m)))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, YVertex], ...]:
-        return tuple(self.graph.edges())
+        """All incidence edges as (x, y) pairs, x listed first, in id order."""
+        ys = self.y_vertices
+        return tuple(zip(self.x_end, chain.from_iterable(zip(ys, ys, ys))))
 
     @cached_property
     def id_of(self) -> dict[tuple[int, YVertex], int]:
         return {e: k for k, e in enumerate(self.edges)}
 
     def __reduce__(self):
-        # Unpickled, it is the one shared table; the cached views stay behind.
-        return levi_edges, (self.graph.n, self.graph.m)
+        # Unpickled, it is the one shared graph; the cached views stay behind.
+        return build_levi, (HypergraphSpec(self.n, self.m),)
 
 
 @cache
-def levi_edges(n: int, m: int) -> LeviEdges:
-    """The edge table of the Levi graph of order n and multiplicity m, built on first use.
+def build_levi(spec: HypergraphSpec) -> LeviGraph:
+    """The Levi graph of a spec, built on first use and shared.
 
-    `x_end` flattens the triples of the Y vertices.  A triple's mask is the
-    sum of its three distinct bits, and its copy 0 has the id 3*m times the
-    triple's rank, so `first_ids` zips the masks with a range.
+    `x_end` flattens the triples in lexicographic order, each repeated for
+    its m copies.  A triple's mask is the sum of its three distinct bits,
+    and its copy 0 has the id 3*m times the triple's rank, so `first_ids`
+    zips the masks with a range.  Both are C-level iterator passes, never a
+    Python loop per triple.
     """
-    graph = build_levi(HypergraphSpec(n, m))
-    x_end = tuple(chain.from_iterable(map(itemgetter(0), graph.y_vertices)))
+    n, m = spec.n, spec.m
+    copies = chain.from_iterable(map(repeat, combinations(range(1, n + 1), 3), repeat(m)))
+    x_end = tuple(chain.from_iterable(copies))
     masks = map(sum, combinations([1 << x for x in range(1, n + 1)], 3))
-    return LeviEdges(
-        graph=graph,
-        x_end=x_end,
-        first_ids=dict(zip(masks, range(0, len(x_end), 3 * m))),
+    return LeviGraph(
+        n=n, m=m, x_end=x_end, first_ids=dict(zip(masks, range(0, len(x_end), 3 * m)))
     )
 
 

@@ -6,7 +6,7 @@ switching equivalence this determines a 2-cell surface embedding, whose
 faces are traced combinatorially.
 
 A scheme has one representation, `EmbeddingScheme`, on the integer edge
-ids of `levi.levi_edges` (id 3*y + slot): the X rotations as lists of ids,
+ids of its `levi.LeviGraph` (id 3*y + slot): the X rotations as lists of ids,
 the Y rotations (or None for the sorted order 3y, 3y+1, 3y+2) and a
 bytearray marking the negative edges.  Every scheme is checked once, when
 it is built: a hand-built one by the dict front end in its constructor, a
@@ -102,6 +102,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
+from math import comb
 from operator import add, mul, xor
 from types import MappingProxyType
 
@@ -121,11 +122,10 @@ from .exceptions import (
 )
 from .levi import (
     HypergraphSpec,
-    LeviEdges,
     LeviGraph,
     YVertex,
+    build_levi,
     euler_genus_lower_bound,
-    levi_edges,
 )
 
 XVertex = int
@@ -136,13 +136,14 @@ Edge = tuple[XVertex, YVertex]
 class EmbeddingScheme:
     """A rotation and a signature on a Levi graph, held as Levi edge ids.
 
-    The ids are those of `table` (`levi.levi_edges`): `x_rotations[x - 1]`
-    lists the edges at X vertex x in rotation order and `y_rotations[y]`
-    those at the Y vertex at index y; `y_rotations` is None exactly when
-    every Y rotation is 3y, 3y+1, 3y+2, the order of its sorted triple.
-    `negative[k]` is 1 when edge k has signature -1.  Both constructors
-    hand out rotations that list each edge exactly once at each of its
-    ends, on which `trace_faces` relies; read the fields, never change them.
+    The ids are those of `graph`, the shared `levi.LeviGraph` of its (n, m):
+    `x_rotations[x - 1]` lists the edges at X vertex x in rotation order and
+    `y_rotations[y]` those at the Y vertex at index y; `y_rotations` is None
+    exactly when every Y rotation is 3y, 3y+1, 3y+2, the order of its sorted
+    triple.  `negative[k]` is 1 when edge k has signature -1.  Both
+    constructors hand out rotations that list each edge exactly once at each
+    of its ends, on which `trace_faces` relies; read the fields, never
+    change them.
 
     `EmbeddingScheme(graph, rotation, signature)` checks hand-built dicts
     once and keeps their ids, not the dicts; `from_ids` takes ids a front
@@ -150,10 +151,10 @@ class EmbeddingScheme:
     `rotation` maps every vertex to the cyclic order of its edges and
     `signature` every edge (x, y) to +1 or -1: read-only views of the ids,
     built when first read.  Two schemes are equal when their graphs,
-    rotations and signatures are.
+    rotations and signatures are.  A pickle holds the ids and (n, m) alone.
     """
 
-    __slots__ = ("table", "x_rotations", "y_rotations", "negative", "_rotation", "_signature")
+    __slots__ = ("graph", "x_rotations", "y_rotations", "negative", "_rotation", "_signature")
 
     def __init__(
         self,
@@ -176,11 +177,11 @@ class EmbeddingScheme:
                 f"{type(rotation).__name__} and {type(signature).__name__}"
             )
         try:
-            table = levi_edges(graph.n, graph.m)
+            levi = build_levi(HypergraphSpec(graph.n, graph.m))
             x_vertices, y_vertices = graph.x_vertices, graph.y_vertices
         except (AttributeError, TypeError):
             raise GraphMismatch(f"graph must be a LeviGraph, got {type(graph).__name__}") from None
-        id_of, x_end, count = table.id_of, table.x_end, len(table.x_end)
+        id_of, x_end, count = levi.id_of, levi.x_end, levi.edge_count
         x_rotations = []
         for x in x_vertices:
             at = _rotation_ids(rotation, x, id_of)
@@ -199,40 +200,36 @@ class EmbeddingScheme:
             if sum(map(len, side)) != count or len(set(chain.from_iterable(side))) != count:
                 raise GraphMismatch("a rotation misses or repeats an edge of the graph")
 
-        signs = [signature.get(e) for e in table.edges]
+        signs = [signature.get(e) for e in levi.edges]
         if signs.count(1) + signs.count(-1) != count:
             k = next(k for k, sign in enumerate(signs) if sign != 1 and sign != -1)
             raise GraphMismatch(
-                f"edge {table.edges[k]} has no signature of +1 or -1 (got {signs[k]!r})"
+                f"edge {levi.edges[k]} has no signature of +1 or -1 (got {signs[k]!r})"
             )
-        self._set(table, x_rotations, y_rotations, bytearray([sign == -1 for sign in signs]))
+        self._set(levi, x_rotations, y_rotations, bytearray([sign == -1 for sign in signs]))
 
     @classmethod
     def from_ids(
         cls,
-        table: LeviEdges,
+        graph: LeviGraph,
         x_rotations: list[list[int]],
         y_rotations: list[list[int]] | None,
         negative: bytearray,
     ) -> "EmbeddingScheme":
         """The scheme of ids that a front end has checked."""
         sch = cls.__new__(cls)
-        sch._set(table, x_rotations, y_rotations, negative)
+        sch._set(graph, x_rotations, y_rotations, negative)
         return sch
 
-    def _set(self, table, x_rotations, y_rotations, negative) -> None:
+    def _set(self, graph, x_rotations, y_rotations, negative) -> None:
         """Fill the fields, with Y rotations that are all sorted as None."""
         if y_rotations is not None and all(
             rot == [k, k + 1, k + 2] for k, rot in zip(range(0, len(negative), 3), y_rotations)
         ):
             y_rotations = None
-        self.table, self.x_rotations, self.y_rotations = table, x_rotations, y_rotations
+        self.graph, self.x_rotations, self.y_rotations = graph, x_rotations, y_rotations
         self.negative = negative
         self._rotation = self._signature = None
-
-    @property
-    def graph(self) -> LeviGraph:
-        return self.table.graph
 
     @property
     def rotation(self) -> Mapping[Vertex, tuple[Edge, ...]]:
@@ -249,8 +246,8 @@ class EmbeddingScheme:
     def _view(self) -> None:
         """The dict view of the ids: Y rotations, then X rotations, and the
         signature in the order the X rotations list the edges."""
-        table, negative = self.table, self.negative
-        edges, graph = table.edges, table.graph
+        graph, negative = self.graph, self.negative
+        edges = graph.edges
         y_rotations = self.y_rotations
         if y_rotations is None:
             y_rotations = [[k, k + 1, k + 2] for k in range(0, len(negative), 3)]
@@ -269,7 +266,7 @@ class EmbeddingScheme:
         if not isinstance(other, EmbeddingScheme):
             return NotImplemented
         return (
-            self.table.graph == other.table.graph
+            self.graph == other.graph
             and self.negative == other.negative
             and self.x_rotations == other.x_rotations
             and self.y_rotations == other.y_rotations
@@ -281,7 +278,7 @@ class EmbeddingScheme:
     def __reduce__(self):
         # The views are not picklable; the ids are.
         return EmbeddingScheme.from_ids, (
-            self.table, self.x_rotations, self.y_rotations, self.negative
+            self.graph, self.x_rotations, self.y_rotations, self.negative
         )
 
 
@@ -314,7 +311,7 @@ def _rotation_ids(rotation: Mapping, v: Vertex, id_of: dict) -> list[int | None]
     return at
 
 
-def _parities(table: LeviEdges, odd: bytes) -> tuple[list[int], bytes] | None:
+def _parities(graph: LeviGraph, odd: bytes) -> tuple[list[int], bytes] | None:
     """A vertex parity with par[x] xor par[y] = odd[k] on every edge k = xy,
     and par[1] = 0: the X parities indexed by vertex, and the Y parities by
     Y index.  None when there is none.
@@ -324,12 +321,12 @@ def _parities(table: LeviEdges, odd: bytes) -> tuple[list[int], bytes] | None:
     then forces a parity on its Y end, and a parity exists iff the three
     edges of every Y vertex force the same one.
     """
-    first_ids = table.first_ids
-    px = [0] * (table.graph.n + 1)
+    first_ids = graph.first_ids
+    px = [0] * (graph.n + 1)
     for x in range(2, len(px)):
         k = first_ids[0b110 | 1 << max(x, 3)]
         px[x] = odd[k] ^ odd[k + 1 if x == 2 else k + 2]
-    forced = bytes(map(xor, map(px.__getitem__, table.x_end), odd))
+    forced = bytes(map(xor, map(px.__getitem__, graph.x_end), odd))
     py = forced[0::3]
     if py == forced[1::3] == forced[2::3]:
         return px, py
@@ -406,8 +403,8 @@ def trace_faces(sch: EmbeddingScheme) -> FaceReport:
     i.e. iff `_parities` finds a vertex parity with par[x] xor par[y] =
     [sign < 0] on every edge xy.
     """
-    table = sch.table
-    graph, count = table.graph, len(table.x_end)
+    graph = sch.graph
+    count = graph.edge_count
     corner = memoryview(bytearray(8 * count)).cast("i")
     # Side 1 of each rotation entry meets side 0 of the next, cyclically.
     for rot in sch.x_rotations:
@@ -424,7 +421,7 @@ def trace_faces(sch: EmbeddingScheme) -> FaceReport:
         hop[j::6] = states.translate(hops)
     hop = memoryview(hop).cast("b")
 
-    orientable = _parities(table, sch.negative) is not None
+    orientable = _parities(graph, sch.negative) is not None
 
     # Corner and band are fixed-point-free involutions, so each orbit is a
     # cycle that alternates them, two corners a step.
@@ -461,7 +458,7 @@ def is_orientable(sch: EmbeddingScheme) -> bool:
     Decided by the forced vertex parity, as in `trace_faces`, without
     tracing the faces.
     """
-    return _parities(sch.table, sch.negative) is not None
+    return _parities(sch.graph, sch.negative) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -479,21 +476,25 @@ def _family_scheme(s: EmbeddingSet) -> EmbeddingScheme | None:
     length m*C(n-1,2) on the vertices 1..n, with labels in 0..m-1 when
     m > 1, all of them ints; each step's triple {i, u, v} is a triple (so
     u, v and i are distinct); and the ids of each circuit are distinct, so
-    it takes every pair m times, each copy once.  Raises InvalidParameter (from the edge
-    table) for an order below 4 or a multiplicity below 1.
+    it takes every pair m times, each copy once.  The lengths are checked
+    before the Levi graph, whose size m sets, is built.  Raises
+    InvalidParameter for an order below 4 or a multiplicity below 1.
     """
     n, m = s.n, s.m
     if len(s.circuits) != n:
         return None
-    table = levi_edges(n, m)
-    first_ids = table.first_ids
-    negative = bytearray(len(table.x_end))
-    degree = len(negative) // n
+    spec = HypergraphSpec(n, m)
+    degree = m * comb(n - 1, 2)
+    if any(len(c.seq) != degree for c in s.circuits):
+        return None
+    graph = build_levi(spec)
+    first_ids = graph.first_ids
+    negative = bytearray(graph.edge_count)
     bit = [1 << v for v in range(n + 1)]
     x_rotations = []
     for i, c in enumerate(s.circuits, 1):
         seq, bit_i = c.seq, bit[i]
-        if c.excluded != i or c.n != n or c.m != m or len(seq) != degree:
+        if c.excluded != i or c.n != n or c.m != m:
             return None
         labels = c.copy_labels if m > 1 else repeat(0)
         rot = []
@@ -519,7 +520,7 @@ def _family_scheme(s: EmbeddingSet) -> EmbeddingScheme | None:
         if len(set(rot)) != degree:
             return None
         x_rotations.append(rot)
-    return EmbeddingScheme.from_ids(table, x_rotations, None, negative)
+    return EmbeddingScheme.from_ids(graph, x_rotations, None, negative)
 
 
 def _corners_paired(s: EmbeddingSet, sch: EmbeddingScheme) -> bool:
@@ -647,6 +648,8 @@ def _read_circuit(graph: LeviGraph, i: int, rot: list[int]) -> Circuit:
     starts at an element a0 of the first triple, and each later triple
     holds the last vertex a and adds its third element, the triple's sum
     less i and a.  Edge k ends at the Y vertex k // 3, which gives its copy.
+    It reads `graph.y_vertices`, over twice as fast as slicing triples from
+    `x_end`; no command reads a family back from a scheme.
     """
     ys = [graph.y_vertices[k // 3] for k in rot]
     first = ys[0][0]
@@ -733,7 +736,7 @@ def schemes_equivalent(a: EmbeddingScheme, b: EmbeddingScheme) -> bool:
     """
     if a.graph != b.graph:
         raise GraphMismatch("schemes are defined on different labelled graphs")
-    parities = _parities(a.table, bytes(map(xor, a.negative, b.negative)))
+    parities = _parities(a.graph, bytes(map(xor, a.negative, b.negative)))
     if parities is None:
         return False
     px, py = parities

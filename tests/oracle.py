@@ -41,7 +41,7 @@ def naive_face_trace(sch):
         return (v, w, acc * sch.signature[nxt])
 
     states = set()
-    for x, y in sch.graph.edges():
+    for x, y in sch.graph.edges:
         for s in (1, -1):
             states.add((x, y, s))
             states.add((y, x, s))
@@ -89,7 +89,7 @@ def _double_cover_orientable(sch):
     def union(a, b):
         parent[find(a)] = find(b)
 
-    for x, y in sch.graph.edges():
+    for x, y in sch.graph.edges:
         if sch.signature[(x, y)] == 1:
             union((x, 1), (y, 1))
             union((x, -1), (y, -1))

@@ -250,6 +250,32 @@ def test_verify_refuses_bad_copy_labels(tmp_path, capsys, labels, code, out, err
     assert run(capsys, "verify", str(path)) == (code, out, err)
 
 
+def test_verify_checks_lengths_before_building_a_levi_graph_of_size_m(tmp_path, capsys):
+    # A few bytes may claim any m; the Levi graph, of size m, must not be built
+    # for circuits whose lengths already fail.
+    from kn3genus.levi import build_levi
+
+    path = tmp_path / "huge_m.kn3set"
+    circuits = ["2 3 4", "1 3 4", "1 2 4", "1 2 3"]
+    path.write_text(
+        "# kn3-embedding-set v1\nn=4 m=400000 orientable=1\n"
+        + "".join(f"T {i}: {seq}\n" for i, seq in enumerate(circuits, 1))
+        + "".join(f"L {i}: 0 0 0\n" for i in range(1, 5))
+    )
+    graphs = build_levi.cache_info().currsize
+    assert run(capsys, "verify", str(path)) == (
+        1,
+        "eulerian: FAIL (circuit 1: length 3 != expected 1200000 (m*C(n-1,2) with n=4, m=400000))\n"
+        "compatible: FAIL (skipped)\n"
+        "strong: FAIL (skipped)\n"
+        "quadrilateral: FAIL (skipped)\n"
+        "genus: FAIL (skipped)\n"
+        "result: FAIL\n",
+        "",
+    )
+    assert build_levi.cache_info().currsize == graphs
+
+
 def test_verify_missing_file(capsys):
     code, _, err = run(capsys, "verify", "/does/not/exist.kn3set")
     assert code == 2

@@ -27,7 +27,7 @@ from kn3genus import (
 )
 from kn3genus import fileio
 from kn3genus.circuits import canonical_set_key
-from kn3genus.levi import levi_edges
+from kn3genus.levi import build_levi
 
 from peaks import peak_bytes
 
@@ -237,13 +237,13 @@ def test_parse_scheme_names_the_line_of_an_unknown_token(strong6, kind, bad):
 
 def test_parse_scheme_refuses_a_copy_index_its_rot_lines_cannot_hold(strong6):
     # The copy index sets the size of the Levi graph: it is checked against
-    # the number of rot lines before the graph's edge table is built.
+    # the number of rot lines before the Levi graph is built.
     text = format_scheme(set_to_scheme(strong6)) + "rot e{1,2,3}#999: 1 2 3\n"
-    tables = levi_edges.cache_info().currsize
+    graphs = build_levi.cache_info().currsize
     with pytest.raises(FormatError) as err:
         parse_scheme(text)
     assert str(err.value) == "rot lines do not match the Levi graph of the inferred (n, m)"
-    assert levi_edges.cache_info().currsize == tables
+    assert build_levi.cache_info().currsize == graphs
 
 
 def test_parse_scheme_refuses_a_head_past_the_copies_its_line_count_fixes(klein4x2):
@@ -323,7 +323,7 @@ def test_parse_scheme_names_the_line_of_a_bad_rot_head(strong6, new):
 
 
 def test_parse_scheme_keeps_no_tokens_per_line():
-    # Formatting builds the (20, 1) edge and name tables the parser reads.
+    # Formatting builds the (20, 1) Levi graph and name table the parser reads.
     text = format_scheme(set_to_scheme(build_multi(20, 1, seed=1)))
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -357,6 +357,32 @@ def test_parse_scheme_reads_an_open_file_in_less_than_three_times_its_size(tmp_p
             return parse_scheme(file)
 
     assert peak_bytes(parse_file) < 3 * path.stat().st_size
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("n=1000000 m=1 orientable=1\nT 1: 2 3 4\n", "expected T lines for 1..1000000, got [1]"),
+        (
+            "n=4 m=2 orientable=1\n"
+            + "".join(f"T {i}: 1 2 3 4 5 6\n" for i in range(1, 5))
+            + "L 1: 0 0 0 1 1 1\n",
+            "L lines must cover all circuits or none",
+        ),
+    ],
+    ids=["T-lines", "L-lines"],
+)
+def test_parse_set_counts_the_lines_before_listing_1_to_n(body, message):
+    # Three lines may claim a million circuits: they are refused without a
+    # list of 1..n.
+    text = f"{fileio.SET_HEADER}\n{body}"
+
+    def refuse():
+        with pytest.raises(FormatError) as err:
+            parse_set(text)
+        assert str(err.value) == message
+
+    assert peak_bytes(refuse) < 100_000
 
 
 class _Unseekable(io.StringIO):

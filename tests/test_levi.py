@@ -11,7 +11,6 @@ from kn3genus import (
     euler_genus_lower_bound,
     genus_formula,
 )
-from kn3genus.levi import levi_edges
 
 
 @pytest.mark.parametrize(
@@ -29,7 +28,7 @@ def test_levi_degrees():
     spec = HypergraphSpec(6, 2)
     graph = build_levi(spec)
     degree = Counter()
-    for x, y in graph.edges():
+    for x, y in graph.edges:
         degree[x] += 1
         degree[y] += 1
     for y in graph.y_vertices:
@@ -54,11 +53,13 @@ def test_edge_table_matches_its_definition(n, m):
     first_ids = {
         1 << a | 1 << b | 1 << c: 3 * k for k, ((a, b, c), copy) in enumerate(ys) if copy == 0
     }
-    table = levi_edges(n, m)
-    assert table.graph.y_vertices == ys
-    assert table.x_end == x_end
-    assert table.first_ids == first_ids
-    assert list(table.first_ids) == list(first_ids)
+    graph = build_levi(HypergraphSpec(n, m))
+    assert graph.x_end == x_end
+    assert graph.first_ids == first_ids
+    assert list(graph.first_ids) == list(first_ids)
+    assert graph.y_vertices == ys
+    assert graph.edges == tuple((x, y) for y in ys for x in y[0])
+    assert graph.id_of == {e: k for k, e in enumerate(graph.edges)}
 
 
 def test_spec_validation():

@@ -37,7 +37,6 @@ from kn3genus.circuits import (
     canonical_set_key,
     check_family,
 )
-from kn3genus.levi import levi_edges
 from kn3genus.scheme import _family_scheme, verify_family
 
 from oracle import brute_force_equivalent, naive_face_trace, pairwise_first_failure, rows
@@ -50,7 +49,7 @@ def switch(sch, subset):
     for v in subset:
         rotation[v] = tuple(reversed(sch.rotation[v]))
     signature = dict(sch.signature)
-    for e in sch.graph.edges():
+    for e in sch.graph.edges:
         x, y = e
         if (x in subset) != (y in subset):
             signature[e] = -signature[e]
@@ -196,10 +195,10 @@ def test_scheme_to_set_rejects_odd_order():
     for y in graph.y_vertices:
         rotation[y] = tuple((x, y) for x in y[0])
     incident = {x: [] for x in graph.x_vertices}
-    for x, y in graph.edges():
+    for x, y in graph.edges:
         incident[x].append((x, y))
     rotation.update({x: tuple(edges) for x, edges in incident.items()})
-    sch = EmbeddingScheme(graph, rotation, {e: 1 for e in graph.edges()})
+    sch = EmbeddingScheme(graph, rotation, {e: 1 for e in graph.edges})
     with pytest.raises(Exception) as err:
         scheme_to_set(sch)
     assert err.typename in ("OddOrder",)
@@ -288,7 +287,7 @@ def test_trace_rejects_disconnected(planar4):
         x_vertices = small.x_vertices
         vertex_count = small.vertex_count + 1
         edge_count = small.edge_count
-        edges = staticmethod(small.edges)
+        edges = small.edges
 
     rotation = dict(sch.rotation)
     rotation[isolated] = ()
@@ -769,14 +768,20 @@ def test_id_backed_and_dict_built_schemes_agree(source):
 
 
 def test_library_round_trip_never_builds_the_dict_tables():
-    # No other test uses (10, 2), so its edge table is fresh here.
-    sch = set_to_scheme(build_multi(10, 2, orientable=False, seed=5))
+    family = build_multi(10, 2, orientable=False, seed=5)
+    graph = build_levi(HypergraphSpec(10, 2))
+    for view in ("y_vertices", "edges", "id_of"):  # as another test may have built them
+        vars(graph).pop(view, None)
+    report = verify_family(family)
+    sch = set_to_scheme(family)
+    parsed = parse_scheme(format_scheme(sch))
+    assert report.scheme == sch == parsed and trace_faces(parsed) == report.faces
+    assert sch.graph is parsed.graph is graph
+    assert not {"y_vertices", "edges", "id_of"} & set(vars(graph))
+    # Reading a family back indexes the Y vertices, and nothing more.
     again = set_to_scheme(scheme_to_set(sch))
-    parsed = parse_scheme(format_scheme(again))
     assert schemes_equivalent(sch, again) and schemes_equivalent(parsed, sch)
-    assert parsed == again and trace_faces(parsed) == trace_faces(sch)
-    table = levi_edges(10, 2)
-    assert "edges" not in vars(table) and "id_of" not in vars(table)
+    assert not {"edges", "id_of"} & set(vars(graph))
 
 
 def test_hand_built_scheme_keeps_no_reference_to_its_dicts(strong6):
@@ -846,10 +851,10 @@ def test_scheme_refuses_malformed_dicts_with_graph_mismatch(strong6, case):
 
 def test_pickled_scheme_shares_the_cached_edge_table():
     sch = set_to_scheme(build_multi(40, 1, seed=2))
-    table = levi_edges(40, 1)
-    assert table.id_of  # built here, yet it must not ride along in the pickle
+    graph = build_levi(HypergraphSpec(40, 1))
+    assert graph.id_of  # built here, yet it must not ride along in the pickle
     data = pickle.dumps(sch)
     back = pickle.loads(data)
-    assert back.table is table
+    assert back.graph is graph and pickle.loads(pickle.dumps(graph)) is graph
     assert len(data) < 200_000
     assert back == sch and trace_faces(back) == trace_faces(sch)
