@@ -13,19 +13,22 @@ order, then `sig <x> <y>: +1|-1` lines.  Edge-side vertices are written
 `e{i,j,k}` (plus `#c` when m > 1).  Schemes are read and written as the
 Levi edge ids an `EmbeddingScheme` holds: `parse_scheme` checks every line
 against the Levi graph and builds the scheme from the ids it reads, and
-`format_scheme` writes the ids of any scheme back, so reading a written
-scheme reproduces it bit-exactly.  Lines may come in any order.  A line
-ends at "\\n", "\\r\\n" or "\\r" and nowhere else, in a text as in a file:
-the other breaks of `str.splitlines` ("\\f", "\\v", "\\x1c" to "\\x1e",
-"\\x85", "\\u2028", "\\u2029") are part of a line, where, as whitespace,
-they may pad a line or separate its words.
-Y rotations that all list their triple in sorted order, as the writer
-does, are read back as None, the form `EmbeddingScheme` keeps them in.
-The Y names of one (n, m) are formatted once, by C-level passes, when
-first written or read; only the reader also builds the dict from each
-name to its vertex index.  A token that is not a canonical name (such as
+`format_scheme` writes the ids of any scheme back, so reading a file the
+writer wrote reproduces it bit-exactly.  A Y rotation is kept as its
+orientation, the cyclic order of its sorted triple or the reverse, and the
+writer lists it from its lowest vertex or its highest (`rot e{1,2,3}: 1 2
+3` or `3 2 1`): a line that starts elsewhere (`2 3 1`) is read, and
+written back from the writer's start.  Lines may come in any order.  The
+Y names of one (n, m) are formatted once, by C-level passes, when first
+written or read; only the reader also builds the dict from each name to
+its vertex index.  A token that is not a canonical name (such as
 `e{1,2,3}#0` when m = 1) is parsed on its own, and a bad one, such as a
 digit run too long for an int, is reported with its line.
+
+In all three formats a line ends at "\\n", "\\r\\n" or "\\r" and nowhere
+else, in a text as in a file: the other breaks of `str.splitlines` ("\\f",
+"\\v", "\\x1c" to "\\x1e", "\\x85", "\\u2028", "\\u2029") are part of a
+line, where, as whitespace, they may pad a line or separate its words.
 
 Scheme files are streamed both ways.  The writer, `scheme_chunks`, yields
 the text a chunk at a time (a line per X vertex, the short Y rot and sig
@@ -86,7 +89,7 @@ def _meta_int(fields: dict[str, str], key: str, line: int) -> int:
 
 
 def parse_set(text: str) -> EmbeddingSet:
-    lines = text.splitlines()
+    lines = list(_lines(text))
     if not lines or lines[0].strip() != SET_HEADER:
         raise FormatError(
             f"expected header {SET_HEADER!r}", 1 if lines else None
@@ -215,14 +218,13 @@ def scheme_chunks(sch: EmbeddingScheme) -> Iterator[str]:
     yield SCHEME_HEADER + "\n"
     for x, rot in zip(graph.x_vertices, sch.x_rotations):
         yield f"rot {x}: " + " ".join([y_names[k // 3] for k in rot]) + "\n"
-    if sch.y_rotations is None:
-        # Sorted: the Y vertex y lists the X ends of its edges 3y, 3y+1, 3y+2.
-        ends = iter(x_end)
-        y_rots = zip(y_names, ends, ends, ends)
-    else:
-        y_rots = (
-            (name, *[x_end[k] for k in rot]) for name, rot in zip(y_names, sch.y_rotations)
-        )
+    # The Y vertex y lists the X ends of its edges 3y, 3y+1, 3y+2, or of
+    # 3y+2, 3y+1, 3y when reversed.  The two orders zip the same iterators,
+    # so `next` on the one each byte picks advances both.
+    names = iter(y_names)
+    a, b, c = (islice(x_end, slot, None, 3) for slot in range(3))
+    orders = (zip(names, a, b, c), zip(names, c, b, a))
+    y_rots = map(next, map(orders.__getitem__, sch.y_reversed))
     yield from _batches(map("rot %s: %d %d %d\n".__mod__, y_rots))
     y_of_edge = chain.from_iterable(zip(y_names, y_names, y_names))
     signs = map(("+1", "-1").__getitem__, sch.negative)
@@ -321,8 +323,10 @@ def parse_scheme(source: str | TextIO) -> EmbeddingScheme:
     names, and keeps only the rot heads and a kind byte per line.  Once the
     X heads give n and the count of rot lines gives m, the second pass
     reads each rot line, then each sig line, straight into ids and signs: a
-    bad sig line is reported only when every rot line has passed.  The Y rotations come back as None
-    when every one lists its triple in sorted order, as the writer does.
+    bad sig line is reported only when every rot line has passed.  Each Y
+    rot line sets the byte of its vertex in `y_reversed`: 0 when it lists
+    its triple in the cyclic order of the sorted triple, from any start,
+    and 1 for the reverse.
 
     A file is read twice from where it stands, a chunk at a time, so its
     text is never held whole; one that cannot seek is read into a text
@@ -379,7 +383,7 @@ def parse_scheme(source: str | TextIO) -> EmbeddingScheme:
     x_degree = graph.x_degree()
     seen = bytearray(len(triples))
     x_rotations: list = [None] * n  # each filled once: the heads cover 1..n
-    y_turned: dict[int, list[int]] = {}  # by Y index, the rotations not in sorted order
+    y_reversed = bytearray(len(triples) - n)
 
     def read_rot(line: str, lineno: int) -> None:
         head, _, body = line[4:].partition(":")
@@ -409,8 +413,8 @@ def parse_scheme(source: str | TextIO) -> EmbeddingScheme:
                 return
             if sorted(tokens) != sorted(members):
                 raise FormatError(f"rotation at {head} must list its 3 vertices once each", lineno)
-            base = 3 * (u - n)
-            y_turned[u - n] = [base + members.index(t) for t in tokens]
+            # The slot step from the first vertex to the second tells the order.
+            y_reversed[u - n] = (members.index(tokens[1]) - members.index(tokens[0])) % 3 != 1
 
     negative = bytearray(count)
     signed = bytearray(count)
@@ -452,10 +456,7 @@ def parse_scheme(source: str | TextIO) -> EmbeddingScheme:
     missing = signed.count(0)
     if missing:
         raise FormatError(f"{missing} edges missing a sig line")
-    y_rotations = None
-    if y_turned:
-        y_rotations = [y_turned.get(k // 3) or [k, k + 1, k + 2] for k in range(0, count, 3)]
-    return EmbeddingScheme.from_ids(graph, x_rotations, y_rotations, negative)
+    return EmbeddingScheme.from_ids(graph, x_rotations, bytes(y_reversed), negative)
 
 
 def _digest(record: str) -> str:
@@ -472,7 +473,7 @@ def format_census(families) -> str:
 
 
 def parse_census(text: str) -> list[EmbeddingSet]:
-    lines = text.splitlines()
+    lines = list(_lines(text))
     if not lines or lines[0].strip() != CENSUS_HEADER:
         raise FormatError(f"expected header {CENSUS_HEADER!r}", 1 if lines else None)
     out = []

@@ -7,12 +7,13 @@ faces are traced combinatorially.
 
 A scheme has one representation, `EmbeddingScheme`, on the integer edge
 ids of its `levi.LeviGraph` (id 3*y + slot): the X rotations as lists of ids,
-the Y rotations (or None for the sorted order 3y, 3y+1, 3y+2) and a
-bytearray marking the negative edges.  Every scheme is checked once, when
-it is built: a hand-built one by the dict front end in its constructor, a
-family's by the family front end (the id formula and the sign rule live
-there alone), a file's by `fileio.parse_scheme`.  Its `rotation` and
-`signature` are read-only dict views, built when first read.
+a byte per Y vertex that tells which of its two cyclic orders its rotation
+runs in (a Y vertex has three edges), and a bytearray marking the negative
+edges.  Every scheme is checked once, when it is built: a hand-built one by
+the dict front end in its constructor, a family's by the family front end
+(the id formula and the sign rule live there alone), a file's by
+`fileio.parse_scheme`.  Its `rotation` and `signature` are read-only dict
+views, built when first read.
 
 Every scheme call reads the ids.  One core, `trace_faces`, walks the faces
 over flags keyed by edge and reads orientability off a forced vertex
@@ -137,24 +138,27 @@ class EmbeddingScheme:
     """A rotation and a signature on a Levi graph, held as Levi edge ids.
 
     The ids are those of `graph`, the shared `levi.LeviGraph` of its (n, m):
-    `x_rotations[x - 1]` lists the edges at X vertex x in rotation order and
-    `y_rotations[y]` those at the Y vertex at index y; `y_rotations` is None
-    exactly when every Y rotation is 3y, 3y+1, 3y+2, the order of its sorted
-    triple.  `negative[k]` is 1 when edge k has signature -1.  Both
-    constructors hand out rotations that list each edge exactly once at each
-    of its ends, on which `trace_faces` relies; read the fields, never
-    change them.
+    `x_rotations[x - 1]` lists the edges at X vertex x in rotation order.
+    The Y vertex at index y has the three edges 3y, 3y+1, 3y+2, so its
+    rotation is one of two cyclic orders: `y_reversed[y]` is 0 for 3y,
+    3y+1, 3y+2, the cyclic order of its sorted triple, and 1 for the
+    reverse.  `negative[k]` is 1 when edge k has signature -1.  Both
+    constructors hand out X rotations that list each edge exactly once at
+    its X end, on which `trace_faces` relies; read the fields, never change
+    them.
 
     `EmbeddingScheme(graph, rotation, signature)` checks hand-built dicts
     once and keeps their ids, not the dicts; `from_ids` takes ids a front
     end has checked (`set_to_scheme`, `verify_family`, `parse_scheme`).
     `rotation` maps every vertex to the cyclic order of its edges and
     `signature` every edge (x, y) to +1 or -1: read-only views of the ids,
-    built when first read.  Two schemes are equal when their graphs,
-    rotations and signatures are.  A pickle holds the ids and (n, m) alone.
+    built when first read, which list a Y rotation from its lowest slot, or
+    from its highest when reversed.  Two schemes are equal when their graphs,
+    X rotations, Y orientations and signatures are.  A pickle holds the ids
+    and (n, m) alone.
     """
 
-    __slots__ = ("graph", "x_rotations", "y_rotations", "negative", "_rotation", "_signature")
+    __slots__ = ("graph", "x_rotations", "y_reversed", "negative", "_rotation", "_signature")
 
     def __init__(
         self,
@@ -206,28 +210,26 @@ class EmbeddingScheme:
             raise GraphMismatch(
                 f"edge {levi.edges[k]} has no signature of +1 or -1 (got {signs[k]!r})"
             )
-        self._set(levi, x_rotations, y_rotations, bytearray([sign == -1 for sign in signs]))
+        # Each Y rotation lists its three edges once: the slot step from its
+        # first entry to its second tells its cyclic order.
+        y_reversed = bytes([(rot[1] - rot[0]) % 3 != 1 for rot in y_rotations])
+        self._set(levi, x_rotations, y_reversed, bytearray([sign == -1 for sign in signs]))
 
     @classmethod
     def from_ids(
         cls,
         graph: LeviGraph,
         x_rotations: list[list[int]],
-        y_rotations: list[list[int]] | None,
+        y_reversed: bytes,
         negative: bytearray,
     ) -> "EmbeddingScheme":
         """The scheme of ids that a front end has checked."""
         sch = cls.__new__(cls)
-        sch._set(graph, x_rotations, y_rotations, negative)
+        sch._set(graph, x_rotations, y_reversed, negative)
         return sch
 
-    def _set(self, graph, x_rotations, y_rotations, negative) -> None:
-        """Fill the fields, with Y rotations that are all sorted as None."""
-        if y_rotations is not None and all(
-            rot == [k, k + 1, k + 2] for k, rot in zip(range(0, len(negative), 3), y_rotations)
-        ):
-            y_rotations = None
-        self.graph, self.x_rotations, self.y_rotations = graph, x_rotations, y_rotations
+    def _set(self, graph, x_rotations, y_reversed, negative) -> None:
+        self.graph, self.x_rotations, self.y_reversed = graph, x_rotations, y_reversed
         self.negative = negative
         self._rotation = self._signature = None
 
@@ -248,11 +250,11 @@ class EmbeddingScheme:
         signature in the order the X rotations list the edges."""
         graph, negative = self.graph, self.negative
         edges = graph.edges
-        y_rotations = self.y_rotations
-        if y_rotations is None:
-            y_rotations = [[k, k + 1, k + 2] for k in range(0, len(negative), 3)]
+        # Slots 0, 1, 2 of each Y vertex, or 2, 1, 0 when reversed.
+        ends = iter(edges)
         rotation = {
-            y: tuple([edges[k] for k in rot]) for y, rot in zip(graph.y_vertices, y_rotations)
+            y: slots[::-1] if turned else slots
+            for y, slots, turned in zip(graph.y_vertices, zip(ends, ends, ends), self.y_reversed)
         }
         for x, rot in zip(graph.x_vertices, self.x_rotations):
             rotation[x] = tuple([edges[k] for k in rot])
@@ -269,7 +271,7 @@ class EmbeddingScheme:
             self.graph == other.graph
             and self.negative == other.negative
             and self.x_rotations == other.x_rotations
-            and self.y_rotations == other.y_rotations
+            and self.y_reversed == other.y_reversed
         )
 
     def __repr__(self) -> str:
@@ -278,7 +280,7 @@ class EmbeddingScheme:
     def __reduce__(self):
         # The views are not picklable; the ids are.
         return EmbeddingScheme.from_ids, (
-            self.graph, self.x_rotations, self.y_rotations, self.negative
+            self.graph, self.x_rotations, self.y_reversed, self.negative
         )
 
 
@@ -365,7 +367,7 @@ def _y_states(sch: EmbeddingScheme) -> bytes:
     """One state byte per Y vertex, as `_hop` reads it: the signs of its
     slots in bits 0-2 and a reversed rotation in bit 3."""
     negative = sch.negative
-    bits = (negative[0::3], negative[1::3], negative[2::3], _y_reversed(sch))
+    bits = (negative[0::3], negative[1::3], negative[2::3], sch.y_reversed)
     # Each byte of each part is 0 or 1, so shifting a part, read as one
     # number, by up to three bits keeps every bit within its own byte.
     word = 0
@@ -470,9 +472,9 @@ def _family_scheme(s: EmbeddingSet) -> EmbeddingScheme | None:
     when some circuit is not Eulerian with valid copy labels.
 
     Circuit i, with its copy labels (copy 0 throughout when m = 1), gives
-    the rotation at vertex i; every Y rotation is the sorted order of its
-    triple.  The family is refused where `check_family` refuses it, from
-    the ids alone: the circuits are T_1..T_n of its ambient, each of
+    the rotation at vertex i; every Y rotation runs in the cyclic order of
+    its sorted triple.  The family is refused where `check_family` refuses
+    it, from the ids alone: the circuits are T_1..T_n of its ambient, each of
     length m*C(n-1,2) on the vertices 1..n, with labels in 0..m-1 when
     m > 1, all of them ints; each step's triple {i, u, v} is a triple (so
     u, v and i are distinct); and the ids of each circuit are distinct, so
@@ -520,7 +522,7 @@ def _family_scheme(s: EmbeddingSet) -> EmbeddingScheme | None:
         if len(set(rot)) != degree:
             return None
         x_rotations.append(rot)
-    return EmbeddingScheme.from_ids(graph, x_rotations, None, negative)
+    return EmbeddingScheme.from_ids(graph, x_rotations, bytes(len(negative) // 3), negative)
 
 
 def _corners_paired(s: EmbeddingSet, sch: EmbeddingScheme) -> bool:
@@ -711,15 +713,6 @@ def _cyclically_equal(ra: list[int], rb: list[int]) -> bool:
     return ra[i:] + ra[:i] == rb
 
 
-def _y_reversed(sch: EmbeddingScheme) -> bytes:
-    """1 for every Y rotation that runs against the cyclic order of its
-    sorted triple.  A Y rotation has three edges, so it has one of two
-    cyclic orders, told by the slot step from its first entry to its second."""
-    if sch.y_rotations is None:
-        return bytes(len(sch.negative) // 3)
-    return bytes([(rot[1] - rot[0]) % 3 != 1 for rot in sch.y_rotations])
-
-
 def schemes_equivalent(a: EmbeddingScheme, b: EmbeddingScheme) -> bool:
     """Switching equivalence of two schemes on the same labelled graph.
 
@@ -742,7 +735,7 @@ def schemes_equivalent(a: EmbeddingScheme, b: EmbeddingScheme) -> bool:
     px, py = parities
     # Y vertex y is switched iff b reverses its rotation, and iff py[y]
     # differs from the state of X vertex 1: every Y vertex must agree on it.
-    root = bytes(map(xor, py, map(xor, _y_reversed(a), _y_reversed(b))))
+    root = bytes(map(xor, py, map(xor, a.y_reversed, b.y_reversed)))
     state = root[0]
     if root.count(state) != len(root):
         return False

@@ -29,7 +29,7 @@ from kn3genus import fileio
 from kn3genus.circuits import canonical_set_key
 from kn3genus.levi import build_levi
 
-from peaks import peak_bytes
+from peaks import live_bytes, peak_bytes
 
 
 def test_set_round_trip_exact(strong6):
@@ -112,6 +112,39 @@ def test_parse_set_rejects_corrupted_line(strong6):
     with pytest.raises(FormatError) as err:
         parse_set("\n".join(lines))
     assert "line 4" in str(err.value)
+
+
+# The line breaks of `str.splitlines` that are whitespace within a line.
+INLINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", INLINE_BREAKS, ids=lambda brk: f"U+{ord(brk):04X}")
+def test_parse_set_ends_a_line_only_at_a_line_ending(strong6, brk):
+    lines = format_set(strong6).split("\n")
+    lines[2] += brk
+    lines[4] += " x"
+    with pytest.raises(FormatError) as err:
+        parse_set("\n".join(lines))
+    assert str(err.value) == f"line 5: bad circuit line {lines[4]!r}"
+    # Between two vertices of a T line it separates them, as a space does.
+    lines = format_set(strong6).split("\n")
+    lines[3] = brk.join(lines[3].rsplit(" ", 1))
+    assert parse_set("\n".join(lines)) == strong6
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_census_digests_verify_across_line_endings(ending):
+    families = [build_even(6, True, seed=s) for s in (1, 2)]
+    text = format_census(families)
+    assert parse_census(text.replace("\n", ending)) == families
+
+
+@pytest.mark.parametrize("brk", INLINE_BREAKS, ids=lambda brk: f"U+{ord(brk):04X}")
+def test_census_names_the_last_line_of_a_tampered_record(brk):
+    text = format_census([build_even(6, True, seed=1)])
+    with pytest.raises(FormatError) as err:
+        parse_census(text.replace("T 1: ", f"T 1:{brk} ", 1))
+    assert str(err.value) == f"digest mismatch for record ending at line {text.count(chr(10))}"
 
 
 def test_parse_set_rejects_missing_circuit(strong6):
@@ -273,7 +306,7 @@ def test_parse_scheme_reads_lines_in_any_order(name):
     header, x_rot, y_rot, sig = _blocks(text)
     moved = "\n".join([header, *sig, "", *y_rot, " ", "", *x_rot, ""])
     written, back = parse_scheme(text), parse_scheme(moved)
-    assert back.y_rotations is None and written.y_rotations is None
+    assert back.y_reversed == written.y_reversed == bytes(len(y_rot))
     assert back.x_rotations == written.x_rotations
     assert back.negative == written.negative
     assert format_scheme(back) == text
@@ -303,12 +336,32 @@ def test_parse_scheme_classifies_a_line_once_stripped(strong6, bare):
 
 def test_parse_scheme_keeps_sorted_y_rotations_implicit(strong6):
     text = format_scheme(set_to_scheme(strong6))
-    assert parse_scheme(text).y_rotations is None
+    assert parse_scheme(text).y_reversed == bytes(20)
     turned = text.replace("rot e{1,2,3}: 1 2 3", "rot e{1,2,3}: 3 2 1")
     sch = parse_scheme(turned)
-    assert sch.y_rotations == [[2, 1, 0]] + [[k, k + 1, k + 2] for k in range(3, 60, 3)]
+    assert sch.y_reversed == b"\x01" + bytes(19)
     assert format_scheme(sch) == turned
     assert parse_scheme(turned) != parse_scheme(text)
+
+
+@pytest.mark.parametrize(
+    "order,turned", [("2 3 1", 0), ("3 1 2", 0), ("3 2 1", 1), ("1 3 2", 1), ("2 1 3", 1)]
+)
+def test_parse_scheme_keeps_a_y_rotation_as_its_orientation(strong6, order, turned):
+    # A Y rotation is one of two cyclic orders; where a line starts it is not kept.
+    text = format_scheme(set_to_scheme(strong6))
+    sch = parse_scheme(text.replace("rot e{1,2,3}: 1 2 3", f"rot e{{1,2,3}}: {order}"))
+    assert sch.y_reversed == bytes([turned]) + bytes(19)
+    written = "3 2 1" if turned else "1 2 3"
+    assert format_scheme(sch) == text.replace("rot e{1,2,3}: 1 2 3", f"rot e{{1,2,3}}: {written}")
+    assert (sch == parse_scheme(text)) == (not turned)
+
+
+def test_parse_scheme_holds_no_more_for_a_reversed_y_rotation():
+    text = format_scheme(set_to_scheme(build_multi(20, 3, seed=1)))
+    turned = text.replace("rot e{1,2,3}#0: 1 2 3", "rot e{1,2,3}#0: 3 2 1")
+    assert turned != text and parse_scheme(turned).y_reversed[0] == 1
+    assert live_bytes(parse_scheme, turned) <= 1.05 * live_bytes(parse_scheme, text)
 
 
 @pytest.mark.parametrize("new", ["rot x1:", "rot 2"], ids=["letter", "no-colon"])

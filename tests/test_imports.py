@@ -224,5 +224,13 @@ def test_public_names_are_pinned_and_resolve():
         kn3genus.no_such_name
 
 
+def test_distribution_is_named_after_the_package():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as file:
+        project = tomllib.load(file)["project"]
+    assert project["name"] == "kn3genus"
+    assert project["version"] == kn3genus.__version__
+
+
 def test_package_runs_as_a_module(tmp_path):
     assert "usage: kn3genus" in _run(["-m", "kn3genus", "--help"], tmp_path).stdout

@@ -789,8 +789,8 @@ def test_hand_built_scheme_keeps_no_reference_to_its_dicts(strong6):
     rotation, signature = dict(library.rotation), dict(library.signature)
     sch = EmbeddingScheme(library.graph, rotation, signature)
     faces, text = trace_faces(sch), format_scheme(sch)
-    # Y rotations given by hand in sorted order are kept as None, as parsed ones are.
-    assert faces.face_count == 30 and sch == library and sch.y_rotations is None
+    # Y rotations given by hand in sorted order are kept as 0 bits, as parsed ones are.
+    assert faces.face_count == 30 and sch == library and sch.y_reversed == bytes(20)
     e = next(iter(signature))
     signature[e] = -signature[e]
     rotation[1] = rotation[1][::-1]
@@ -805,11 +805,29 @@ def test_hand_built_scheme_survives_a_pickle_round_trip(strong6):
     y = ((1, 2, 3), 0)
     rotation = {**library.rotation, y: library.rotation[y][::-1]}
     sch = EmbeddingScheme(library.graph, rotation, dict(library.signature))
-    assert sch.y_rotations is not None
+    assert sch.y_reversed == b"\x01" + bytes(19)
     back = pickle.loads(pickle.dumps(sch))
     assert back == sch == parse_scheme(format_scheme(sch))
     assert trace_faces(back) == trace_faces(sch)
     assert back.rotation == sch.rotation and back.signature == sch.signature
+
+
+@pytest.mark.parametrize(
+    "slots,turned",
+    [((1, 2, 0), 0), ((2, 0, 1), 0), ((2, 1, 0), 1), ((0, 2, 1), 1), ((1, 0, 2), 1)],
+)
+def test_hand_built_scheme_keeps_one_bit_per_y_rotation(strong6, slots, turned):
+    library = set_to_scheme(strong6)
+    y = ((1, 2, 3), 0)
+    at = library.rotation[y]  # its edges in slot order
+    rotation = {**library.rotation, y: tuple(at[s] for s in slots)}
+    sch = EmbeddingScheme(library.graph, rotation, dict(library.signature))
+    assert sch.y_reversed == bytes([turned]) + bytes(19)
+    assert sch.rotation[y] == (at[::-1] if turned else at)
+    assert (sch == library) == (not turned)
+    back = pickle.loads(pickle.dumps(sch))
+    assert back == sch and back.y_reversed == sch.y_reversed
+    assert trace_faces(back) == trace_faces(sch)
 
 
 @pytest.mark.parametrize("which", ["none", "rotation-pairs", "signature-pairs"])
