@@ -58,6 +58,7 @@ class FormatError(Kn3Error):
     """A text file does not conform to one of the package formats."""
 
     def __init__(self, message, line=None):
+        self.reason = message  # the message without its line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

@@ -9,21 +9,23 @@ else tells the parallel copies apart.  Labels that repeat a copy parse, and
 fail the family checks (`circuits.validate_eulerian`).
 
 Schemes: header line, `rot <vertex>: ...` lines giving each cyclic edge
-order, then `sig <x> <y>: +1|-1` lines.  Edge-side vertices are written
-`e{i,j,k}` (plus `#c` when m > 1).  Schemes are read and written as the
-Levi edge ids an `EmbeddingScheme` holds: `parse_scheme` checks every line
-against the Levi graph and builds the scheme from the ids it reads, and
-`format_scheme` writes the ids of any scheme back, so reading a file the
-writer wrote reproduces it bit-exactly.  A Y rotation is kept as its
-orientation, the cyclic order of its sorted triple or the reverse, and the
-writer lists it from its lowest vertex or its highest (`rot e{1,2,3}: 1 2
-3` or `3 2 1`): a line that starts elsewhere (`2 3 1`) is read, and
-written back from the writer's start.  Lines may come in any order.  The
-Y names of one (n, m) are formatted once, by C-level passes, when first
-written or read; only the reader also builds the dict from each name to
-its vertex index.  A token that is not a canonical name (such as
-`e{1,2,3}#0` when m = 1) is parsed on its own, and a bad one, such as a
-digit run too long for an int, is reported with its line.
+order, then `sig <x> <y>: +1|-1` lines.  Every vertex is written exactly as
+the writer writes it: an X vertex in plain decimal, a Y vertex `e{i,j,k}`
+with its triple sorted, plus `#c` only when m > 1.  The reader looks every
+head and token up in the writer's table of names (`_index_of`) and parses
+none, so any other spelling (`07`, `+7`, `e{2,1,3}`, `e{1,2,3}#0` when
+m = 1) names no vertex and is refused with its line.  Schemes are read and
+written as the Levi edge ids an `EmbeddingScheme` holds: `parse_scheme`
+checks every line against the Levi graph and builds the scheme from the
+ids it reads, and `format_scheme` writes the ids of any scheme back, so
+reading a file the writer wrote reproduces it bit-exactly.  A Y rotation
+is kept as its orientation, the cyclic order of its sorted triple or the
+reverse, and the writer lists it from its lowest vertex or its highest
+(`rot e{1,2,3}: 1 2 3` or `3 2 1`): a line that starts elsewhere (`2 3 1`)
+is read, and written back from the writer's start.  Lines may come in any
+order.  The Y names of one (n, m) are formatted once, by C-level passes,
+when first written or read; only the reader also builds the dict from
+each name to its vertex index.
 
 In all three formats a line ends at "\\n", "\\r\\n" or "\\r" and nowhere
 else, in a text as in a file: the other breaks of `str.splitlines` ("\\f",
@@ -43,7 +45,6 @@ Census: header line, then per record a `record sha256=<hex>` digest line
 followed by the record's family in the format above.
 """
 
-import re
 from collections import deque
 from collections.abc import Iterator
 from functools import cache, partial
@@ -53,14 +54,12 @@ from typing import TextIO
 
 from .circuits import Circuit, EmbeddingSet
 from .exceptions import CopyResolutionError, FormatError
-from .levi import HypergraphSpec, YVertex, build_levi
+from .levi import HypergraphSpec, build_levi
 from .scheme import EmbeddingScheme
 
 SET_HEADER = "# kn3-embedding-set v1"
 SCHEME_HEADER = "# kn3-scheme v1"
 CENSUS_HEADER = "# kn3-census v1"
-
-_Y_NAME = re.compile(r"^e\{(\d+(?:,\d+)*)\}(?:#(\d+))?$")
 
 
 def format_set(s: EmbeddingSet) -> str:
@@ -149,11 +148,6 @@ def parse_set(text: str) -> EmbeddingSet:
     return EmbeddingSet(n=n, m=m, circuits=tuple(circuits), strong=bool(orientable))
 
 
-def _y_name(y: YVertex, m: int) -> str:
-    triple, c = y
-    return "e{%d,%d,%d}" % triple if m == 1 else "e{%d,%d,%d}#%d" % (*triple, c)
-
-
 @cache
 def _y_names(n: int, m: int) -> tuple[str, ...]:
     """`_y_names(n, m)[y]` is the written name of the Y vertex at index y,
@@ -169,33 +163,10 @@ def _y_names(n: int, m: int) -> tuple[str, ...]:
 @cache
 def _index_of(n: int, m: int) -> dict[str, int]:
     """Every written name of (n, m) to its vertex index: x - 1 for the X
-    vertex x and n + y for the Y vertex at index y.  Only the reader needs it."""
+    vertex x and n + y for the Y vertex at index y.  Only the reader needs
+    it, and a token that is not a key names no vertex."""
     y_names = _y_names(n, m)
     return dict(zip(chain(map(str, range(1, n + 1)), y_names), range(n + len(y_names))))
-
-
-def _digits(run: str, lineno: int) -> int:
-    """A run of digits in a Y name as an int; FormatError when it is longer
-    than `int` reads (Python's limit on decimal digits)."""
-    try:
-        return int(run)
-    except ValueError:
-        message = f"a run of {len(run)} digits is too long for a vertex name"
-        raise FormatError(message, lineno) from None
-
-
-def _parse_vertex(token: str, m: int, lineno: int):
-    match = _Y_NAME.match(token)
-    if match:
-        triple = tuple(_digits(v, lineno) for v in match.group(1).split(","))
-        if len(triple) != 3 or sorted(triple) != list(triple):
-            raise FormatError(f"bad triple in {token!r}", lineno)
-        copy = _digits(match.group(2), lineno) if match.group(2) else 0
-        return (triple, copy)
-    try:
-        return int(token)
-    except ValueError:
-        raise FormatError(f"bad vertex token {token!r}", lineno) from None
 
 
 # The short Y rot and sig lines are written this many to a chunk.
@@ -279,17 +250,16 @@ def _line_blocks(source: str | TextIO) -> Iterator[list[str]]:
 _OTHER, _ROT, _SIG = range(3)
 
 
-def _first_pass(lines: Iterator[str]) -> tuple[int, list[tuple[str, int]], bytearray]:
+def _first_pass(lines: Iterator[str]) -> tuple[int, int, bytearray]:
     """The first pass of `parse_scheme`: checks the header, classifies every
     line and refuses a second rot line for a head or a sig line without
-    exactly two names.  Returns the count of rot lines, the heads not
-    starting with "e", the X heads, with their line numbers, and the kind of
-    every line, one byte each."""
+    exactly two names.  Returns the count of rot lines, the count of X heads
+    (those not starting with "e") and the kind of every line, one byte each."""
     header = next(lines, None)
     if header is None or header.strip() != SCHEME_HEADER:
         raise FormatError(f"expected header {SCHEME_HEADER!r}", None if header is None else 1)
     heads: set[str] = set()
-    x_heads = []
+    x_count = 0
     kinds = bytearray([_OTHER])
     for lineno, line in enumerate(lines, 2):
         line = line.strip()
@@ -304,14 +274,13 @@ def _first_pass(lines: Iterator[str]) -> tuple[int, list[tuple[str, int]], bytea
             if head in heads:
                 raise FormatError(f"second rot line for {head!r}", lineno)
             heads.add(head)
-            if not head.startswith("e"):
-                x_heads.append((head, lineno))
+            x_count += not head.startswith("e")
             kinds.append(_ROT)
         elif line:
             raise FormatError(f"unexpected line {line!r}", lineno)
         else:
             kinds.append(_OTHER)
-    return len(heads), x_heads, kinds
+    return len(heads), x_count, kinds
 
 
 def parse_scheme(source: str | TextIO) -> EmbeddingScheme:
@@ -321,12 +290,14 @@ def parse_scheme(source: str | TextIO) -> EmbeddingScheme:
     Lines may come in any order.  The first pass classifies each line,
     refuses a second rot line for a head or a sig line without exactly two
     names, and keeps only the rot heads and a kind byte per line.  Once the
-    X heads give n and the count of rot lines gives m, the second pass
-    reads each rot line, then each sig line, straight into ids and signs: a
-    bad sig line is reported only when every rot line has passed.  Each Y
-    rot line sets the byte of its vertex in `y_reversed`: 0 when it lists
-    its triple in the cyclic order of the sorted triple, from any start,
-    and 1 for the reverse.
+    count of X heads gives n and the count of rot lines gives m, the second
+    pass reads each rot line, then each sig line, straight into ids and
+    signs: every head and token is looked up in the written names of (n, m),
+    and one that is not among them is refused at its line.  A bad sig line
+    is reported only when every rot line has passed.  Each Y rot line sets
+    the byte of its vertex in `y_reversed`: 0 when it lists its triple in
+    the cyclic order of the sorted triple, from any start, and 1 for the
+    reverse.
 
     A file is read twice from where it stands, a chunk at a time, so its
     text is never held whole; one that cannot seek is read into a text
@@ -338,21 +309,11 @@ def parse_scheme(source: str | TextIO) -> EmbeddingScheme:
     start = None if isinstance(source, str) else source.tell()
     lines = _lines(source)
     try:
-        rot_count, x_heads, kinds = _first_pass(lines)
+        rot_count, n, kinds = _first_pass(lines)
     except FormatError:
         deque(lines, maxlen=0)  # a decoding fault further on comes first
         raise
 
-    x_labels = []
-    for head, lineno in x_heads:
-        try:
-            x_labels.append(int(head))
-        except ValueError as exc:
-            raise FormatError(f"bad vertex name: {exc}", lineno) from None
-    x_labels.sort()
-    n = len(x_labels)
-    if x_labels != list(range(1, n + 1)):
-        raise FormatError(f"rot lines must cover vertices 1..n, got {x_labels}")
     if n < 4:
         raise FormatError(f"need rot lines for vertices 1..n with n >= 4, got n={n}")
     # One rot line per Levi vertex: the count fixes m before the Levi graph,
@@ -370,18 +331,10 @@ def parse_scheme(source: str | TextIO) -> EmbeddingScheme:
     triples += zip(ends, ends, ends)
     labels = [str(x) for x in range(n + 1)]
 
-    # Written names are looked up; any other token is parsed, and may still
-    # name a Levi vertex (`e{1,2,3}#0` when m = 1), or none, or be malformed.
-    def index(v) -> int | None:
-        """The vertex index of a parsed vertex, None if it is not in the graph."""
-        if isinstance(v, int):
-            return index_of.get(str(v))
-        return index_of.get(_y_name(v, m_mult)) if v[1] < m_mult else None
-
     # Each rotation must list exactly the incident edges of its vertex, once.
-    # A line's tokens start after its first colon, which no head holds.
+    # A line's tokens start after its first colon, which no head holds.  No
+    # head repeats and each vertex has one name, so no vertex is read twice.
     x_degree = graph.x_degree()
-    seen = bytearray(len(triples))
     x_rotations: list = [None] * n  # each filled once: the heads cover 1..n
     y_reversed = bytearray(len(triples) - n)
 
@@ -390,17 +343,14 @@ def parse_scheme(source: str | TextIO) -> EmbeddingScheme:
         head = head.strip()
         u = index_of.get(head)
         if u is None:
-            u = index(_parse_vertex(head, m_mult, lineno))
-        if u is None or seen[u]:
             raise FormatError(f"rot line for {head!r}: not a Levi vertex, or given twice", lineno)
-        seen[u] = 1
         tokens = body.split()
         if u < n:
             x = u + 1
             ws = [index_of.get(t) for t in tokens]
             if None in ws:
-                ws = [index(_parse_vertex(t, m_mult, lineno)) for t in tokens]
-            at = [3 * (w - n) + triples[w].index(x) for w in ws if w is not None and x in triples[w]]
+                raise FormatError(f"bad vertex token {tokens[ws.index(None)]!r}", lineno)
+            at = [3 * (w - n) + triples[w].index(x) for w in ws if x in triples[w]]
             if len(at) != len(ws) or len(at) != x_degree or len(set(at)) != x_degree:
                 raise FormatError(
                     f"rotation at {x} must list its {x_degree} edges once each", lineno
@@ -423,12 +373,10 @@ def parse_scheme(source: str | TextIO) -> EmbeddingScheme:
         head, _, val = line.partition(":")
         _, x_tok, y_tok = head.split()
         u, w = index_of.get(x_tok), index_of.get(y_tok)
-        if u is None or w is None or u >= n or w < n:
-            x, y = _parse_vertex(x_tok, m_mult, lineno), _parse_vertex(y_tok, m_mult, lineno)
-            if not isinstance(x, int) or isinstance(y, int):
-                raise FormatError("sig line must name a vertex then an edge name", lineno)
-            u, w = index(x), index(y)
-        if u is None or w is None or u + 1 not in triples[w]:
+        if u is None or w is None:
+            raise FormatError(f"bad vertex token {x_tok if u is None else y_tok!r}", lineno)
+        # This also refuses a Y vertex first (u + 1 > n) or an X vertex second.
+        if u + 1 not in triples[w]:
             raise FormatError(f"sig line for {x_tok} {y_tok}: not a Levi edge", lineno)
         k = 3 * (w - n) + triples[w].index(u + 1)
         if signed[k]:
@@ -488,11 +436,17 @@ def parse_census(text: str) -> list[EmbeddingSet]:
         digest = line.partition("=")[2].strip()
         body = []
         idx += 1
+        offset = idx  # the record's line r is line r + offset of the census
         while idx < len(lines) and lines[idx].strip() and not lines[idx].startswith("record "):
             body.append(lines[idx])
             idx += 1
         record = "\n".join(body) + "\n"
         if _digest(record) != digest:
             raise FormatError(f"digest mismatch for record ending at line {idx}")
-        out.append(parse_set(record))
+        try:
+            out.append(parse_set(record))
+        except FormatError as exc:
+            if exc.line is None:
+                raise
+            raise FormatError(exc.reason, exc.line + offset) from None
     return out

@@ -154,8 +154,10 @@ class EmbeddingScheme:
     `signature` every edge (x, y) to +1 or -1: read-only views of the ids,
     built when first read, which list a Y rotation from its lowest slot, or
     from its highest when reversed.  Two schemes are equal when their graphs,
-    X rotations, Y orientations and signatures are.  A pickle holds the ids
-    and (n, m) alone.
+    X rotations, Y orientations and signatures are; `==` compares each X
+    rotation from its written start, so two lists of the same cyclic order
+    that start at different edges are unequal.  `schemes_equivalent` is the
+    test for the same embedding.  A pickle holds the ids and (n, m) alone.
     """
 
     __slots__ = ("graph", "x_rotations", "y_reversed", "negative", "_rotation", "_signature")

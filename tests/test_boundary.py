@@ -57,6 +57,8 @@ SCHEME_SEEDS = [
 SCHEME_TOKENS = [
     "", "0", "1", "4", "7", "-1", "+1", "x", "rot", "sig", ":", "1:", "e{1,2,3}", "e{1,2,3}#0",
     "e{1,2,3}#1", "e{1,2,3}#9", "e{3,2,1}", "e{1,2}", "e{1,2,99}", "e{1,2,3}:", "e{2,3,4}#1:",
+    # spellings of written names that the writer does not write
+    "01", "\u0661", "e{01,2,3}", "e{1,2,3}#00",
     # digit runs past Python's 4300-digit limit for int()
     "e{1,2,3}#" + "9" * 5000, "e{1,2,3}#" + "9" * 5000 + ":", "e{1,2," + "9" * 5000 + "}",
 ]

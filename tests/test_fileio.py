@@ -242,30 +242,56 @@ def test_census_digest_detects_tampering():
     assert "digest" in str(err.value) or "line" in str(err.value)
 
 
+def test_census_names_the_census_line_of_a_fault_in_a_record():
+    # A hand-edited record with a recomputed digest: its bad line is
+    # reported at its line in the census, not within the record.
+    families = [build_even(6, True, seed=s) for s in (1, 2)]
+    lines = format_census(families).splitlines()
+    digest = max(i for i, l in enumerate(lines) if l.startswith("record "))
+    at = next(i for i in range(digest, len(lines)) if lines[i].startswith("T 2: "))
+    lines[at] = "T 2: x"
+    record = "\n".join(lines[digest + 1 :]) + "\n"
+    lines[digest] = f"record sha256={hashlib.sha256(record.encode()).hexdigest()}"
+    with pytest.raises(FormatError) as err:
+        parse_census("\n".join(lines) + "\n")
+    assert str(err.value) == f"line {at + 1}: bad circuit line 'T 2: x'"
+
+
 def test_census_rejects_unknown_version():
     with pytest.raises(FormatError):
         parse_census("# kn3-census v9\n")
 
 
-def test_parse_scheme_reads_copy_zero_suffixes_at_m1(strong6):
+def test_parse_scheme_refuses_copy_zero_suffixes_at_m1(strong6):
+    # At m = 1 the writer writes no copy suffix, so `#0` names no vertex.
     text = format_scheme(set_to_scheme(strong6))
     suffixed = text.replace("}", "}#0")
     assert suffixed.count("#0") == 20 + 2 * 60  # rot e{..} lines, rot 1..6 lines, sig lines
-    assert parse_scheme(suffixed) == parse_scheme(text)
+    first = suffixed.splitlines()[1].split()[2]  # the first token of `rot 1:`, on line 2
+    with pytest.raises(FormatError) as err:
+        parse_scheme(suffixed)
+    assert str(err.value) == f"line 2: bad vertex token {first!r}"
 
 
 @pytest.mark.parametrize(
-    "kind,bad",
-    [("rot", "{line} e{{1,2,x}}"), ("sig", "sig 1 e{{1,2,x}}: +1")],
-    ids=["rot-line", "sig-line"],
+    "kind,bad,token",
+    [
+        ("rot", "{line} e{{1,2,x}}", "e{1,2,x}"),
+        ("sig", "sig 1 e{{1,2,x}}: +1", "e{1,2,x}"),
+        # spellings of written names that the writer does not write
+        ("rot", "{line} e{{1,2,3}}#0", "e{1,2,3}#0"),
+        ("sig", "sig 1 e{{1,2,3}}#0: +1", "e{1,2,3}#0"),
+        ("sig", "sig 01 e{{1,2,3}}: +1", "01"),
+    ],
+    ids=["rot-line", "sig-line", "rot-copy-zero", "sig-copy-zero", "sig-leading-zero"],
 )
-def test_parse_scheme_names_the_line_of_an_unknown_token(strong6, kind, bad):
+def test_parse_scheme_names_the_line_of_an_unknown_token(strong6, kind, bad, token):
     lines = format_scheme(set_to_scheme(strong6)).splitlines()
     at = next(i for i, l in enumerate(lines) if l.startswith(f"{kind} 1"))
     lines[at] = bad.format(line=lines[at])
     with pytest.raises(FormatError) as err:
         parse_scheme("\n".join(lines))
-    assert str(err.value) == f"line {at + 1}: bad vertex token 'e{{1,2,x}}'"
+    assert str(err.value) == f"line {at + 1}: bad vertex token {token!r}"
 
 
 def test_parse_scheme_refuses_a_copy_index_its_rot_lines_cannot_hold(strong6):
@@ -364,15 +390,31 @@ def test_parse_scheme_holds_no_more_for_a_reversed_y_rotation():
     assert live_bytes(parse_scheme, turned) <= 1.05 * live_bytes(parse_scheme, text)
 
 
-@pytest.mark.parametrize("new", ["rot x1:", "rot 2"], ids=["letter", "no-colon"])
-def test_parse_scheme_names_the_line_of_a_bad_rot_head(strong6, new):
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("rot 2:", "rot x1:"),
+        ("rot 2:", "rot 2"),
+        # spellings of written names that the writer does not write
+        ("rot 1:", "rot 01:"),
+        ("rot 1:", "rot +1:"),
+        ("rot 1:", "rot \u0661:"),  # an Arabic-Indic digit one
+        ("rot e{1,2,3}:", "rot e{01,2,3}:"),
+        ("rot e{1,2,3}:", "rot e{1,2,3}#0:"),
+    ],
+    ids=["letter", "no-colon", "leading-zero", "plus-sign", "arabic-indic-digit",
+         "triple-leading-zero", "copy-zero"],
+)
+def test_parse_scheme_names_the_line_of_a_bad_rot_head(strong6, old, new):
     lines = format_scheme(set_to_scheme(strong6)).splitlines()
-    at = next(i for i, l in enumerate(lines) if l.startswith("rot 2:"))
-    lines[at] = lines[at].replace("rot 2:", new, 1)
+    at = next(i for i, l in enumerate(lines) if l.startswith(old))
+    lines[at] = lines[at].replace(old, new, 1)
     with pytest.raises(FormatError) as err:
         parse_scheme("\n".join(lines))
     assert err.value.line == at + 1
-    assert str(err.value).startswith(f"line {at + 1}: bad vertex name: invalid literal for int()")
+    # Without a colon the head runs to the end of the line.
+    assert str(err.value).startswith(f"line {at + 1}: rot line for '{new[4:].rstrip(':')}")
+    assert str(err.value).endswith("': not a Levi vertex, or given twice")
 
 
 def test_parse_scheme_keeps_no_tokens_per_line():
@@ -471,26 +513,33 @@ def test_parse_scheme_joins_a_crlf_split_between_read_chunks(tmp_path):
 LONG_RUN = "9" * 5000  # past Python's 4300-digit limit for int()
 
 
+# A name is looked up, never parsed, so no digit run reaches `int()`.
 @pytest.mark.parametrize(
-    "old,new",
+    "old,new,message",
     [
         # a copy index on a rot head, where it sets m
-        ("rot e{1,2,3}: ", f"rot e{{1,2,3}}#{LONG_RUN}: "),
-        ("rot e{1,2,3}: ", f"rot e{{1,2,{LONG_RUN}}}: "),  # a triple member on a rot head
-        ("rot 1: ", f"rot 1: e{{1,2,{LONG_RUN}}} "),  # ... in a rot token
-        ("rot 1: ", f"rot 1: e{{1,2,3}}#{LONG_RUN} "),  # a copy index in a rot token
-        ("sig 1 e{1,2,3}: ", f"sig 1 e{{1,2,3}}#{LONG_RUN}: "),  # ... on a sig line
-        ("sig 1 e{1,2,3}: ", f"sig 1 e{{{LONG_RUN},2,3}}: "),  # a triple member on a sig line
+        ("rot e{1,2,3}: ", f"rot e{{1,2,3}}#{LONG_RUN}: ",
+         f"rot line for 'e{{1,2,3}}#{LONG_RUN}': not a Levi vertex, or given twice"),
+        ("rot e{1,2,3}: ", f"rot e{{1,2,{LONG_RUN}}}: ",  # a triple member on a rot head
+         f"rot line for 'e{{1,2,{LONG_RUN}}}': not a Levi vertex, or given twice"),
+        ("rot 1: ", f"rot 1: e{{1,2,{LONG_RUN}}} ",  # ... in a rot token
+         f"bad vertex token 'e{{1,2,{LONG_RUN}}}'"),
+        ("rot 1: ", f"rot 1: e{{1,2,3}}#{LONG_RUN} ",  # a copy index in a rot token
+         f"bad vertex token 'e{{1,2,3}}#{LONG_RUN}'"),
+        ("sig 1 e{1,2,3}: ", f"sig 1 e{{1,2,3}}#{LONG_RUN}: ",  # ... on a sig line
+         f"bad vertex token 'e{{1,2,3}}#{LONG_RUN}'"),
+        ("sig 1 e{1,2,3}: ", f"sig 1 e{{{LONG_RUN},2,3}}: ",  # a triple member on a sig line
+         f"bad vertex token 'e{{{LONG_RUN},2,3}}'"),
     ],
     ids=["rot-head-copy", "rot-head-triple", "rot-token-triple", "rot-token-copy",
          "sig-copy", "sig-triple"],
 )
-def test_parse_scheme_refuses_a_digit_run_too_long_for_an_int(strong6, old, new):
+def test_parse_scheme_refuses_a_digit_run_too_long_for_an_int(strong6, old, new, message):
     text = format_scheme(set_to_scheme(strong6))
     at = next(i for i, l in enumerate(text.splitlines()) if l.startswith(old))
     with pytest.raises(FormatError) as err:
         parse_scheme(text.replace(old, new, 1))
-    assert str(err.value) == f"line {at + 1}: a run of 5000 digits is too long for a vertex name"
+    assert str(err.value) == f"line {at + 1}: {message}"
 
 
 # Digests of written schemes that must stay byte-identical: they pin the Y
