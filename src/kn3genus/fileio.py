@@ -121,7 +121,7 @@ def parse_set(text: str) -> EmbeddingSet:
         head, _, body = rest.partition(":")
         try:
             idx = int(head.strip())
-            values = tuple(int(v) for v in body.split())
+            values = tuple(map(int, body.split()))
         except ValueError:
             raise FormatError(f"bad circuit line {line!r}", lineno) from None
         target = seqs if kind == "T" else labels
@@ -343,7 +343,7 @@ def parse_scheme(source: str | TextIO) -> EmbeddingScheme:
         head = head.strip()
         u = index_of.get(head)
         if u is None:
-            raise FormatError(f"rot line for {head!r}: not a Levi vertex, or given twice", lineno)
+            raise FormatError(f"rot line for {head!r}: not a Levi vertex", lineno)
         tokens = body.split()
         if u < n:
             x = u + 1

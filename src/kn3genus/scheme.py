@@ -22,15 +22,16 @@ the edges whose signs differ, and then compares rotations.
 
 The central conversions realize the bijection between quadrilateral
 embeddings of the Levi graph and pairwise-compatible circuit families:
-`set_to_scheme` reads rotations off the circuits and derives the signature
-from traversal directions, `scheme_to_set` recovers the circuits from the
-rotations around the vertex side.  `verify_family` checks a family once and
-certifies it, through its scheme, as a minimum-genus embedding or not.
+`verify_family` reads rotations off the circuits, derives the signature
+from traversal directions, and certifies the family, through its scheme,
+as a minimum-genus embedding or not; `set_to_scheme` returns that scheme.
+`scheme_to_set` recovers the circuits from the rotations around the vertex
+side.
 
 Certifying a family.  The family front end decides from the edge ids
 whether every circuit is Eulerian with valid copy labels, refusing exactly
 what `circuits.check_family` refuses.  Compatibility and strength then
-follow from two lemmas, for every m, and `circuits` runs only to name a
+follow from the lemmas below, for every m, and `circuits` runs only to name a
 failure: `check_family` for a family the front end refuses, `pair_reports`
 for one it passes.
 
@@ -92,10 +93,26 @@ T_i through j, is strength.  (Without the copies this fails for m > 1: a
 pass a -> j -> a has the ends a and a, and its partner counts as reversed
 while it runs from Y to Y'.)
 
-So `verify_family` reads compatibility off the faces it traces anyway,
-`set_to_scheme` off the pairing (`_corners_paired`, cheaper than a trace),
-and `scheme_to_set` off the faces of the scheme it reads; the first and
-the last read strength off the signs of the family's own scheme.
+Lemma 3.  Let every face of a scheme be a quadrilateral, and let F be the
+family its X rotations spell.  Then each sign of the scheme is the sign
+that the scheme of F gives the edge, flipped when the rotation of its Y
+vertex is reversed; so F is strong iff the scheme has one sign at every Y
+vertex.
+Proof.  The scheme of F has the same X rotations, and every Y rotation in
+sorted order.  Let T_i step j -> b over Y' = {i, j, b}, after the corner of
+T_i through j.  By the "if" half of lemma 1 the face at that corner
+reaches j, so a face leaving i forward along iY' goes on at Y' to j: the
+edge is positive iff j follows i in the rotation of Y'.  In the scheme of F
+it is positive iff j follows i in the sorted order (the sign rule), so the
+two signs differ iff Y' is reversed.  Every edge iY' follows one corner of
+T_i, so the two schemes differ by one bit per Y vertex, which keeps its
+three signs equal or not, and lemma 2 reads strength off them.
+
+So the faces decide compatibility, and the signs strength, in one place:
+`verify_family` traces the family's scheme and `set_to_scheme` returns it,
+and `scheme_to_set` reads both off the scheme it is given (lemma 3), never
+building the scheme of the family it reads back.  The passes of `circuits`
+only name a failure.
 """
 
 from collections import Counter
@@ -104,7 +121,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from math import comb
-from operator import add, mul, xor
+from operator import xor
 from types import MappingProxyType
 
 from .circuits import (
@@ -527,54 +544,10 @@ def _family_scheme(s: EmbeddingSet) -> EmbeddingScheme | None:
     return EmbeddingScheme.from_ids(graph, x_rotations, bytes(len(negative) // 3), negative)
 
 
-def _corners_paired(s: EmbeddingSet, sch: EmbeddingScheme) -> bool:
-    """Whether every corner of T_i through j has its partner, a corner of
-    T_j through i between the same two Y vertices: whether the family is
-    compatible, and its faces all quadrilaterals (lemma 1).
-
-    A corner is keyed by its two Y vertices, as their product and sum, and
-    by the sum i + j, which tells the pair {i, j} apart from the other two
-    pairs of a triple.  Only i and j give a corner that key, once each, so
-    the corners are paired iff there are half as many keys as corners.
-    """
-    keys = set()
-    for i, c, rot in zip(range(1, s.n + 1), s.circuits, sch.x_rotations):
-        ys = [k // 3 for k in rot]
-        before = ys[-1:] + ys[:-1]
-        # The corner before step p passes through its first vertex, c.seq[p].
-        keys.update(zip(map(mul, before, ys), map(add, before, ys), map(add, c.seq, repeat(i))))
-    return 2 * len(keys) == len(sch.negative)
-
-
 def _signs_agree(negative: bytearray) -> bool:
     """Whether the three edges of every Y vertex have one signature: the
     parity of `_parities` that is 0 on every X vertex (lemma 2)."""
     return negative[0::3] == negative[1::3] == negative[2::3]
-
-
-def set_to_scheme(s: EmbeddingSet) -> EmbeddingScheme:
-    """Rotation and signature of the quadrilateral embedding encoded by a family.
-
-    The rotation around vertex i lists the triples read off consecutive
-    pairs of its circuit; the rotation around a triple is its three elements
-    in sorted cyclic order; the signature of an end records whether the
-    circuit at that end traverses the opposite pair in the cyclic direction
-    of the sorted triple.
-
-    For m > 1 the parallel copies are told apart by the circuits' copy
-    labels, which every circuit must carry.  A family whose ids pass the
-    front end is compatible iff its corners are paired, and then every face
-    of the scheme is a quadrilateral (lemma 1).  Raises NotAnEmbeddingSet
-    for an invalid family, missing or bad copy labels included, with its
-    first failure: that of `check_family` for one the front end refuses,
-    and of `circuits.pair_reports` for one with a corner unpaired.
-    """
-    sch = _family_scheme(s)
-    if sch is None:
-        raise NotAnEmbeddingSet(check_family(s)[0].first())
-    if not _corners_paired(s, sch):
-        raise NotAnEmbeddingSet(pair_reports(s)[0].first())
-    return sch
 
 
 @dataclass(frozen=True)
@@ -641,6 +614,31 @@ def verify_family(s: EmbeddingSet) -> FamilyReport:
     return FamilyReport(eulerian, ValidationReport(True, []), scheme, faces, expected_genus, s)
 
 
+def set_to_scheme(s: EmbeddingSet) -> EmbeddingScheme:
+    """Rotation and signature of the quadrilateral embedding encoded by a family.
+
+    The rotation around vertex i lists the triples read off consecutive
+    pairs of its circuit; the rotation around a triple is its three elements
+    in sorted cyclic order; the signature of an end records whether the
+    circuit at that end traverses the opposite pair in the cyclic direction
+    of the sorted triple.
+
+    For m > 1 the parallel copies are told apart by the circuits' copy
+    labels, which every circuit must carry.  The scheme is that of
+    `verify_family`, which decides compatibility by the faces (lemma 1).
+    Raises NotAnEmbeddingSet for an invalid family, missing or bad copy
+    labels included, with the first failure of its report: the Eulerian
+    one of `check_family` for a family the front end refuses, else the
+    compatible one of `circuits.pair_reports`.
+    """
+    report = verify_family(s)
+    if report.scheme is None:
+        # A failed ValidationReport is falsy, so test for None.
+        failed = report.eulerian if report.compatible is None else report.compatible
+        raise NotAnEmbeddingSet(failed.first())
+    return report.scheme
+
+
 # ---------------------------------------------------------------------------
 # scheme -> circuits
 
@@ -687,8 +685,8 @@ def scheme_to_set(sch: EmbeddingScheme) -> EmbeddingSet:
     quadrilateral embedding exists).  The circuits read back are Eulerian
     with valid copy labels, as each X rotation lists every edge at its
     vertex once, and compatible, as the faces are quadrilaterals (lemma 1).
-    The `strong` flag is read off the signs the family's own scheme gives
-    its edges (lemma 2), for every m.
+    The `strong` flag is read off the scheme's own signs, one per Y vertex
+    or not (lemma 3), for every m.
     """
     n, m = sch.graph.n, sch.graph.m
     if n % 2 != 0:
@@ -700,9 +698,7 @@ def scheme_to_set(sch: EmbeddingScheme) -> EmbeddingSet:
     circuits = tuple(
         _read_circuit(sch.graph, i, rot) for i, rot in enumerate(sch.x_rotations, 1)
     )
-    family = EmbeddingSet(n=n, m=m, circuits=circuits, strong=False)
-    strong = _signs_agree(_family_scheme(family).negative)
-    return EmbeddingSet(n=n, m=m, circuits=circuits, strong=strong)
+    return EmbeddingSet(n=n, m=m, circuits=circuits, strong=_signs_agree(sch.negative))
 
 
 # ---------------------------------------------------------------------------

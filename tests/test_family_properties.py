@@ -199,6 +199,17 @@ def test_compatible_means_quadrilateral_and_strong_means_one_sign_per_y_vertex(s
         assert faces.orientable and report.strong.ok
 
 
+def switch(sch: EmbeddingScheme, switched) -> EmbeddingScheme:
+    """sch with the vertices in `switched` switched: their rotations reversed
+    and the sign of every edge with one end among them flipped."""
+    rotation = {v: rot[::-1] if v in switched else rot for v, rot in sch.rotation.items()}
+    signature = {
+        (x, y): -sign if (x in switched) != (y in switched) else sign
+        for (x, y), sign in sch.signature.items()
+    }
+    return EmbeddingScheme(sch.graph, rotation, signature)
+
+
 def test_pinned_families_are_compatible_and_not_strong():
     for s, transition, orientable in (
         (STRONG_WITHOUT_ZERO_PARITY, "(3,2,4)", True),
@@ -212,6 +223,22 @@ def test_pinned_families_are_compatible_and_not_strong():
         assert is_embedding_set(s, require_strong=True).failures == [failure]
         assert pairwise_first_failure(rows(s), require_strong=True) == failure
         assert not scheme_to_set(set_to_scheme(s)).strong
+    # Switching every Y vertex reverses every Y rotation at m > 1, so the
+    # strength read back comes off signs that differ from the family's own
+    # by one bit per Y vertex (lemma 3).  Switching X vertex 1 as well
+    # reads T_1 back reversed, so the strong family reads back not strong.
+    for s, y_strong, x1_strong in (
+        (STRONG_WITHOUT_ZERO_PARITY, False, False),
+        (STRONG_WITHOUT_PARITY, False, False),
+        (build_multi(6, 2, True, seed=1), True, False),
+    ):
+        sch = set_to_scheme(s)
+        ys = set(sch.graph.y_vertices)
+        for switched, strong in ((ys, y_strong), (ys | {1}, x1_strong)):
+            back = scheme_to_set(switch(sch, switched))
+            assert back.strong == strong
+            assert pairwise_first_failure(rows(back), require_strong=False) == ""
+            assert (pairwise_first_failure(rows(back), require_strong=True) == "") == strong
 
 
 @settings(max_examples=60, deadline=None)
@@ -233,12 +260,7 @@ def test_switched_quadrilateral_schemes_read_back_as_the_oracle_says(s, data):
     assume(not pairwise_first_failure(rows(s), False))
     sch = set_to_scheme(s)
     switched = data.draw(st.sets(st.sampled_from(list(sch.rotation))))
-    rotation = {v: rot[::-1] if v in switched else rot for v, rot in sch.rotation.items()}
-    signature = {
-        (x, y): -sign if (x in switched) != (y in switched) else sign
-        for (x, y), sign in sch.signature.items()
-    }
-    back = scheme_to_set(EmbeddingScheme(sch.graph, rotation, signature))
+    back = scheme_to_set(switch(sch, switched))
     pairs = rows(back)
     assert pairwise_first_failure(pairs, require_strong=False) == ""
     assert back.strong == (pairwise_first_failure(pairs, require_strong=True) == "")

@@ -3,8 +3,10 @@ benchmark's imports exist, and each command loads only what it runs.
 
 A module of `kn3genus` that needs another module's underscore name should
 get a public entry point instead; this keeps private helpers private to the
-module that defines them.  No module raises a bare `ValueError` or
-`KeyError`: refusals are `Kn3Error`s.  The benchmark harness in `perfbench/` imports
+module that defines them.  Every import, and every module-level underscore
+def, is read in its module, so a helper or an import left behind by a
+deletion shows.  No module raises a bare `ValueError` or `KeyError`:
+refusals are `Kn3Error`s.  The benchmark harness in `perfbench/` imports
 public names of the package; one that is renamed or deleted would surface
 only as failed benchmark operations, so its imports are checked here.  The
 package loads its public names on first use, and the CLI imports per
@@ -71,6 +73,60 @@ def test_private_uses_are_detected():
         "line 1: imports _build",
         "line 4: imports _index",
         "line 3: reads fileio._helper",
+    ]
+
+
+def _unread_names(tree: ast.Module) -> list[str]:
+    """Imports, and module-level underscore defs, that the module never reads."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # `import a.b` binds `a`.
+                bound.append((node.lineno, "imports", (alias.asname or alias.name).split(".")[0]))
+    for node in tree.body:
+        if (
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+            and not node.name.endswith("__")
+        ):
+            bound.append((node.lineno, "defines", node.name))
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [f"line {line}: {verb} {name}" for line, verb, name in bound if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_and_private_def_is_read(path):
+    assert _unread_names(ast.parse(path.read_text())) == []
+
+
+def test_unread_names_are_detected():
+    tree = ast.parse(
+        "from operator import add, mul, xor\n"
+        "import os.path\n"
+        "from . import fileio as io\n"
+        "def _helper():\n"
+        "    return xor(1, 0)\n"
+        "def _unused():\n"
+        "    import json\n"
+        "    return _helper() + io.x\n"
+        "def __getattr__(name):\n"
+        "    pass\n"
+        "class _Spare:\n"
+        "    pass\n"
+        "add = 1\n"
+    )
+    assert _unread_names(tree) == [
+        "line 1: imports add",
+        "line 1: imports mul",
+        "line 2: imports os",
+        "line 7: imports json",
+        "line 6: defines _unused",
+        "line 11: defines _Spare",
     ]
 
 
