@@ -107,10 +107,18 @@ def sets_isomorphic(a: EmbeddingSet, b: EmbeddingSet) -> dict[int, int] | None:
 @dataclass
 class EnumerationResult:
     """The families found, each in its canonical written form
-    (`canonical_rewrite`), and whether the attempts ran out first."""
+    (`canonical_rewrite`), and whether the attempts ran out first.
+
+    Each attempt builds one family, which is new and kept, a duplicate of
+    one found before, or rejected by `verify_family`: `attempts` is
+    len(families) + `duplicates` + `rejected`.
+    """
 
     families: list[EmbeddingSet]
     budget_exhausted: bool
+    attempts: int
+    duplicates: int
+    rejected: int
 
     def __len__(self) -> int:
         return len(self.families)
@@ -131,22 +139,30 @@ def enumerate_variants(
     orientability).  Each family found is kept in its canonical written
     form, made from the least forms its canonical key was taken from.
     Stops early with `budget_exhausted` set once ATTEMPTS_PER_FAMILY * count
-    attempts have been spent.
+    attempts have been spent.  The result counts the attempts, and the
+    duplicates and rejections among them.
     """
     rng = Random(seed)
     found: dict[CanonicalSet, EmbeddingSet] = {}
     budget = ATTEMPTS_PER_FAMILY * count
-    attempts = 0
+    attempts = duplicates = rejected = 0
     while len(found) < count and attempts < budget:
         attempts += 1
         s = build_even(n, orientable, seed=rng.randrange(2**63))
         forms = _least_forms(s)
         key = CanonicalSet(n, s.m, tuple([min(ahead, back) for ahead, _, back, _ in forms]))
-        if key in found or not verify_family(s).is_minimum(orientable):
-            continue
-        found[key] = _rewrite(s, forms)
+        if key in found:
+            duplicates += 1
+        elif not verify_family(s).is_minimum(orientable):
+            rejected += 1
+        else:
+            found[key] = _rewrite(s, forms)
     return EnumerationResult(
-        families=list(found.values()), budget_exhausted=len(found) < count
+        families=list(found.values()),
+        budget_exhausted=len(found) < count,
+        attempts=attempts,
+        duplicates=duplicates,
+        rejected=rejected,
     )
 
 

@@ -198,6 +198,9 @@ def cmd_enumerate(args) -> int:
         "requested": args.count,
         "found": len(result),
         "budget_exhausted": result.budget_exhausted,
+        "attempts": result.attempts,
+        "duplicates": result.duplicates,
+        "rejected": result.rejected,
         "count_lower_bound": str(count_lower_bound(args.n)),
         "count_upper_bound": str(count_upper_bound(args.n)),
         "out": args.out,

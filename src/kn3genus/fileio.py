@@ -47,34 +47,56 @@ followed by the record's family in the format above.
 
 from collections import deque
 from collections.abc import Iterator
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import chain, combinations, islice, product, starmap
 from math import comb
+from operator import index
 from typing import TextIO
 
 from .circuits import Circuit, EmbeddingSet
-from .exceptions import CopyResolutionError, FormatError
+from .exceptions import CopyResolutionError, FormatError, NotAnEmbeddingSet
 from .levi import HypergraphSpec, build_levi
-from .scheme import EmbeddingScheme
+from .scheme import EmbeddingScheme, x_writer
 
 SET_HEADER = "# kn3-embedding-set v1"
 SCHEME_HEADER = "# kn3-scheme v1"
 CENSUS_HEADER = "# kn3-census v1"
 
 
+@lru_cache(maxsize=16)
+def _int_format(count: int) -> str:
+    """The format of `count` decimal ints, one space apart."""
+    return " ".join(["%d"] * count)
+
+
+def _ints(c: Circuit, values) -> str:
+    """The vertices or copy labels of circuit c as `parse_set` reads them:
+    decimal ints, one space apart, so an int subclass (`True` for 1) is
+    written as its value.  Refuses a value that is no int (`operator.index`
+    refuses it, as it refuses 2.0) with NotAnEmbeddingSet."""
+    try:
+        return _int_format(len(values)) % tuple(map(index, values))
+    except TypeError:
+        raise NotAnEmbeddingSet(
+            f"circuit {c.excluded}: a vertex or copy label that is not an int"
+        ) from None
+
+
 def format_set(s: EmbeddingSet) -> str:
     """The family file of a family; for m > 1 every circuit needs copy labels,
-    else CopyResolutionError names the first that has none."""
+    else CopyResolutionError names the first that has none.  Every vertex
+    and label is written as an int (`_ints`), so the file reads back to an
+    equal family."""
     lines = [SET_HEADER, f"n={s.n} m={s.m} orientable={1 if s.strong else 0}"]
     for c in s.circuits:
-        lines.append(f"T {c.excluded}: " + " ".join(map(str, c.seq)))
+        lines.append(f"T {c.excluded}: " + _ints(c, c.seq))
     if s.m > 1:
         for c in s.circuits:
             if c.copy_labels is None:
                 raise CopyResolutionError(
                     f"circuit {c.excluded}: no copy labels, which m={s.m} requires"
                 )
-            lines.append(f"L {c.excluded}: " + " ".join(map(str, c.copy_labels)))
+            lines.append(f"L {c.excluded}: " + _ints(c, c.copy_labels))
     return "\n".join(lines) + "\n"
 
 
@@ -100,6 +122,8 @@ def parse_set(text: str) -> EmbeddingSet:
         if "=" not in token:
             raise FormatError(f"bad metadata token {token!r}", 2)
         key, _, value = token.partition("=")
+        if key in fields:
+            raise FormatError(f"metadata key {key!r} given twice", 2)
         fields[key] = value
     n = _meta_int(fields, "n", 2)
     m = _meta_int(fields, "m", 2)
@@ -335,7 +359,7 @@ def parse_scheme(source: str | TextIO) -> EmbeddingScheme:
     # A line's tokens start after its first colon, which no head holds.  No
     # head repeats and each vertex has one name, so no vertex is read twice.
     x_degree = graph.x_degree()
-    x_rotations: list = [None] * n  # each filled once: the heads cover 1..n
+    x_ids, put = x_writer(graph)  # each rotation written once: the heads cover 1..n
     y_reversed = bytearray(len(triples) - n)
 
     def read_rot(line: str, lineno: int) -> None:
@@ -355,7 +379,7 @@ def parse_scheme(source: str | TextIO) -> EmbeddingScheme:
                 raise FormatError(
                     f"rotation at {x} must list its {x_degree} edges once each", lineno
                 )
-            x_rotations[u] = at
+            put(x, at)
         else:
             a, b, c = triples[u]
             members = [labels[a], labels[b], labels[c]]
@@ -404,7 +428,7 @@ def parse_scheme(source: str | TextIO) -> EmbeddingScheme:
     missing = signed.count(0)
     if missing:
         raise FormatError(f"{missing} edges missing a sig line")
-    return EmbeddingScheme.from_ids(graph, x_rotations, bytes(y_reversed), negative)
+    return EmbeddingScheme.from_ids(graph, x_ids, bytes(y_reversed), negative)
 
 
 def _digest(record: str) -> str:

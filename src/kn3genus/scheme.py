@@ -6,14 +6,17 @@ switching equivalence this determines a 2-cell surface embedding, whose
 faces are traced combinatorially.
 
 A scheme has one representation, `EmbeddingScheme`, on the integer edge
-ids of its `levi.LeviGraph` (id 3*y + slot): the X rotations as lists of ids,
-a byte per Y vertex that tells which of its two cyclic orders its rotation
-runs in (a Y vertex has three edges), and a bytearray marking the negative
-edges.  Every scheme is checked once, when it is built: a hand-built one by
-the dict front end in its constructor, a family's by the family front end
-(the id formula and the sign rule live there alone), a file's by
-`fileio.parse_scheme`.  Its `rotation` and `signature` are read-only dict
-views, built when first read.
+ids of its `levi.LeviGraph` (id 3*y + slot): the X rotations as read-only
+views of one buffer of 4-byte ids, a byte per Y vertex that tells which of
+its two cyclic orders its rotation runs in (a Y vertex has three edges),
+and a bytearray marking the negative edges.  Every scheme is checked once,
+when it is built: a hand-built one by the dict front end in its
+constructor, a family's by the family front end (the id formula and the
+sign rule live there alone), a file's by `fileio.parse_scheme`.  Each of
+them packs a rotation into the buffer as soon as it has read it, through
+`x_writer`, the one place that knows the layout, so no Python int per Levi
+edge outlives the construction.  Its `rotation` and `signature` are
+read-only dict views, built when first read.
 
 Every scheme call reads the ids.  One core, `trace_faces`, walks the faces
 over flags keyed by edge and reads orientability off a forced vertex
@@ -116,12 +119,12 @@ only name a failure.
 """
 
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from math import comb
-from operator import xor
+from struct import Struct
 from types import MappingProxyType
 
 from .circuits import (
@@ -155,7 +158,10 @@ class EmbeddingScheme:
     """A rotation and a signature on a Levi graph, held as Levi edge ids.
 
     The ids are those of `graph`, the shared `levi.LeviGraph` of its (n, m):
-    `x_rotations[x - 1]` lists the edges at X vertex x in rotation order.
+    `x_rotations[x - 1]` lists the edges at X vertex x in rotation order, as
+    a read-only memoryview of 4-byte ids (format "I").  All of them are
+    slices of one buffer of the scheme, 4 bytes per Levi edge, where X
+    vertex x starts at id (x - 1) * `graph.x_degree()` (`x_writer`).
     The Y vertex at index y has the three edges 3y, 3y+1, 3y+2, so its
     rotation is one of two cyclic orders: `y_reversed[y]` is 0 for 3y,
     3y+1, 3y+2, the cyclic order of its sorted triple, and 1 for the
@@ -165,19 +171,24 @@ class EmbeddingScheme:
     them.
 
     `EmbeddingScheme(graph, rotation, signature)` checks hand-built dicts
-    once and keeps their ids, not the dicts; `from_ids` takes ids a front
-    end has checked (`set_to_scheme`, `verify_family`, `parse_scheme`).
+    once and keeps their ids, not the dicts; `from_ids` takes a buffer of
+    ids a front end has checked (`set_to_scheme`, `verify_family`,
+    `parse_scheme`).
     `rotation` maps every vertex to the cyclic order of its edges and
     `signature` every edge (x, y) to +1 or -1: read-only views of the ids,
     built when first read, which list a Y rotation from its lowest slot, or
     from its highest when reversed.  Two schemes are equal when their graphs,
     X rotations, Y orientations and signatures are; `==` compares each X
-    rotation from its written start, so two lists of the same cyclic order
-    that start at different edges are unequal.  `schemes_equivalent` is the
-    test for the same embedding.  A pickle holds the ids and (n, m) alone.
+    rotation from its written start, so two rotations of the same cyclic
+    order that start at different edges are unequal.  `schemes_equivalent`
+    is the test for the same embedding.  A pickle holds (n, m) and the ids
+    alone, the X rotations as the bytes of their buffer, in the byte order
+    of the machine that wrote it.
     """
 
-    __slots__ = ("graph", "x_rotations", "y_reversed", "negative", "_rotation", "_signature")
+    __slots__ = (
+        "graph", "x_rotations", "y_reversed", "negative", "_x_ids", "_rotation", "_signature"
+    )
 
     def __init__(
         self,
@@ -205,23 +216,32 @@ class EmbeddingScheme:
         except (AttributeError, TypeError):
             raise GraphMismatch(f"graph must be a LeviGraph, got {type(graph).__name__}") from None
         id_of, x_end, count = levi.id_of, levi.x_end, levi.edge_count
-        x_rotations = []
+        degree = levi.x_degree()
+        x_ids, put = x_writer(levi)
+        # Every entry is at its own vertex, so the rotations list each edge
+        # once iff each holds as many distinct entries as its vertex has edges.
+        complete = True
         for x in x_vertices:
             at = _rotation_ids(rotation, x, id_of)
             if None in at or [x_end[k] for k in at].count(x) != len(at):
                 raise GraphMismatch(f"the rotation at vertex {x} lists an edge not at {x}")
-            x_rotations.append(at)
-        y_rotations = []
+            if len(at) == len(set(at)) == degree:
+                put(x, at)
+            else:
+                complete = False
+        y_reversed = bytearray(len(y_vertices))
         for yi, y in enumerate(y_vertices):
             at = _rotation_ids(rotation, y, id_of)
             if None in at or [k // 3 for k in at].count(yi) != len(at):
                 raise GraphMismatch(f"the rotation at vertex {y} lists an edge not at {y}")
-            y_rotations.append(at)
-        # Every entry is at its own vertex, so the rotations of one side list
-        # each edge once iff they hold `count` entries, all distinct.
-        for side in (x_rotations, y_rotations):
-            if sum(map(len, side)) != count or len(set(chain.from_iterable(side))) != count:
-                raise GraphMismatch("a rotation misses or repeats an edge of the graph")
+            if len(at) == len(set(at)) == 3:
+                # The slot step from its first entry to its second tells its
+                # cyclic order.
+                y_reversed[yi] = (at[1] - at[0]) % 3 != 1
+            else:
+                complete = False
+        if not complete:
+            raise GraphMismatch("a rotation misses or repeats an edge of the graph")
 
         signs = [signature.get(e) for e in levi.edges]
         if signs.count(1) + signs.count(-1) != count:
@@ -229,26 +249,28 @@ class EmbeddingScheme:
             raise GraphMismatch(
                 f"edge {levi.edges[k]} has no signature of +1 or -1 (got {signs[k]!r})"
             )
-        # Each Y rotation lists its three edges once: the slot step from its
-        # first entry to its second tells its cyclic order.
-        y_reversed = bytes([(rot[1] - rot[0]) % 3 != 1 for rot in y_rotations])
-        self._set(levi, x_rotations, y_reversed, bytearray([sign == -1 for sign in signs]))
+        self._set(levi, x_ids, bytes(y_reversed), bytearray([sign == -1 for sign in signs]))
 
     @classmethod
     def from_ids(
         cls,
         graph: LeviGraph,
-        x_rotations: list[list[int]],
+        x_ids: bytes | bytearray,
         y_reversed: bytes,
         negative: bytearray,
     ) -> "EmbeddingScheme":
-        """The scheme of ids that a front end has checked."""
+        """The scheme of ids that a front end has checked: `x_ids` is the
+        buffer of X rotations that `x_writer` filled, or its bytes, and the
+        scheme keeps it and hands out read-only views of it."""
         sch = cls.__new__(cls)
-        sch._set(graph, x_rotations, y_reversed, negative)
+        sch._set(graph, x_ids, y_reversed, negative)
         return sch
 
-    def _set(self, graph, x_rotations, y_reversed, negative) -> None:
-        self.graph, self.x_rotations, self.y_reversed = graph, x_rotations, y_reversed
+    def _set(self, graph, x_ids, y_reversed, negative) -> None:
+        ids = memoryview(x_ids).toreadonly().cast("I")
+        degree = len(ids) // graph.n
+        self.x_rotations = tuple(ids[d:d + degree] for d in range(0, len(ids), degree))
+        self.graph, self._x_ids, self.y_reversed = graph, x_ids, y_reversed
         self.negative = negative
         self._rotation = self._signature = None
 
@@ -289,7 +311,7 @@ class EmbeddingScheme:
         return (
             self.graph == other.graph
             and self.negative == other.negative
-            and self.x_rotations == other.x_rotations
+            and self._x_ids == other._x_ids
             and self.y_reversed == other.y_reversed
         )
 
@@ -299,8 +321,29 @@ class EmbeddingScheme:
     def __reduce__(self):
         # The views are not picklable; the ids are.
         return EmbeddingScheme.from_ids, (
-            self.graph, self.x_rotations, self.y_reversed, self.negative
+            self.graph, bytes(self._x_ids), self.y_reversed, self.negative
         )
+
+
+def x_writer(graph: LeviGraph) -> tuple[bytearray, Callable[[int, Sequence[int]], None]]:
+    """A zeroed buffer for the X rotations of a scheme on `graph`, and the
+    function that packs the rotation at X vertex x, its `x_degree()` edge
+    ids, into it.
+
+    Each id takes a C unsigned int (format "I", 4 bytes), and every X vertex
+    has the same degree, so the rotation at x takes the ids from
+    (x - 1) * degree on.  Every constructor writes each rotation through it
+    as soon as it has read it, and `EmbeddingScheme.from_ids` takes the
+    filled buffer.
+    """
+    rotation = Struct(f"{graph.x_degree()}I")
+    size = rotation.size
+    buffer = bytearray(size * graph.n)
+
+    def put(x: int, ids: Sequence[int]) -> None:
+        rotation.pack_into(buffer, size * (x - 1), *ids)
+
+    return buffer, put
 
 
 @dataclass(frozen=True)
@@ -347,11 +390,17 @@ def _parities(graph: LeviGraph, odd: bytes) -> tuple[list[int], bytes] | None:
     for x in range(2, len(px)):
         k = first_ids[0b110 | 1 << max(x, 3)]
         px[x] = odd[k] ^ odd[k + 1 if x == 2 else k + 2]
-    forced = bytes(map(xor, map(px.__getitem__, graph.x_end), odd))
+    forced = _xor(bytes(map(px.__getitem__, graph.x_end)), odd)
     py = forced[0::3]
     if py == forced[1::3] == forced[2::3]:
         return px, py
     return None
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    """The bytewise xor of two byte strings of one length, as one C-level
+    xor of the numbers they spell."""
+    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
 
 
 def _hop(j: int) -> bytes:
@@ -510,9 +559,10 @@ def _family_scheme(s: EmbeddingSet) -> EmbeddingScheme | None:
         return None
     graph = build_levi(spec)
     first_ids = graph.first_ids
-    negative = bytearray(graph.edge_count)
+    # 1 on a positive edge and 2 on a negative one, 0 on an edge no step takes.
+    signs = bytearray(graph.edge_count)
     bit = [1 << v for v in range(n + 1)]
-    x_rotations = []
+    x_ids, put = x_writer(graph)
     for i, c in enumerate(s.circuits, 1):
         seq, bit_i = c.seq, bit[i]
         if c.excluded != i or c.n != n or c.m != m:
@@ -532,16 +582,25 @@ def _family_scheme(s: EmbeddingSet) -> EmbeddingScheme | None:
                 rot.append(k)
                 # Positive signature iff the traversal runs u -> v where (u, v)
                 # follows i cyclically in the sorted triple, i.e. iff exactly
-                # one of i > u, u > v, v > i holds.
-                negative[k] = (i > u) + (u > v) + (v > i) != 1
+                # one of i > u, u > v, v > i holds; of three distinct
+                # vertices, one or two do.
+                signs[k] = (i > u) + (u > v) + (v > i)
         # KeyError: u, v and i are not three distinct vertices; TypeError: a
         # vertex or a copy label that is not an int.
         except (KeyError, TypeError):
             return None
-        if len(set(rot)) != degree:
-            return None
-        x_rotations.append(rot)
-    return EmbeddingScheme.from_ids(graph, x_rotations, bytes(len(negative) // 3), negative)
+        put(i, rot)
+    # The ids of circuit i are edges at X vertex i, and the circuits take
+    # n * degree steps, one per edge: so the ids of every circuit are
+    # distinct iff every edge has a sign.
+    if signs.count(0):
+        return None
+    negative = signs.translate(_NEGATIVE_OF_SIGN)
+    return EmbeddingScheme.from_ids(graph, x_ids, bytes(len(negative) // 3), negative)
+
+
+# Takes the signs of `_family_scheme`, 1 and 2, to the bytes of `negative`.
+_NEGATIVE_OF_SIGN = bytes([0, 0, 1]) + bytes(253)
 
 
 def _signs_agree(negative: bytearray) -> bool:
@@ -643,7 +702,7 @@ def set_to_scheme(s: EmbeddingSet) -> EmbeddingScheme:
 # scheme -> circuits
 
 
-def _read_circuit(graph: LeviGraph, i: int, rot: list[int]) -> Circuit:
+def _read_circuit(graph: LeviGraph, i: int, rot: Sequence[int]) -> Circuit:
     """The circuit excluding i that the ids around X vertex i spell.
 
     Consecutive triples around i share i and one circuit vertex: the circuit
@@ -705,10 +764,18 @@ def scheme_to_set(sch: EmbeddingScheme) -> EmbeddingSet:
 # switching equivalence
 
 
-def _cyclically_equal(ra: list[int], rb: list[int]) -> bool:
-    """Whether rb is ra up to rotation; both list the same edges once each."""
-    i = ra.index(rb[0])
-    return ra[i:] + ra[:i] == rb
+def _cyclically_equal(ra: memoryview, rb: memoryview) -> bool:
+    """Whether rb is ra up to rotation; both list the same edges once each.
+
+    Compared as bytes: rb's first id is found at a byte offset of ra that
+    starts an id, and ra, turned to start there, must equal rb.
+    """
+    a, b = ra.tobytes(), rb.tobytes()
+    head = b[:ra.itemsize]
+    i = a.find(head)
+    while i % ra.itemsize and i > 0:  # a match that straddles two ids
+        i = a.find(head, i + 1)
+    return i >= 0 and a[i:] + a[:i] == b
 
 
 def schemes_equivalent(a: EmbeddingScheme, b: EmbeddingScheme) -> bool:
@@ -727,13 +794,13 @@ def schemes_equivalent(a: EmbeddingScheme, b: EmbeddingScheme) -> bool:
     """
     if a.graph != b.graph:
         raise GraphMismatch("schemes are defined on different labelled graphs")
-    parities = _parities(a.graph, bytes(map(xor, a.negative, b.negative)))
+    parities = _parities(a.graph, _xor(a.negative, b.negative))
     if parities is None:
         return False
     px, py = parities
     # Y vertex y is switched iff b reverses its rotation, and iff py[y]
     # differs from the state of X vertex 1: every Y vertex must agree on it.
-    root = bytes(map(xor, py, map(xor, a.y_reversed, b.y_reversed)))
+    root = _xor(py, _xor(a.y_reversed, b.y_reversed))
     state = root[0]
     if root.count(state) != len(root):
         return False

@@ -1,4 +1,5 @@
 import random
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +15,11 @@ from kn3genus import (
     double_factorial,
     enumerate_variants,
     exhaustive_classes_order4,
+    is_embedding_set,
     relabel,
     sets_isomorphic,
 )
+from kn3genus import census
 
 
 def rotate_all(s, offset):
@@ -103,6 +106,23 @@ def test_enumerate_exhausts_on_n4():
     result = enumerate_variants(4, True, count=3, seed=0)
     assert result.budget_exhausted
     assert len(result) == 1
+    assert (result.attempts, result.duplicates, result.rejected) == (150, 149, 0)
+
+
+def test_enumerate_counts_every_attempt_once(monkeypatch):
+    # Every other attempt builds a family of the other orientability, which
+    # `verify_family` rejects unless an earlier family had its key.
+    built = count()
+    build_even = census.build_even
+
+    def alternating(n, orientable, seed):
+        return build_even(n, orientable == (next(built) % 2 == 0), seed=seed)
+
+    monkeypatch.setattr(census, "build_even", alternating)
+    result = enumerate_variants(8, True, count=10, seed=3)
+    assert len(result) == 10 and result.rejected > 0
+    assert result.attempts == len(result) + result.duplicates + result.rejected
+    assert all(is_embedding_set(s, require_strong=True).ok for s in result.families)
 
 
 def test_enumerate_deterministic():

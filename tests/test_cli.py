@@ -198,6 +198,20 @@ def test_verify_strict_strong_fails_a_family_strong_only_without_copies(tmp_path
     assert run(capsys, "verify", str(path))[0] == 0
 
 
+@pytest.mark.parametrize(
+    "meta,key",
+    [("n=8 n=6 m=1 orientable=1", "n"), ("n=6 m=1 orientable=0 orientable=1", "orientable")],
+)
+def test_verify_refuses_a_repeated_metadata_key(tmp_path, capsys, meta, key):
+    lines = fileio.format_set(fixture_set("strong_6")).splitlines(keepends=True)
+    lines[1] = meta + "\n"
+    path = tmp_path / "repeated.kn3set"
+    path.write_text("".join(lines))
+    assert run(capsys, "verify", str(path)) == (
+        2, "", f"error: line 2: metadata key '{key}' given twice\n"
+    )
+
+
 def test_verify_corrupted_file(tmp_path, capsys):
     path = tmp_path / "bad.kn3set"
     path.write_text("# kn3-embedding-set v1\nn=4 m=1 orientable=1\nT 1: 2 zz 4\n")
@@ -331,6 +345,14 @@ def test_enumerate_writes_census(tmp_path, capsys):
         assert is_embedding_set(s, require_strong=True).ok
         for c in s.circuits:
             assert all(c.seq <= c.rotated(off).seq for off in range(len(c.seq)))
+
+
+def test_enumerate_json_counts_attempts_duplicates_and_rejections(capsys):
+    code, out, _ = run(capsys, "enumerate", "--n", "6", "--count", "6", "--seed", "1", "--json")
+    payload = json.loads(out)
+    assert code == 0
+    counts = [payload[key] for key in ("found", "attempts", "duplicates", "rejected")]
+    assert counts == [6, 9, 3, 0]
 
 
 def test_enumerate_is_reproducible(tmp_path, capsys):

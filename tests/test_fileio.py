@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import tracemalloc
@@ -28,6 +29,7 @@ from kn3genus import (
 from kn3genus import fileio
 from kn3genus.circuits import canonical_set_key
 from kn3genus.levi import build_levi
+from kn3genus.scheme import verify_family
 
 from peaks import live_bytes, peak_bytes
 
@@ -104,6 +106,51 @@ def test_parse_set_refuses_an_orientable_flag_other_than_0_or_1(strong6, flag):
     with pytest.raises(FormatError) as err:
         parse_set("\n".join(lines))
     assert str(err.value) == f"line 2: orientable must be 0 or 1, got {flag}"
+
+
+@pytest.mark.parametrize(
+    "meta,key",
+    [("n=8 n=6 m=1 orientable=1", "n"), ("n=6 m=1 orientable=0 orientable=1", "orientable")],
+)
+def test_parse_set_refuses_a_repeated_metadata_key(strong6, meta, key):
+    lines = format_set(strong6).splitlines()
+    lines[1] = meta
+    with pytest.raises(FormatError) as err:
+        parse_set("\n".join(lines))
+    assert str(err.value) == f"line 2: metadata key '{key}' given twice"
+
+
+def _with_true_for_1(s, i):
+    """s with every 1 among the vertices and labels of T_i written as True."""
+    def swap(values):
+        return None if values is None else tuple(True if v == 1 else v for v in values)
+
+    circuits = list(s.circuits)
+    c = circuits[i - 1]
+    circuits[i - 1] = dataclasses.replace(c, seq=swap(c.seq), copy_labels=swap(c.copy_labels))
+    return EmbeddingSet(s.n, s.m, tuple(circuits), s.strong)
+
+
+@pytest.mark.parametrize("name", ["strong_6", "klein_4x2"])
+def test_format_set_writes_an_int_of_another_type_as_its_value(name):
+    s = fixture_set(name)
+    odd = _with_true_for_1(s, 2)
+    assert True in odd.circuits[1].seq and verify_family(odd).is_minimum(s.strong)
+    text = format_set(odd)
+    assert text == format_set(s) and "True" not in text
+    assert parse_set(text) == odd
+    census = format_census([odd])
+    assert census == format_census([s]) and parse_census(census) == [odd]
+
+
+@pytest.mark.parametrize("value", [2.0, "2", None])
+def test_format_set_refuses_a_vertex_that_is_no_int(strong6, value):
+    circuits = list(strong6.circuits)
+    c = circuits[2]
+    circuits[2] = dataclasses.replace(c, seq=(value, *c.seq[1:]))
+    with pytest.raises(NotAnEmbeddingSet) as err:
+        format_set(EmbeddingSet(6, 1, tuple(circuits), True))
+    assert str(err.value) == "circuit 3: a vertex or copy label that is not an int"
 
 
 def test_parse_set_rejects_corrupted_line(strong6):

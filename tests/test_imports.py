@@ -130,6 +130,45 @@ def test_unread_names_are_detected():
     ]
 
 
+def _array_imports(tree: ast.Module) -> list[str]:
+    """Imports of the `array` module, which costs 128 KiB of RSS in every
+    process that loads it: typed buffers are memoryviews of bytearrays."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [f"line {node.lineno}: imports {name}" for name in names
+                  if name.split(".")[0] == "array"]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_array(path):
+    assert _array_imports(ast.parse(path.read_text())) == []
+
+
+def test_array_imports_are_detected():
+    tree = ast.parse(
+        "import array\n"
+        "from array import array as typed\n"
+        "import os, array as arr\n"
+        "from . import array_helpers\n"
+        "import arrays\n"
+        "def fill():\n"
+        "    import array\n"
+    )
+    assert _array_imports(tree) == [
+        "line 1: imports array",
+        "line 2: imports array",
+        "line 3: imports array",
+        "line 7: imports array",
+    ]
+
+
 def _bare_raises(tree: ast.Module) -> list[str]:
     """`raise ValueError`/`raise KeyError`, called or not: the package
     raises its own `Kn3Error` types instead."""

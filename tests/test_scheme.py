@@ -1,6 +1,7 @@
 import pickle
 import random
 import re
+import struct
 from functools import partial
 
 import pytest
@@ -37,10 +38,10 @@ from kn3genus.circuits import (
     canonical_set_key,
     check_family,
 )
-from kn3genus.scheme import _family_scheme, verify_family
+from kn3genus.scheme import _cyclically_equal, _family_scheme, verify_family
 
 from oracle import brute_force_equivalent, naive_face_trace, pairwise_first_failure, rows
-from peaks import peak_bytes
+from peaks import live_bytes, peak_bytes
 
 
 def switch(sch, subset):
@@ -301,6 +302,53 @@ def test_trace_faces_holds_a_few_bytes_per_edge():
     # edge, with the face lengths.
     sch = set_to_scheme(build_multi(20, 3, orientable=False, seed=1))
     assert peak_bytes(trace_faces, sch) < 48 * len(sch.negative)
+
+
+@pytest.mark.parametrize("n,m", [(40, 1), (20, 3)])
+@pytest.mark.parametrize("read", ["verify_family", "parse_scheme"])
+def test_a_scheme_holds_at_most_16_bytes_per_levi_edge(n, m, read):
+    # The X rotations take 4 bytes an edge in one buffer; a list of ints per
+    # rotation held 45-50 bytes an edge here.
+    family = build_multi(n, m, orientable=False, seed=1)
+    edges = build_levi(HypergraphSpec(n, m)).edge_count
+    if read == "verify_family":
+        held = live_bytes(verify_family, family)
+    else:
+        held = live_bytes(parse_scheme, format_scheme(set_to_scheme(family)))
+    assert held <= 16 * edges
+
+
+def test_x_rotations_are_read_only_views_of_one_buffer(klein4x2):
+    library = set_to_scheme(klein4x2)
+    schemes = [
+        library,
+        parse_scheme(format_scheme(library)),
+        EmbeddingScheme(library.graph, dict(library.rotation), dict(library.signature)),
+        pickle.loads(pickle.dumps(library)),
+    ]
+    degree = library.graph.x_degree()
+    for sch in schemes:
+        rots = sch.x_rotations
+        assert len(rots) == 4 and len({id(rot.obj) for rot in rots}) == 1
+        assert all(rot.format == "I" and rot.readonly and len(rot) == degree for rot in rots)
+        assert rots == library.x_rotations and sch == library
+        with pytest.raises(TypeError):
+            rots[0][0] = rots[0][1]
+    assert [list(rot) for rot in library.x_rotations] == [
+        [library.graph.id_of[e] for e in library.rotation[x]] for x in range(1, 5)
+    ]
+
+
+def test_cyclically_equal_skips_an_id_that_straddles_two():
+    def view(*ids):
+        return memoryview(struct.pack(f"{len(ids)}I", *ids)).cast("I")
+
+    # Little-endian, 0x100 is 00 01 00 00: it is also at byte 1 of ra,
+    # across its first two ids.
+    ra = view(0x10005, 0x200, 0x100)
+    assert _cyclically_equal(ra, view(0x100, 0x10005, 0x200))
+    assert _cyclically_equal(ra[::-1], view(0x10005, 0x100, 0x200))
+    assert not _cyclically_equal(ra, view(0x100, 0x200, 0x10005))
 
 
 def _scheme_refusal(s):
