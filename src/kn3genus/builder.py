@@ -15,14 +15,19 @@ transitions to break, and where they sit, with `circuits.transition_positions`.
 All builders are deterministic for fixed (parameters, choices, seed).
 """
 
-from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from random import Random
 from typing import Sequence
 
 from .circuits import Circuit, EmbeddingSet, transition_positions
-from .exceptions import InvalidParameter, NoCommonTransition, OddOrder, UnsupportedCase
+from .exceptions import (
+    InvalidParameter,
+    NoCommonTransition,
+    OddOrder,
+    UnsupportedCase,
+    immutable,
+)
 from .fileio import parse_set
 
 _FIXTURES = {
@@ -60,7 +65,6 @@ def base_set(kind: str) -> EmbeddingSet:
     return fixture_set(_BASE_KINDS[kind])
 
 
-@dataclass(frozen=True)
 class TransitionChoice:
     """Free choices of one induction step, order n -> n+2.
 
@@ -68,21 +72,63 @@ class TransitionChoice:
     pair takes the odd role (so swapping a pair's order realizes the
     exchange of the two roles).  `transition_index` picks, per odd relabeled
     vertex 1, 3, ..., n-1, which admissible transition is broken.
-    `apex_swap` exchanges the two new vertices.
+    `apex_swap` exchanges the two new vertices.  Immutable; equal when all
+    three fields are, and hashable when they are.
     """
 
-    pairing: tuple[tuple[int, int], ...] | None = None
-    transition_index: dict[int, int] | None = None
-    apex_swap: bool = False
+    def __init__(
+        self,
+        pairing: tuple[tuple[int, int], ...] | None = None,
+        transition_index: dict[int, int] | None = None,
+        apex_swap: bool = False,
+    ):
+        object.__setattr__(self, "pairing", pairing)
+        object.__setattr__(self, "transition_index", transition_index)
+        object.__setattr__(self, "apex_swap", apex_swap)
+
+    __setattr__ = __delattr__ = immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.pairing, self.transition_index, self.apex_swap) == (
+            other.pairing, other.transition_index, other.apex_swap
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.pairing, self.transition_index, self.apex_swap))
+
+    def __repr__(self) -> str:
+        return (
+            f"TransitionChoice(pairing={self.pairing!r}, "
+            f"transition_index={self.transition_index!r}, apex_swap={self.apex_swap!r})"
+        )
 
 
-@dataclass(frozen=True)
 class InsertionTrail:
-    """Zigzag trail over the two new vertices, spliced into one old circuit."""
+    """Zigzag trail over the two new vertices, spliced into one old circuit.
+    Immutable; equal and of equal hash when all three fields are."""
 
-    vertex: int
-    order: int
-    tokens: tuple[int, ...]
+    def __init__(self, vertex: int, order: int, tokens: tuple[int, ...]):
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "tokens", tokens)
+
+    __setattr__ = __delattr__ = immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertex, self.order, self.tokens) == (other.vertex, other.order, other.tokens)
+
+    def __hash__(self) -> int:
+        return hash((self.vertex, self.order, self.tokens))
+
+    def __repr__(self) -> str:
+        return (
+            f"InsertionTrail(vertex={self.vertex!r}, order={self.order!r}, "
+            f"tokens={self.tokens!r})"
+        )
 
 
 def build_sigma(i: int, n: int) -> tuple[int, ...]:

@@ -9,7 +9,6 @@ exchange) and dedupes by canonical form, which realizes the counting lower
 bound in practice.
 """
 
-from dataclasses import dataclass
 from itertools import product
 from random import Random
 
@@ -22,17 +21,31 @@ from .circuits import (
     least_rotation,
     relabel,
 )
-from .exceptions import InvalidParameter, OddOrder
+from .exceptions import InvalidParameter, OddOrder, immutable
 from .scheme import verify_family
 
 
-@dataclass(frozen=True)
 class CanonicalSet:
-    """Rotation/reversal-invariant normal form of a family, labels left out."""
+    """Rotation/reversal-invariant normal form of a family, labels left out.
+    Immutable; equal and of equal hash when all three fields are."""
 
-    n: int
-    m: int
-    circuits: tuple[tuple[int, ...], ...]
+    def __init__(self, n: int, m: int, circuits: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "circuits", circuits)
+
+    __setattr__ = __delattr__ = immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.m, self.circuits) == (other.n, other.m, other.circuits)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.m, self.circuits))
+
+    def __repr__(self) -> str:
+        return f"CanonicalSet(n={self.n!r}, m={self.m!r}, circuits={self.circuits!r})"
 
 
 def canonicalize(s: EmbeddingSet) -> CanonicalSet:
@@ -104,21 +117,45 @@ def sets_isomorphic(a: EmbeddingSet, b: EmbeddingSet) -> dict[int, int] | None:
     return None
 
 
-@dataclass
 class EnumerationResult:
     """The families found, each in its canonical written form
     (`canonical_rewrite`), and whether the attempts ran out first.
 
     Each attempt builds one family, which is new and kept, a duplicate of
     one found before, or rejected by `verify_family`: `attempts` is
-    len(families) + `duplicates` + `rejected`.
+    len(families) + `duplicates` + `rejected`.  Mutable and unhashable;
+    equal when all five fields are.
     """
 
-    families: list[EmbeddingSet]
-    budget_exhausted: bool
-    attempts: int
-    duplicates: int
-    rejected: int
+    def __init__(
+        self,
+        families: list[EmbeddingSet],
+        budget_exhausted: bool,
+        attempts: int,
+        duplicates: int,
+        rejected: int,
+    ):
+        self.families = families
+        self.budget_exhausted = budget_exhausted
+        self.attempts = attempts
+        self.duplicates = duplicates
+        self.rejected = rejected
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.families, self.budget_exhausted, self.attempts, self.duplicates, self.rejected
+        ) == (
+            other.families, other.budget_exhausted, other.attempts, other.duplicates, other.rejected
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"EnumerationResult(families={self.families!r}, "
+            f"budget_exhausted={self.budget_exhausted!r}, attempts={self.attempts!r}, "
+            f"duplicates={self.duplicates!r}, rejected={self.rejected!r})"
+        )
 
     def __len__(self) -> int:
         return len(self.families)

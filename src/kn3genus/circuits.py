@@ -32,19 +32,34 @@ and the builder share.  Rotation-invariant forms of circuits all come from
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import combinations, repeat
 from math import comb
 from operator import add, eq, mul
 
-from .exceptions import InvalidParameter, MismatchedAmbient, VertexAbsent
+from .exceptions import InvalidParameter, MismatchedAmbient, VertexAbsent, immutable
 
 
-@dataclass(frozen=True)
 class Transition:
-    a: int
-    mid: int
-    b: int
+    """The pass a -> mid -> b of a circuit through mid.  Immutable; equal and
+    of equal hash when a, mid and b are."""
+
+    def __init__(self, a: int, mid: int, b: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "mid", mid)
+        object.__setattr__(self, "b", b)
+
+    __setattr__ = __delattr__ = immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.mid, self.b) == (other.a, other.mid, other.b)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.mid, self.b))
+
+    def __repr__(self) -> str:
+        return f"Transition(a={self.a!r}, mid={self.mid!r}, b={self.b!r})"
 
     @property
     def outer(self) -> tuple[int, int]:
@@ -78,7 +93,6 @@ def least_written(seq: tuple[int, ...]) -> tuple[int, ...]:
     return seq[off:] + seq[:off]
 
 
-@dataclass(frozen=True)
 class Circuit:
     """Cyclic closed trail in the m-fold complete graph on [n] minus one vertex.
 
@@ -89,14 +103,41 @@ class Circuit:
     it or whose labels repeat a copy.  It is ignored for m=1, and left out
     of equality and of `canonical_set_key` for every m: families that differ
     only in their labels compare equal, though one may be compatible and the
-    other not.
+    other not.  Immutable; equality and the hash read `excluded`, `n`, `m`
+    and `seq`.
     """
 
-    excluded: int
-    n: int
-    m: int
-    seq: tuple[int, ...]
-    copy_labels: tuple[int, ...] | None = field(default=None, compare=False)
+    def __init__(
+        self,
+        excluded: int,
+        n: int,
+        m: int,
+        seq: tuple[int, ...],
+        copy_labels: tuple[int, ...] | None = None,
+    ):
+        object.__setattr__(self, "excluded", excluded)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "seq", seq)
+        object.__setattr__(self, "copy_labels", copy_labels)
+
+    __setattr__ = __delattr__ = immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.excluded, self.n, self.m, self.seq) == (
+            other.excluded, other.n, other.m, other.seq
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.excluded, self.n, self.m, self.seq))
+
+    def __repr__(self) -> str:
+        return (
+            f"Circuit(excluded={self.excluded!r}, n={self.n!r}, m={self.m!r}, "
+            f"seq={self.seq!r}, copy_labels={self.copy_labels!r})"
+        )
 
     def __len__(self) -> int:
         return len(self.seq)
@@ -148,28 +189,58 @@ class Circuit:
         return self.canonical_seq() == other.canonical_seq()
 
 
-@dataclass(frozen=True)
 class EmbeddingSet:
     """Circuits T_1..T_n, T_i excluding i, pairwise compatible.
 
     `strong` records whether all pairs are strongly compatible, copies
     included (which is what the orientable constructions produce); then the
     embedding is orientable, for every m.  `is_embedding_set` checks it.
+    Immutable; equal and of equal hash when all four fields are.
     """
 
-    n: int
-    m: int
-    circuits: tuple[Circuit, ...]
-    strong: bool
+    def __init__(self, n: int, m: int, circuits: tuple[Circuit, ...], strong: bool):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "circuits", circuits)
+        object.__setattr__(self, "strong", strong)
+
+    __setattr__ = __delattr__ = immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.m, self.circuits, self.strong) == (
+            other.n, other.m, other.circuits, other.strong
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.m, self.circuits, self.strong))
+
+    def __repr__(self) -> str:
+        return (
+            f"EmbeddingSet(n={self.n!r}, m={self.m!r}, circuits={self.circuits!r}, "
+            f"strong={self.strong!r})"
+        )
 
     def circuit(self, i: int) -> Circuit:
         return self.circuits[i - 1]
 
 
-@dataclass
 class ValidationReport:
-    ok: bool
-    failures: list[str]
+    """Whether a check passed, and its failure messages, first first.
+    Mutable and unhashable; equal when both fields are."""
+
+    def __init__(self, ok: bool, failures: list[str]):
+        self.ok = ok
+        self.failures = failures
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ok, self.failures) == (other.ok, other.failures)
+
+    def __repr__(self) -> str:
+        return f"ValidationReport(ok={self.ok!r}, failures={self.failures!r})"
 
     def __bool__(self) -> bool:
         return self.ok

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the refusal its
+immutable value classes make on assignment."""
+
+
+def immutable(self, name, *value):
+    """`__setattr__` and `__delattr__` of an immutable value class: its
+    `__init__` sets its fields through `object.__setattr__`, and any later
+    assignment or deletion raises AttributeError."""
+    raise AttributeError(f"cannot assign to or delete field {name!r} of {type(self).__name__}")
 
 
 class Kn3Error(Exception):

@@ -33,30 +33,41 @@ else, in a text as in a file: the other breaks of `str.splitlines` ("\\f",
 line, where, as whitespace, they may pad a line or separate its words.
 
 Scheme files are streamed both ways.  The writer, `scheme_chunks`, yields
-the text a chunk at a time (a line per X vertex, the short Y rot and sig
-lines in batches), and `format_scheme` joins its chunks.  The reader,
-`parse_scheme`, takes the text or an open text file and reads it a chunk
-at a time, twice: the first pass classifies the lines and keeps only the
-rot heads and a kind byte per line; once the X heads give n and the count
-of rot lines m, the second turns each line straight into ids, so no list
-of the lines is held and no line's tokens outlive it.
+the text a chunk at a time (a line per X vertex, then the short Y rot and
+sig lines of 256 Y vertices at a time), and `format_scheme` joins its
+chunks.  The reader, `parse_scheme`, takes the text or an open text file
+and reads it a chunk at a time.  A text laid out as the writer lays it out
+is read in one pass (`_read_as_written`): its first X rot line fixes
+(n, m), each X rot line is read into ids, and the Y rot and sig lines are
+compared in bulk with the writer's own chunks for a scheme whose Y
+rotations are all sorted and whose signs are all +1.  A Y line that
+differs is read alone, and one `bytes.translate` takes the signs.  Any
+other text, or one with a line that the line reader refuses, is read again
+from its start by the general reader (`_read_in_any_order`), twice: the
+first pass classifies the lines and keeps only the rot heads and a kind
+byte per line; once the X heads give n and the count of rot lines m, the
+second turns each line straight into ids.  No list of the lines is held, no
+line's tokens outlive it, and every refusal is the general reader's, with
+its message and line.
 
 Census: header line, then per record a `record sha256=<hex>` digest line
 followed by the record's family in the format above.
 """
 
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from functools import cache, lru_cache, partial
 from itertools import chain, combinations, islice, product, starmap
-from math import comb
+from math import comb, isqrt
 from operator import index
 from typing import TextIO
 
-from .circuits import Circuit, EmbeddingSet
 from .exceptions import CopyResolutionError, FormatError, NotAnEmbeddingSet
-from .levi import HypergraphSpec, build_levi
+from .levi import HypergraphSpec, LeviGraph, build_levi
 from .scheme import EmbeddingScheme, x_writer
+
+# `circuits` is imported where a family is built, so that reading a scheme
+# file (`genus`) does not load it; its names in annotations are strings.
 
 SET_HEADER = "# kn3-embedding-set v1"
 SCHEME_HEADER = "# kn3-scheme v1"
@@ -69,7 +80,7 @@ def _int_format(count: int) -> str:
     return " ".join(["%d"] * count)
 
 
-def _ints(c: Circuit, values) -> str:
+def _ints(c: "Circuit", values) -> str:
     """The vertices or copy labels of circuit c as `parse_set` reads them:
     decimal ints, one space apart, so an int subclass (`True` for 1) is
     written as its value.  Refuses a value that is no int (`operator.index`
@@ -82,7 +93,7 @@ def _ints(c: Circuit, values) -> str:
         ) from None
 
 
-def format_set(s: EmbeddingSet) -> str:
+def format_set(s: "EmbeddingSet") -> str:
     """The family file of a family; for m > 1 every circuit needs copy labels,
     else CopyResolutionError names the first that has none.  Every vertex
     and label is written as an int (`_ints`), so the file reads back to an
@@ -100,6 +111,10 @@ def format_set(s: EmbeddingSet) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The keys of the metadata line of a family file, each given once.
+_META_KEYS = ("n", "m", "orientable")
+
+
 def _meta_int(fields: dict[str, str], key: str, line: int) -> int:
     if key not in fields:
         raise FormatError(f"metadata line missing '{key}='", line)
@@ -109,7 +124,9 @@ def _meta_int(fields: dict[str, str], key: str, line: int) -> int:
         raise FormatError(f"bad integer for '{key}'", line) from None
 
 
-def parse_set(text: str) -> EmbeddingSet:
+def parse_set(text: str) -> "EmbeddingSet":
+    from .circuits import Circuit, EmbeddingSet
+
     lines = list(_lines(text))
     if not lines or lines[0].strip() != SET_HEADER:
         raise FormatError(
@@ -122,6 +139,8 @@ def parse_set(text: str) -> EmbeddingSet:
         if "=" not in token:
             raise FormatError(f"bad metadata token {token!r}", 2)
         key, _, value = token.partition("=")
+        if key not in _META_KEYS:
+            raise FormatError(f"unknown metadata key {key!r}", 2)
         if key in fields:
             raise FormatError(f"metadata key {key!r} given twice", 2)
         fields[key] = value
@@ -193,13 +212,38 @@ def _index_of(n: int, m: int) -> dict[str, int]:
     return dict(zip(chain(map(str, range(1, n + 1)), y_names), range(n + len(y_names))))
 
 
-# The short Y rot and sig lines are written this many to a chunk.
-_LINES_PER_CHUNK = 256
+# The short Y rot and sig lines of this many Y vertices are written to a
+# chunk.
+_Y_PER_CHUNK = 256
 
 
-def _batches(lines: Iterator[str]) -> Iterator[str]:
-    while chunk := "".join(islice(lines, _LINES_PER_CHUNK)):
+def _batches(texts: Iterator[str]) -> Iterator[str]:
+    while chunk := "".join(islice(texts, _Y_PER_CHUNK)):
         yield chunk
+
+
+def _y_rot_lines(graph: LeviGraph, y_reversed: bytes) -> Iterator[str]:
+    """The Y rot lines of a scheme on `graph`, in index order, each Y vertex
+    oriented by its byte of `y_reversed`."""
+    # The Y vertex y lists the X ends of its edges 3y, 3y+1, 3y+2, or of
+    # 3y+2, 3y+1, 3y when reversed.  The two orders zip the same iterators,
+    # so `next` on the one each byte picks advances both.
+    x_end = graph.x_end
+    names = iter(_y_names(graph.n, graph.m))
+    a, b, c = (islice(x_end, slot, None, 3) for slot in range(3))
+    orders = (zip(names, a, b, c), zip(names, c, b, a))
+    return map("rot %s: %d %d %d\n".__mod__, map(next, map(orders.__getitem__, y_reversed)))
+
+
+def _sig_lines(graph: LeviGraph, negative: bytes) -> Iterator[str]:
+    """The sig lines of a scheme on `graph`, in edge-id order, as the text of
+    the three edges of each Y vertex; edge k is negative when `negative[k]`
+    is 1.  Formatting three lines at a time takes half as long as one."""
+    y_names = _y_names(graph.n, graph.m)
+    a, b, c = (islice(graph.x_end, slot, None, 3) for slot in range(3))
+    sa, sb, sc = (map(("+1", "-1").__getitem__, negative[slot::3]) for slot in range(3))
+    lines = "sig %d %s: %s\n" * 3
+    return map(lines.__mod__, zip(a, y_names, sa, b, y_names, sb, c, y_names, sc))
 
 
 def scheme_chunks(sch: EmbeddingScheme) -> Iterator[str]:
@@ -208,22 +252,12 @@ def scheme_chunks(sch: EmbeddingScheme) -> Iterator[str]:
     `format_scheme` joins them; `build --scheme-out` writes them to the file
     one by one, so the whole text is never held."""
     graph = sch.graph
-    x_end = graph.x_end
     y_names = _y_names(graph.n, graph.m)
     yield SCHEME_HEADER + "\n"
     for x, rot in zip(graph.x_vertices, sch.x_rotations):
         yield f"rot {x}: " + " ".join([y_names[k // 3] for k in rot]) + "\n"
-    # The Y vertex y lists the X ends of its edges 3y, 3y+1, 3y+2, or of
-    # 3y+2, 3y+1, 3y when reversed.  The two orders zip the same iterators,
-    # so `next` on the one each byte picks advances both.
-    names = iter(y_names)
-    a, b, c = (islice(x_end, slot, None, 3) for slot in range(3))
-    orders = (zip(names, a, b, c), zip(names, c, b, a))
-    y_rots = map(next, map(orders.__getitem__, sch.y_reversed))
-    yield from _batches(map("rot %s: %d %d %d\n".__mod__, y_rots))
-    y_of_edge = chain.from_iterable(zip(y_names, y_names, y_names))
-    signs = map(("+1", "-1").__getitem__, sch.negative)
-    yield from _batches(map("sig %d %s: %s\n".__mod__, zip(x_end, y_of_edge, signs)))
+    yield from _batches(_y_rot_lines(graph, sch.y_reversed))
+    yield from _batches(_sig_lines(graph, sch.negative))
 
 
 def format_scheme(sch: EmbeddingScheme) -> str:
@@ -307,30 +341,246 @@ def _first_pass(lines: Iterator[str]) -> tuple[int, int, bytearray]:
     return len(heads), x_count, kinds
 
 
+class _LineReader:
+    """The ids that the rot and sig lines of a scheme file of (n, m) give,
+    one line at a time, each checked against the Levi graph of (n, m).
+
+    `rot` and `sig` read a line without leading whitespace (trailing
+    whitespace, a line end included, is ignored): every head and token is
+    looked up in the written names of (n, m) (`_index_of`), and one that is
+    not among them is refused at its line.  Each rotation must list exactly
+    the incident edges of its vertex, once; a line's tokens start after its
+    first colon, which no head holds.  Each Y rot line sets the byte of its
+    vertex in `y_reversed`: 0 when it lists its triple in the cyclic order
+    of the sorted triple, from any start, and 1 for the reverse.
+    """
+
+    def __init__(self, n: int, m: int):
+        self.n = n
+        self.graph = graph = build_levi(HypergraphSpec(n, m))
+        self.index_of = _index_of(n, m)
+        # triples[u] is the triple of the Y vertex with index u, and empty for
+        # an X vertex, which meets no other X vertex.
+        triples = [()] * n
+        ends = iter(graph.x_end)
+        triples += zip(ends, ends, ends)
+        self.triples = triples
+        self.labels = [str(x) for x in range(n + 1)]
+        self.x_degree = graph.x_degree()
+        self.x_ids, self.put = x_writer(graph)
+        self.y_reversed = bytearray(len(triples) - n)
+        self.negative = bytearray(graph.edge_count)
+        self.signed = bytearray(graph.edge_count)
+
+    def rot(self, line: str, lineno: int) -> None:
+        n, triples = self.n, self.triples
+        head, _, body = line[4:].partition(":")
+        head = head.strip()
+        u = self.index_of.get(head)
+        if u is None:
+            raise FormatError(f"rot line for {head!r}: not a Levi vertex", lineno)
+        tokens = body.split()
+        if u < n:
+            x, x_degree = u + 1, self.x_degree
+            ws = list(map(self.index_of.get, tokens))
+            if None in ws:
+                raise FormatError(f"bad vertex token {tokens[ws.index(None)]!r}", lineno)
+            try:
+                at = [3 * (w - n) + triples[w].index(x) for w in ws]
+            except ValueError:  # a vertex that does not meet x
+                at = None
+            if at is None or len(at) != x_degree or len(set(at)) != x_degree:
+                raise FormatError(
+                    f"rotation at {x} must list its {x_degree} edges once each", lineno
+                )
+            self.put(x, at)
+        else:
+            a, b, c = triples[u]
+            labels = self.labels
+            members = [labels[a], labels[b], labels[c]]
+            if tokens == members:  # the order `format_scheme` writes
+                return
+            if sorted(tokens) != sorted(members):
+                raise FormatError(f"rotation at {head} must list its 3 vertices once each", lineno)
+            # The slot step from the first vertex to the second tells the order.
+            self.y_reversed[u - n] = (members.index(tokens[1]) - members.index(tokens[0])) % 3 != 1
+
+    def sig(self, line: str, lineno: int) -> None:
+        head, _, val = line.partition(":")
+        _, x_tok, y_tok = head.split()
+        u, w = self.index_of.get(x_tok), self.index_of.get(y_tok)
+        if u is None or w is None:
+            raise FormatError(f"bad vertex token {x_tok if u is None else y_tok!r}", lineno)
+        # This also refuses a Y vertex first (u + 1 > n) or an X vertex second.
+        triple = self.triples[w]
+        if u + 1 not in triple:
+            raise FormatError(f"sig line for {x_tok} {y_tok}: not a Levi edge", lineno)
+        k = 3 * (w - self.n) + triple.index(u + 1)
+        if self.signed[k]:
+            raise FormatError(f"second sig line for {x_tok} {y_tok}", lineno)
+        val = val.strip()
+        if val not in ("+1", "-1"):
+            raise FormatError(f"bad signature value {val!r}", lineno)
+        self.signed[k] = 1
+        self.negative[k] = val == "-1"
+
+    def scheme(self, negative: bytearray) -> EmbeddingScheme:
+        return EmbeddingScheme.from_ids(self.graph, self.x_ids, bytes(self.y_reversed), negative)
+
+
+def _written_order(first: str) -> tuple[int, int] | None:
+    """The (n, m) that the line `rot 1: ...` of a written file fixes, or None
+    when no (n, m) fits: m is the count of the copies of its first name, and
+    it lists m*C(n-1, 2) names.  Only reading the line settles it."""
+    words = first.split()
+    if len(words) < 3:
+        return None
+    stem, copy_mark, _ = words[2].partition("#")
+    m = first.count(stem + "#") if copy_mark else 1
+    pairs, extra = divmod(len(words) - 2, m)
+    k = (1 + isqrt(1 + 8 * pairs)) // 2  # n - 1, when C(n - 1, 2) = pairs
+    if extra or k < 3 or comb(k, 2) != pairs:
+        return None
+    return k + 1, m
+
+
+# Every sig line the writer writes holds at least this many characters.
+_SHORTEST_SIG_LINE = len("sig 1 e{1,2,3}: +1\n")
+
+# `bytes.translate` arguments that keep only the sign of each sig line, as
+# 1 for "-" and 0 for "+": no written name holds either character.
+_NEGATIVE_OF_SIGN = bytes.maketrans(b"+-", b"\x00\x01")
+_NOT_A_SIGN = bytes(range(256)).translate(None, b"+-")
+
+
+def _readers(source: str | TextIO) -> tuple[Callable[[int], str], Callable[[], str]]:
+    """`read(k)`, the next k characters, and `readline()`, the next line
+    with its "\\n", of a text or of an open text file from where it stands."""
+    if not isinstance(source, str):
+        return source.read, source.readline
+    at = 0
+
+    def read(k: int) -> str:
+        nonlocal at
+        at += k
+        return source[at - k:at]
+
+    def readline() -> str:
+        nonlocal at
+        start, at = at, source.find("\n", at) + 1 or len(source)
+        return source[start:at]
+
+    return read, readline
+
+
+def _read_as_written(source: str | TextIO, start: int | None) -> EmbeddingScheme | None:
+    """The scheme of a text laid out as `scheme_chunks` writes it, read in
+    bulk; None for a text laid out otherwise.  A line that `_LineReader`
+    refuses raises its FormatError, and a decoding fault its own error.
+
+    The layout: the header, `rot 1:` to `rot n:`, the Y rot lines in index
+    order, the sig lines in edge-id order, then blank lines at most, each
+    line ended by "\\n" (a file read with universal newlines ends every
+    line so).  The first X rot line fixes (n, m) (`_written_order`), and a
+    text too short for the sig lines of (n, m) is left to the general
+    reader before the Levi graph, whose size (n, m) sets, is built.  Each X
+    rot line goes through `_LineReader.rot`.  The Y rot and sig lines are
+    compared a chunk at a time with the writer's own chunks of a scheme
+    whose Y vertices are all sorted and whose signs are all +1, and neither
+    changes a line's length: a Y line that differs goes through
+    `_LineReader.rot` when it has its vertex's head, and a sig chunk must
+    equal the writer's once each "-1" is read as "+1", so that one
+    `bytes.translate` takes its signs.  The general reader reads every text
+    this accepts to the same ids.
+    """
+    if isinstance(source, str):
+        size = len(source)
+    else:
+        size = source.seek(0, 2)  # in bytes or characters: at least the text's length
+        source.seek(start)
+    read, readline = _readers(source)
+    if readline() != SCHEME_HEADER + "\n":
+        return None
+    first = readline()
+    order = _written_order(first) if first.startswith("rot 1: ") else None
+    if order is None:
+        return None
+    n, m = order
+    if _SHORTEST_SIG_LINE * 3 * m * comb(n, 3) > size:
+        return None
+    reader = _LineReader(n, m)
+    graph, y_names = reader.graph, _y_names(n, m)
+    reader.rot(first, 2)
+    for x in range(2, n + 1):
+        line = readline()
+        if not line.startswith(f"rot {x}: "):
+            return None
+        reader.rot(line, x + 1)
+    first_y = 0  # the index of the chunk's first Y vertex
+    for chunk in _batches(_y_rot_lines(graph, bytes(len(y_names)))):
+        text = read(len(chunk))
+        if text != chunk:
+            got, wanted = text.split("\n"), chunk.split("\n")
+            if len(got) != len(wanted) or got[-1]:
+                return None
+            for y, (line, want) in enumerate(zip(got, wanted), first_y):
+                if line != want:
+                    line = line.strip()
+                    if line[:4] != "rot " or line[4:].partition(":")[0].strip() != y_names[y]:
+                        return None
+                    reader.rot(line, n + 2 + y)
+        first_y += _Y_PER_CHUNK
+    signs = []
+    for chunk in _batches(_sig_lines(graph, bytes(graph.edge_count))):
+        text = read(len(chunk))
+        if text.replace("-1\n", "+1\n") != chunk:
+            return None
+        signs.append(text.encode().translate(_NEGATIVE_OF_SIGN, _NOT_A_SIGN))
+    while rest := read(_READ_CHARS):
+        if rest.strip():
+            return None
+    return reader.scheme(bytearray().join(signs))
+
+
 def parse_scheme(source: str | TextIO) -> EmbeddingScheme:
     """The scheme of a scheme file, given as its text or as a text file open
     for reading; raises FormatError for a malformed one.
 
-    Lines may come in any order.  The first pass classifies each line,
-    refuses a second rot line for a head or a sig line without exactly two
-    names, and keeps only the rot heads and a kind byte per line.  Once the
-    count of X heads gives n and the count of rot lines gives m, the second
-    pass reads each rot line, then each sig line, straight into ids and
-    signs: every head and token is looked up in the written names of (n, m),
-    and one that is not among them is refused at its line.  A bad sig line
-    is reported only when every rot line has passed.  Each Y rot line sets
-    the byte of its vertex in `y_reversed`: 0 when it lists its triple in
-    the cyclic order of the sorted triple, from any start, and 1 for the
-    reverse.
-
-    A file is read twice from where it stands, a chunk at a time, so its
+    A text laid out as the writer writes it is read in one pass, in bulk
+    (`_read_as_written`).  Any other text, and one with a line that the
+    line reader refuses, is read again from its start by the general
+    reader, `_read_in_any_order`, which gives every refusal its message and
+    line.  A file is read from where it stands, a chunk at a time, so its
     text is never held whole; one that cannot seek is read into a text
-    first.  A refused file is still read to its end, so that a decoding
-    fault anywhere in it is raised before any FormatError.
+    first.
     """
     if not isinstance(source, str) and not source.seekable():
         source = source.read()
     start = None if isinstance(source, str) else source.tell()
+    try:
+        scheme = _read_as_written(source, start)
+    except (FormatError, UnicodeDecodeError):
+        scheme = None  # refused by the general reader, with its own message
+    if scheme is None:
+        scheme = _read_in_any_order(source, start)
+    return scheme
+
+
+def _read_in_any_order(source: str | TextIO, start: int | None) -> EmbeddingScheme:
+    """The general reader of `parse_scheme`, for a text or a file that it
+    reads from `start`, in two passes.  Lines may come in any order.
+
+    The first pass classifies each line, refuses a second rot line for a
+    head or a sig line without exactly two names, and keeps only the rot
+    heads and a kind byte per line.  Once the count of X heads gives n and
+    the count of rot lines gives m, the second pass reads each rot line,
+    then each sig line, straight into ids and signs (`_LineReader`).  A bad
+    sig line is reported only when every rot line has passed.  A refused
+    file is still read to its end, so that a decoding fault anywhere in it
+    is raised before any FormatError.
+    """
+    if start is not None:
+        source.seek(start)
     lines = _lines(source)
     try:
         rot_count, n, kinds = _first_pass(lines)
@@ -345,72 +595,8 @@ def parse_scheme(source: str | TextIO) -> EmbeddingScheme:
     m_mult, extra = divmod(rot_count - n, comb(n, 3))
     if extra or m_mult < 1:
         raise FormatError("rot lines do not match the Levi graph of the inferred (n, m)")
-    graph = build_levi(HypergraphSpec(n, m_mult))
-    count = graph.edge_count
-    index_of = _index_of(n, m_mult)
-    # triples[u] is the triple of the Y vertex with index u, and empty for an
-    # X vertex, which meets no other X vertex.
-    triples = [()] * n
-    ends = iter(graph.x_end)
-    triples += zip(ends, ends, ends)
-    labels = [str(x) for x in range(n + 1)]
-
-    # Each rotation must list exactly the incident edges of its vertex, once.
-    # A line's tokens start after its first colon, which no head holds.  No
-    # head repeats and each vertex has one name, so no vertex is read twice.
-    x_degree = graph.x_degree()
-    x_ids, put = x_writer(graph)  # each rotation written once: the heads cover 1..n
-    y_reversed = bytearray(len(triples) - n)
-
-    def read_rot(line: str, lineno: int) -> None:
-        head, _, body = line[4:].partition(":")
-        head = head.strip()
-        u = index_of.get(head)
-        if u is None:
-            raise FormatError(f"rot line for {head!r}: not a Levi vertex", lineno)
-        tokens = body.split()
-        if u < n:
-            x = u + 1
-            ws = [index_of.get(t) for t in tokens]
-            if None in ws:
-                raise FormatError(f"bad vertex token {tokens[ws.index(None)]!r}", lineno)
-            at = [3 * (w - n) + triples[w].index(x) for w in ws if x in triples[w]]
-            if len(at) != len(ws) or len(at) != x_degree or len(set(at)) != x_degree:
-                raise FormatError(
-                    f"rotation at {x} must list its {x_degree} edges once each", lineno
-                )
-            put(x, at)
-        else:
-            a, b, c = triples[u]
-            members = [labels[a], labels[b], labels[c]]
-            if tokens == members:  # the order `format_scheme` writes
-                return
-            if sorted(tokens) != sorted(members):
-                raise FormatError(f"rotation at {head} must list its 3 vertices once each", lineno)
-            # The slot step from the first vertex to the second tells the order.
-            y_reversed[u - n] = (members.index(tokens[1]) - members.index(tokens[0])) % 3 != 1
-
-    negative = bytearray(count)
-    signed = bytearray(count)
-
-    def read_sig(line: str, lineno: int) -> None:
-        head, _, val = line.partition(":")
-        _, x_tok, y_tok = head.split()
-        u, w = index_of.get(x_tok), index_of.get(y_tok)
-        if u is None or w is None:
-            raise FormatError(f"bad vertex token {x_tok if u is None else y_tok!r}", lineno)
-        # This also refuses a Y vertex first (u + 1 > n) or an X vertex second.
-        if u + 1 not in triples[w]:
-            raise FormatError(f"sig line for {x_tok} {y_tok}: not a Levi edge", lineno)
-        k = 3 * (w - n) + triples[w].index(u + 1)
-        if signed[k]:
-            raise FormatError(f"second sig line for {x_tok} {y_tok}", lineno)
-        val = val.strip()
-        if val not in ("+1", "-1"):
-            raise FormatError(f"bad signature value {val!r}", lineno)
-        signed[k] = 1
-        negative[k] = val == "-1"
-
+    # No head repeats and each vertex has one name, so no vertex is read twice.
+    reader = _LineReader(n, m_mult)
     if start is not None:
         source.seek(start)
     sig_fault = None  # the first bad sig line, raised once the rot lines pass
@@ -418,17 +604,17 @@ def parse_scheme(source: str | TextIO) -> EmbeddingScheme:
         if kind == _SIG:
             if sig_fault is None:
                 try:
-                    read_sig(line, lineno)
+                    reader.sig(line, lineno)
                 except FormatError as exc:
                     sig_fault = exc
         elif kind == _ROT:
-            read_rot(line.strip(), lineno)
+            reader.rot(line.strip(), lineno)
     if sig_fault is not None:
         raise sig_fault
-    missing = signed.count(0)
+    missing = reader.signed.count(0)
     if missing:
         raise FormatError(f"{missing} edges missing a sig line")
-    return EmbeddingScheme.from_ids(graph, x_ids, bytes(y_reversed), negative)
+    return reader.scheme(reader.negative)
 
 
 def _digest(record: str) -> str:
@@ -444,7 +630,7 @@ def format_census(families) -> str:
     return "\n".join(chunks)
 
 
-def parse_census(text: str) -> list[EmbeddingSet]:
+def parse_census(text: str) -> "list[EmbeddingSet]":
     lines = list(_lines(text))
     if not lines or lines[0].strip() != CENSUS_HEADER:
         raise FormatError(f"expected header {CENSUS_HEADER!r}", 1 if lines else None)

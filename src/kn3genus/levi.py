@@ -10,39 +10,49 @@ and the vertex tuples are built only for the dict form of a scheme.
 All arithmetic here is exact integer arithmetic.
 """
 
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import chain, combinations, product, repeat
 from math import comb
 
-from .exceptions import InvalidParameter, OddOrder, UnsupportedCase
+from .exceptions import InvalidParameter, OddOrder, UnsupportedCase, immutable
 
 Triple = tuple[int, int, int]
 # A Levi vertex on the edge side: (sorted triple, copy index in 0..m-1).
 YVertex = tuple[Triple, int]
 
 
-@dataclass(frozen=True)
 class HypergraphSpec:
-    """Order n (>= 4) and edge multiplicity m (>= 1)."""
+    """Order n (>= 4) and edge multiplicity m (>= 1).  Immutable; equal
+    and of equal hash when n and m are."""
 
-    n: int
-    m: int = 1
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or not isinstance(self.m, int):
+    def __init__(self, n: int, m: int = 1):
+        if not isinstance(n, int) or not isinstance(m, int):
             raise TypeError("n and m must be integers")
-        if self.n < 4:
-            raise InvalidParameter(f"order n must be >= 4, got {self.n}")
-        if self.m < 1:
-            raise InvalidParameter(f"multiplicity m must be >= 1, got {self.m}")
+        if n < 4:
+            raise InvalidParameter(f"order n must be >= 4, got {n}")
+        if m < 1:
+            raise InvalidParameter(f"multiplicity m must be >= 1, got {m}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+
+    __setattr__ = __delattr__ = immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.m) == (other.n, other.m)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.m))
+
+    def __repr__(self) -> str:
+        return f"HypergraphSpec(n={self.n!r}, m={self.m!r})"
 
     @property
     def edge_count(self) -> int:
         return self.m * comb(self.n, 3)
 
 
-@dataclass(frozen=True, eq=False)
 class LeviGraph:
     """Bipartite incidence graph of the complete 3-uniform hypergraph.
 
@@ -62,13 +72,19 @@ class LeviGraph:
 
     There is one graph per (n, m), from `build_levi`, shared by every
     caller: read it, never change it.  Two graphs are equal when they are
-    the same object.
+    the same object.  Immutable; its repr shows n and m.
     """
 
-    n: int
-    m: int
-    x_end: tuple[int, ...] = field(repr=False)
-    first_ids: dict[int, int] = field(repr=False)
+    def __init__(self, n: int, m: int, x_end: tuple[int, ...], first_ids: dict[int, int]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "x_end", x_end)
+        object.__setattr__(self, "first_ids", first_ids)
+
+    __setattr__ = __delattr__ = immutable
+
+    def __repr__(self) -> str:
+        return f"LeviGraph(n={self.n!r}, m={self.m!r})"
 
     @property
     def x_vertices(self) -> range:

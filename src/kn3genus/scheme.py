@@ -120,26 +120,19 @@ only name a failure.
 
 from collections import Counter
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from math import comb
 from struct import Struct
 from types import MappingProxyType
 
-from .circuits import (
-    Circuit,
-    EmbeddingSet,
-    ValidationReport,
-    check_family,
-    pair_reports,
-)
 from .exceptions import (
     Disconnected,
     GraphMismatch,
     NotAnEmbeddingSet,
     NotQuadrilateral,
     OddOrder,
+    immutable,
 )
 from .levi import (
     HypergraphSpec,
@@ -148,6 +141,10 @@ from .levi import (
     build_levi,
     euler_genus_lower_bound,
 )
+
+# `circuits` is imported where a family is built or a failure named, so
+# that reading and tracing a scheme file (`genus`) does not load it; its
+# names in annotations are strings.
 
 XVertex = int
 Vertex = XVertex | YVertex
@@ -346,12 +343,36 @@ def x_writer(graph: LeviGraph) -> tuple[bytearray, Callable[[int, Sequence[int]]
     return buffer, put
 
 
-@dataclass(frozen=True)
 class FaceReport:
-    face_count: int
-    face_lengths: tuple[int, ...]
-    euler_genus: int
-    orientable: bool
+    """The faces `trace_faces` found: their count, their lengths in sorted
+    order, the Euler genus they give and whether the scheme is orientable.
+    Immutable; equal and of equal hash when all four fields are."""
+
+    def __init__(
+        self, face_count: int, face_lengths: tuple[int, ...], euler_genus: int, orientable: bool
+    ):
+        object.__setattr__(self, "face_count", face_count)
+        object.__setattr__(self, "face_lengths", face_lengths)
+        object.__setattr__(self, "euler_genus", euler_genus)
+        object.__setattr__(self, "orientable", orientable)
+
+    __setattr__ = __delattr__ = immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.face_count, self.face_lengths, self.euler_genus, self.orientable) == (
+            other.face_count, other.face_lengths, other.euler_genus, other.orientable
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.face_count, self.face_lengths, self.euler_genus, self.orientable))
+
+    def __repr__(self) -> str:
+        return (
+            f"FaceReport(face_count={self.face_count!r}, face_lengths={self.face_lengths!r}, "
+            f"euler_genus={self.euler_genus!r}, orientable={self.orientable!r})"
+        )
 
     @property
     def all_quadrilateral(self) -> bool:
@@ -535,7 +556,7 @@ def is_orientable(sch: EmbeddingScheme) -> bool:
 # circuits -> scheme
 
 
-def _family_scheme(s: EmbeddingSet) -> EmbeddingScheme | None:
+def _family_scheme(s: "EmbeddingSet") -> EmbeddingScheme | None:
     """The family front end: the scheme of a family on edge ids, or None
     when some circuit is not Eulerian with valid copy labels.
 
@@ -609,7 +630,6 @@ def _signs_agree(negative: bytearray) -> bool:
     return negative[0::3] == negative[1::3] == negative[2::3]
 
 
-@dataclass(frozen=True)
 class FamilyReport:
     """Everything that certifies a family as a minimum-genus embedding.
 
@@ -620,21 +640,53 @@ class FamilyReport:
     is one sign at every Y vertex (lemma 2), and `strong` is its report,
     None when `compatible` fails; a failed one names its pair through
     `circuits.pair_reports` when first read, which no verdict needs.
+    Immutable; equality, the hash and the repr leave `family` out.
     """
 
-    eulerian: ValidationReport
-    compatible: ValidationReport | None
-    scheme: EmbeddingScheme | None
-    faces: FaceReport | None
-    expected_genus: int | None
-    family: EmbeddingSet = field(repr=False, compare=False)
+    def __init__(
+        self,
+        eulerian: "ValidationReport",
+        compatible: "ValidationReport | None",
+        scheme: EmbeddingScheme | None,
+        faces: FaceReport | None,
+        expected_genus: int | None,
+        family: "EmbeddingSet",
+    ):
+        object.__setattr__(self, "eulerian", eulerian)
+        object.__setattr__(self, "compatible", compatible)
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "faces", faces)
+        object.__setattr__(self, "expected_genus", expected_genus)
+        object.__setattr__(self, "family", family)
+
+    __setattr__ = __delattr__ = immutable
+
+    def _fields(self) -> tuple:
+        return self.eulerian, self.compatible, self.scheme, self.faces, self.expected_genus
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"FamilyReport(eulerian={self.eulerian!r}, compatible={self.compatible!r}, "
+            f"scheme={self.scheme!r}, faces={self.faces!r}, "
+            f"expected_genus={self.expected_genus!r})"
+        )
 
     @property
     def is_strong(self) -> bool:
         return self.scheme is not None and _signs_agree(self.scheme.negative)
 
     @cached_property
-    def strong(self) -> ValidationReport | None:
+    def strong(self) -> "ValidationReport | None":
+        from .circuits import ValidationReport, pair_reports
+
         if self.scheme is None:
             return None
         if self.is_strong:
@@ -654,7 +706,7 @@ class FamilyReport:
         )
 
 
-def verify_family(s: EmbeddingSet) -> FamilyReport:
+def verify_family(s: "EmbeddingSet") -> FamilyReport:
     """Check a family once and, when it is compatible, trace its scheme.
 
     A family that passes the front end is compatible iff its scheme has
@@ -663,6 +715,8 @@ def verify_family(s: EmbeddingSet) -> FamilyReport:
     refuses gets the reports of `check_family`, and one with a face of
     another length the compatible report of `pair_reports`.
     """
+    from .circuits import ValidationReport, check_family, pair_reports
+
     scheme = _family_scheme(s)
     if scheme is None:  # so the Eulerian report fails
         return FamilyReport(check_family(s)[0], None, None, None, None, s)
@@ -673,7 +727,7 @@ def verify_family(s: EmbeddingSet) -> FamilyReport:
     return FamilyReport(eulerian, ValidationReport(True, []), scheme, faces, expected_genus, s)
 
 
-def set_to_scheme(s: EmbeddingSet) -> EmbeddingScheme:
+def set_to_scheme(s: "EmbeddingSet") -> EmbeddingScheme:
     """Rotation and signature of the quadrilateral embedding encoded by a family.
 
     The rotation around vertex i lists the triples read off consecutive
@@ -702,7 +756,7 @@ def set_to_scheme(s: EmbeddingSet) -> EmbeddingScheme:
 # scheme -> circuits
 
 
-def _read_circuit(graph: LeviGraph, i: int, rot: Sequence[int]) -> Circuit:
+def _read_circuit(graph: LeviGraph, i: int, rot: Sequence[int]) -> "Circuit":
     """The circuit excluding i that the ids around X vertex i spell.
 
     Consecutive triples around i share i and one circuit vertex: the circuit
@@ -712,6 +766,8 @@ def _read_circuit(graph: LeviGraph, i: int, rot: Sequence[int]) -> Circuit:
     It reads `graph.y_vertices`, over twice as fast as slicing triples from
     `x_end`; no command reads a family back from a scheme.
     """
+    from .circuits import Circuit
+
     ys = [graph.y_vertices[k // 3] for k in rot]
     first = ys[0][0]
     for a0 in first:
@@ -735,7 +791,7 @@ def _read_circuit(graph: LeviGraph, i: int, rot: Sequence[int]) -> Circuit:
     )
 
 
-def scheme_to_set(sch: EmbeddingScheme) -> EmbeddingSet:
+def scheme_to_set(sch: EmbeddingScheme) -> "EmbeddingSet":
     """Recover the circuit family of a quadrilateral embedding.
 
     Each circuit is read off the ids of an X rotation.  Raises
@@ -747,6 +803,8 @@ def scheme_to_set(sch: EmbeddingScheme) -> EmbeddingSet:
     The `strong` flag is read off the scheme's own signs, one per Y vertex
     or not (lemma 3), for every m.
     """
+    from .circuits import EmbeddingSet
+
     n, m = sch.graph.n, sch.graph.m
     if n % 2 != 0:
         raise OddOrder(f"no quadrilateral embedding for odd order {n}")

@@ -212,6 +212,16 @@ def test_verify_refuses_a_repeated_metadata_key(tmp_path, capsys, meta, key):
     )
 
 
+def test_verify_refuses_an_unknown_metadata_key(tmp_path, capsys):
+    lines = fileio.format_set(fixture_set("strong_6")).splitlines(keepends=True)
+    lines[1] = "n=6 m=1 orientable=1 colour=red =5\n"
+    path = tmp_path / "unknown.kn3set"
+    path.write_text("".join(lines))
+    assert run(capsys, "verify", str(path)) == (
+        2, "", "error: line 2: unknown metadata key 'colour'\n"
+    )
+
+
 def test_verify_corrupted_file(tmp_path, capsys):
     path = tmp_path / "bad.kn3set"
     path.write_text("# kn3-embedding-set v1\nn=4 m=1 orientable=1\nT 1: 2 zz 4\n")

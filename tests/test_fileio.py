@@ -1,9 +1,10 @@
-import dataclasses
 import hashlib
 import io
+import random
 import tracemalloc
 from collections import deque
 from importlib import resources
+from itertools import combinations
 
 import pytest
 
@@ -120,6 +121,23 @@ def test_parse_set_refuses_a_repeated_metadata_key(strong6, meta, key):
     assert str(err.value) == f"line 2: metadata key '{key}' given twice"
 
 
+@pytest.mark.parametrize(
+    "meta,key",
+    [
+        ("n=6 m=1 orientable=1 colour=red =5", "colour"),
+        ("n=6 m=1 =5 orientable=1", ""),
+        ("n=6 m=1 orientable=1 N=6", "N"),
+    ],
+    ids=["unknown", "empty", "case"],
+)
+def test_parse_set_refuses_an_unknown_metadata_key(strong6, meta, key):
+    lines = format_set(strong6).splitlines()
+    lines[1] = meta
+    with pytest.raises(FormatError) as err:
+        parse_set("\n".join(lines))
+    assert str(err.value) == f"line 2: unknown metadata key '{key}'"
+
+
 def _with_true_for_1(s, i):
     """s with every 1 among the vertices and labels of T_i written as True."""
     def swap(values):
@@ -127,7 +145,7 @@ def _with_true_for_1(s, i):
 
     circuits = list(s.circuits)
     c = circuits[i - 1]
-    circuits[i - 1] = dataclasses.replace(c, seq=swap(c.seq), copy_labels=swap(c.copy_labels))
+    circuits[i - 1] = Circuit(c.excluded, c.n, c.m, swap(c.seq), swap(c.copy_labels))
     return EmbeddingSet(s.n, s.m, tuple(circuits), s.strong)
 
 
@@ -147,7 +165,7 @@ def test_format_set_writes_an_int_of_another_type_as_its_value(name):
 def test_format_set_refuses_a_vertex_that_is_no_int(strong6, value):
     circuits = list(strong6.circuits)
     c = circuits[2]
-    circuits[2] = dataclasses.replace(c, seq=(value, *c.seq[1:]))
+    circuits[2] = Circuit(c.excluded, c.n, c.m, (value, *c.seq[1:]), c.copy_labels)
     with pytest.raises(NotAnEmbeddingSet) as err:
         format_set(EmbeddingSet(6, 1, tuple(circuits), True))
     assert str(err.value) == "circuit 3: a vertex or copy label that is not an int"
@@ -481,6 +499,28 @@ def test_parse_scheme_keeps_no_tokens_per_line():
     assert peak < 10 * len(text)
 
 
+def test_parse_scheme_builds_no_levi_graph_for_a_text_too_short_for_it():
+    # The line `rot 1:` of an (80, 1) file fixes (80, 1), whose Levi graph,
+    # name table and line reader take over 10 MB; a text without the rest of
+    # that file is refused by the general reader, before any of them is built.
+    names = [f"e{{1,{j},{k}}}" for j, k in combinations(range(2, 81), 2)]
+    text = f"{fileio.SCHEME_HEADER}\nrot 1: {' '.join(names)}\n"
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with pytest.raises(FormatError) as err:
+            parse_scheme(text)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert str(err.value) == "need rot lines for vertices 1..n with n >= 4, got n=1"
+    assert peak < 20 * len(text)
+
+
 def test_scheme_writer_holds_a_small_part_of_the_text():
     # `build --scheme-out` writes the chunks as they come; here a sink that
     # keeps nothing takes them.
@@ -602,3 +642,172 @@ def test_written_scheme_is_pinned(n, m, orientable, seed, digest):
     text = format_scheme(set_to_scheme(build_multi(n, m, orientable, seed=seed)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert format_scheme(parse_scheme(text)) == text
+
+
+# Built files whose Y rot and sig lines span more than one of the writer's
+# chunks ((14, 1) and (10, 3) have over 256 Y vertices), at every m.
+READER_CASES = [(14, 1), (8, 2), (10, 3)]
+
+
+@pytest.fixture(scope="module", params=[
+    (n, m, orientable) for n, m in READER_CASES for orientable in (True, False)
+], ids=lambda p: "n%d-m%d-%s" % (p[0], p[1], "or" if p[2] else "non"))
+def written(request):
+    n, m, orientable = request.param
+    return format_scheme(set_to_scheme(build_multi(n, m, orientable, seed=n + m)))
+
+
+def _outcome(read, *args):
+    """The scheme `read` returns, or the message and line of its refusal."""
+    try:
+        return read(*args)
+    except FormatError as exc:
+        return str(exc), exc.line
+
+
+def _y_line(lines, rng):
+    return rng.choice([i for i, line in enumerate(lines) if line.startswith("rot e")])
+
+
+def _mutate(text: str, rng) -> str:
+    """text with one to three random edits of the kinds a reader must tell
+    apart from the writer's layout."""
+    lines = text.split("\n")[:-1]
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(11)
+        at = rng.randrange(1, len(lines))
+        if kind == 0:  # a reversed Y rotation
+            i = _y_line(lines, rng)
+            head, _, body = lines[i].partition(": ")
+            lines[i] = f"{head}: {' '.join(body.split()[::-1])}"
+        elif kind == 1:  # a Y rotation from another start
+            i = _y_line(lines, rng)
+            head, _, body = lines[i].partition(": ")
+            words = body.split()
+            lines[i] = f"{head}: {' '.join(words[1:] + words[:1])}"
+        elif kind == 2:  # a flipped sign
+            i = rng.choice([i for i, line in enumerate(lines) if line.startswith("sig ")])
+            lines[i] = lines[i][:-2] + ("-1" if lines[i].endswith("+1") else "+1")
+        elif kind == 3:  # two lines swapped
+            other = rng.randrange(1, len(lines))
+            lines[at], lines[other] = lines[other], lines[at]
+        elif kind == 4:  # a blank line
+            lines.insert(at, rng.choice(["", "  ", "\t"]))
+        elif kind == 5:  # a bad token inside a Y rot or sig line
+            sig = rng.randrange(len(lines) - 20, len(lines))
+            i = _y_line(lines, rng) if rng.random() < 0.5 else sig
+            words = lines[i].split(" ")
+            words[rng.randrange(len(words))] = rng.choice(["x", "0", "e{1,2,3}#9", "+2", ""])
+            lines[i] = " ".join(words)
+        elif kind == 6:  # the last lines, or the last characters, cut off
+            text = "\n".join(lines) + "\n"
+            lines = text[: len(text) - rng.randrange(1, 200)].split("\n")
+        elif kind == 7:  # a line given twice, or missing
+            if rng.random() < 0.5:
+                lines.insert(rng.randrange(1, len(lines)), lines[at])
+            else:
+                del lines[at]
+        elif kind == 8:  # spaces around a line or its words
+            lines[at] = rng.choice([" ", "", "\t"]) + lines[at].replace(" ", "  ", 1) + " "
+        elif kind == 9:  # two tokens of an X rotation swapped: another scheme
+            x = rng.randrange(1, 5)
+            words = lines[x].split(" ")
+            if len(words) > 3:
+                i, j = rng.sample(range(2, len(words)), 2)
+                words[i], words[j] = words[j], words[i]
+            lines[x] = " ".join(words)
+        else:  # another header
+            lines[0] = rng.choice(["# kn3-scheme v2", " # kn3-scheme v1", ""])
+    text = "\n".join(lines) + "\n"
+    return text.replace("\n", "\r\n") if rng.random() < 0.1 else text
+
+
+def test_fast_reader_takes_the_writers_layout(written):
+    sch = fileio._read_as_written(written, None)
+    assert sch is not None and format_scheme(sch) == written
+    # A Y line of the last chunk reversed, or from another start, and a sign
+    # flipped keep the fast path.
+    lines = written.split("\n")
+    y_at = max(i for i, line in enumerate(lines) if line.startswith("rot e"))
+    sig_at = y_at + 7
+    head, _, body = lines[y_at].partition(": ")
+    a, b, c = body.split()
+    for y_line in (f"{head}: {c} {b} {a}", f"{head}: {b} {c} {a}"):
+        lines[y_at] = y_line
+        lines[sig_at] = lines[sig_at][:-2] + ("-1" if lines[sig_at].endswith("+1") else "+1")
+        text = "\n".join(lines)
+        sch = fileio._read_as_written(text, None)
+        assert sch is not None and sch == fileio._read_in_any_order(text, None)
+
+
+def _blot(line: str, k: int) -> str:
+    """line with its k-th word written as as many "x"s."""
+    words = line.split(" ")
+    words[k] = "x" * len(words[k])
+    return " ".join(words)
+
+
+# Edits of the line before the last of its kind, each keeping its length so
+# that the batches stay aligned: (kind, the edited line from the lines and
+# its index).
+LINE_EDITS = {
+    "y-token": ("rot e", lambda ls, i: _blot(ls[i], -1)),
+    "y-head": ("rot e", lambda ls, i: ls[i].replace("rot e{", "rot f{", 1)),
+    "y-line-twice": ("rot e", lambda ls, i: ls[i + 1]),
+    "sig-value": ("sig ", lambda ls, i: ls[i][:-2] + "+2"),
+    "sig-vertex": ("sig ", lambda ls, i: _blot(ls[i], 1)),
+}
+
+
+@pytest.mark.parametrize("edit", LINE_EDITS)
+def test_fast_reader_leaves_a_bad_line_in_a_batch_to_the_general_reader(written, edit):
+    kind, change = LINE_EDITS[edit]
+    lines = written.split("\n")
+    at = max(i for i, line in enumerate(lines) if line.startswith(kind)) - 1
+    lines[at] = change(lines, at)
+    text = "\n".join(lines)
+    assert len(text) == len(written)
+    with pytest.raises(FormatError) as general:
+        fileio._read_in_any_order(text, None)
+    with pytest.raises(FormatError) as err:
+        parse_scheme(text)
+    assert (str(err.value), err.value.line) == (str(general.value), general.value.line)
+
+
+def test_fast_reader_leaves_a_batch_that_ends_inside_a_line_to_the_general_reader(written):
+    # The last two Y lines lose a space each, and a blank line and an "x"
+    # that starts the first sig line follow them: the batch keeps its
+    # length but ends inside a line.
+    lines = written.split("\n")
+    at = max(i for i, line in enumerate(lines) if line.startswith("rot e"))
+    lines[at - 1] = lines[at - 1].replace(": ", ":", 1)
+    lines[at : at + 2] = [lines[at].replace(": ", ":", 1) + "\n\nx" + lines[at + 1]]
+    text = "\n".join(lines)
+    assert len(text) == len(written)
+    with pytest.raises(FormatError) as err:
+        parse_scheme(text)
+    assert err.value.reason.startswith("unexpected line 'xsig 1 ")
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_fast_and_general_readers_agree_on_mutated_files(written, seed):
+    rng = random.Random(f"{len(written)}:{seed}")
+    text = _mutate(written, rng)
+    general = _outcome(fileio._read_in_any_order, text, None)
+    assert _outcome(parse_scheme, text) == general
+    assert _outcome(parse_scheme, io.StringIO(text)) == general
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fast_and_general_readers_agree_on_an_open_file(written, tmp_path, seed):
+    rng = random.Random(f"file:{len(written)}:{seed}")
+    text = written if seed == 0 else _mutate(written, rng)
+    path = tmp_path / "mutated.kn3scheme"
+    path.write_bytes(text.encode())
+    with open(path, encoding="utf-8") as file:
+        general = _outcome(fileio._read_in_any_order, file, 0)
+    with open(path, encoding="utf-8") as file:
+        assert _outcome(parse_scheme, file) == general
+    if seed == 0:
+        with open(path, encoding="utf-8") as file:
+            assert fileio._read_as_written(file, 0) == general

@@ -6,12 +6,14 @@ get a public entry point instead; this keeps private helpers private to the
 module that defines them.  Every import, and every module-level underscore
 def, is read in its module, so a helper or an import left behind by a
 deletion shows.  No module raises a bare `ValueError` or `KeyError`:
-refusals are `Kn3Error`s.  The benchmark harness in `perfbench/` imports
-public names of the package; one that is renamed or deleted would surface
-only as failed benchmark operations, so its imports are checked here.  The
-package loads its public names on first use, and the CLI imports per
-command, so `formula` loads no module but `levi`; the public names and the
-modules each command loads are pinned here.
+refusals are `Kn3Error`s.  No module imports `array` or `dataclasses`,
+whose costs every process would pay, and no command loads `dataclasses`.
+The benchmark harness in `perfbench/` imports public names of the package;
+one that is renamed or deleted would surface only as failed benchmark
+operations, so its imports are checked here.  The package loads its public
+names on first use, and the CLI imports per command, so `formula` loads no
+module but `levi` and `genus` none but the reader and the trace; the public
+names and the modules each command loads are pinned here.
 """
 
 import ast
@@ -130,9 +132,9 @@ def test_unread_names_are_detected():
     ]
 
 
-def _array_imports(tree: ast.Module) -> list[str]:
-    """Imports of the `array` module, which costs 128 KiB of RSS in every
-    process that loads it: typed buffers are memoryviews of bytearrays."""
+def _imports_of(module: str, tree: ast.Module) -> list[str]:
+    """Imports of `module` (not of a package module of that name), at any
+    depth of the tree."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -142,13 +144,15 @@ def _array_imports(tree: ast.Module) -> list[str]:
         else:
             continue
         found += [f"line {node.lineno}: imports {name}" for name in names
-                  if name.split(".")[0] == "array"]
+                  if name.split(".")[0] == module]
     return found
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_array(path):
-    assert _array_imports(ast.parse(path.read_text())) == []
+    # `array` costs 128 KiB of RSS in every process that loads it: typed
+    # buffers are memoryviews of bytearrays.
+    assert _imports_of("array", ast.parse(path.read_text())) == []
 
 
 def test_array_imports_are_detected():
@@ -161,11 +165,36 @@ def test_array_imports_are_detected():
         "def fill():\n"
         "    import array\n"
     )
-    assert _array_imports(tree) == [
+    assert _imports_of("array", tree) == [
         "line 1: imports array",
         "line 2: imports array",
         "line 3: imports array",
         "line 7: imports array",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # Importing `dataclasses` costs about 8 ms in every process that loads
+    # it, and each decorated class about 0.5 ms more: the value classes are
+    # written by hand.
+    assert _imports_of("dataclasses", ast.parse(path.read_text())) == []
+
+
+def test_dataclasses_imports_are_detected():
+    tree = ast.parse(
+        "from dataclasses import dataclass, field\n"
+        "import dataclasses as dc\n"
+        "from .dataclasses import helper\n"
+        "class Report:\n"
+        "    def copy(self):\n"
+        "        import dataclasses\n"
+        "        return dataclasses.replace(self)\n"
+    )
+    assert _imports_of("dataclasses", tree) == [
+        "line 1: imports dataclasses",
+        "line 2: imports dataclasses",
+        "line 6: imports dataclasses",
     ]
 
 
@@ -237,14 +266,15 @@ def _run(args: list[str], cwd) -> subprocess.CompletedProcess:
 
 
 # Runs `cli.main` on its arguments, then prints the exit code, the package
-# modules loaded and whether hashlib was.
+# modules loaded and whether hashlib and dataclasses were.
 FOOTPRINT = """
 import contextlib, io, json, sys
 from kn3genus import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
 modules = sorted(name for name in sys.modules if name.split(".")[0] == "kn3genus")
-print(json.dumps([code, modules, "hashlib" in sys.modules]))
+loaded = {name: name in sys.modules for name in ("hashlib", "dataclasses")}
+print(json.dumps([code, modules, loaded]))
 """
 
 
@@ -257,9 +287,11 @@ def tiny_files(tmp_path_factory):
     return where
 
 
-def _footprint(argv: list[str], cwd) -> set[str]:
-    code, modules, hashlib = json.loads(_run(["-c", FOOTPRINT, *argv], cwd).stdout)
-    assert code == 0 and not hashlib
+def _footprint(argv: list[str], cwd, hashlib: bool = False) -> set[str]:
+    """The package modules a command loads; it must succeed, load no
+    dataclasses, and hashlib only when it writes a census."""
+    code, modules, loaded = json.loads(_run(["-c", FOOTPRINT, *argv], cwd).stdout)
+    assert code == 0 and loaded == {"hashlib": hashlib, "dataclasses": False}
     return set(modules)
 
 
@@ -278,6 +310,18 @@ def test_reading_commands_load_no_builder_or_census(tiny_files, argv):
     loaded = _footprint(argv, tiny_files)
     assert "kn3genus.fileio" in loaded
     assert loaded.isdisjoint({"kn3genus.builder", "kn3genus.census"})
+
+
+def test_genus_loads_only_the_reader_and_the_trace(tiny_files):
+    assert _footprint(["genus", "tiny.kn3scheme"], tiny_files) == {
+        "kn3genus", "kn3genus.cli", "kn3genus.exceptions", "kn3genus.fileio",
+        "kn3genus.levi", "kn3genus.scheme",
+    }
+
+
+def test_enumerate_loads_hashlib_for_its_digests(tiny_files):
+    loaded = _footprint(["enumerate", "--n", "6", "--count", "2"], tiny_files, hashlib=True)
+    assert {"kn3genus.census", "kn3genus.builder"} <= loaded
 
 
 def test_build_loads_no_census(tiny_files):
