@@ -29,6 +29,7 @@ from .exceptions import (
     immutable,
 )
 from .fileio import parse_set
+from .levi import require_ints
 
 _FIXTURES = {
     "planar_4": "planar_4.kn3set",
@@ -295,6 +296,7 @@ def build_even(
     the non-orientable variant) two vertices at a time.  `choices` fixes
     the free choices per step; `seed` randomizes whatever is left free.
     """
+    require_ints(n)
     if n % 2 != 0:
         raise OddOrder(f"only even orders are constructed, got n={n}")
     if n < 4:
@@ -399,6 +401,7 @@ def build_multi(
     The non-orientable order-4 case starts from the doubled Klein-bottle
     base (so needs m >= 2) and uses planar layers on top.
     """
+    require_ints(n, m)
     if n % 2 != 0:
         raise OddOrder(f"only even orders are constructed, got n={n}")
     if m < 1:

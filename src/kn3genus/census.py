@@ -10,6 +10,7 @@ bound in practice.
 """
 
 from itertools import product
+from operator import index
 from random import Random
 
 from .builder import build_even
@@ -177,8 +178,15 @@ def enumerate_variants(
     form, made from the least forms its canonical key was taken from.
     Stops early with `budget_exhausted` set once ATTEMPTS_PER_FAMILY * count
     attempts have been spent.  The result counts the attempts, and the
-    duplicates and rejections among them.
+    duplicates and rejections among them.  Raises InvalidParameter for a
+    count that is not an int or is negative.
     """
+    try:
+        count = index(count)
+    except TypeError:
+        raise InvalidParameter(f"count must be an int, got {count!r}") from None
+    if count < 0:
+        raise InvalidParameter(f"count must be >= 0, got {count}")
     rng = Random(seed)
     found: dict[CanonicalSet, EmbeddingSet] = {}
     budget = ATTEMPTS_PER_FAMILY * count

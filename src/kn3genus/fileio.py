@@ -424,8 +424,8 @@ class _LineReader:
         self.signed[k] = 1
         self.negative[k] = val == "-1"
 
-    def scheme(self, negative: bytearray) -> EmbeddingScheme:
-        return EmbeddingScheme.from_ids(self.graph, self.x_ids, bytes(self.y_reversed), negative)
+    def scheme(self, negative: bytes | bytearray) -> EmbeddingScheme:
+        return EmbeddingScheme.from_ids(self.graph, self.x_ids, self.y_reversed, negative)
 
 
 def _written_order(first: str) -> tuple[int, int] | None:
@@ -539,7 +539,7 @@ def _read_as_written(source: str | TextIO, start: int | None) -> EmbeddingScheme
     while rest := read(_READ_CHARS):
         if rest.strip():
             return None
-    return reader.scheme(bytearray().join(signs))
+    return reader.scheme(b"".join(signs))
 
 
 def parse_scheme(source: str | TextIO) -> EmbeddingScheme:

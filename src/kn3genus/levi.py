@@ -21,13 +21,19 @@ Triple = tuple[int, int, int]
 YVertex = tuple[Triple, int]
 
 
+def require_ints(*values) -> None:
+    """Refuse an order or a multiplicity that is not an int with the
+    TypeError of `HypergraphSpec`, which the builders share."""
+    if not all(isinstance(v, int) for v in values):
+        raise TypeError("n and m must be integers")
+
+
 class HypergraphSpec:
     """Order n (>= 4) and edge multiplicity m (>= 1).  Immutable; equal
     and of equal hash when n and m are."""
 
     def __init__(self, n: int, m: int = 1):
-        if not isinstance(n, int) or not isinstance(m, int):
-            raise TypeError("n and m must be integers")
+        require_ints(n, m)
         if n < 4:
             raise InvalidParameter(f"order n must be >= 4, got {n}")
         if m < 1:

@@ -9,14 +9,16 @@ A scheme has one representation, `EmbeddingScheme`, on the integer edge
 ids of its `levi.LeviGraph` (id 3*y + slot): the X rotations as read-only
 views of one buffer of 4-byte ids, a byte per Y vertex that tells which of
 its two cyclic orders its rotation runs in (a Y vertex has three edges),
-and a bytearray marking the negative edges.  Every scheme is checked once,
-when it is built: a hand-built one by the dict front end in its
-constructor, a family's by the family front end (the id formula and the
-sign rule live there alone), a file's by `fileio.parse_scheme`.  Each of
-them packs a rotation into the buffer as soon as it has read it, through
-`x_writer`, the one place that knows the layout, so no Python int per Levi
-edge outlives the construction.  Its `rotation` and `signature` are
-read-only dict views, built when first read.
+and bytes marking the negative edges.  Every scheme is checked once, when
+it is built: a hand-built one by the dict front end in its constructor, a
+family's by the family front end (the id formula and the sign rule live
+there alone), a file's by `fileio.parse_scheme`.  Each of them packs a
+rotation into the buffer as soon as it has read it, through `x_writer`, the
+one place that knows the layout, so no Python int per Levi edge outlives
+the construction.  Its `rotation` and `signature` are read-only dict
+views, built when first read.  No field changes after construction, so a
+scheme is also traced at most once: it keeps the report of its first
+trace, which for a family's scheme is `verify_family`'s.
 
 Every scheme call reads the ids.  One core, `trace_faces`, walks the faces
 over flags keyed by edge and reads orientability off a forced vertex
@@ -113,14 +115,15 @@ three signs equal or not, and lemma 2 reads strength off them.
 
 So the faces decide compatibility, and the signs strength, in one place:
 `verify_family` traces the family's scheme and `set_to_scheme` returns it,
-and `scheme_to_set` reads both off the scheme it is given (lemma 3), never
-building the scheme of the family it reads back.  The passes of `circuits`
+report and all, and `scheme_to_set` reads both off the scheme it is given
+(lemma 3), never building the scheme of the family it reads back nor
+tracing again a scheme that has been traced.  The passes of `circuits`
 only name a failure.
 """
 
 from collections import Counter
 from collections.abc import Callable, Mapping, Sequence
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import repeat
 from math import comb
 from struct import Struct
@@ -164,8 +167,12 @@ class EmbeddingScheme:
     3y+1, 3y+2, the cyclic order of its sorted triple, and 1 for the
     reverse.  `negative[k]` is 1 when edge k has signature -1.  Both
     constructors hand out X rotations that list each edge exactly once at
-    its X end, on which `trace_faces` relies; read the fields, never change
-    them.
+    its X end, on which `trace_faces` relies.  Every field is immutable:
+    `y_reversed` and `negative` are `bytes`, whatever buffer they were
+    built from, and the X rotations read-only views, so a scheme is the
+    same after its trace as before it.  The scheme keeps the `FaceReport`
+    of that trace, filled by the first `trace_faces` call (for a family's
+    scheme, the one in `verify_family`), and every later call returns it.
 
     `EmbeddingScheme(graph, rotation, signature)` checks hand-built dicts
     once and keeps their ids, not the dicts; `from_ids` takes a buffer of
@@ -175,16 +182,18 @@ class EmbeddingScheme:
     `signature` every edge (x, y) to +1 or -1: read-only views of the ids,
     built when first read, which list a Y rotation from its lowest slot, or
     from its highest when reversed.  Two schemes are equal when their graphs,
-    X rotations, Y orientations and signatures are; `==` compares each X
-    rotation from its written start, so two rotations of the same cyclic
-    order that start at different edges are unequal.  `schemes_equivalent`
+    X rotations, Y orientations and signatures are, traced or not; `==`
+    compares each X rotation from its written start, so two rotations of the
+    same cyclic order that start at different edges are unequal.  `schemes_equivalent`
     is the test for the same embedding.  A pickle holds (n, m) and the ids
     alone, the X rotations as the bytes of their buffer, in the byte order
-    of the machine that wrote it.
+    of the machine that wrote it; the repr and a pickle leave the face
+    report out, so an unpickled scheme is traced afresh when asked.
     """
 
     __slots__ = (
-        "graph", "x_rotations", "y_reversed", "negative", "_x_ids", "_rotation", "_signature"
+        "graph", "x_rotations", "y_reversed", "negative", "_x_ids", "_rotation", "_signature",
+        "_faces",
     )
 
     def __init__(
@@ -246,19 +255,23 @@ class EmbeddingScheme:
             raise GraphMismatch(
                 f"edge {levi.edges[k]} has no signature of +1 or -1 (got {signs[k]!r})"
             )
-        self._set(levi, x_ids, bytes(y_reversed), bytearray([sign == -1 for sign in signs]))
+        self._set(levi, x_ids, y_reversed, bytes([sign == -1 for sign in signs]))
 
     @classmethod
     def from_ids(
         cls,
         graph: LeviGraph,
         x_ids: bytes | bytearray,
-        y_reversed: bytes,
-        negative: bytearray,
+        y_reversed: bytes | bytearray,
+        negative: bytes | bytearray,
     ) -> "EmbeddingScheme":
         """The scheme of ids that a front end has checked: `x_ids` is the
         buffer of X rotations that `x_writer` filled, or its bytes, and the
-        scheme keeps it and hands out read-only views of it."""
+        scheme keeps it and hands out read-only views of it; `y_reversed`
+        and `negative` are kept as bytes, copied when given as a buffer.
+        The scheme takes the buffer over, uncopied, so that a Levi edge
+        costs 4 bytes once: the caller writes no more into it, as the front
+        ends drop it, for the scheme keeps the report of its first trace."""
         sch = cls.__new__(cls)
         sch._set(graph, x_ids, y_reversed, negative)
         return sch
@@ -267,9 +280,10 @@ class EmbeddingScheme:
         ids = memoryview(x_ids).toreadonly().cast("I")
         degree = len(ids) // graph.n
         self.x_rotations = tuple(ids[d:d + degree] for d in range(0, len(ids), degree))
-        self.graph, self._x_ids, self.y_reversed = graph, x_ids, y_reversed
-        self.negative = negative
-        self._rotation = self._signature = None
+        self.graph, self._x_ids = graph, x_ids
+        # bytes() of a bytes object is that object, so only a buffer is copied.
+        self.y_reversed, self.negative = bytes(y_reversed), bytes(negative)
+        self._rotation = self._signature = self._faces = None
 
     @property
     def rotation(self) -> Mapping[Vertex, tuple[Edge, ...]]:
@@ -465,18 +479,31 @@ def _y_states(sch: EmbeddingScheme) -> bytes:
     return word.to_bytes(len(bits[0]), "little")
 
 
+@lru_cache(maxsize=16)
+def _all_quadrilateral(face_count: int) -> tuple[int, ...]:
+    """The face lengths of an all-quadrilateral trace with `face_count`
+    faces: one tuple per count, which every such report shares."""
+    return (4,) * face_count
+
+
 def trace_faces(sch: EmbeddingScheme) -> FaceReport:
     """Trace the faces of a scheme; decide orientability by vertex parity.
 
     This is the one tracing core, over the scheme's edge ids; `verify_family`
-    calls it on the scheme of a family.  Every edge k has four flags, one
-    per side at its X end and at its Y end; side 1 touches the corner toward
-    the next edge of the rotation.  Two pairings act on them: the corner
-    pairing (consecutive edge-ends around a vertex) and the band pairing
-    (sides matched across an edge, crossed when the signature is negative:
-    X side s meets Y side 1 - s on a positive edge and Y side s on a
-    negative one).  Faces are the orbits under corner and band; a face of
-    length L is an orbit of 2L flags.
+    calls it on the scheme of a family.  A scheme's fields never change, so
+    its first trace is its only one: the scheme keeps the report, and every
+    later call, `scheme_to_set`'s and `is_orientable`'s included, returns
+    that same object.  An all-quadrilateral report holds the one shared
+    lengths tuple of its face count, so a kept report costs no memory per
+    face.
+
+    Every edge k has four flags, one per side at its X end and at its Y end;
+    side 1 touches the corner toward the next edge of the rotation.  Two
+    pairings act on them: the corner pairing (consecutive edge-ends around a
+    vertex) and the band pairing (sides matched across an edge, crossed when
+    the signature is negative: X side s meets Y side 1 - s on a positive
+    edge and Y side s on a negative one).  Faces are the orbits under corner
+    and band; a face of length L is an orbit of 2L flags.
 
     Its corners alternate between X and Y vertices, so the walk holds only
     the X flags, 2k + side, and moves from one to the next in two lookups
@@ -494,6 +521,8 @@ def trace_faces(sch: EmbeddingScheme) -> FaceReport:
     i.e. iff `_parities` finds a vertex parity with par[x] xor par[y] =
     [sign < 0] on every edge xy.
     """
+    if sch._faces is not None:
+        return sch._faces
     graph = sch.graph
     count = graph.edge_count
     corner = memoryview(bytearray(8 * count)).cast("i")
@@ -534,21 +563,29 @@ def trace_faces(sch: EmbeddingScheme) -> FaceReport:
 
     f_count = len(lengths)
     genus = 2 - (graph.vertex_count - graph.edge_count + f_count)
-    lengths.sort()
-    return FaceReport(
+    if lengths.count(4) == f_count:
+        lengths = _all_quadrilateral(f_count)
+    else:
+        lengths.sort()
+        lengths = tuple(lengths)
+    sch._faces = FaceReport(
         face_count=f_count,
-        face_lengths=tuple(lengths),
+        face_lengths=lengths,
         euler_genus=genus,
         orientable=orientable,
     )
+    return sch._faces
 
 
 def is_orientable(sch: EmbeddingScheme) -> bool:
     """True iff the signature is switching-equivalent to all-positive.
 
-    Decided by the forced vertex parity, as in `trace_faces`, without
-    tracing the faces.
+    Read off the scheme's face report when it has been traced, else decided
+    by the forced vertex parity, as in `trace_faces`, without tracing the
+    faces.
     """
+    if sch._faces is not None:
+        return sch._faces.orientable
     return _parities(sch.graph, sch.negative) is not None
 
 
@@ -624,7 +661,7 @@ def _family_scheme(s: "EmbeddingSet") -> EmbeddingScheme | None:
 _NEGATIVE_OF_SIGN = bytes([0, 0, 1]) + bytes(253)
 
 
-def _signs_agree(negative: bytearray) -> bool:
+def _signs_agree(negative: bytes) -> bool:
     """Whether the three edges of every Y vertex have one signature: the
     parity of `_parities` that is 0 on every X vertex (lemma 2)."""
     return negative[0::3] == negative[1::3] == negative[2::3]
@@ -708,6 +745,9 @@ class FamilyReport:
 
 def verify_family(s: "EmbeddingSet") -> FamilyReport:
     """Check a family once and, when it is compatible, trace its scheme.
+
+    The trace is kept by the scheme, so `faces` is the report every later
+    `trace_faces` call on `scheme` returns.
 
     A family that passes the front end is compatible iff its scheme has
     only quadrilateral faces (lemma 1), and then strong iff its signs agree
@@ -794,10 +834,12 @@ def _read_circuit(graph: LeviGraph, i: int, rot: Sequence[int]) -> "Circuit":
 def scheme_to_set(sch: EmbeddingScheme) -> "EmbeddingSet":
     """Recover the circuit family of a quadrilateral embedding.
 
-    Each circuit is read off the ids of an X rotation.  Raises
-    NotQuadrilateral when some face has length != 4, and OddOrder for odd n
-    (the vertex-deleted complete graph has odd degrees then, so no
-    quadrilateral embedding exists).  The circuits read back are Eulerian
+    Each circuit is read off the ids of an X rotation.  The faces are those
+    of `trace_faces`, so a scheme from `set_to_scheme` is not traced again:
+    it keeps `verify_family`'s report.  Raises NotQuadrilateral when some
+    face has length != 4, and OddOrder for odd n (the vertex-deleted
+    complete graph has odd degrees then, so no quadrilateral embedding
+    exists).  The circuits read back are Eulerian
     with valid copy labels, as each X rotation lists every edge at its
     vertex once, and compatible, as the faces are quadrilaterals (lemma 1).
     The `strong` flag is read off the scheme's own signs, one per Y vertex

@@ -175,6 +175,26 @@ def test_argument_domain_errors_are_invalid_parameters(call):
     assert isinstance(err.value, Kn3Error) and isinstance(err.value, ValueError)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_even("6", True),
+        lambda: build_even(6.0),
+        lambda: build_even(None),
+        lambda: build_multi("6", 2),
+        lambda: build_multi(6, 2.0),
+        lambda: build_multi(6.0, 1),
+        lambda: HypergraphSpec(6, "1"),
+    ],
+)
+def test_an_order_or_multiplicity_that_is_no_int_is_refused_as_the_spec_does(call):
+    # Before the check, build_even("6") failed on `"6" % 2` with an unrelated
+    # message, and build_multi(6, 2.0) built an m = 2 family.
+    with pytest.raises(TypeError) as err:
+        call()
+    assert str(err.value) == "n and m must be integers"
+
+
 def test_determinism():
     assert build_even(12, True, seed=42) == build_even(12, True, seed=42)
     assert build_even(10, False) == build_even(10, False)

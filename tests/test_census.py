@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from kn3genus import (
     EmbeddingSet,
+    InvalidParameter,
     Kn3Error,
     build_even,
     canonicalize,
@@ -123,6 +124,34 @@ def test_enumerate_counts_every_attempt_once(monkeypatch):
     assert len(result) == 10 and result.rejected > 0
     assert result.attempts == len(result) + result.duplicates + result.rejected
     assert all(is_embedding_set(s, require_strong=True).ok for s in result.families)
+
+
+class _Two:
+    def __index__(self):
+        return 2
+
+
+@pytest.mark.parametrize(
+    "count,message",
+    [
+        (2.5, "count must be an int, got 2.5"),
+        ("3", "count must be an int, got '3'"),
+        (None, "count must be an int, got None"),
+        (-3, "count must be >= 0, got -3"),
+        (-1, "count must be >= 0, got -1"),
+    ],
+)
+def test_enumerate_refuses_a_count_that_is_no_int_or_negative(count, message):
+    # 2.5 returned 3 families, and -3 an empty result that was not exhausted.
+    with pytest.raises(InvalidParameter) as err:
+        enumerate_variants(8, True, count, seed=1)
+    assert str(err.value) == message
+
+
+def test_enumerate_takes_any_index_as_its_count():
+    assert enumerate_variants(8, True, 0, seed=1) == census.EnumerationResult([], False, 0, 0, 0)
+    result = enumerate_variants(8, True, _Two(), seed=1)
+    assert result == enumerate_variants(8, True, 2, seed=1) and len(result.families) == 2
 
 
 def test_enumerate_deterministic():

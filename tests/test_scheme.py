@@ -3,6 +3,7 @@ import random
 import re
 import struct
 from functools import partial
+from math import comb
 
 import pytest
 
@@ -31,6 +32,7 @@ from kn3genus import (
     trace_faces,
 )
 from kn3genus import circuits
+from kn3genus import scheme as scheme_module
 from kn3genus.circuits import (
     Circuit,
     EmbeddingSet,
@@ -297,11 +299,17 @@ def test_trace_rejects_disconnected(planar4):
     assert str(err.value) == "vertex ((1, 2, 3), 9) has no incident edges"
 
 
+def untraced(sch):
+    """A scheme equal to `sch`, on the same buffers, that has not been traced."""
+    return EmbeddingScheme.from_ids(sch.graph, sch._x_ids, sch.y_reversed, sch.negative)
+
+
 def test_trace_faces_holds_a_few_bytes_per_edge():
     # The walk holds typed tables over the X flags: about 21 bytes per Levi
-    # edge, with the face lengths.
+    # edge, with the face lengths.  `set_to_scheme`'s scheme is traced
+    # already, so each call traces an untraced copy.
     sch = set_to_scheme(build_multi(20, 3, orientable=False, seed=1))
-    assert peak_bytes(trace_faces, sch) < 48 * len(sch.negative)
+    assert peak_bytes(lambda: trace_faces(untraced(sch))) < 48 * len(sch.negative)
 
 
 @pytest.mark.parametrize("n,m", [(40, 1), (20, 3)])
@@ -924,3 +932,149 @@ def test_pickled_scheme_shares_the_cached_edge_table():
     assert back.graph is graph and pickle.loads(pickle.dumps(graph)) is graph
     assert len(data) < 200_000
     assert back == sch and trace_faces(back) == trace_faces(sch)
+
+
+# -- the face report a scheme keeps ------------------------------------------
+
+
+def count_walks(monkeypatch) -> list:
+    """The schemes whose faces `trace_faces` walks from now on, one entry a
+    walk: every walk reads the Y states once."""
+    walks = []
+    states = scheme_module._y_states
+
+    def counted(sch):
+        walks.append(sch)
+        return states(sch)
+
+    monkeypatch.setattr(scheme_module, "_y_states", counted)
+    return walks
+
+
+@pytest.mark.parametrize(
+    "source", ["strong_6", "nonorientable_6", "klein_4x2", (10, 2, False), (8, 1, True)], ids=str
+)
+def test_a_library_round_trip_walks_the_faces_once(monkeypatch, source):
+    family = fixture_set(source) if isinstance(source, str) else build_multi(
+        source[0], source[1], orientable=source[2], seed=4
+    )
+    walks = count_walks(monkeypatch)
+    sch = set_to_scheme(family)
+    back = scheme_to_set(sch)
+    report = trace_faces(sch)
+    orientable = is_orientable(sch)
+    assert len(walks) == 1 and walks[0] is sch
+    assert canonical_set_key(back) == canonical_set_key(family)
+    assert report.all_quadrilateral and orientable == report.orientable == back.strong
+
+
+def test_an_untraced_scheme_is_walked_once_and_only_when_traced(monkeypatch, nonorientable6):
+    sch = parse_scheme(format_scheme(set_to_scheme(nonorientable6)))
+    walks = count_walks(monkeypatch)
+    assert is_orientable(sch) is False and walks == []  # by the parities alone
+    report = trace_faces(sch)
+    assert scheme_to_set(sch).strong is False and is_orientable(sch) is False
+    assert trace_faces(sch) is report and len(walks) == 1
+
+
+def test_a_scheme_keeps_the_report_of_its_first_trace(strong6, klein4x2):
+    for family in (strong6, klein4x2):
+        report = verify_family(family)
+        assert report.faces is trace_faces(report.scheme)
+        assert trace_faces(set_to_scheme(family)) == report.faces
+        parsed = parse_scheme(format_scheme(report.scheme))
+        assert trace_faces(parsed) is trace_faces(parsed) == report.faces
+
+
+@pytest.mark.parametrize("how", ["library", "parsed", "dicts"])
+def test_the_kept_report_leaves_equality_repr_and_pickles_alone(klein4x2, how):
+    library = set_to_scheme(klein4x2)
+    if how == "library":
+        traced = library
+    elif how == "parsed":
+        traced = parse_scheme(format_scheme(library))
+    else:
+        traced = EmbeddingScheme(library.graph, dict(library.rotation), dict(library.signature))
+    trace_faces(traced)
+    copy = untraced(traced)
+    assert traced._faces is not None and copy._faces is None
+    assert traced == copy and copy == traced
+    assert repr(traced) == repr(copy) == "EmbeddingScheme(n=4, m=2)"
+    assert pickle.dumps(traced) == pickle.dumps(copy)
+    back = pickle.loads(pickle.dumps(traced))
+    assert back._faces is None and back == traced
+    assert trace_faces(back) == trace_faces(traced) and trace_faces(back) is not traced._faces
+
+
+@pytest.mark.parametrize("n,m", [(8, 1), (6, 3)])
+def test_all_quadrilateral_reports_of_one_order_share_their_lengths(n, m):
+    a = trace_faces(set_to_scheme(build_multi(n, m, orientable=True, seed=1)))
+    b = trace_faces(set_to_scheme(build_multi(n, m, orientable=False, seed=2)))
+    c = trace_faces(parse_scheme(format_scheme(set_to_scheme(build_multi(n, m, seed=3)))))
+    assert a.face_lengths is b.face_lengths is c.face_lengths
+    assert a.face_lengths == (4,) * a.face_count and a.face_count == 3 * m * comb(n, 3) // 2
+
+
+def non_quadrilateral(family, seed):
+    """A perturbed scheme of `family` with a face of length other than 4,
+    and the lengths the oracle traces on it."""
+    rng = random.Random(seed)
+    sch = set_to_scheme(family)
+    for _ in range(50):
+        cand = perturb(sch, rng)
+        lengths = naive_face_trace(cand)[1]
+        if any(length != 4 for length in lengths):
+            return cand, lengths
+    pytest.fail("no non-quadrilateral perturbation found")
+
+
+@pytest.mark.parametrize("how", ["dicts", "parsed", "dicts-traced", "parsed-traced"])
+@pytest.mark.parametrize("source", ["strong_6", "klein_4x2"])
+def test_a_non_quadrilateral_scheme_is_still_refused_by_scheme_to_set(source, how):
+    sch, lengths = non_quadrilateral(fixture_set(source), source)
+    if how.startswith("parsed"):
+        sch = parse_scheme(format_scheme(sch))
+    if how.endswith("traced"):
+        assert not trace_faces(sch).all_quadrilateral
+    bad = next(length for length in sorted(lengths) if length != 4)
+    for _ in range(2):  # the second time from the kept report
+        with pytest.raises(NotQuadrilateral) as err:
+            scheme_to_set(sch)
+        assert str(err.value) == f"face of length {bad} traced"
+    assert list(trace_faces(sch).face_lengths) == sorted(lengths)
+
+
+@pytest.mark.parametrize("how", ["library", "parsed", "dicts", "unpickled"])
+def test_every_field_of_a_scheme_is_immutable(klein4x2, how):
+    # What keeps the kept face report true: nothing a trace reads can change.
+    library = set_to_scheme(klein4x2)
+    sch = {
+        "library": lambda: library,
+        "parsed": lambda: parse_scheme(format_scheme(library)),
+        "dicts": lambda: EmbeddingScheme(
+            library.graph, dict(library.rotation), dict(library.signature)
+        ),
+        "unpickled": lambda: pickle.loads(pickle.dumps(library)),
+    }[how]()
+    assert type(sch.negative) is bytes and type(sch.y_reversed) is bytes
+    with pytest.raises(TypeError):
+        sch.negative[0] = 1 - sch.negative[0]
+    with pytest.raises(TypeError):
+        sch.y_reversed[0] = 1
+    for rot in sch.x_rotations:
+        assert rot.readonly
+        with pytest.raises(TypeError):
+            rot[0] = rot[-1]
+    assert sch == library and trace_faces(sch) == trace_faces(library)
+
+
+def test_from_ids_keeps_buffers_of_signs_as_bytes(strong6):
+    library = set_to_scheme(strong6)
+    negative, y_reversed = bytearray(library.negative), bytearray(library.y_reversed)
+    sch = EmbeddingScheme.from_ids(library.graph, library._x_ids, y_reversed, negative)
+    assert type(sch.negative) is bytes and type(sch.y_reversed) is bytes
+    negative[0] ^= 1
+    y_reversed[0] ^= 1
+    assert sch == library and sch.negative != negative
+    # A bytes argument is kept as it is, not copied.
+    assert untraced(library).negative is library.negative
