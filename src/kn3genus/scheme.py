@@ -492,10 +492,9 @@ def trace_faces(sch: EmbeddingScheme) -> FaceReport:
     This is the one tracing core, over the scheme's edge ids; `verify_family`
     calls it on the scheme of a family.  A scheme's fields never change, so
     its first trace is its only one: the scheme keeps the report, every
-    later call (`scheme_to_set`'s included) returns that same object, and
-    `is_orientable` reads it.  An all-quadrilateral report holds the one
-    shared lengths tuple of its face count, so a kept report costs no
-    memory per face.
+    later call (`scheme_to_set`'s included) returns that same object.  An
+    all-quadrilateral report holds the one shared lengths tuple of its face
+    count, so a kept report costs no memory per face.
 
     Every edge k has four flags, one per side at its X end and at its Y end;
     side 1 touches the corner toward the next edge of the rotation.  Two
@@ -580,12 +579,9 @@ def trace_faces(sch: EmbeddingScheme) -> FaceReport:
 def is_orientable(sch: EmbeddingScheme) -> bool:
     """True iff the signature is switching-equivalent to all-positive.
 
-    Read off the scheme's face report when it has been traced, else decided
-    by the forced vertex parity, as in `trace_faces`, without tracing the
-    faces.
+    Decided by the forced vertex parity, as in `trace_faces`, without
+    tracing the faces.
     """
-    if sch._faces is not None:
-        return sch._faces.orientable
     return _parities(sch.graph, sch.negative) is not None
 
 
