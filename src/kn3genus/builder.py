@@ -26,7 +26,7 @@ from .exceptions import (
     NoCommonTransition,
     OddOrder,
     UnsupportedCase,
-    immutable,
+    Value,
 )
 from .fileio import parse_set
 from .levi import require_ints
@@ -66,7 +66,7 @@ def base_set(kind: str) -> EmbeddingSet:
     return fixture_set(_BASE_KINDS[kind])
 
 
-class TransitionChoice:
+class TransitionChoice(Value):
     """Free choices of one induction step, order n -> n+2.
 
     `pairing` lists ordered pairs covering 1..n; the first element of each
@@ -77,59 +77,27 @@ class TransitionChoice:
     three fields are, and hashable when they are.
     """
 
+    _fields = ("pairing", "transition_index", "apex_swap")
+
     def __init__(
         self,
         pairing: tuple[tuple[int, int], ...] | None = None,
         transition_index: dict[int, int] | None = None,
         apex_swap: bool = False,
     ):
-        object.__setattr__(self, "pairing", pairing)
-        object.__setattr__(self, "transition_index", transition_index)
-        object.__setattr__(self, "apex_swap", apex_swap)
-
-    __setattr__ = __delattr__ = immutable
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.pairing, self.transition_index, self.apex_swap) == (
-            other.pairing, other.transition_index, other.apex_swap
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.pairing, self.transition_index, self.apex_swap))
-
-    def __repr__(self) -> str:
-        return (
-            f"TransitionChoice(pairing={self.pairing!r}, "
-            f"transition_index={self.transition_index!r}, apex_swap={self.apex_swap!r})"
+        self.__dict__.update(
+            pairing=pairing, transition_index=transition_index, apex_swap=apex_swap
         )
 
 
-class InsertionTrail:
+class InsertionTrail(Value):
     """Zigzag trail over the two new vertices, spliced into one old circuit.
     Immutable; equal and of equal hash when all three fields are."""
 
+    _fields = ("vertex", "order", "tokens")
+
     def __init__(self, vertex: int, order: int, tokens: tuple[int, ...]):
-        object.__setattr__(self, "vertex", vertex)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "tokens", tokens)
-
-    __setattr__ = __delattr__ = immutable
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vertex, self.order, self.tokens) == (other.vertex, other.order, other.tokens)
-
-    def __hash__(self) -> int:
-        return hash((self.vertex, self.order, self.tokens))
-
-    def __repr__(self) -> str:
-        return (
-            f"InsertionTrail(vertex={self.vertex!r}, order={self.order!r}, "
-            f"tokens={self.tokens!r})"
-        )
+        self.__dict__.update(vertex=vertex, order=order, tokens=tokens)
 
 
 def build_sigma(i: int, n: int) -> tuple[int, ...]:
@@ -284,6 +252,21 @@ def _admissible(
     return [(p, mates[a, b]) for a, b, p in transition_positions(s_u, w) if (a, b) in mates]
 
 
+def check_order(n: int, orientable: bool = True) -> None:
+    """Refuse an order no single-multiplicity family is built for: TypeError
+    when n is not an int, OddOrder when it is odd, InvalidParameter below 4,
+    and UnsupportedCase for the planar order 4 when `orientable` is false."""
+    require_ints(n)
+    if n % 2 != 0:
+        raise OddOrder(f"only even orders are supported, got n={n}")
+    if n < 4:
+        raise InvalidParameter(f"order must be >= 4, got n={n}")
+    if not orientable and n < 6:
+        raise UnsupportedCase(
+            "the order-4 family is planar; no non-orientable minimum exists"
+        )
+
+
 def build_even(
     n: int,
     orientable: bool = True,
@@ -296,15 +279,7 @@ def build_even(
     the non-orientable variant) two vertices at a time.  `choices` fixes
     the free choices per step; `seed` randomizes whatever is left free.
     """
-    require_ints(n)
-    if n % 2 != 0:
-        raise OddOrder(f"only even orders are constructed, got n={n}")
-    if n < 4:
-        raise InvalidParameter(f"order must be >= 4, got n={n}")
-    if not orientable and n < 6:
-        raise UnsupportedCase(
-            "the order-4 family is planar; no non-orientable minimum exists"
-        )
+    check_order(n, orientable)
     current = base_set("orientable_4" if orientable else "nonorientable_6")
     rng = Random(seed) if seed is not None else None
     step = 0
@@ -401,15 +376,11 @@ def build_multi(
     The non-orientable order-4 case starts from the doubled Klein-bottle
     base (so needs m >= 2) and uses planar layers on top.
     """
-    require_ints(n, m)
-    if n % 2 != 0:
-        raise OddOrder(f"only even orders are constructed, got n={n}")
+    require_ints(m)
+    # The doubled Klein-bottle base makes order 4 non-orientable for m >= 2.
+    check_order(n, orientable or m > 1)
     if m < 1:
         raise InvalidParameter(f"multiplicity must be >= 1, got m={m}")
-    if not orientable and n == 4 and m == 1:
-        raise UnsupportedCase(
-            "the order-4 family is planar; no non-orientable minimum exists"
-        )
     rng = Random(seed) if seed is not None else None
     if orientable or n > 4:
         if m == 1:

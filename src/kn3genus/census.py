@@ -13,7 +13,7 @@ from itertools import product
 from operator import index
 from random import Random
 
-from .builder import build_even
+from .builder import build_even, check_order
 from .circuits import (
     Circuit,
     EmbeddingSet,
@@ -22,31 +22,18 @@ from .circuits import (
     least_rotation,
     relabel,
 )
-from .exceptions import InvalidParameter, OddOrder, immutable
+from .exceptions import InvalidParameter, Value
 from .scheme import verify_family
 
 
-class CanonicalSet:
+class CanonicalSet(Value):
     """Rotation/reversal-invariant normal form of a family, labels left out.
     Immutable; equal and of equal hash when all three fields are."""
 
+    _fields = ("n", "m", "circuits")
+
     def __init__(self, n: int, m: int, circuits: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "circuits", circuits)
-
-    __setattr__ = __delattr__ = immutable
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.m, self.circuits) == (other.n, other.m, other.circuits)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.m, self.circuits))
-
-    def __repr__(self) -> str:
-        return f"CanonicalSet(n={self.n!r}, m={self.m!r}, circuits={self.circuits!r})"
+        self.__dict__.update(n=n, m=m, circuits=circuits)
 
 
 def canonicalize(s: EmbeddingSet) -> CanonicalSet:
@@ -118,7 +105,7 @@ def sets_isomorphic(a: EmbeddingSet, b: EmbeddingSet) -> dict[int, int] | None:
     return None
 
 
-class EnumerationResult:
+class EnumerationResult(Value):
     """The families found, each in its canonical written form
     (`canonical_rewrite`), and whether the attempts ran out first.
 
@@ -127,6 +114,10 @@ class EnumerationResult:
     len(families) + `duplicates` + `rejected`.  Mutable and unhashable;
     equal when all five fields are.
     """
+
+    _fields = ("families", "budget_exhausted", "attempts", "duplicates", "rejected")
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __hash__ = None
 
     def __init__(
         self,
@@ -141,22 +132,6 @@ class EnumerationResult:
         self.attempts = attempts
         self.duplicates = duplicates
         self.rejected = rejected
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.families, self.budget_exhausted, self.attempts, self.duplicates, self.rejected
-        ) == (
-            other.families, other.budget_exhausted, other.attempts, other.duplicates, other.rejected
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"EnumerationResult(families={self.families!r}, "
-            f"budget_exhausted={self.budget_exhausted!r}, attempts={self.attempts!r}, "
-            f"duplicates={self.duplicates!r}, rejected={self.rejected!r})"
-        )
 
     def __len__(self) -> int:
         return len(self.families)
@@ -178,9 +153,11 @@ def enumerate_variants(
     form, made from the least forms its canonical key was taken from.
     Stops early with `budget_exhausted` set once ATTEMPTS_PER_FAMILY * count
     attempts have been spent.  The result counts the attempts, and the
-    duplicates and rejections among them.  Raises InvalidParameter for a
-    count that is not an int or is negative.
+    duplicates and rejections among them.  Refuses n and orientability as
+    `build_even` does (`check_order`), before it reads the count, and raises
+    InvalidParameter for a count that is not an int or is negative.
     """
+    check_order(n, orientable)
     try:
         count = index(count)
     except TypeError:
@@ -224,11 +201,9 @@ def count_lower_bound(n: int) -> int:
     """Exact value of the recurrence bounding inequivalent minimum embeddings.
 
     R_4 = 1 and R_k = ((k-4)/2)^((k-2)/2) * (k-3)!! * 2^((k-2)/2) / 2 * R_{k-2}.
+    It refuses n as `build_even` does (`check_order`).
     """
-    if n % 2 != 0:
-        raise OddOrder(f"bound defined for even orders, got n={n}")
-    if n < 4:
-        raise InvalidParameter(f"order must be >= 4, got n={n}")
+    check_order(n)
     r = 1
     for k in range(6, n + 1, 2):
         half = (k - 2) // 2
@@ -237,11 +212,9 @@ def count_lower_bound(n: int) -> int:
 
 
 def count_upper_bound(n: int) -> int:
-    """Exact value of ((n-3)!!)^(n(n-1)/2), bounding families from above."""
-    if n % 2 != 0:
-        raise OddOrder(f"bound defined for even orders, got n={n}")
-    if n < 4:
-        raise InvalidParameter(f"order must be >= 4, got n={n}")
+    """Exact value of ((n-3)!!)^(n(n-1)/2), bounding families from above.
+    It refuses n as `build_even` does (`check_order`)."""
+    check_order(n)
     return double_factorial(n - 3) ** (n * (n - 1) // 2)
 
 

@@ -36,30 +36,17 @@ from itertools import combinations, repeat
 from math import comb
 from operator import add, eq, mul
 
-from .exceptions import InvalidParameter, MismatchedAmbient, VertexAbsent, immutable
+from .exceptions import InvalidParameter, MismatchedAmbient, Value, VertexAbsent
 
 
-class Transition:
+class Transition(Value):
     """The pass a -> mid -> b of a circuit through mid.  Immutable; equal and
     of equal hash when a, mid and b are."""
 
+    _fields = ("a", "mid", "b")
+
     def __init__(self, a: int, mid: int, b: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "mid", mid)
-        object.__setattr__(self, "b", b)
-
-    __setattr__ = __delattr__ = immutable
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.mid, self.b) == (other.a, other.mid, other.b)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.mid, self.b))
-
-    def __repr__(self) -> str:
-        return f"Transition(a={self.a!r}, mid={self.mid!r}, b={self.b!r})"
+        self.__dict__.update(a=a, mid=mid, b=b)
 
     @property
     def outer(self) -> tuple[int, int]:
@@ -93,7 +80,7 @@ def least_written(seq: tuple[int, ...]) -> tuple[int, ...]:
     return seq[off:] + seq[:off]
 
 
-class Circuit:
+class Circuit(Value):
     """Cyclic closed trail in the m-fold complete graph on [n] minus one vertex.
 
     `copy_labels` assigns each traversed edge (position p covers the pair
@@ -107,6 +94,9 @@ class Circuit:
     and `seq`.
     """
 
+    _fields = ("excluded", "n", "m", "seq", "copy_labels")
+    _compared = ("excluded", "n", "m", "seq")
+
     def __init__(
         self,
         excluded: int,
@@ -115,29 +105,7 @@ class Circuit:
         seq: tuple[int, ...],
         copy_labels: tuple[int, ...] | None = None,
     ):
-        object.__setattr__(self, "excluded", excluded)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "seq", seq)
-        object.__setattr__(self, "copy_labels", copy_labels)
-
-    __setattr__ = __delattr__ = immutable
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.excluded, self.n, self.m, self.seq) == (
-            other.excluded, other.n, other.m, other.seq
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.excluded, self.n, self.m, self.seq))
-
-    def __repr__(self) -> str:
-        return (
-            f"Circuit(excluded={self.excluded!r}, n={self.n!r}, m={self.m!r}, "
-            f"seq={self.seq!r}, copy_labels={self.copy_labels!r})"
-        )
+        self.__dict__.update(excluded=excluded, n=n, m=m, seq=seq, copy_labels=copy_labels)
 
     def __len__(self) -> int:
         return len(self.seq)
@@ -189,7 +157,7 @@ class Circuit:
         return self.canonical_seq() == other.canonical_seq()
 
 
-class EmbeddingSet:
+class EmbeddingSet(Value):
     """Circuits T_1..T_n, T_i excluding i, pairwise compatible.
 
     `strong` records whether all pairs are strongly compatible, copies
@@ -198,49 +166,26 @@ class EmbeddingSet:
     Immutable; equal and of equal hash when all four fields are.
     """
 
+    _fields = ("n", "m", "circuits", "strong")
+
     def __init__(self, n: int, m: int, circuits: tuple[Circuit, ...], strong: bool):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "circuits", circuits)
-        object.__setattr__(self, "strong", strong)
-
-    __setattr__ = __delattr__ = immutable
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.m, self.circuits, self.strong) == (
-            other.n, other.m, other.circuits, other.strong
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.m, self.circuits, self.strong))
-
-    def __repr__(self) -> str:
-        return (
-            f"EmbeddingSet(n={self.n!r}, m={self.m!r}, circuits={self.circuits!r}, "
-            f"strong={self.strong!r})"
-        )
+        self.__dict__.update(n=n, m=m, circuits=circuits, strong=strong)
 
     def circuit(self, i: int) -> Circuit:
         return self.circuits[i - 1]
 
 
-class ValidationReport:
+class ValidationReport(Value):
     """Whether a check passed, and its failure messages, first first.
     Mutable and unhashable; equal when both fields are."""
+
+    _fields = ("ok", "failures")
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __hash__ = None
 
     def __init__(self, ok: bool, failures: list[str]):
         self.ok = ok
         self.failures = failures
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ok, self.failures) == (other.ok, other.failures)
-
-    def __repr__(self) -> str:
-        return f"ValidationReport(ok={self.ok!r}, failures={self.failures!r})"
 
     def __bool__(self) -> bool:
         return self.ok
@@ -530,8 +475,12 @@ def relabel(s: EmbeddingSet, perm: dict[int, int]) -> EmbeddingSet:
     """Apply a permutation of the vertex labels 1..n to a whole family.
 
     The circuit excluding i becomes the circuit excluding perm[i], with its
-    sequence mapped elementwise.  Copy labels ride along unchanged.
+    sequence mapped elementwise.  Copy labels ride along unchanged.  Raises
+    InvalidParameter unless perm maps 1..n onto 1..n.
     """
+    vertices = set(range(1, s.n + 1))
+    if perm.keys() != vertices or set(perm.values()) != vertices:
+        raise InvalidParameter(f"relabel needs a permutation of 1..{s.n}, got {perm!r}")
     circuits: list[Circuit | None] = [None] * s.n
     for c in s.circuits:
         new_excl = perm[c.excluded]

@@ -1,12 +1,46 @@
-"""Exception types shared across the package, and the refusal its
-immutable value classes make on assignment."""
+"""Exception types shared across the package, and `Value`, the base of its
+value classes, with `immutable`, the refusal they make on assignment."""
+
+from operator import attrgetter
 
 
 def immutable(self, name, *value):
     """`__setattr__` and `__delattr__` of an immutable value class: its
-    `__init__` sets its fields through `object.__setattr__`, and any later
-    assignment or deletion raises AttributeError."""
+    `__init__` sets its fields in its `__dict__`, and any later assignment
+    or deletion raises AttributeError."""
     raise AttributeError(f"cannot assign to or delete field {name!r} of {type(self).__name__}")
+
+
+class Value:
+    """Base of the package's value classes: immutable, with equality, the
+    hash and the repr read from the fields a class lists.
+
+    A subclass lists the fields its repr shows, in `__init__` order, as
+    `_fields`, and its `__init__` sets its fields through `self.__dict__`.
+    Equality and the hash read `_compared`, `_fields` unless the class
+    names a subset: two values are equal when they are of one class and
+    agree on those fields, and the hash is that of the tuple of them.  A
+    mutable subclass restores `object.__setattr__` and `object.__delattr__`
+    and sets `__hash__` to None.
+    """
+
+    _fields: tuple[str, ...] = ()
+    __setattr__ = __delattr__ = immutable
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*getattr(cls, "_compared", cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 class Kn3Error(Exception):

@@ -14,7 +14,7 @@ from functools import cache, cached_property
 from itertools import chain, combinations, product, repeat
 from math import comb
 
-from .exceptions import InvalidParameter, OddOrder, UnsupportedCase, immutable
+from .exceptions import InvalidParameter, OddOrder, UnsupportedCase, Value, immutable
 
 Triple = tuple[int, int, int]
 # A Levi vertex on the edge side: (sorted triple, copy index in 0..m-1).
@@ -22,15 +22,17 @@ YVertex = tuple[Triple, int]
 
 
 def require_ints(*values) -> None:
-    """Refuse an order or a multiplicity that is not an int with the
-    TypeError of `HypergraphSpec`, which the builders share."""
-    if not all(isinstance(v, int) for v in values):
+    """Refuse an order or a multiplicity that is not an int, or is a bool,
+    with the TypeError of `HypergraphSpec`, which the builders share."""
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
         raise TypeError("n and m must be integers")
 
 
-class HypergraphSpec:
+class HypergraphSpec(Value):
     """Order n (>= 4) and edge multiplicity m (>= 1).  Immutable; equal
     and of equal hash when n and m are."""
+
+    _fields = ("n", "m")
 
     def __init__(self, n: int, m: int = 1):
         require_ints(n, m)
@@ -38,21 +40,7 @@ class HypergraphSpec:
             raise InvalidParameter(f"order n must be >= 4, got {n}")
         if m < 1:
             raise InvalidParameter(f"multiplicity m must be >= 1, got {m}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-
-    __setattr__ = __delattr__ = immutable
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.m) == (other.n, other.m)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.m))
-
-    def __repr__(self) -> str:
-        return f"HypergraphSpec(n={self.n!r}, m={self.m!r})"
+        self.__dict__.update(n=n, m=m)
 
     @property
     def edge_count(self) -> int:

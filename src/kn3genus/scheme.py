@@ -135,7 +135,7 @@ from .exceptions import (
     NotAnEmbeddingSet,
     NotQuadrilateral,
     OddOrder,
-    immutable,
+    Value,
 )
 from .levi import (
     HypergraphSpec,
@@ -357,35 +357,21 @@ def x_writer(graph: LeviGraph) -> tuple[bytearray, Callable[[int, Sequence[int]]
     return buffer, put
 
 
-class FaceReport:
+class FaceReport(Value):
     """The faces `trace_faces` found: their count, their lengths in sorted
     order, the Euler genus they give and whether the scheme is orientable.
     Immutable; equal and of equal hash when all four fields are."""
 
+    _fields = ("face_count", "face_lengths", "euler_genus", "orientable")
+
     def __init__(
         self, face_count: int, face_lengths: tuple[int, ...], euler_genus: int, orientable: bool
     ):
-        object.__setattr__(self, "face_count", face_count)
-        object.__setattr__(self, "face_lengths", face_lengths)
-        object.__setattr__(self, "euler_genus", euler_genus)
-        object.__setattr__(self, "orientable", orientable)
-
-    __setattr__ = __delattr__ = immutable
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.face_count, self.face_lengths, self.euler_genus, self.orientable) == (
-            other.face_count, other.face_lengths, other.euler_genus, other.orientable
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.face_count, self.face_lengths, self.euler_genus, self.orientable))
-
-    def __repr__(self) -> str:
-        return (
-            f"FaceReport(face_count={self.face_count!r}, face_lengths={self.face_lengths!r}, "
-            f"euler_genus={self.euler_genus!r}, orientable={self.orientable!r})"
+        self.__dict__.update(
+            face_count=face_count,
+            face_lengths=face_lengths,
+            euler_genus=euler_genus,
+            orientable=orientable,
         )
 
     @property
@@ -663,7 +649,7 @@ def _signs_agree(negative: bytes) -> bool:
     return negative[0::3] == negative[1::3] == negative[2::3]
 
 
-class FamilyReport:
+class FamilyReport(Value):
     """Everything that certifies a family as a minimum-genus embedding.
 
     `compatible` is None when `eulerian` fails; the scheme, its faces and
@@ -676,6 +662,8 @@ class FamilyReport:
     Immutable; equality, the hash and the repr leave `family` out.
     """
 
+    _fields = ("eulerian", "compatible", "scheme", "faces", "expected_genus")
+
     def __init__(
         self,
         eulerian: "ValidationReport",
@@ -685,31 +673,13 @@ class FamilyReport:
         expected_genus: int | None,
         family: "EmbeddingSet",
     ):
-        object.__setattr__(self, "eulerian", eulerian)
-        object.__setattr__(self, "compatible", compatible)
-        object.__setattr__(self, "scheme", scheme)
-        object.__setattr__(self, "faces", faces)
-        object.__setattr__(self, "expected_genus", expected_genus)
-        object.__setattr__(self, "family", family)
-
-    __setattr__ = __delattr__ = immutable
-
-    def _fields(self) -> tuple:
-        return self.eulerian, self.compatible, self.scheme, self.faces, self.expected_genus
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"FamilyReport(eulerian={self.eulerian!r}, compatible={self.compatible!r}, "
-            f"scheme={self.scheme!r}, faces={self.faces!r}, "
-            f"expected_genus={self.expected_genus!r})"
+        self.__dict__.update(
+            eulerian=eulerian,
+            compatible=compatible,
+            scheme=scheme,
+            faces=faces,
+            expected_genus=expected_genus,
+            family=family,
         )
 
     @property

@@ -185,11 +185,17 @@ def test_argument_domain_errors_are_invalid_parameters(call):
         lambda: build_multi(6, 2.0),
         lambda: build_multi(6.0, 1),
         lambda: HypergraphSpec(6, "1"),
+        lambda: HypergraphSpec(8, True),
+        lambda: count_lower_bound("8"),
+        lambda: count_upper_bound(8.0),
+        lambda: count_upper_bound(True),
     ],
 )
 def test_an_order_or_multiplicity_that_is_no_int_is_refused_as_the_spec_does(call):
     # Before the check, build_even("6") failed on `"6" % 2` with an unrelated
-    # message, and build_multi(6, 2.0) built an m = 2 family.
+    # message, and build_multi(6, 2.0) built an m = 2 family.  A bool is no
+    # int: HypergraphSpec(8, True) had m=True, count_upper_bound(True) raised
+    # OddOrder for "n=True", and count_upper_bound(8.0) returned a float.
     with pytest.raises(TypeError) as err:
         call()
     assert str(err.value) == "n and m must be integers"

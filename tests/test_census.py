@@ -9,6 +9,8 @@ from kn3genus import (
     EmbeddingSet,
     InvalidParameter,
     Kn3Error,
+    OddOrder,
+    UnsupportedCase,
     build_even,
     canonicalize,
     count_lower_bound,
@@ -146,6 +148,18 @@ def test_enumerate_refuses_a_count_that_is_no_int_or_negative(count, message):
     with pytest.raises(InvalidParameter) as err:
         enumerate_variants(8, True, count, seed=1)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("count", [0, 1])
+@pytest.mark.parametrize(
+    "n,orientable,error",
+    [(7, True, OddOrder), ("8", True, TypeError), (4, False, UnsupportedCase)],
+)
+def test_enumerate_checks_its_order_before_its_count(n, orientable, error, count):
+    # A count of 0 returned an empty result that was not exhausted, where a
+    # count of 1 raised.
+    with pytest.raises(error):
+        enumerate_variants(n, orientable, count)
 
 
 def test_enumerate_takes_any_index_as_its_count():

@@ -207,6 +207,22 @@ def test_relabel_preserves_validity(strong6):
     assert canonical_set_key(moved) != canonical_set_key(strong6)
 
 
+@pytest.mark.parametrize(
+    "perm",
+    [
+        {1: 1},
+        {1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 99},
+        {1: 2, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6},
+    ],
+    ids=["partial", "outside", "not-onto"],
+)
+def test_relabel_refuses_a_map_that_is_no_permutation(perm):
+    # These raised a bare KeyError, an IndexError, and returned a family
+    # whose first circuit was None.
+    with pytest.raises(InvalidParameter, match=r"permutation of 1\.\.6"):
+        relabel(build_even(6, seed=1), perm)
+
+
 def test_canonical_seq_invariance():
     s = build_even(8, orientable=True)
     for c in s.circuits:

@@ -1,9 +1,11 @@
-"""The package's value classes, written by hand, behave as the dataclasses
-they replace: the same constructor parameters and defaults, equality over
-the same fields, the same hash (or none), repr, immutability and pickling.
+"""The package's value classes, which take equality, the hash and the repr
+from `exceptions.Value`, behave as the dataclasses they replace: the same
+constructor parameters and defaults, equality over the same fields, the
+same hash (or none), repr, immutability and pickling.
 
 Each class is checked against a dataclass declared as it was declared
-before, with the same name, on the same arguments."""
+before, with the same name, on the same arguments.  No class but
+`LeviGraph`, equal only to itself, writes these methods out again."""
 
 import dataclasses
 import inspect
@@ -26,6 +28,7 @@ from kn3genus import (
     build_levi,
     fixture_set,
 )
+from kn3genus.exceptions import Value
 from kn3genus.scheme import FaceReport, FamilyReport, set_to_scheme, verify_family
 
 frozen = dataclasses.dataclass(frozen=True)
@@ -179,6 +182,14 @@ def test_value_class_behaves_as_its_dataclass(cls):
             assert pickle.loads(pickle.dumps(value)) == value
     for (value, reference), (other, other_reference) in product(pairs, repeat=2):
         assert (value == other) == (reference == other_reference)
+
+
+@pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
+def test_value_classes_take_their_methods_from_the_base(cls):
+    # `__hash__ = None` marks a mutable class; it writes no method.
+    written = {name for name in ("__eq__", "__hash__", "__repr__") if cls.__dict__.get(name)}
+    assert written == ({"__repr__"} if cls is LeviGraph else set())
+    assert issubclass(cls, Value) == (cls is not LeviGraph)
 
 
 def test_mutable_value_classes_take_assignment():
