@@ -252,11 +252,20 @@ def _admissible(
     return [(p, mates[a, b]) for a, b, p in transition_positions(s_u, w) if (a, b) in mates]
 
 
+def _require_bool(orientable) -> None:
+    """Refuse an `orientable` that is not a bool, which would pick a
+    construction by its truth value."""
+    if not isinstance(orientable, bool):
+        raise TypeError(f"orientable must be a bool, got {orientable!r}")
+
+
 def check_order(n: int, orientable: bool = True) -> None:
     """Refuse an order no single-multiplicity family is built for: TypeError
-    when n is not an int, OddOrder when it is odd, InvalidParameter below 4,
-    and UnsupportedCase for the planar order 4 when `orientable` is false."""
+    when n is not an int or `orientable` not a bool, OddOrder when n is odd,
+    InvalidParameter below 4, and UnsupportedCase for the planar order 4
+    when `orientable` is false."""
     require_ints(n)
+    _require_bool(orientable)
     if n % 2 != 0:
         raise OddOrder(f"only even orders are supported, got n={n}")
     if n < 4:
@@ -377,6 +386,7 @@ def build_multi(
     base (so needs m >= 2) and uses planar layers on top.
     """
     require_ints(m)
+    _require_bool(orientable)
     # The doubled Klein-bottle base makes order 4 non-orientable for m >= 2.
     check_order(n, orientable or m > 1)
     if m < 1:

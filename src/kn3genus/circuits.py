@@ -21,18 +21,17 @@ quadrilateral surface embedding of the Levi graph, and a strong one an
 orientable embedding (see `scheme`).
 
 Compatibility has one rule, `_pair_failures`, on the passes of T_i through
-j and of T_j through i as pairs of ends (`_step_ends`), which the family
-checks group by middle vertex (`_transition_index`).  `scheme` certifies a
-valid family without it (its lemmas), so it runs to name a failure.  The
-passes through one vertex, with their positions, come from one scanner,
-`transition_positions`, which the two-circuit checks, `transitions_through`
-and the builder share.  Rotation-invariant forms of circuits all come from
-`least_rotation`.
+j and of T_j through i as pairs of ends (`_step_ends`).  `scheme` judges a
+family by the faces and signs of its scheme (its lemmas), and names the
+one failing pair whose failure the rule words.  The passes through one
+vertex, with their positions, come from one scanner, `transition_positions`,
+which the two-circuit checks, `transitions_through` and the builder share.
+Rotation-invariant forms of circuits all come from `least_rotation`.
 """
 
 from collections import Counter
 from collections.abc import Sequence
-from itertools import combinations, repeat
+from itertools import repeat
 from math import comb
 from operator import add, eq, mul
 
@@ -237,9 +236,12 @@ def validate_eulerian(c: Circuit) -> ValidationReport:
     scans in C, pair counts in one Counter and, for m > 1 only, the copy
     labels in one pass.  A message is worked out only for a test that fails.
     A vertex or copy label that is not an int is named, and ends the check.
+    Raises InvalidParameter for a multiplicity below 1.
     """
     failures: list[str] = []
     seq, n, m = c.seq, c.n, c.m
+    if m < 1:
+        raise InvalidParameter(f"multiplicity m must be >= 1, got {m}")
     nxt = seq[1:] + seq[:1]
     if len(seq) != c.expected_length:
         failures.append(
@@ -303,7 +305,7 @@ def transitions_through(c: Circuit, j: int) -> list[Transition]:
     return out
 
 
-def _two_circuit_failures(t_i: Circuit, t_j: Circuit) -> tuple[str, str]:
+def two_circuit_failures(t_i: Circuit, t_j: Circuit) -> tuple[str, str]:
     """`_pair_failures` of T_i and T_j, refusing circuits that cannot pair."""
     if t_i.n != t_j.n or t_i.m != t_j.m:
         raise MismatchedAmbient(
@@ -326,17 +328,17 @@ def is_compatible(t_i: Circuit, t_j: Circuit) -> bool:
     the same two ends, copies included, in either order, with multiplicity.
     Raises InvalidParameter for an m > 1 circuit without one copy label in
     0..m-1 per step."""
-    return not _two_circuit_failures(t_i, t_j)[0]
+    return not two_circuit_failures(t_i, t_j)[0]
 
 
 def is_strongly_compatible(t_i: Circuit, t_j: Circuit) -> bool:
     """Every pass a -> j -> b of T_i is matched by the reversed pass b -> i
     -> a of T_j, copies included, with multiplicity.  Raises
     InvalidParameter as `is_compatible` does."""
-    return not _two_circuit_failures(t_i, t_j)[1]
+    return not two_circuit_failures(t_i, t_j)[1]
 
 
-def _circuit_failures(s: EmbeddingSet) -> list[str]:
+def circuit_failures(s: EmbeddingSet) -> list[str]:
     """Circuits out of place, of another ambient, or not Eulerian (the last
     read "circuit i: <first violation>")."""
     if len(s.circuits) != s.n:
@@ -374,16 +376,6 @@ def _step_ends(c: Circuit) -> tuple[Sequence[int], Sequence[int]]:
     return tails, heads
 
 
-def _transition_index(c: Circuit) -> dict[int, list[tuple[int, int]]]:
-    """The passes of c through each vertex j, as pairs of ends
-    (`_step_ends`), grouped by j, each group in scan order."""
-    tails, heads = _step_ends(c)
-    index: dict[int, list[tuple[int, int]]] = {}
-    for a, j, b in zip(tails[-1:] + tails[:-1], c.seq, heads):
-        index.setdefault(j, []).append((a, b))
-    return index
-
-
 def _pair_failures(i: int, j: int, m: int, ours, theirs) -> tuple[str, str]:
     """Failures of T_i and T_j as not compatible and as not strongly
     compatible ("" for none), from the passes of T_i through j and of T_j
@@ -407,68 +399,20 @@ def _pair_failures(i: int, j: int, m: int, ours, theirs) -> tuple[str, str]:
     return "", f"pair ({i},{j}) not strongly compatible at transition ({a // m},{j},{b // m})"
 
 
-def _family_pair_failures(s: EmbeddingSet) -> tuple[str, str]:
-    """The failures of the lexicographically first pair i < j that is not
-    compatible and of the first that is not strongly compatible, from each
-    circuit's passes through the other's position in the family."""
-    strong_failure = ""
-    indexes = [_transition_index(c) for c in s.circuits]
-    for (i, ours), (j, theirs) in combinations(enumerate(indexes, 1), 2):
-        weak, strong = _pair_failures(i, j, s.m, ours.get(j, ()), theirs.get(i, ()))
-        strong_failure = strong_failure or strong
-        if weak:
-            return weak, strong_failure
-    return "", strong_failure
-
-
-def _report(failure: str) -> ValidationReport:
-    return ValidationReport(not failure, [failure] if failure else [])
-
-
 def is_embedding_set(s: EmbeddingSet, require_strong: bool | None = None) -> ValidationReport:
     """Validate every circuit Eulerian and every pair (strongly) compatible.
 
-    A circuit fails as in `check_family`, copy labels included.  The report
-    names the lexicographically first failing pair (`_pair_failures`), and
-    for a pair that is compatible but not strongly so, the transition of a
-    pass of T_i whose reverse, copies included, T_j lacks.  `require_strong=None` uses the set's
-    own flag.
+    A circuit fails as in `circuit_failures`, copy labels included.  The
+    report names the lexicographically first failing pair that the faces and
+    signs of the family's scheme find (`verify_family`), and for a pair that
+    is compatible but not strongly so, the transition of a pass of T_i whose
+    reverse, copies included, T_j lacks.  `require_strong=None` uses the set's own flag.
     """
+    from .scheme import family_failure
+
     if require_strong is None:
         require_strong = s.strong
-    failures = _circuit_failures(s)
-    if failures:
-        return ValidationReport(False, failures)
-    weak_failure, strong_failure = _family_pair_failures(s)
-    return _report(strong_failure if require_strong else weak_failure)
-
-
-def pair_reports(s: EmbeddingSet) -> tuple[ValidationReport, ValidationReport | None]:
-    """Compatible and strong reports of an Eulerian family, those of
-    `check_family`; strong is None when compatible fails.  A family that is
-    not Eulerian gets reports too, in which a circuit that misses vertex j
-    has no passes through j to pair with those of the circuit excluding j;
-    for m > 1 each circuit needs one copy label in 0..m-1 per step, or
-    InvalidParameter is raised."""
-    weak_failure, strong_failure = _family_pair_failures(s)
-    return _report(weak_failure), None if weak_failure else _report(strong_failure)
-
-
-def check_family(
-    s: EmbeddingSet,
-) -> tuple[ValidationReport, ValidationReport | None, ValidationReport | None]:
-    """Eulerian, compatible and strong reports of a family.
-
-    The Eulerian report names every circuit out of place, of another
-    ambient, or not Eulerian ("circuit i: <first violation>").  The pair
-    reports are those of `pair_reports`, which name the first failing pair
-    as `is_embedding_set` does; compatible is None when the Eulerian report
-    fails, and strong is None when compatible fails.
-    """
-    failures = _circuit_failures(s)
-    if failures:
-        return ValidationReport(False, failures), None, None
-    return (ValidationReport(True, []), *pair_reports(s))
+    return family_failure(s, require_strong)
 
 
 def relabel(s: EmbeddingSet, perm: dict[int, int]) -> EmbeddingSet:

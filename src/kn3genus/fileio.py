@@ -425,7 +425,7 @@ class _LineReader:
         self.negative[k] = val == "-1"
 
     def scheme(self, negative: bytes | bytearray) -> EmbeddingScheme:
-        return EmbeddingScheme.from_ids(self.graph, self.x_ids, self.y_reversed, negative)
+        return EmbeddingScheme._adopt(self.graph, self.x_ids, self.y_reversed, negative)
 
 
 def _written_order(first: str) -> tuple[int, int] | None:

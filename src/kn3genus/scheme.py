@@ -35,10 +35,9 @@ side.
 
 Certifying a family.  The family front end decides from the edge ids
 whether every circuit is Eulerian with valid copy labels, refusing exactly
-what `circuits.check_family` refuses.  Compatibility and strength then
-follow from the lemmas below, for every m, and `circuits` runs only to name a
-failure: `check_family` for a family the front end refuses, `pair_reports`
-for one it passes.
+what `circuits.circuit_failures` refuses, which says why.  Compatibility,
+strength and the first pair that fails either follow from the lemmas
+below, for every m (`_first_failure`); `circuits` only words the failure.
 
 In the scheme of a family, the corner of X vertex i between the edges of
 steps p-1 and p of T_i is the pass (a, j, b) of T_i through j = seq[p]; its
@@ -117,8 +116,8 @@ So the faces decide compatibility, and the signs strength, in one place:
 `verify_family` traces the family's scheme and `set_to_scheme` returns it,
 report and all, and `scheme_to_set` reads both off the scheme it is given
 (lemma 3), never building the scheme of the family it reads back nor
-tracing again a scheme that has been traced.  The passes of `circuits`
-only name a failure.
+tracing again a scheme that has been traced.  The same faces and signs
+name the first failing pair, and the passes of `circuits` only word it.
 """
 
 from collections import Counter
@@ -175,9 +174,9 @@ class EmbeddingScheme:
     scheme, the one in `verify_family`), and every later call returns it.
 
     `EmbeddingScheme(graph, rotation, signature)` checks hand-built dicts
-    once and keeps their ids, not the dicts; `from_ids` takes a buffer of
-    ids a front end has checked (`set_to_scheme`, `verify_family`,
-    `parse_scheme`).
+    once and keeps their ids, not the dicts; `from_ids` takes a copy of a
+    buffer of checked ids, and the front ends (`verify_family`,
+    `parse_scheme`) hand theirs over uncopied.
     `rotation` maps every vertex to the cyclic order of its edges and
     `signature` every edge (x, y) to +1 or -1: read-only views of the ids,
     built when first read, which list a Y rotation from its lowest slot, or
@@ -265,13 +264,17 @@ class EmbeddingScheme:
         y_reversed: bytes | bytearray,
         negative: bytes | bytearray,
     ) -> "EmbeddingScheme":
-        """The scheme of ids that a front end has checked: `x_ids` is the
-        buffer of X rotations that `x_writer` filled, or its bytes, and the
-        scheme keeps it and hands out read-only views of it; `y_reversed`
-        and `negative` are kept as bytes, copied when given as a buffer.
-        The scheme takes the buffer over, uncopied, so that a Levi edge
-        costs 4 bytes once: the caller writes no more into it, as the front
-        ends drop it, for the scheme keeps the report of its first trace."""
+        """The scheme of checked ids: `x_ids` is the buffer of X rotations
+        that `x_writer` filled, or its bytes, and the scheme hands out
+        read-only views of it; all three are kept as bytes, copied when
+        given as a buffer, so a later write into the caller's buffer leaves
+        the scheme, and the report of its first trace, as they were."""
+        return cls._adopt(graph, bytes(x_ids), y_reversed, negative)
+
+    @classmethod
+    def _adopt(cls, graph, x_ids, y_reversed, negative) -> "EmbeddingScheme":
+        """`from_ids` keeping the buffer `x_ids` itself, so that a Levi edge
+        costs 4 bytes once: for a front end, which writes no more into it."""
         sch = cls.__new__(cls)
         sch._set(graph, x_ids, y_reversed, negative)
         return sch
@@ -344,8 +347,7 @@ def x_writer(graph: LeviGraph) -> tuple[bytearray, Callable[[int, Sequence[int]]
     Each id takes a C unsigned int (format "I", 4 bytes), and every X vertex
     has the same degree, so the rotation at x takes the ids from
     (x - 1) * degree on.  Every constructor writes each rotation through it
-    as soon as it has read it, and `EmbeddingScheme.from_ids` takes the
-    filled buffer.
+    as soon as it has read it, and the scheme takes the filled buffer.
     """
     rotation = Struct(f"{graph.x_degree()}I")
     size = rotation.size
@@ -472,6 +474,26 @@ def _all_quadrilateral(face_count: int) -> tuple[int, ...]:
     return (4,) * face_count
 
 
+def _walk_tables(sch: EmbeddingScheme) -> tuple[memoryview, memoryview]:
+    """The `corner` and `hop` tables over the X flags of `trace_faces`."""
+    count = sch.graph.edge_count
+    corner = memoryview(bytearray(8 * count)).cast("i")
+    # Side 1 of each rotation entry meets side 0 of the next, cyclically.
+    for rot in sch.x_rotations:
+        prev = 2 * rot[-1] + 1
+        for k in rot:
+            f = 2 * k
+            corner[prev] = f
+            corner[f] = prev
+            prev = f + 1
+    # The X flags of the Y vertex y are 6y + 2s + side.
+    states = _y_states(sch)
+    hop = bytearray(2 * count)
+    for j, hops in enumerate(_HOPS):
+        hop[j::6] = states.translate(hops)
+    return corner, memoryview(hop).cast("b")
+
+
 def trace_faces(sch: EmbeddingScheme) -> FaceReport:
     """Trace the faces of a scheme; decide orientability by vertex parity.
 
@@ -510,21 +532,7 @@ def trace_faces(sch: EmbeddingScheme) -> FaceReport:
         return sch._faces
     graph = sch.graph
     count = graph.edge_count
-    corner = memoryview(bytearray(8 * count)).cast("i")
-    # Side 1 of each rotation entry meets side 0 of the next, cyclically.
-    for rot in sch.x_rotations:
-        prev = 2 * rot[-1] + 1
-        for k in rot:
-            f = 2 * k
-            corner[prev] = f
-            corner[f] = prev
-            prev = f + 1
-    # The X flags of the Y vertex y are 6y + 2s + side.
-    states = _y_states(sch)
-    hop = bytearray(2 * count)
-    for j, hops in enumerate(_HOPS):
-        hop[j::6] = states.translate(hops)
-    hop = memoryview(hop).cast("b")
+    corner, hop = _walk_tables(sch)
 
     orientable = _parities(graph, sch.negative) is not None
 
@@ -581,7 +589,7 @@ def _family_scheme(s: "EmbeddingSet") -> EmbeddingScheme | None:
 
     Circuit i, with its copy labels (copy 0 throughout when m = 1), gives
     the rotation at vertex i; every Y rotation runs in the cyclic order of
-    its sorted triple.  The family is refused where `check_family` refuses
+    its sorted triple.  The family is refused where `circuit_failures` refuses
     it, from the ids alone: the circuits are T_1..T_n of its ambient, each of
     length m*C(n-1,2) on the vertices 1..n, with labels in 0..m-1 when
     m > 1, all of them ints; each step's triple {i, u, v} is a triple (so
@@ -636,7 +644,7 @@ def _family_scheme(s: "EmbeddingSet") -> EmbeddingScheme | None:
     if signs.count(0):
         return None
     negative = signs.translate(_NEGATIVE_OF_SIGN)
-    return EmbeddingScheme.from_ids(graph, x_ids, bytes(len(negative) // 3), negative)
+    return EmbeddingScheme._adopt(graph, x_ids, bytes(len(negative) // 3), negative)
 
 
 # Takes the signs of `_family_scheme`, 1 and 2, to the bytes of `negative`.
@@ -649,6 +657,67 @@ def _signs_agree(negative: bytes) -> bool:
     return negative[0::3] == negative[1::3] == negative[2::3]
 
 
+def _split_signs(sch: EmbeddingScheme) -> tuple[int, int]:
+    """The least pair i < j whose edges to one Y vertex differ in sign, where
+    some do: i is slot 0 of the first Y vertex, in triple order, whose slots
+    differ, and j its least partner on those from there that start at i."""
+    negative, x_end = sch.negative, sch.graph.x_end
+    found = (_xor(negative[0::3], negative[k::3]).find(1) for k in (1, 2))
+    y = min(y for y in found if y >= 0)
+    i, best = x_end[3 * y], sch.graph.n + 1
+    for k in range(3 * y, len(x_end), 3):
+        if x_end[k] != i or x_end[k + 1] >= best:  # slot 1 only grows from here
+            break
+        if negative[k] != negative[k + 1]:
+            best = x_end[k + 1]
+        elif negative[k] != negative[k + 2]:
+            best = min(best, x_end[k + 2])
+    return i, best
+
+
+def _unpaired(s: "EmbeddingSet", sch: EmbeddingScheme) -> tuple[int, int]:
+    """The least pair i < j that is not compatible, when some face is not a
+    quadrilateral: the first i, and least j > i, with a corner through j = seq[p]
+    whose X flag 2k, k = rot[p], two steps of the walk do not bring back."""
+    corner, hop = _walk_tables(sch)
+    for i, (c, rot) in enumerate(zip(s.circuits, sch.x_rotations), 1):
+        best = s.n + 1
+        for j, k in zip(c.seq, rot):
+            if i < j < best:
+                g = corner[2 * k]
+                g = corner[g + hop[g]]
+                if g + hop[g] != 2 * k:
+                    best = j
+        if best <= s.n:
+            return i, best
+
+
+def _first_failure(
+    s: "EmbeddingSet", sch: EmbeddingScheme | None, strong: bool
+) -> "ValidationReport":
+    """The report on a family and the scheme of its front end: the failures
+    of `circuits.circuit_failures` without one, else the first pair that is
+    not compatible (lemma 1) or, with `strong`, not strongly compatible
+    (lemma 2), as `circuits.two_circuit_failures` words it."""
+    from .circuits import ValidationReport, circuit_failures, two_circuit_failures
+
+    if sch is None:
+        return ValidationReport(False, circuit_failures(s))
+    pairs = [] if trace_faces(sch).all_quadrilateral else [_unpaired(s, sch)]
+    if strong and not _signs_agree(sch.negative):
+        pairs.append(_split_signs(sch))
+    if not pairs:
+        return ValidationReport(True, [])
+    i, j = min(pairs)
+    weak, not_strong = two_circuit_failures(s.circuit(i), s.circuit(j))
+    return ValidationReport(False, [not_strong if strong else weak])
+
+
+def family_failure(s: "EmbeddingSet", strong: bool) -> "ValidationReport":
+    """`circuits.is_embedding_set`'s report, from the family front end."""
+    return _first_failure(s, _family_scheme(s), strong)
+
+
 class FamilyReport(Value):
     """Everything that certifies a family as a minimum-genus embedding.
 
@@ -657,8 +726,8 @@ class FamilyReport(Value):
     when the family is compatible, and then every face is a quadrilateral
     (lemma 1).  `is_strong` tells whether it is strongly compatible, which
     is one sign at every Y vertex (lemma 2), and `strong` is its report,
-    None when `compatible` fails; a failed one names its pair through
-    `circuits.pair_reports` when first read, which no verdict needs.
+    None when `compatible` fails; a failed one names its pair from the
+    signs (`_first_failure`) when first read, which no verdict needs.
     Immutable; equality, the hash and the repr leave `family` out.
     """
 
@@ -688,13 +757,7 @@ class FamilyReport(Value):
 
     @cached_property
     def strong(self) -> "ValidationReport | None":
-        from .circuits import ValidationReport, pair_reports
-
-        if self.scheme is None:
-            return None
-        if self.is_strong:
-            return ValidationReport(True, [])
-        return pair_reports(self.family)[1]
+        return None if self.scheme is None else _first_failure(self.family, self.scheme, True)
 
     def is_minimum(self, orientable: bool) -> bool:
         """A minimum-genus embedding of the requested orientability: compatible
@@ -718,17 +781,18 @@ def verify_family(s: "EmbeddingSet") -> FamilyReport:
     A family that passes the front end is compatible iff its scheme has
     only quadrilateral faces (lemma 1), and then strong iff its signs agree
     at every Y vertex (lemma 2), for every m.  A family the front end
-    refuses gets the reports of `check_family`, and one with a face of
-    another length the compatible report of `pair_reports`.
+    refuses, or one with a face of another length, gets the failed report
+    of `_first_failure`.  Raises InvalidParameter for n circuits of an
+    order n below 4 or a multiplicity below 1.
     """
-    from .circuits import ValidationReport, check_family, pair_reports
+    from .circuits import ValidationReport
 
     scheme = _family_scheme(s)
     if scheme is None:  # so the Eulerian report fails
-        return FamilyReport(check_family(s)[0], None, None, None, None, s)
+        return FamilyReport(_first_failure(s, None, False), None, None, None, None, s)
     eulerian, faces = ValidationReport(True, []), trace_faces(scheme)
     if not faces.all_quadrilateral:
-        return FamilyReport(eulerian, pair_reports(s)[0], None, None, None, s)
+        return FamilyReport(eulerian, _first_failure(s, scheme, False), None, None, None, s)
     expected_genus = euler_genus_lower_bound(HypergraphSpec(s.n, s.m))
     return FamilyReport(eulerian, ValidationReport(True, []), scheme, faces, expected_genus, s)
 
@@ -747,8 +811,8 @@ def set_to_scheme(s: "EmbeddingSet") -> EmbeddingScheme:
     `verify_family`, which decides compatibility by the faces (lemma 1).
     Raises NotAnEmbeddingSet for an invalid family, missing or bad copy
     labels included, with the first failure of its report: the Eulerian
-    one of `check_family` for a family the front end refuses, else the
-    compatible one of `circuits.pair_reports`.
+    one for a family the front end refuses, else the compatible one, both
+    from `_first_failure`.
     """
     report = verify_family(s)
     if report.scheme is None:

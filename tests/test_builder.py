@@ -201,6 +201,24 @@ def test_an_order_or_multiplicity_that_is_no_int_is_refused_as_the_spec_does(cal
     assert str(err.value) == "n and m must be integers"
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_even(6, "no"),
+        lambda: build_even(6, None),
+        lambda: build_multi(6, 2, orientable=""),
+        lambda: build_multi(4, 2, orientable=0),
+        lambda: enumerate_variants(8, "no", 2, seed=1),
+    ],
+    ids=["even-str", "even-none", "multi-empty", "multi-zero", "enumerate-str"],
+)
+def test_orientable_that_is_no_bool_is_refused(call):
+    # These built a family picked by the truth value, or, in
+    # enumerate_variants, spent the whole budget and returned none.
+    with pytest.raises(TypeError, match="orientable must be a bool"):
+        call()
+
+
 def test_determinism():
     assert build_even(12, True, seed=42) == build_even(12, True, seed=42)
     assert build_even(10, False) == build_even(10, False)

@@ -22,7 +22,7 @@ from kn3genus import (
     transitions_through,
     validate_eulerian,
 )
-from kn3genus.circuits import canonical_set_key, least_rotation, pair_reports
+from kn3genus.circuits import canonical_set_key, least_rotation
 
 from oracle import (
     brute_canonical_seq,
@@ -138,10 +138,24 @@ def test_is_embedding_set_rejects_incompatible_family(nonorientable6):
     assert not report.ok
 
 
-def test_pair_reports_answer_a_family_that_is_not_eulerian(strong6):
-    # T_1 misses vertices 4 and 6: a report names the first pair, no KeyError.
-    short = EmbeddingSet(6, 1, (Circuit(1, 6, 1, (2, 3, 5)),) + strong6.circuits[1:], True)
-    assert pair_reports(short)[0].failures == ["pair (1,2) not compatible"]
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: validate_eulerian(Circuit(1, 4, 0, ())),
+        lambda: is_embedding_set(
+            EmbeddingSet(4, 0, tuple(Circuit(i, 4, 0, ()) for i in range(1, 5)), False)
+        ),
+        lambda: is_embedding_set(
+            EmbeddingSet(2, 1, (Circuit(1, 2, 1, ()), Circuit(2, 2, 1, ())), False)
+        ),
+    ],
+    ids=["circuit-m0", "family-m0", "family-n2"],
+)
+def test_ambients_outside_the_domain_are_refused(call):
+    # The first two raised a bare StopIteration, and the order-2 family
+    # passed as an embedding set.
+    with pytest.raises(InvalidParameter):
+        call()
 
 
 def test_reversal_preserves_weak_compatibility(strong6, nonorientable6):

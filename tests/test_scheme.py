@@ -38,7 +38,7 @@ from kn3genus.circuits import (
     EmbeddingSet,
     ValidationReport,
     canonical_set_key,
-    check_family,
+    validate_eulerian,
 )
 from kn3genus.scheme import _cyclically_equal, _family_scheme, verify_family
 
@@ -402,8 +402,8 @@ def test_copy_resolution_refuses_bad_labels(klein4x2, labels, why):
     bad = EmbeddingSet(klein4x2.n, klein4x2.m, circuits, klein4x2.strong)
     failure = ValidationReport(False, [f"circuit 1: {why}"])
     assert is_embedding_set(bad, require_strong=False) == failure
-    assert check_family(bad) == (failure, None, None)
-    assert verify_family(bad).eulerian == failure
+    report = verify_family(bad)
+    assert (report.eulerian, report.compatible, report.strong) == (failure, None, None)
     with pytest.raises(NotAnEmbeddingSet) as err:
         set_to_scheme(bad)
     assert str(err.value) == f"circuit 1: {why}"
@@ -431,7 +431,6 @@ def test_values_that_are_not_ints_are_refused_by_name(value, where, why):
     first = Circuit(1, c.n, c.m, tuple(seq), tuple(labels))
     bad = EmbeddingSet(s.n, s.m, (first,) + s.circuits[1:], s.strong)
     failure = ValidationReport(False, [f"circuit 1: {why}"])
-    assert check_family(bad) == (failure, None, None)
     assert is_embedding_set(bad, require_strong=False) == failure
     report = verify_family(bad)
     assert (report.eulerian, report.compatible, report.strong) == (failure, None, None)
@@ -483,7 +482,7 @@ def test_verify_family_stops_at_the_first_failed_check(strong6):
 
 
 def _consulted(*args, **kwargs):
-    raise AssertionError("the transition index or the Eulerian check was consulted")
+    raise AssertionError("the two-circuit namer or the Eulerian check was consulted")
 
 
 @pytest.mark.parametrize("orientable", [True, False], ids=["orientable", "nonorientable"])
@@ -491,7 +490,7 @@ def _consulted(*args, **kwargs):
 def test_valid_families_are_certified_without_the_index(monkeypatch, m, orientable):
     s = build_multi(8, m, orientable=orientable, seed=1)
     with monkeypatch.context() as guard:
-        guard.setattr(circuits, "_transition_index", _consulted)
+        guard.setattr(circuits, "two_circuit_failures", _consulted)
         guard.setattr(circuits, "validate_eulerian", _consulted)
         report = verify_family(s)
         assert report.eulerian.ok and report.compatible.ok
@@ -501,18 +500,27 @@ def test_valid_families_are_certified_without_the_index(monkeypatch, m, orientab
         assert scheme_to_set(sch).strong == orientable
         if m == 1:  # the census builds m = 1 families whatever m is here
             assert len(enumerate_variants(8, orientable, 20, seed=1)) == 20
-    assert report.strong == check_family(s)[2] and report.strong.ok == orientable
+    strong = pairwise_first_failure(rows(s), require_strong=True)
+    assert report.strong == ValidationReport(not strong, [strong] if strong else [])
+    assert report.strong.ok == orientable
     assert scheme_to_set(sch).strong == orientable
 
-    # Families that fail a check get the reports of check_family.
+    # Families that fail a check name the first failure: the Eulerian one of
+    # the circuit, or the first pair that is not compatible.
+    ok = ValidationReport(True, [])
     t1 = s.circuit(1)
-    swapped = tuple({2: 4, 4: 2}.get(v, v) for v in t1.seq)
-    repeated = (t1.seq[0],) + t1.seq[:-1]
-    for seq in (swapped, repeated):
-        first = Circuit(1, s.n, m, seq, t1.copy_labels)
-        bad = EmbeddingSet(s.n, m, (first,) + s.circuits[1:], s.strong)
-        report = verify_family(bad)
-        assert (report.eulerian, report.compatible, report.strong) == check_family(bad)
+    swapped = Circuit(1, s.n, m, tuple({2: 4, 4: 2}.get(v, v) for v in t1.seq), t1.copy_labels)
+    repeated = Circuit(1, s.n, m, (t1.seq[0],) + t1.seq[:-1], t1.copy_labels)
+    bad = EmbeddingSet(s.n, m, (swapped,) + s.circuits[1:], s.strong)
+    report = verify_family(bad)
+    weak = pairwise_first_failure(rows(bad), require_strong=False)
+    assert weak and (report.eulerian, report.compatible, report.strong) == (
+        ok, ValidationReport(False, [weak]), None,
+    )
+    bad = EmbeddingSet(s.n, m, (repeated,) + s.circuits[1:], s.strong)
+    report = verify_family(bad)
+    failure = ValidationReport(False, [f"circuit 1: {validate_eulerian(repeated).first()}"])
+    assert (report.eulerian, report.compatible, report.strong) == (failure, None, None)
 
 
 def test_families_the_front_end_passed_are_not_checked_eulerian_again(monkeypatch, strong6):
@@ -532,11 +540,13 @@ def test_families_the_front_end_passed_are_not_checked_eulerian_again(monkeypatc
         report = verify_family(incompatible)
         with pytest.raises(NotAnEmbeddingSet, match=r"^pair \(1,3\) not compatible$"):
             set_to_scheme(incompatible)
-    assert strong is read_back is check_family(s)[2].ok is False
-    assert reversed_first == check_family(reversed_t1)[2].first()
+    assert strong is read_back is False
+    assert pairwise_first_failure(rows(s), require_strong=True) != ""
+    assert reversed_first == pairwise_first_failure(rows(reversed_t1), require_strong=True)
     assert reversed_first == "pair (1,2) not strongly compatible at transition (3,2,6)"
-    assert (report.eulerian, report.compatible, report.strong) == check_family(incompatible)
-    assert report.compatible.failures == ["pair (1,3) not compatible"]
+    assert (report.eulerian, report.compatible, report.strong) == (
+        ValidationReport(True, []), ValidationReport(False, ["pair (1,3) not compatible"]), None,
+    )
 
 
 def test_multi_scheme_has_expected_size():
@@ -1078,3 +1088,33 @@ def test_from_ids_keeps_buffers_of_signs_as_bytes(strong6):
     assert sch == library and sch.negative != negative
     # A bytes argument is kept as it is, not copied.
     assert untraced(library).negative is library.negative
+
+
+def test_from_ids_copies_the_rotation_buffer():
+    # A write into the caller's buffer after the first trace once changed
+    # the X rotations under the kept report: it still said all faces were
+    # quadrilaterals, while the same bytes traced afresh said not.
+    library = set_to_scheme(build_multi(20, 3, orientable=False, seed=1))
+    x_ids, put = scheme_module.x_writer(library.graph)
+    for x, rot in enumerate(library.x_rotations, 1):
+        put(x, rot)
+    sch = EmbeddingScheme.from_ids(library.graph, x_ids, library.y_reversed, library.negative)
+    kept = trace_faces(sch)
+    assert kept.all_quadrilateral
+    first = list(library.x_rotations[0])
+    first[0], first[1] = first[1], first[0]
+    put(1, first)
+    assert sch == library and trace_faces(sch) is kept
+    rewritten = EmbeddingScheme.from_ids(library.graph, x_ids, library.y_reversed, library.negative)
+    assert not trace_faces(rewritten).all_quadrilateral
+
+
+def test_naming_a_pair_that_is_not_strong_holds_a_few_bytes_per_edge():
+    # The all-pairs scan held 42-51 bytes per Levi edge to name the pair; the
+    # signs name it from three strides of `negative`.
+    s = build_multi(20, 3, orientable=False, seed=1)
+    edges = build_levi(HypergraphSpec(20, 3)).edge_count
+    named = peak_bytes(lambda: verify_family(s).strong)
+    decided = peak_bytes(lambda: verify_family(s).is_strong)
+    assert not verify_family(s).strong.ok
+    assert named - decided <= 8 * edges
